@@ -4,29 +4,22 @@ network hydraulics.
 The package parses an EPANET-style network description, builds the
 difference-algebraic model of its hydraulics, and bounds the Lipschitz
 constant of the head-loss nonlinearity over a box of attainable flows three
-ways: exactly in closed form, from above by certified interval
-branch-and-bound, and from below by quasi-Monte-Carlo sampling.
+ways: exactly in closed form, from above by a certified interval enclosure
+at the box corner, and from below by quasi-Monte-Carlo sampling.
 """
 
 from .analytical import (
-    diag_log_norm,
     k_network,
     k_pipes,
     k_pumps,
     k_valves,
     osl_network,
-    pump_shortcut,
 )
 from .bnb import (
-    BnbResult,
-    Box,
-    bnb_max,
-    jac_entry_bounds,
+    Bracket,
+    interval_bracket,
     k_upper_max,
     k_upper_sqrt,
-    make_max_objective,
-    make_sqrt_objective,
-    osl_upper,
 )
 from .bounds import (
     FlowBox,
@@ -96,9 +89,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "AssumptionError",
-    "BnbResult",
+    "Bracket",
     "BoundsError",
-    "Box",
     "DaeLayout",
     "DaeSystem",
     "DimensionTooLarge",
@@ -124,13 +116,11 @@ __all__ = [
     "UnknownLink",
     "UnknownNodeRef",
     "WdnError",
-    "bnb_max",
     "box_from_intervals",
     "build_dae",
     "build_network",
     "dae_residual",
     "default_box",
-    "diag_log_norm",
     "eval_f",
     "eval_f_batch",
     "eval_jacobian_diag",
@@ -140,7 +130,7 @@ __all__ = [
     "headgain_pump",
     "headloss_pipe",
     "headloss_valve",
-    "jac_entry_bounds",
+    "interval_bracket",
     "jacobian_diag_batch",
     "junction_residual",
     "k_lower",
@@ -154,13 +144,9 @@ __all__ = [
     "load_bounds",
     "load_report_schema",
     "loads_bounds",
-    "make_max_objective",
-    "make_sqrt_objective",
     "osl_network",
-    "osl_upper",
     "parse_inp",
     "pump_max_flow",
-    "pump_shortcut",
     "random_points",
     "save_bounds",
     "sobol",

@@ -26,41 +26,39 @@ from .estimates import METHOD_ANALYTICAL, MODE_MAX, LipschitzEstimate
 from .network import Network
 
 
+def link_derivative(net: Network, pos: int, magnitude: float) -> float:
+    """|df/dq| of the link at stacked flow position ``pos``, at ``magnitude``.
+
+    Every exponent here is >= 1, so the derivative is nondecreasing in |q|:
+    at the corner magnitude it is the supremum over the link's interval.
+    """
+    if pos < net.n_pipes:
+        return net.mu * float(net.pipe_resistance[pos]) * math.pow(magnitude, net.mu - 1.0)
+    pos -= net.n_pipes
+    if pos < net.n_pumps:
+        nu = float(net.pump_exponent[pos])
+        return (nu * float(net.pump_coeff[pos]) * math.pow(magnitude, nu - 1.0)
+                * math.pow(float(net.pump_speed[pos]), 2.0 - nu))
+    pos -= net.n_pumps
+    return (net.mu * float(net.valve_openness[pos]) * float(net.valve_resistance[pos])
+            * math.pow(magnitude, net.mu - 1.0))
+
+
+def _class_max(net: Network, box: FlowBox, positions: range) -> float:
+    corner = box.corner_magnitudes()
+    return max((link_derivative(net, pos, corner[pos]) for pos in positions), default=0.0)
+
+
 def k_pipes(net: Network, box: FlowBox) -> float:
-    best = 0.0
-    mu = net.mu
-    for i in range(net.n_pipes):
-        c = max(abs(float(box.lo[i])), abs(float(box.hi[i])))
-        val = mu * float(net.pipe_resistance[i]) * math.pow(c, mu - 1.0)
-        if val > best:
-            best = val
-    return best
+    return _class_max(net, box, range(net.n_pipes))
 
 
 def k_pumps(net: Network, box: FlowBox) -> float:
-    best = 0.0
-    base = net.n_pipes
-    for i in range(net.n_pumps):
-        nu = float(net.pump_exponent[i])
-        val = (nu * float(net.pump_coeff[i])
-               * math.pow(float(box.hi[base + i]), nu - 1.0)
-               * math.pow(float(net.pump_speed[i]), 2.0 - nu))
-        if val > best:
-            best = val
-    return best
+    return _class_max(net, box, range(net.n_pipes, net.n_pipes + net.n_pumps))
 
 
 def k_valves(net: Network, box: FlowBox) -> float:
-    best = 0.0
-    mu = net.mu
-    base = net.n_pipes + net.n_pumps
-    for i in range(net.n_valves):
-        c = max(abs(float(box.lo[base + i])), abs(float(box.hi[base + i])))
-        val = (mu * float(net.valve_openness[i]) * float(net.valve_resistance[i])
-               * math.pow(c, mu - 1.0))
-        if val > best:
-            best = val
-    return best
+    return _class_max(net, box, range(net.n_pipes + net.n_pumps, net.n_links))
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
@@ -82,22 +80,3 @@ def osl_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     """One-sided Lipschitz constant; identical to k_network by construction."""
     return k_network(net, box)
 
-
-def diag_log_norm(entries) -> float:
-    """Log norm (induced 2-norm) of a diagonal matrix: its largest entry."""
-    entries = list(entries)
-    if not entries:
-        raise ValueError("empty diagonal")
-    return max(entries)
-
-
-def pump_shortcut(coeff: float, exponent: float, s_min: float, s_max: float,
-                  q_bar: float) -> float:
-    """K_M for a pump set sharing one friction coefficient and exponent.
-
-    With g(s, q) = nu*r*q**(nu-1)*s**(2-nu), the extremal speed is s_max for
-    nu <= 2 (exponent 2-nu >= 0) and s_min for nu > 2.
-    """
-    s_sel = s_max if exponent <= 2.0 else s_min
-    return (exponent * coeff * math.pow(q_bar, exponent - 1.0)
-            * math.pow(s_sel, 2.0 - exponent))

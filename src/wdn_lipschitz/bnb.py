@@ -1,5 +1,4 @@
-"""Certified over-approximation of Lipschitz constants by interval
-branch-and-bound over the flow box.
+"""Certified interval brackets on the Lipschitz constant, from one box corner.
 
 The two objectives, as functions of the stacked flows q:
 
@@ -8,330 +7,104 @@ The two objectives, as functions of the stacked flows q:
     sqrt mode   F(q) = sqrt(sum_i (df_i/dq_i (q_i))**2)  (Frobenius norm;
                 an upper bound on the spectral norm)
 
-Both are separable: each summand/term depends on one coordinate and is
-monotone in |q_i|, so interval bounds come from endpoint evaluation of the
-same scalar expressions the analytical module uses, widened outward (4 ulps)
-to absorb libm error.  That keeps the certified upper bound at or above the
-closed-form value on every run.
-
-The search keeps a cover of boxes in a best-first queue keyed by interval
-upper bound.  The lower bound is the best objective evaluation at a box
-midpoint (computed through the same interval code on a degenerate box, so it
-is itself certified).  Boxes are bisected on the coordinate whose objective
-term has the widest value range over the box -- the scaled-width rule; with a
-separable objective this is the only coordinate whose split can lower the
-bound.  Boxes whose upper bound cannot beat the global lower bound are
-dropped.  The search stops when upper - lower <= gap_tol or the box budget
-runs out; the returned bounds are valid either way.
+Both are separable, and each term is nondecreasing in |q_i|.  So both
+suprema over the flow box sit at its corner c, where c_i is the endpoint of
+larger magnitude on coordinate i.  The certificate evaluates each link's
+derivative once at |c_i|, with the scalar expressions of the analytical
+closed forms, and widens it outward by 4 ulps to absorb libm error.  The
+upper end of the bracket is the outward-rounded objective over those widened
+values; the lower end is the same computation rounded downward, which
+encloses F(c) from below.  The bracket is a few ulps wide and costs one
+O(n) pass.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Callable, IO, Sequence
 
-import numpy as np
-
+from .analytical import link_derivative
 from .bounds import FlowBox
 from .estimates import METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT, LipschitzEstimate
-from .intervals import (
-    Interval,
-    interval_max,
-    interval_sqrt,
-    ulp_down,
-    ulp_up,
-)
+from .intervals import sqrt_down, sqrt_up, ulp_down, ulp_up
 from .network import Network
 
 TERMINATED_GAP = "gap"
-TERMINATED_BUDGET = "max_iterations"
+# gap_tol is tighter than the few ulps that outward rounding leaves
+TERMINATED_ROUNDING = "rounding_floor"
 
 DEFAULT_MAX_BOXES = 1_000_000
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
+class Bracket:
+    """lower <= sup over the box of the objective <= upper."""
 
-    @classmethod
-    def from_flow_box(cls, box: FlowBox) -> "Box":
-        return cls(box.lo.copy(), box.hi.copy())
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "Box":
-        lo = np.array([p[0] for p in pairs], dtype=float)
-        hi = np.array([p[1] for p in pairs], dtype=float)
-        return cls(lo, hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    def midpoint(self) -> np.ndarray:
-        mid = 0.5 * (self.lo + self.hi)
-        return np.minimum(np.maximum(mid, self.lo), self.hi)
-
-    def split(self, coord: int) -> tuple["Box", "Box"]:
-        mid = 0.5 * (self.lo[coord] + self.hi[coord])
-        mid = min(max(mid, self.lo[coord]), self.hi[coord])
-        left_hi = self.hi.copy()
-        left_hi[coord] = mid
-        right_lo = self.lo.copy()
-        right_lo[coord] = mid
-        return Box(self.lo.copy(), left_hi), Box(right_lo, self.hi.copy())
-
-
-@dataclass(frozen=True)
-class BnbResult:
     upper: float
     lower: float
     gap: float
-    boxes_processed: int
     terminated_by: str
 
 
-def _derivative_sup(net: Network, pos: int, magnitude: float) -> float:
-    """Scalar |df/dq| at the given flow magnitude, matching the operation
-    order of the analytical closed forms."""
-    if pos < net.n_pipes:
-        return net.mu * float(net.pipe_resistance[pos]) * math.pow(magnitude, net.mu - 1.0)
-    pos -= net.n_pipes
-    if pos < net.n_pumps:
-        nu = float(net.pump_exponent[pos])
-        return (nu * float(net.pump_coeff[pos]) * math.pow(magnitude, nu - 1.0)
-                * math.pow(float(net.pump_speed[pos]), 2.0 - nu))
-    pos -= net.n_pumps
-    return (net.mu * float(net.valve_openness[pos]) * float(net.valve_resistance[pos])
-            * math.pow(magnitude, net.mu - 1.0))
+def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[float]]:
+    """Certified (lowers, uppers) of each |J_ii| at the box corner.
 
-
-def jac_entry_bounds(net: Network, box: Box) -> list[Interval]:
-    """Certified enclosures of each Jacobian diagonal entry over the box.
-
-    Every entry is monotone in |q|, so the enclosure is the outward-rounded
-    endpoint evaluation; the minimum magnitude is 0 when the coordinate
-    interval crosses zero (pumps cannot: their boxes stay positive).
+    Each upper bounds its entry over the whole box; each lower is below the
+    entry's value at the corner, so it is attained inside the box.
     """
-    out = []
-    for pos in range(box.dim):
-        lo, hi = float(box.lo[pos]), float(box.hi[pos])
-        m_hi = max(abs(lo), abs(hi))
-        m_lo = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-        upper = ulp_up(_derivative_sup(net, pos, m_hi), 4)
-        lower = max(0.0, ulp_down(_derivative_sup(net, pos, m_lo), 4))
-        out.append(Interval(min(lower, upper), upper))
-    return out
+    values = [link_derivative(net, pos, m) for pos, m in enumerate(box.corner_magnitudes())]
+    return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
 
 
-class _MaxObjective:
-    """F = max_i |J_ii| with per-coordinate branch scores.
+def interval_bracket(net: Network, box: FlowBox, mode: str, gap_tol: float) -> Bracket:
+    """Bracket lower <= sup_box F <= upper for the max or sqrt objective.
 
-    The box upper bound is the largest entry upper bound, so only splitting
-    the coordinate that attains it can tighten the bracket; score by the
-    entry upper bound."""
-
-    def __init__(self, net: Network):
-        self.net = net
-
-    def __call__(self, box: Box) -> Interval:
-        return interval_max(jac_entry_bounds(self.net, box))
-
-    def branch_scores(self, box: Box) -> np.ndarray:
-        entries = jac_entry_bounds(self.net, box)
-        return np.array([iv.hi for iv in entries])
-
-
-def _square_bounds(iv: Interval) -> tuple[float, float]:
-    """Outward bounds of x**2 for an interval with nonnegative endpoints."""
-    lo = max(0.0, ulp_down(iv.lo * iv.lo))
-    hi = ulp_up(iv.hi * iv.hi)
-    return lo, hi
-
-
-class _SqrtObjective:
-    """F = sqrt(sum_i J_ii**2) with per-coordinate branch scores.
-
-    The corner that maximises the sum is approached one coordinate at a
-    time; score by the width of each coordinate's squared-entry range."""
-
-    def __init__(self, net: Network):
-        self.net = net
-
-    def __call__(self, box: Box) -> Interval:
-        entries = jac_entry_bounds(self.net, box)
-        squares = [_square_bounds(iv) for iv in entries]
-        lo = max(0.0, ulp_down(math.fsum(s[0] for s in squares)))
-        hi = ulp_up(math.fsum(s[1] for s in squares))
-        return interval_sqrt(Interval(lo, hi))
-
-    def branch_scores(self, box: Box) -> np.ndarray:
-        entries = jac_entry_bounds(self.net, box)
-        return np.array([hi - lo for lo, hi in map(_square_bounds, entries)])
-
-
-def make_max_objective(net: Network):
-    """Interval objective F(q) = max_i |df_i/dq_i| for bnb_max."""
-    return _MaxObjective(net)
-
-
-def make_sqrt_objective(net: Network):
-    """Interval objective F(q) = sqrt(sum_i (df_i/dq_i)**2) for bnb_max."""
-    return _SqrtObjective(net)
-
-
-def _width_scores(box: Box, reference: np.ndarray) -> np.ndarray:
-    widths = box.hi - box.lo
-    return np.divide(widths, reference, out=widths.copy(), where=reference > 0)
-
-
-def bnb_max(
-    objective: Callable[[Box], Interval],
-    box: FlowBox | Box,
-    gap_tol: float,
-    max_boxes: int = DEFAULT_MAX_BOXES,
-    branch_scores: Callable[[Box], np.ndarray] | None = None,
-    progress: IO[str] | None = None,
-    log_interval: int = 64,
-) -> BnbResult:
-    """Best-first interval branch and bound for max of the objective over box.
-
-    The result brackets the true maximum: lower <= max F <= upper.  When the
-    budget runs out the bracket is still valid, just wider than gap_tol.
+    terminated_by is "gap" when upper - lower <= gap_tol, and
+    TERMINATED_ROUNDING when gap_tol is below the rounding floor; the
+    bracket is valid either way.
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be > 0")
-    if max_boxes < 1:
-        raise ValueError("max_boxes must be >= 1")
-    root = box if isinstance(box, Box) else Box.from_flow_box(box)
-
-    if branch_scores is None:
-        scores_fn = getattr(objective, "branch_scores", None)
-        if scores_fn is None:
-            reference = np.maximum(root.hi - root.lo, 0.0)
-            scores_fn = lambda b: _width_scores(b, reference)
+    lowers, uppers = corner_enclosures(net, box)
+    if mode == MODE_MAX:
+        lower, upper = max(lowers), max(uppers)
+    elif mode == MODE_SQRT:
+        squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
+        squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
+        lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
+        upper = sqrt_up(ulp_up(squares_hi))
     else:
-        scores_fn = branch_scores
-
-    start = time.monotonic()
-
-    def log(processed: int, lower: float, upper: float) -> None:
-        if progress is not None:
-            progress.write(json.dumps({
-                "boxes": processed,
-                "lower": lower,
-                "upper": upper,
-                "gap": max(0.0, upper - lower),
-                "wall_time": time.monotonic() - start,
-            }) + "\n")
-
-    def lower_eval(b: Box) -> float:
-        mid = b.midpoint()
-        return objective(Box(mid, mid)).lo
-
-    # ties on the upper bound break toward the newest box (LIFO): symmetric
-    # coordinates produce children with identical bounds, and depth-first
-    # refinement of the latest lineage raises the lower bound geometrically
-    # while the tied siblings wait in the queue.
-    processed = 1
-    last_logged = 0
-    root_iv = objective(root)
-    best_lower = max(lower_eval(root), root_iv.lo)
-    heap: list[tuple[float, int, Box]] = []
-    counter = 0
-    heappush(heap, (-root_iv.hi, -counter, root))
-
-    terminated = TERMINATED_BUDGET
-    upper = root_iv.hi
-    while heap:
-        neg_upper, neg_count, current = heappop(heap)
-        upper = max(-neg_upper, best_lower)
-        gap = max(0.0, upper - best_lower)
-        if gap <= gap_tol:
-            terminated = TERMINATED_GAP
-            heappush(heap, (neg_upper, neg_count, current))
-            break
-        if processed >= max_boxes:
-            terminated = TERMINATED_BUDGET
-            heappush(heap, (neg_upper, neg_count, current))
-            break
-
-        scores = scores_fn(current)
-        splittable = (current.hi - current.lo) > 0.0
-        scores = np.where(splittable, scores, -1.0)
-        coord = int(np.argmax(scores))
-        if scores[coord] < 0.0:
-            # fully degenerate box: nothing left to bisect, bounds are final
-            heappush(heap, (neg_upper, neg_count, current))
-            break
-
-        for child in current.split(coord):
-            child_iv = objective(child)
-            processed += 1
-            best_lower = max(best_lower, lower_eval(child), child_iv.lo)
-            if child_iv.hi > best_lower:
-                counter += 1
-                heappush(heap, (-child_iv.hi, -counter, child))
-        if processed - last_logged >= log_interval:
-            last_logged = processed
-            head = -heap[0][0] if heap else best_lower
-            log(processed, best_lower, max(head, best_lower))
-
-    if heap:
-        upper = max(-heap[0][0], best_lower)
-    else:
-        upper = best_lower
-    gap = max(0.0, upper - best_lower)
-    if gap <= gap_tol:
-        terminated = TERMINATED_GAP
-    log(processed, best_lower, upper)
-    return BnbResult(
-        upper=upper,
-        lower=best_lower,
-        gap=gap,
-        boxes_processed=processed,
-        terminated_by=terminated,
-    )
+        raise ValueError(f"unknown mode {mode!r}")
+    if not math.isfinite(upper):
+        raise ValueError("interval enclosure overflows")
+    gap = upper - lower
+    return Bracket(upper=upper, lower=lower, gap=gap,
+                   terminated_by=TERMINATED_GAP if gap <= gap_tol else TERMINATED_ROUNDING)
 
 
 def _estimate(net: Network, box: FlowBox, gap_tol: float, max_boxes: int,
-              mode: str, progress: IO[str] | None) -> LipschitzEstimate:
-    objective = _MaxObjective(net) if mode == MODE_MAX else _SqrtObjective(net)
-    result = bnb_max(objective, Box.from_flow_box(box), gap_tol, max_boxes,
-                     progress=progress)
+              mode: str) -> LipschitzEstimate:
+    # max_boxes stays in the signature because report schema v1 records it;
+    # the certificate evaluates a single box, so any budget >= 1 suffices
+    if max_boxes < 1:
+        raise ValueError("max_boxes must be >= 1")
+    result = interval_bracket(net, box, mode, gap_tol)
     return LipschitzEstimate(
         value=result.upper,
         method=METHOD_INTERVAL_UPPER,
         mode=mode,
         gap=result.gap,
-        effort=result.boxes_processed,
+        effort=1,
     )
 
 
 def k_upper_max(net: Network, box: FlowBox, gap_tol: float,
-                max_boxes: int = DEFAULT_MAX_BOXES,
-                progress: IO[str] | None = None) -> LipschitzEstimate:
-    """Certified upper bound in max mode; converges to the sharp constant."""
-    return _estimate(net, box, gap_tol, max_boxes, MODE_MAX, progress)
+                max_boxes: int = DEFAULT_MAX_BOXES) -> LipschitzEstimate:
+    """Certified upper bound in max mode; within a few ulps of the sharp constant."""
+    return _estimate(net, box, gap_tol, max_boxes, MODE_MAX)
 
 
 def k_upper_sqrt(net: Network, box: FlowBox, gap_tol: float,
-                 max_boxes: int = DEFAULT_MAX_BOXES,
-                 progress: IO[str] | None = None) -> LipschitzEstimate:
+                 max_boxes: int = DEFAULT_MAX_BOXES) -> LipschitzEstimate:
     """Certified upper bound in sqrt (Frobenius) mode; >= the max-mode value."""
-    return _estimate(net, box, gap_tol, max_boxes, MODE_SQRT, progress)
-
-
-def osl_upper(net: Network, box: FlowBox, gap_tol: float,
-              max_boxes: int = DEFAULT_MAX_BOXES,
-              progress: IO[str] | None = None) -> LipschitzEstimate:
-    """Certified upper bound on the one-sided Lipschitz constant.
-
-    The Jacobian diagonal is nonnegative over any valid flow box, so the log
-    norm equals the largest |entry| and the bound coincides with max mode.
-    """
-    return k_upper_max(net, box, gap_tol, max_boxes, progress)
+    return _estimate(net, box, gap_tol, max_boxes, MODE_SQRT)

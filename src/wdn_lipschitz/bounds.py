@@ -66,6 +66,10 @@ class FlowBox:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
+    def corner_magnitudes(self) -> list[float]:
+        """Per-link max(|q_min|, |q_max|): the endpoint of largest magnitude."""
+        return np.maximum(np.abs(self.lo), np.abs(self.hi)).tolist()
+
 
 def _box_from_mapping(net: Network, table: dict[str, tuple[float, float]]) -> FlowBox:
     lo = np.empty(net.n_links)

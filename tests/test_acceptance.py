@@ -18,15 +18,14 @@ import numpy as np
 import pytest
 
 from wdn_lipschitz import (
-    bnb_max,
     eval_f_batch,
+    interval_bracket,
     jacobian_diag_batch,
     k_lower,
     k_lower_trace,
     k_network,
     k_upper_max,
     k_upper_sqrt,
-    make_max_objective,
     osl_network,
 )
 from wdn_lipschitz.cli import main
@@ -94,7 +93,7 @@ def test_criterion_2_interval_certification(fixtures, capsys):
     for name in FIXTURE_NAMES:
         _, net, box = fixtures[name]
         k = k_network(net, box).value
-        res = bnb_max(make_max_objective(net), box, FIXTURE_GAPS[name])
+        res = interval_bracket(net, box, "max", FIXTURE_GAPS[name])
         assert res.terminated_by == "gap", name
         assert res.lower <= k <= res.upper, name   # exact containment
         details.append(f"{name}:[{res.lower:.6g},{res.upper:.6g}]")

@@ -9,7 +9,6 @@ from mpmath import mp, mpf, power
 
 from wdn_lipschitz import (
     build_network,
-    diag_log_norm,
     eval_f_batch,
     jacobian_diag_batch,
     k_network,
@@ -17,7 +16,6 @@ from wdn_lipschitz import (
     k_pumps,
     k_valves,
     osl_network,
-    pump_shortcut,
 )
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.inp import (
@@ -203,43 +201,48 @@ class TestOsl:
             assert osl.value == k.value
             assert osl.per_class == k.per_class
 
-    def test_diag_log_norm_hand_value(self):
-        assert diag_log_norm([-5.0, 3.0]) == 3.0
-
     def test_diag_log_norm_limit_oracle(self):
-        # eta_2(D) = lim (||I + eps D||_2 - 1)/eps, evaluated numerically
+        # eta_2(D) = lim (||I + eps D||_2 - 1)/eps for D the Jacobian diagonal
+        # at the box corner, where every entry attains its supremum
         rng = np.random.default_rng(53)
         for _ in range(20):
-            d = rng.uniform(-10, 10, int(rng.integers(1, 6)))
-            eps = 1e-9
+            net, box = make_random_network(rng)
+            corner = np.where(np.abs(box.lo) > np.abs(box.hi), box.lo, box.hi)
+            d = jacobian_diag_batch(net, corner[None, :])[0]
+            scale = float(np.max(np.abs(d)))
+            eps = 1e-9 / scale
             m = np.eye(len(d)) + eps * np.diag(d)
             numeric = (np.linalg.norm(m, 2) - 1.0) / eps
-            assert diag_log_norm(d) == pytest.approx(numeric, rel=1e-5, abs=1e-5)
+            assert osl_network(net, box).value == pytest.approx(numeric, rel=1e-5)
 
 
 class TestPumpShortcut:
+    """k_pumps over pumps that share (r, nu) picks the extremal speed:
+    s_max for nu <= 2 (exponent 2 - nu >= 0) and s_min for nu > 2."""
+
     def test_exponent_two_ignores_speed(self):
-        a = pump_shortcut(0.5, 2.0, 0.2, 0.9, 100.0)
-        b = pump_shortcut(0.5, 2.0, 0.7, 0.3, 100.0)
-        assert a == b == pytest.approx(100.0)
+        net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 0.5, 2.0, 0.2),
+                             PumpDesc("B", "R1", "J1", 1e4, 0.5, 2.0, 0.9)])
+        box = box_from_intervals(net, {"A": (1.0, 100.0), "B": (1.0, 100.0)})
+        assert k_pumps(net, box) == pytest.approx(100.0)
 
     def test_low_exponent_uses_max_speed(self):
-        got = pump_shortcut(1.0, 1.5, 0.4, 1.0, 9.0)
-        assert got == pytest.approx(1.5 * math.pow(9.0, 0.5) * 1.0)
+        net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 1.0, 1.5, 0.4),
+                             PumpDesc("B", "R1", "J1", 1e4, 1.0, 1.5, 1.0)])
+        box = box_from_intervals(net, {"A": (1.0, 9.0), "B": (1.0, 9.0)})
+        assert k_pumps(net, box) == pytest.approx(1.5 * math.pow(9.0, 0.5) * 1.0)
 
     def test_oracle_value_and_cross_check(self):
         exact = mpf("2.59") * mpf("3.746e-6") * power(mpf("922.5"), mpf("1.59")) \
             * power(mpf("0.4"), mpf("-0.59"))
         assert float(exact) == pytest.approx(PUMP_SHORTCUT_CASE, rel=1e-15)
-        got = pump_shortcut(3.746e-6, 2.59, 0.4, 1.0, 922.5)
-        assert got == pytest.approx(PUMP_SHORTCUT_CASE, rel=1e-13)
-        # equals k_pumps on a two-pump network sharing (r, nu)
+        # two pumps sharing (r, nu) = (3.746e-6, 2.59): the slower one dominates
         net = pump_only_net([
             PumpDesc("A", "R1", "J1", 393.7008, 3.746e-6, 2.59, 0.4),
             PumpDesc("B", "R1", "J1", 393.7008, 3.746e-6, 2.59, 1.0),
         ])
         box = box_from_intervals(net, {"A": (1.0, 922.5), "B": (1.0, 922.5)})
-        assert k_pumps(net, box) == pytest.approx(got, rel=1e-13)
+        assert k_pumps(net, box) == pytest.approx(PUMP_SHORTCUT_CASE, rel=1e-13)
 
 
 class TestDerivativeSupremumIdentity:

@@ -1,25 +1,22 @@
 from __future__ import annotations
 
-import io
-import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdn_lipschitz import (
-    Box,
-    bnb_max,
     build_network,
-    jac_entry_bounds,
+    interval_bracket,
     jacobian_diag_batch,
     k_network,
     k_upper_max,
     k_upper_sqrt,
-    make_max_objective,
-    osl_upper,
 )
+from wdn_lipschitz.bnb import TERMINATED_ROUNDING, corner_enclosures
 from wdn_lipschitz.bounds import box_from_intervals
-from wdn_lipschitz.intervals import Interval
 
 from conftest import (
     FIXTURE_GAPS,
@@ -28,121 +25,98 @@ from conftest import (
     make_single_pipe,
 )
 
-# frozen oracles for the pump entry bounds on [100, 922.5]
-PUMP_JAC_LO_AT_100 = 0.014684783130902873   # 2.59 * 3.746e-6 * 100**1.59
+# frozen oracle for the pump entry bound on [100, 922.5]
 PUMP_JAC_HI_AT_9225 = 0.50253240652737913   # 2.59 * 3.746e-6 * 922.5**1.59
 
+# interval uppers (max mode, sqrt mode) on the shipped fixtures, frozen from
+# the best-first branch-and-bound that the corner certificate replaced
+FIXTURE_UPPERS = {
+    "three_node": (float.fromhex("0x1.014bed766e387p-1"), float.fromhex("0x1.014e5eeb142abp-1")),
+    "eight_node": (float.fromhex("0x1.42c6e4296550bp-3"), float.fromhex("0x1.4763f46b45e42p-3")),
+    "anytown": (float.fromhex("0x1.a26c8a4afc8b9p-3"), float.fromhex("0x1.bb56418466e3ap-3")),
+    "net2": (float.fromhex("0x1.338770ca50c7ep-6"), float.fromhex("0x1.c51a62d0980a4p-6")),
+    "net3": (float.fromhex("0x1.a2eaf872d6802p-2"), float.fromhex("0x1.f985f450dffe4p-2")),
+    "obcl": (float.fromhex("0x1.a10bf25e86cfep-2"), float.fromhex("0x1.d2359989eeacap-2")),
+}
 
-def abs_objective(box: Box) -> Interval:
-    """Interval extension of 2|q| on a 1-D box."""
-    lo, hi = float(box.lo[0]), float(box.hi[0])
-    m_hi = max(abs(lo), abs(hi))
-    m_lo = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return Interval(2.0 * m_lo, 2.0 * m_hi)
+
+def single_pipe(resistance: float, mu: float, lo: float, hi: float):
+    net = build_network(make_single_pipe(resistance, mu))
+    return net, box_from_intervals(net, {"P1": (lo, hi)})
 
 
 class TestBnbMax:
+    """Brackets on one-link networks with hand-known maxima."""
+
     def test_one_dimensional_known_maximum(self):
-        res = bnb_max(abs_objective, Box.from_pairs([(0.0, 1.0)]), gap_tol=1e-6)
+        # |df/dq| = 2|q| on [0, 1]
+        net, box = single_pipe(1.0, 2.0, 0.0, 1.0)
+        res = interval_bracket(net, box, "max", gap_tol=1e-6)
         assert 2.0 <= res.upper <= 2.0 + 1e-6
         assert res.lower <= 2.0
         assert res.gap <= 1e-6
         assert res.terminated_by == "gap"
 
     def test_constant_objective_converges_immediately(self):
-        res = bnb_max(lambda b: Interval(4.25, 4.25),
-                      Box.from_pairs([(-1.0, 1.0), (0.0, 2.0)]), gap_tol=1e-9)
-        assert res.upper == res.lower == 4.25
-        assert res.gap == 0.0
-        assert res.boxes_processed == 1
+        # a linear head loss has the constant derivative R
+        net, box = single_pipe(4.25, 1.0, -1.0, 2.0)
+        res = interval_bracket(net, box, "max", gap_tol=1e-9)
+        assert res.lower <= 4.25 <= res.upper
+        assert res.gap <= 8 * math.ulp(4.25)
         assert res.terminated_by == "gap"
-
-    def test_budget_exhaustion_still_brackets(self):
-        res = bnb_max(abs_objective, Box.from_pairs([(-1.0, 1.0)]),
-                      gap_tol=1e-12, max_boxes=5)
-        assert res.terminated_by == "max_iterations"
-        assert res.lower <= 2.0 <= res.upper
-        assert res.boxes_processed >= 5
+        assert k_upper_max(net, box, 1e-9).effort == 1
 
     def test_degenerate_box(self):
-        res = bnb_max(abs_objective, Box.from_pairs([(0.5, 0.5)]), gap_tol=1e-9)
-        assert res.lower == res.upper == 1.0
+        net, box = single_pipe(1.0, 2.0, 0.5, 0.5)
+        for mode in ("max", "sqrt"):
+            res = interval_bracket(net, box, mode, gap_tol=1e-9)
+            assert res.lower <= 1.0 <= res.upper, mode
+            assert res.terminated_by == "gap", mode
 
-    def test_invalid_arguments(self):
-        box = Box.from_pairs([(0.0, 1.0)])
-        with pytest.raises(ValueError):
-            bnb_max(abs_objective, box, gap_tol=0.0)
-        with pytest.raises(ValueError):
-            bnb_max(abs_objective, box, gap_tol=1e-3, max_boxes=0)
-
-    def test_progress_log_is_json_lines(self, three_node):
+    def test_invalid_arguments(self, three_node):
         _, net, box = three_node
-        buf = io.StringIO()
-        res = bnb_max(make_max_objective(net), box, gap_tol=1e-6,
-                      progress=buf, log_interval=2)
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert len(lines) > 1, "expected interim records plus the final one"
-        for rec in lines:
-            assert set(rec) == {"boxes", "lower", "upper", "gap", "wall_time"}
-            assert rec["gap"] >= 0 and rec["wall_time"] >= 0
-        boxes = [rec["boxes"] for rec in lines]
-        assert boxes == sorted(boxes)
-        uppers = [rec["upper"] for rec in lines]
-        assert all(a >= b for a, b in zip(uppers, uppers[1:]))
-        assert lines[-1]["boxes"] == res.boxes_processed
-        assert lines[-1]["upper"] == res.upper
-
-    def test_signed_max_objective_diag_example(self):
-        # log-norm style objective over constant diagonal entries (-5, 3):
-        # the sharp one-sided bound is the largest signed entry, 3
-        def signed_max(box: Box) -> Interval:
-            entries = [Interval(-5.0, -5.0), Interval(3.0, 3.0)]
-            return Interval(max(e.lo for e in entries), max(e.hi for e in entries))
-
-        res = bnb_max(signed_max, Box.from_pairs([(0.0, 1.0), (0.0, 1.0)]),
-                      gap_tol=1e-9)
-        assert res.upper == 3.0
+        with pytest.raises(ValueError):
+            interval_bracket(net, box, "max", gap_tol=0.0)
+        with pytest.raises(ValueError):
+            interval_bracket(net, box, "spectral", gap_tol=1e-3)
+        for fn in (k_upper_max, k_upper_sqrt):
+            with pytest.raises(ValueError):
+                fn(net, box, 0.0)
+            with pytest.raises(ValueError):
+                fn(net, box, -1e-3)
+            with pytest.raises(ValueError):
+                fn(net, box, 1e-3, max_boxes=0)
 
 
 class TestJacEntryBounds:
     def test_monotone_pipe_entry(self):
-        net = build_network(make_single_pipe(1.0, 2.0))
-        [iv] = jac_entry_bounds(net, Box.from_pairs([(1.0, 2.0)]))
-        assert iv.lo <= 2.0 and iv.hi >= 4.0
-        assert iv.lo == pytest.approx(2.0, rel=1e-13)
-        assert iv.hi == pytest.approx(4.0, rel=1e-13)
+        net, box = single_pipe(1.0, 2.0, 1.0, 2.0)
+        [lo], [hi] = corner_enclosures(net, box)
+        assert lo <= 4.0 <= hi
+        assert lo == pytest.approx(4.0, rel=1e-13)
+        assert hi == pytest.approx(4.0, rel=1e-13)
 
     def test_zero_crossing_pipe_entry(self):
-        net = build_network(make_single_pipe(1.0, 2.0))
-        [iv] = jac_entry_bounds(net, Box.from_pairs([(-1.0, 2.0)]))
-        assert iv.lo == 0.0
-        assert iv.hi == pytest.approx(4.0, rel=1e-13)
+        # the corner is the endpoint of larger magnitude, not the upper end
+        net, box = single_pipe(1.0, 2.0, -3.0, 2.0)
+        [lo], [hi] = corner_enclosures(net, box)
+        assert lo <= 6.0 <= hi
+        assert hi == pytest.approx(6.0, rel=1e-13)
 
     def test_pump_entry_bounds_oracle(self, three_node):
         _, net, _ = three_node
-        box = Box.from_pairs([(0.0, 0.0), (100.0, 922.5)])
-        pump_iv = jac_entry_bounds(net, box)[1]
-        assert pump_iv.lo == pytest.approx(PUMP_JAC_LO_AT_100, rel=1e-12)
-        assert pump_iv.hi == pytest.approx(PUMP_JAC_HI_AT_9225, rel=1e-12)
-        assert pump_iv.lo <= PUMP_JAC_LO_AT_100
-        assert pump_iv.hi >= PUMP_JAC_HI_AT_9225
+        box = box_from_intervals(net, {"P1": (0.0, 0.0), "PU1": (100.0, 922.5)})
+        lo, hi = corner_enclosures(net, box)
+        assert hi[1] == pytest.approx(PUMP_JAC_HI_AT_9225, rel=1e-12)
+        assert lo[1] <= PUMP_JAC_HI_AT_9225 <= hi[1]
 
     def test_pointwise_values_inside_bounds(self, valve_net):
-        # inclusion isotonicity over 1e4 random sub-boxes with random points
         _, net, box = valve_net
         rng = np.random.default_rng(67)
-        count = 10_000
-        t0 = rng.uniform(0, 1, (count, net.n_links))
-        t1 = rng.uniform(0, 1, (count, net.n_links))
-        los = box.lo + np.minimum(t0, t1) * (box.hi - box.lo)
-        his = box.lo + np.maximum(t0, t1) * (box.hi - box.lo)
-        ts = rng.uniform(0, 1, (count, net.n_links))
-        qs = np.clip(los + ts * (his - los), los, his)
-        gs = jacobian_diag_batch(net, qs)
-        for row in range(count):
-            ivs = jac_entry_bounds(net, Box(los[row], his[row]))
-            for i, iv in enumerate(ivs):
-                assert iv.lo <= gs[row, i] <= iv.hi
+        qs = box.lo + rng.uniform(0, 1, (10_000, net.n_links)) * (box.hi - box.lo)
+        gs = np.abs(jacobian_diag_batch(net, np.clip(qs, box.lo, box.hi)))
+        _, uppers = corner_enclosures(net, box)
+        assert np.all(gs <= np.array(uppers))
 
 
 class TestUpperEstimates:
@@ -150,9 +124,16 @@ class TestUpperEstimates:
         for name in FIXTURE_NAMES:
             _, net, box = fixtures[name]
             k = k_network(net, box).value
-            res = bnb_max(make_max_objective(net), box, FIXTURE_GAPS[name])
+            res = interval_bracket(net, box, "max", FIXTURE_GAPS[name])
             assert res.lower <= k <= res.upper, name
             assert res.terminated_by == "gap", name
+
+    def test_uppers_match_frozen_values(self, fixtures):
+        for name in FIXTURE_NAMES:
+            _, net, box = fixtures[name]
+            want_max, want_sqrt = FIXTURE_UPPERS[name]
+            assert k_upper_max(net, box, 1e-9).value == want_max, name
+            assert k_upper_sqrt(net, box, 1e-9).value == want_sqrt, name
 
     def test_upper_within_gap_of_analytical(self, fixtures):
         for name in FIXTURE_NAMES:
@@ -163,6 +144,7 @@ class TestUpperEstimates:
             assert est.method == "interval_upper"
             assert est.mode == "max"
             assert est.gap is not None
+            assert est.effort == 1
 
     def test_sqrt_dominates_max_everywhere(self, fixtures):
         for name in FIXTURE_NAMES:
@@ -170,6 +152,12 @@ class TestUpperEstimates:
             um = k_upper_max(net, box, FIXTURE_GAPS[name])
             us = k_upper_sqrt(net, box, FIXTURE_GAPS[name])
             assert us.value >= um.value, name
+
+    def test_obcl_sqrt_meets_tight_gap(self, fixtures):
+        _, net, box = fixtures["obcl"]
+        res = interval_bracket(net, box, "sqrt", 1e-9)
+        assert res.terminated_by == "gap"
+        assert res.lower <= k_upper_sqrt(net, box, 1e-9).value == res.upper
 
     def test_single_link_modes_agree(self):
         net = build_network(make_single_pipe(2.0, 1.852))
@@ -198,13 +186,6 @@ class TestUpperEstimates:
         um = k_upper_max(net, box, 1e-9)
         assert um.value == pytest.approx(4.0, abs=1e-8)
         assert us.value == pytest.approx(5.0, abs=1e-8)
-
-    def test_osl_equals_max_mode_bitwise(self, fixtures):
-        for name in ("three_node", "eight_node", "net2"):
-            _, net, box = fixtures[name]
-            a = k_upper_max(net, box, 1e-3)
-            b = osl_upper(net, box, 1e-3)
-            assert a == b, name
 
     def test_three_node_tight_gap(self, three_node):
         _, net, box = three_node
@@ -236,20 +217,52 @@ class TestUpperEstimates:
     def test_budget_estimate_still_valid(self, fixtures):
         _, net, box = fixtures["anytown"]
         k = k_network(net, box).value
-        res = bnb_max(make_max_objective(net), box, 1e-9, max_boxes=7)
-        assert res.terminated_by == "max_iterations"
-        assert res.lower <= k <= res.upper
+        for fn in (k_upper_max, k_upper_sqrt):
+            est = fn(net, box, 1e-9, max_boxes=1)
+            assert est.value >= k
+            assert est == fn(net, box, 1e-9)
+
+    def test_tolerance_below_rounding_floor_still_brackets(self, fixtures):
+        for name in FIXTURE_NAMES:
+            _, net, box = fixtures[name]
+            k = k_network(net, box).value
+            for mode in ("max", "sqrt"):
+                res = interval_bracket(net, box, mode, 1e-300)
+                assert res.terminated_by == TERMINATED_ROUNDING != "gap", name
+                assert res.upper >= k, name
+                if mode == "max":
+                    assert res.lower <= k, name
 
     def test_certification_fuzz_random_networks(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             net, box = make_random_network(rng)
             k = k_network(net, box).value
-            res = bnb_max(make_max_objective(net), box, 1e-3, max_boxes=20_000)
+            res = interval_bracket(net, box, "max", 1e-3)
             assert res.lower <= k <= res.upper
 
     def test_runs_are_reproducible(self, fixtures):
         _, net, box = fixtures["net3"]
-        first = bnb_max(make_max_objective(net), box, 1e-4)
-        second = bnb_max(make_max_objective(net), box, 1e-4)
-        assert first == second
+        for mode in ("max", "sqrt"):
+            first = interval_bracket(net, box, mode, 1e-4)
+            second = interval_bracket(net, box, mode, 1e-4)
+            assert first == second
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_bracket_properties_on_random_networks(seed):
+    rng = np.random.default_rng(seed)
+    net, box = make_random_network(rng)
+    k = k_network(net, box).value
+    brackets = {mode: interval_bracket(net, box, mode, 1e-9) for mode in ("max", "sqrt")}
+    for res in brackets.values():
+        assert res.lower < res.upper
+        assert res.gap / res.upper <= 1e-14
+    assert brackets["max"].lower <= k <= brackets["max"].upper
+    assert k_upper_sqrt(net, box, 1e-9).value >= k_upper_max(net, box, 1e-9).value
+
+    q = box.lo + rng.uniform(0, 1, (2000, net.n_links)) * (box.hi - box.lo)
+    g = np.abs(jacobian_diag_batch(net, np.clip(q, box.lo, box.hi)))
+    assert g.max() <= brackets["max"].upper
+    assert np.linalg.norm(g, axis=1).max() <= brackets["sqrt"].upper
