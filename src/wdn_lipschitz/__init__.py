@@ -59,7 +59,6 @@ from .errors import (
 )
 from .estimates import LipschitzEstimate
 from .inp import NetworkDescription, fit_pump_curve, parse_inp
-from .intervals import Interval
 from .network import (
     FlowVector,
     Network,
@@ -99,7 +98,6 @@ __all__ = [
     "FlowBox",
     "FlowVector",
     "InpError",
-    "Interval",
     "InvertedInterval",
     "LipschitzEstimate",
     "MalformedSection",

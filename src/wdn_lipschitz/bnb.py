@@ -16,17 +16,21 @@ upper end of the bracket is the outward-rounded objective over those widened
 values; the lower end is the same computation rounded downward, which
 encloses F(c) from below.  The bracket is a few ulps wide and costs one
 O(n) pass.
+
+Directed rounding is done here, with ulp nudges via math.nextafter: each
+square and each math.fsum (correctly rounded) moves one ulp outward, and
+sqrt_down/sqrt_up check the root exactly in rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .analytical import link_derivative
 from .bounds import FlowBox
 from .estimates import METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT, LipschitzEstimate
-from .intervals import sqrt_down, sqrt_up, ulp_down, ulp_up
 from .network import Network
 
 TERMINATED_GAP = "gap"
@@ -34,6 +38,33 @@ TERMINATED_GAP = "gap"
 TERMINATED_ROUNDING = "rounding_floor"
 
 DEFAULT_MAX_BOXES = 1_000_000
+
+
+def ulp_up(x: float, steps: int = 1) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def ulp_down(x: float, steps: int = 1) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def sqrt_down(x: float) -> float:
+    # r <= sqrt(x) iff r*r <= x, checked exactly in rationals
+    r = math.sqrt(x)
+    if Fraction(r) * Fraction(r) > Fraction(x):
+        return max(0.0, ulp_down(r))
+    return r
+
+
+def sqrt_up(x: float) -> float:
+    r = math.sqrt(x)
+    if Fraction(r) * Fraction(r) < Fraction(x):
+        return ulp_up(r)
+    return r
 
 
 @dataclass(frozen=True)

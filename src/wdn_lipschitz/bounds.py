@@ -88,8 +88,9 @@ def _box_from_mapping(net: Network, table: dict[str, tuple[float, float]]) -> Fl
 
 def box_from_intervals(net: Network, table: dict[str, tuple[float, float]]) -> FlowBox:
     """Build a FlowBox from {link_id: (q_min, q_max)}; every link required."""
+    known = set(net.link_ids)
     for link_id in table:
-        if link_id not in net.link_ids:
+        if link_id not in known:
             raise UnknownLink(link_id)
     return _box_from_mapping(net, table)
 
@@ -109,6 +110,7 @@ def _read_bounds(fh, net: Network) -> FlowBox:
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["link_id", "q_min", "q_max"]:
         raise BoundsError("bounds file must start with header 'link_id,q_min,q_max'")
+    known = set(net.link_ids)
     table: dict[str, tuple[float, float]] = {}
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -118,7 +120,7 @@ def _read_bounds(fh, net: Network) -> FlowBox:
         link_id = row[0].strip()
         if link_id in table:
             raise DuplicateLink(link_id)
-        if link_id not in net.link_ids:
+        if link_id not in known:
             raise UnknownLink(link_id)
         try:
             lo, hi = float(row[1]), float(row[2])

@@ -8,8 +8,9 @@ Subcommands:
                  plus optional per-method timing medians
     convergence  sampled lower bound as a function of the sample count
 
-Exit codes: 0 success, 2 input-file (INP) error, 3 bounds-file error,
-4 modelling-assumption violation, 1 other failure.
+Exit codes: 0 success, 2 input-file (INP) error or command-line usage
+error, 3 bounds-file error, 4 modelling-assumption violation, 1 other
+failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import statistics
 import sys
 import time
@@ -30,6 +32,34 @@ from .network import Network, build_network
 from .report import AnalysisReport
 
 BENCHMARK_ORDER = ("three_node", "eight_node", "anytown", "net2", "net3", "obcl")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _sample_counts(text: str) -> tuple[int, ...]:
+    """Comma list of positive integers, sorted with duplicates dropped."""
+    counts = sorted({_positive_int(tok) for tok in text.split(",") if tok.strip()})
+    if not counts:
+        raise argparse.ArgumentTypeError("no sample counts given")
+    return tuple(counts)
 
 
 def _read_network(inp_path: Path) -> tuple[str, Network]:
@@ -213,9 +243,6 @@ def cmd_convergence(args) -> int:
     for s in samplers:
         if s not in sampling.SAMPLER_KINDS:
             raise InpError(f"unknown sampler {s!r}")
-    grid = sorted({int(tok) for tok in args.n_grid.split(",") if tok.strip()})
-    if not grid or grid[0] < 1:
-        raise InpError("--n-grid must list positive integers")
 
     out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
     try:
@@ -223,8 +250,8 @@ def cmd_convergence(args) -> int:
         writer.writerow(["n", "sampler", "mode", "estimate"])
         for sampler in samplers:
             _, trace = sampling.k_lower_trace(
-                net, box, sampler, grid[-1], mode=args.mode, seed=args.seed,
-                checkpoints=tuple(grid),
+                net, box, sampler, args.n_grid[-1], mode=args.mode, seed=args.seed,
+                checkpoints=args.n_grid,
             )
             for n, estimate in trace:
                 writer.writerow([n, sampler, args.mode, repr(estimate)])
@@ -248,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--bounds", help="flow bounds CSV (link_id,q_min,q_max)")
             group.add_argument("--default-bounds", action="store_true",
                                help="derive bounds from pump maximum flows")
-        p.add_argument("--gap", type=float, default=1e-3,
+        p.add_argument("--gap", type=_positive_float, default=1e-3,
                        help="interval method gap tolerance; the corner certificate "
                             "meets any tolerance above a few ulps (default %(default)s)")
-        p.add_argument("--max-boxes", type=int, default=bnb.DEFAULT_MAX_BOXES,
+        p.add_argument("--max-boxes", type=_positive_int, default=bnb.DEFAULT_MAX_BOXES,
                        help="interval method box budget, recorded in the report; "
                             "the certificate evaluates one box (default %(default)s)")
-        p.add_argument("--samples", type=int, default=100_000,
+        p.add_argument("--samples", type=_positive_int, default=100_000,
                        help="point method sample count (default %(default)s)")
         p.add_argument("--sampler", choices=sampling.SAMPLER_KINDS, default="sobol",
                        help="point method sampler (default %(default)s)")
@@ -288,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_conv)
     p_conv.add_argument("--samplers", default="random,halton,sobol",
                         help="comma list of samplers (default %(default)s)")
-    p_conv.add_argument("--n-grid", default="10,100,1000,10000,100000",
+    p_conv.add_argument("--n-grid", type=_sample_counts, default="10,100,1000,10000,100000",
                         help="comma list of sample counts (default %(default)s)")
     p_conv.add_argument("--mode", choices=["max", "sqrt"], default="max")
     p_conv.add_argument("--out", help="trace CSV path (default: stdout)")

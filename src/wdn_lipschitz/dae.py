@@ -17,7 +17,8 @@ Sign conventions per row block:
     pump/valve:     0 = -h_i + h_j + f_link(q)      (no tank-head column:
                     the pump/valve block couples junction and reservoir
                     heads only, so a tank endpoint contributes nothing)
-    tank:           h+ = h + (dt/A) * (pipe inflow - pipe outflow)
+    tank:           h+ = h + (dt/A) * (inflow - outflow), over every link
+                    at the tank, as in network.tank_step
                     (continuous mode: dh/dt = (1/A)(...), no carry-over)
     junction:       0 = -(inflow - outflow) + d
     reservoir:      0 = -x2 + h_R
@@ -132,7 +133,7 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
     """Assemble the block system for the given network.
 
     Discrete mode requires dt > 0; continuous mode drops the tank carry-over
-    term and the dt factor, leaving dh/dt = (1/A)(net pipe inflow).
+    term and the dt factor, leaving dh/dt = (1/A)(net inflow).
     """
     if mode not in (DISCRETE, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
@@ -192,11 +193,9 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
         else:
             factor = 1.0 / float(net.tank_area[i])
         for link in net.in_links[tank_id]:
-            if link.kind == "pipe":
-                a_entries.append((row, z_off["v"] + link.index, factor))
+            a_entries.append((row, flow_column(link), factor))
         for link in net.out_links[tank_id]:
-            if link.kind == "pipe":
-                a_entries.append((row, z_off["v"] + link.index, -factor))
+            a_entries.append((row, flow_column(link), -factor))
 
     # junction mass-balance rows: 0 = -(in - out) + d
     for i, junction_id in enumerate(net.junction_ids):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wdn_lipschitz import (
@@ -15,8 +18,16 @@ from wdn_lipschitz import (
     k_upper_max,
     k_upper_sqrt,
 )
-from wdn_lipschitz.bnb import TERMINATED_ROUNDING, corner_enclosures
-from wdn_lipschitz.bounds import box_from_intervals
+from wdn_lipschitz.bnb import (
+    TERMINATED_ROUNDING,
+    corner_enclosures,
+    sqrt_down,
+    sqrt_up,
+    ulp_down,
+    ulp_up,
+)
+from wdn_lipschitz.bounds import FlowBox, box_from_intervals
+from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 
 from conftest import (
     FIXTURE_GAPS,
@@ -43,6 +54,106 @@ FIXTURE_UPPERS = {
 def single_pipe(resistance: float, mu: float, lo: float, hi: float):
     net = build_network(make_single_pipe(resistance, mu))
     return net, box_from_intervals(net, {"P1": (lo, hi)})
+
+
+# exponents at and next to the ends of the admissible range [1, 3]
+EDGE_EXPONENTS = (1.0, math.nextafter(1.0, 2.0), 1.852, 2.0, math.nextafter(3.0, 0.0), 3.0)
+
+
+def is_normal(x) -> bool:
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+class TestDirectedRounding:
+    """The outward rounding that the corner certificate performs."""
+
+    def test_ulp_steps_move(self):
+        assert ulp_up(1.0) > 1.0
+        assert ulp_down(1.0) < 1.0
+        assert ulp_up(0.0) > 0.0
+        assert ulp_down(ulp_up(1.0)) == 1.0
+
+    def test_sqrt_exact_on_squares(self):
+        for x, root in ((9.0, 3.0), (16.0, 4.0)):
+            assert sqrt_down(x) == root == sqrt_up(x)
+
+    def test_sqrt_brackets_irrational(self):
+        assert Fraction(sqrt_down(2.0)) ** 2 <= 2 <= Fraction(sqrt_up(2.0)) ** 2
+        assert sqrt_down(2.0) < sqrt_up(2.0)
+
+    @given(st.floats(min_value=0.0, max_value=1e150))
+    def test_square_brackets_exact_product(self, x):
+        # the sqrt-mode square of each enclosure
+        exact = Fraction(x) ** 2
+        assert Fraction(ulp_down(x * x)) <= exact <= Fraction(ulp_up(x * x))
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=40))
+    def test_fsum_brackets_exact_sum(self, xs):
+        # fsum is correctly rounded, so one nudge each way certifies the sum
+        total = math.fsum(xs)
+        exact = sum(Fraction(x) for x in xs)
+        assert Fraction(ulp_down(total)) <= exact <= Fraction(ulp_up(total))
+
+    def test_fsum_of_tenths_brackets_exact(self):
+        total = math.fsum([0.1] * 10)
+        exact = Fraction(0.1) * 10
+        assert Fraction(ulp_down(total)) <= exact <= Fraction(ulp_up(total))
+        assert ulp_up(total) - ulp_down(total) <= 4 * math.ulp(1.0)
+
+    def test_corner_enclosure_on_negative_box(self):
+        # |df/dq| = 1.852 |q|**0.852 peaks at the corner q = -2
+        net, box = single_pipe(1.0, 1.852, -2.0, -1.0)
+        [lo], [hi] = corner_enclosures(net, box)
+        with mpmath.workprec(200):
+            exact = mpmath.mpf(1.852) * mpmath.mpf(2) ** (mpmath.mpf(1.852) - 1)
+            assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+            assert hi == pytest.approx(float(exact), rel=1e-14)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mu=st.sampled_from(EDGE_EXPONENTS), nu=st.sampled_from(EDGE_EXPONENTS),
+           coeff=st.floats(min_value=1e-12, max_value=1e3),
+           speed=st.floats(min_value=1e-8, max_value=1.0),
+           openness=st.floats(min_value=1e-8, max_value=1.0),
+           q_pipe=st.floats(min_value=1e-30, max_value=1e30),
+           q_pump=st.floats(min_value=1e-30, max_value=1e30),
+           q_valve=st.floats(min_value=1e-30, max_value=1e30))
+    def test_corner_enclosures_contain_exact_derivative(self, mu, nu, coeff, speed, openness,
+                                                        q_pipe, q_pump, q_valve):
+        desc = NetworkDescription(
+            flow_units="GPM", headloss_exponent=mu,
+            junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
+            reservoirs=[], tanks=[],
+            pipes=[PipeDesc("P1", "J1", "J2", coeff, mu)],
+            pumps=[PumpDesc("M1", "J1", "J2", 100.0, coeff, nu, speed)],
+            valves=[ValveDesc("V1", "J2", "J1", coeff, openness)],
+        )
+        net = build_network(desc)
+        box = box_from_intervals(net, {"P1": (-q_pipe, q_pipe / 2), "M1": (q_pump, q_pump),
+                                       "V1": (-q_valve / 2, q_valve)})
+        lowers, uppers = corner_enclosures(net, box)
+        with mpmath.workprec(200):
+            mu_, nu_, r = mpmath.mpf(mu), mpmath.mpf(nu), mpmath.mpf(coeff)
+            exact = (
+                mu_ * r * mpmath.mpf(q_pipe) ** (mu_ - 1),
+                nu_ * r * mpmath.mpf(q_pump) ** (nu_ - 1) * mpmath.mpf(speed) ** (2 - nu_),
+                mu_ * mpmath.mpf(openness) * r * mpmath.mpf(q_valve) ** (mu_ - 1),
+            )
+            for lo, hi, value in zip(lowers, uppers, exact):
+                assume(is_normal(lo) and is_normal(hi) and is_normal(float(value)))
+                assert mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_subbox_uppers_nest(self, seed):
+        rng = np.random.default_rng(seed)
+        net, outer = make_random_network(rng)
+        ends = outer.lo + rng.uniform(0, 1, (2, net.n_links)) * outer.widths()
+        inner = FlowBox(outer.link_ids, outer.kinds,
+                        np.clip(ends.min(axis=0), outer.lo, outer.hi),
+                        np.clip(ends.max(axis=0), outer.lo, outer.hi))
+        _, outer_uppers = corner_enclosures(net, outer)
+        _, inner_uppers = corner_enclosures(net, inner)
+        assert all(a <= b for a, b in zip(inner_uppers, outer_uppers))
 
 
 class TestBnbMax:
@@ -170,7 +281,6 @@ class TestUpperEstimates:
         assert us.value >= um.value
 
     def test_three_four_five_frobenius(self):
-        from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc
         desc = NetworkDescription(
             flow_units="GPM", headloss_exponent=2.0,
             junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],

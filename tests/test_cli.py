@@ -232,3 +232,16 @@ def test_convergence_unknown_sampler_exits_2(capsys):
                   "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
                   "--samplers", "latin")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"), ("--gap", "0"), ("--gap", "nan"), ("--max-boxes", "0"),
+    ("--n-grid", "10,abc"), ("--n-grid", "0,10"),
+])
+def test_bad_numeric_option_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", str(FIXTURE_DIR / "three_node.inp"),
+              "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err

@@ -14,8 +14,18 @@ from wdn_lipschitz import (
     export_dae,
     headgain_pump,
     headloss_pipe,
+    junction_residual,
+    tank_step,
 )
 from wdn_lipschitz.dae import TripletMatrix, read_matrix_market
+from wdn_lipschitz.inp import (
+    JunctionDesc,
+    NetworkDescription,
+    PipeDesc,
+    PumpDesc,
+    TankDesc,
+    ValveDesc,
+)
 
 from conftest import FIXTURE_NAMES
 
@@ -141,9 +151,33 @@ def test_residual_vanishes_on_consistent_state(three_node):
     res = dae_residual(dae, z, z_next, f_vals, loads)
     assert np.max(np.abs(res)) <= 1e-9
 
+    # a pump and a valve at a tank: T1 feeds J1 through pump M1 and J2
+    # through valve V1, and pipe P1 runs J1 -> T1
+    desc = NetworkDescription(
+        flow_units="GPM", headloss_exponent=1.852,
+        junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
+        reservoirs=[], tanks=[TankDesc("T1", 0.0, 10.0, 78.5)],
+        pipes=[PipeDesc("P1", "J1", "T1", 2.0e-3, 1.852)],
+        pumps=[PumpDesc("M1", "T1", "J1", 100.0, 1.0e-2, 2.0, 0.9)],
+        valves=[ValveDesc("V1", "T1", "J2", 4.0e-3, 0.5)],
+    )
+    net = build_network(desc)
+    dae = build_dae(net, "discrete", dt=dt)
+    flows = FlowVector(v=np.array([3.0]), u=np.array([2.0, 0.5]))
+    f_vals = eval_f(net, flows)
+    f_pipe, f_pump, f_valve = f_vals
+    h_j1 = -f_pump                    # pump energy row, tank head skipped
+    h_j2 = -f_valve                   # valve energy row, tank head skipped
+    h_t = h_j1 - f_pipe               # pipe energy row
+    z = np.array([h_j1, h_j2, h_t, 3.0, 2.0, 0.5])
+    z_next = z.copy()
+    z_next[2] = tank_step(net, np.array([h_t]), flows, dt)[0]
+    loads = junction_residual(net, flows, np.zeros(net.n_junctions))
+    res = dae_residual(dae, z, z_next, f_vals, loads)
+    assert np.max(np.abs(res)) <= 1e-9
+
 
 def test_junction_rows_negate_mass_balance(valve_net):
-    from wdn_lipschitz import junction_residual
     _, net, box = valve_net
     dae = build_dae(net, "discrete", dt=30.0)
     a = dae.a_z.to_dense()
