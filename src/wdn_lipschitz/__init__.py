@@ -9,17 +9,15 @@ at the box corner, and from below by quasi-Monte-Carlo sampling.
 """
 
 from .analytical import (
+    Bracket,
+    interval_bracket,
     k_network,
     k_pipes,
     k_pumps,
-    k_valves,
-    osl_network,
-)
-from .bnb import (
-    Bracket,
-    interval_bracket,
     k_upper_max,
     k_upper_sqrt,
+    k_valves,
+    osl_network,
 )
 from .bounds import (
     FlowBox,

@@ -1,37 +1,41 @@
-"""Closed-form Lipschitz and one-sided-Lipschitz constants.
+"""Closed-form Lipschitz constants and their certified interval brackets.
 
-Because each component of the hydraulic nonlinearity depends on one flow
-only, its Jacobian over the flow box is diagonal and the sharp Lipschitz
-constant is the largest supremum of a per-link derivative:
+Each component of the hydraulic nonlinearity depends on one flow only, so
+its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
+exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
+corner c, where c_i is the endpoint of larger magnitude, and one pass,
+corner_derivatives, serves both routes below:
 
-    pipes    K_P = mu * max_i R_i * c_i**(mu-1),  c_i = max(|q_min|, |q_max|)
-    pumps    K_M = max_i nu_i * r_i * q_max_i**(nu_i-1) * s_i**(2-nu_i)
-    valves   K_V = mu * max_i o_i * R_i * c_i**(mu-1)
+    pipes   mu * R_i * c_i**(mu-1)
+    pumps   nu_i * r_i * c_i**(nu_i-1) * s_i**(2-nu_i)
+    valves  mu * o_i * R_i * c_i**(mu-1)
 
-    K = max(K_P, K_M, K_V)
+The sharp constant K is the largest of these, per class and overall (an
+empty class contributes 0).  The one-sided constant equals K: the log norm
+of a nonnegative diagonal matrix is its largest entry.
 
-The one-sided constant coincides with K: the log norm of a diagonal matrix
-is its largest diagonal entry, and every diagonal entry here is nonnegative.
-
-An empty link class contributes 0, so K stays well defined for networks
-without valves (or without pumps, etc.).
+The interval route brackets the suprema of max_i |J_ii| (max mode, the
+spectral norm) and sqrt(sum_i J_ii**2) (sqrt mode, the Frobenius norm, an
+upper bound on it).  It widens each corner value by 4 ulps to absorb libm
+error and combines them with outward rounding: one ulp after each square
+and each math.fsum (correctly rounded), and square roots checked exactly in
+rationals.  The bracket is a few ulps wide.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .bounds import FlowBox
-from .estimates import METHOD_ANALYTICAL, MODE_MAX, LipschitzEstimate
+from .estimates import (METHOD_ANALYTICAL, METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT,
+                        LipschitzEstimate)
 from .network import Network
 
 
 def link_derivative(net: Network, pos: int, magnitude: float) -> float:
-    """|df/dq| of the link at stacked flow position ``pos``, at ``magnitude``.
-
-    Every exponent here is >= 1, so the derivative is nondecreasing in |q|:
-    at the corner magnitude it is the supremum over the link's interval.
-    """
+    """|df/dq| of the link at stacked flow position ``pos``, at ``magnitude``."""
     if pos < net.n_pipes:
         return net.mu * float(net.pipe_resistance[pos]) * math.pow(magnitude, net.mu - 1.0)
     pos -= net.n_pipes
@@ -44,29 +48,19 @@ def link_derivative(net: Network, pos: int, magnitude: float) -> float:
             * math.pow(magnitude, net.mu - 1.0))
 
 
-def _class_max(net: Network, box: FlowBox, positions: range) -> float:
-    corner = box.corner_magnitudes()
-    return max((link_derivative(net, pos, corner[pos]) for pos in positions), default=0.0)
-
-
-def k_pipes(net: Network, box: FlowBox) -> float:
-    return _class_max(net, box, range(net.n_pipes))
-
-
-def k_pumps(net: Network, box: FlowBox) -> float:
-    return _class_max(net, box, range(net.n_pipes, net.n_pipes + net.n_pumps))
-
-
-def k_valves(net: Network, box: FlowBox) -> float:
-    return _class_max(net, box, range(net.n_pipes + net.n_pumps, net.n_links))
+def corner_derivatives(net: Network, box: FlowBox) -> list[float]:
+    """Each link's |J_ii| at the box corner: its supremum over the box."""
+    return [link_derivative(net, pos, m) for pos, m in enumerate(box.corner_magnitudes())]
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     """Exact Lipschitz constant of the stacked nonlinearity over the box."""
+    values = corner_derivatives(net, box)
+    pumps_end = net.n_pipes + net.n_pumps
     per_class = {
-        "pipes": k_pipes(net, box),
-        "pumps": k_pumps(net, box),
-        "valves": k_valves(net, box),
+        "pipes": max(values[:net.n_pipes], default=0.0),
+        "pumps": max(values[net.n_pipes:pumps_end], default=0.0),
+        "valves": max(values[pumps_end:], default=0.0),
     }
     return LipschitzEstimate(
         value=max(per_class.values()),
@@ -76,7 +70,111 @@ def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     )
 
 
+def k_pipes(net: Network, box: FlowBox) -> float:
+    return k_network(net, box).per_class["pipes"]
+
+
+def k_pumps(net: Network, box: FlowBox) -> float:
+    return k_network(net, box).per_class["pumps"]
+
+
+def k_valves(net: Network, box: FlowBox) -> float:
+    return k_network(net, box).per_class["valves"]
+
+
 def osl_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     """One-sided Lipschitz constant; identical to k_network by construction."""
     return k_network(net, box)
 
+
+def ulp_up(x: float, steps: int = 1) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def ulp_down(x: float, steps: int = 1) -> float:
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def sqrt_down(x: float) -> float:
+    # r <= sqrt(x) iff r*r <= x, checked exactly in rationals
+    r = math.sqrt(x)
+    if Fraction(r) * Fraction(r) > Fraction(x):
+        return max(0.0, ulp_down(r))
+    return r
+
+
+def sqrt_up(x: float) -> float:
+    r = math.sqrt(x)
+    if Fraction(r) * Fraction(r) < Fraction(x):
+        return ulp_up(r)
+    return r
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """lower <= sup over the box of the objective <= upper."""
+
+    upper: float
+    lower: float
+    gap: float
+
+
+def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[float]]:
+    """Certified (lowers, uppers) of each |J_ii| at the box corner.
+
+    Each upper bounds its entry over the whole box; each lower is below the
+    entry's value at the corner, so it is attained inside the box.
+    """
+    values = corner_derivatives(net, box)
+    return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
+
+
+def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
+    """Bracket lower <= sup_box F <= upper for the max or sqrt objective."""
+    lowers, uppers = corner_enclosures(net, box)
+    if mode == MODE_MAX:
+        lower, upper = max(lowers), max(uppers)
+    elif mode == MODE_SQRT:
+        squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
+        squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
+        lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
+        upper = sqrt_up(ulp_up(squares_hi))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not math.isfinite(upper):
+        raise ValueError("interval enclosure overflows")
+    return Bracket(upper=upper, lower=lower, gap=upper - lower)
+
+
+def _estimate(net: Network, box: FlowBox, gap_tol: float, max_boxes: int,
+              mode: str) -> LipschitzEstimate:
+    # gap_tol and max_boxes change no number (one box, a bracket a few ulps
+    # wide); they stay, checked, for callers that pass them positionally
+    if gap_tol <= 0:
+        raise ValueError("gap_tol must be > 0")
+    if max_boxes < 1:
+        raise ValueError("max_boxes must be >= 1")
+    result = interval_bracket(net, box, mode)
+    return LipschitzEstimate(
+        value=result.upper,
+        method=METHOD_INTERVAL_UPPER,
+        mode=mode,
+        gap=result.gap,
+        effort=1,
+    )
+
+
+def k_upper_max(net: Network, box: FlowBox, gap_tol: float = 1e-3,
+                max_boxes: int = 1) -> LipschitzEstimate:
+    """Certified upper bound in max mode; within a few ulps of the sharp constant."""
+    return _estimate(net, box, gap_tol, max_boxes, MODE_MAX)
+
+
+def k_upper_sqrt(net: Network, box: FlowBox, gap_tol: float = 1e-3,
+                 max_boxes: int = 1) -> LipschitzEstimate:
+    """Certified upper bound in sqrt (Frobenius) mode; >= the max-mode value."""
+    return _estimate(net, box, gap_tol, max_boxes, MODE_SQRT)

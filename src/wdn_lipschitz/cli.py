@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import statistics
 import sys
 import time
 from pathlib import Path
 
-from . import analytical, bnb, sampling
+from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
 from .errors import AssumptionError, BoundsError, InpError, WdnError
 from .inp import parse_inp
@@ -41,16 +40,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -72,7 +61,7 @@ def _read_network(inp_path: Path) -> tuple[str, Network]:
 
 
 def _read_box(args, net: Network) -> tuple[FlowBox, str]:
-    if getattr(args, "default_bounds", False):
+    if args.default_bounds:
         return default_box(net), "default"
     if args.bounds is None:
         raise BoundsError("no bounds file given (use --bounds FILE or --default-bounds)")
@@ -91,8 +80,7 @@ def _timed(fn, *fn_args, **fn_kwargs):
 
 
 def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
-                 gap: float, max_boxes: int, samples: int, sampler: str,
-                 seed: int, report: AnalysisReport) -> None:
+                 samples: int, sampler: str, seed: int, report: AnalysisReport) -> None:
     est, sec = _timed(analytical.k_network, net, box)
     report.add("analytical", est, sec)
     if "osl" in methods:
@@ -100,10 +88,10 @@ def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
         report.add("osl", est, sec)
     if "interval" in methods:
         if "max" in modes:
-            est, sec = _timed(bnb.k_upper_max, net, box, gap, max_boxes)
+            est, sec = _timed(analytical.k_upper_max, net, box)
             report.add("interval_max", est, sec)
         if "sqrt" in modes:
-            est, sec = _timed(bnb.k_upper_sqrt, net, box, gap, max_boxes)
+            est, sec = _timed(analytical.k_upper_sqrt, net, box)
             report.add("interval_sqrt", est, sec)
     if "point" in methods:
         if "max" in modes:
@@ -126,8 +114,6 @@ def cmd_analyze(args) -> int:
     modes = {"max", "sqrt"} if args.mode == "both" else {args.mode}
 
     config = {
-        "gap": args.gap,
-        "max_boxes": args.max_boxes,
         "samples": args.samples,
         "sampler": args.sampler,
         "seed": args.seed,
@@ -136,8 +122,7 @@ def cmd_analyze(args) -> int:
     }
     report = AnalysisReport.for_network(name, net, config)
     report.warnings = list(net.desc.warnings)
-    _run_methods(net, box, methods, modes, args.gap, args.max_boxes,
-                 args.samples, args.sampler, args.seed, report)
+    _run_methods(net, box, methods, modes, args.samples, args.sampler, args.seed, report)
 
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
@@ -190,11 +175,10 @@ def cmd_benchmark(args) -> int:
             box = load_bounds(bounds_path, net)
             runs: dict[str, list[float]] = {}
             report = None
-            for _ in range(max(1, args.repeats)):
+            for _ in range(args.repeats):
                 rep = AnalysisReport.for_network(name, net, {})
                 _run_methods(net, box, {"interval", "point"}, {"max", "sqrt"},
-                             args.gap, args.max_boxes, args.samples, args.sampler,
-                             args.seed, rep)
+                             args.samples, args.sampler, args.seed, rep)
                 for key, sec in rep.timings_s.items():
                     runs.setdefault(key, []).append(sec)
                 if report is None:
@@ -269,28 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, bounds: bool = True) -> None:
-        if bounds:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--bounds", help="flow bounds CSV (link_id,q_min,q_max)")
-            group.add_argument("--default-bounds", action="store_true",
-                               help="derive bounds from pump maximum flows")
-        p.add_argument("--gap", type=_positive_float, default=1e-3,
-                       help="interval method gap tolerance; the corner certificate "
-                            "meets any tolerance above a few ulps (default %(default)s)")
-        p.add_argument("--max-boxes", type=_positive_int, default=bnb.DEFAULT_MAX_BOXES,
-                       help="interval method box budget, recorded in the report; "
-                            "the certificate evaluates one box (default %(default)s)")
+    def bounds_options(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--bounds", help="flow bounds CSV (link_id,q_min,q_max)")
+        group.add_argument("--default-bounds", action="store_true",
+                           help="derive bounds from pump maximum flows")
+
+    def point_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--samples", type=_positive_int, default=100_000,
                        help="point method sample count (default %(default)s)")
         p.add_argument("--sampler", choices=sampling.SAMPLER_KINDS, default="sobol",
                        help="point method sampler (default %(default)s)")
+
+    def seed_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the random sampler (default %(default)s)")
 
-    p_analyze = sub.add_parser("analyze", help="analyze one network")
+    # options must be spelled in full: otherwise convergence would read a
+    # stray --sampler as an abbreviation of its --samplers
+    p_analyze = sub.add_parser("analyze", help="analyze one network", allow_abbrev=False)
     p_analyze.add_argument("inp", help="EPANET-style INP file")
-    common(p_analyze)
+    bounds_options(p_analyze)
+    point_options(p_analyze)
+    seed_option(p_analyze)
     p_analyze.add_argument("--methods", default="analytical",
                            help="comma list of analytical,osl,interval,point "
                                 "(analytical always runs; default %(default)s)")
@@ -300,19 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", help="also write the JSON report here")
     p_analyze.set_defaults(fn=cmd_analyze)
 
-    p_bench = sub.add_parser("benchmark", help="run the fixture benchmark")
+    p_bench = sub.add_parser("benchmark", help="run the fixture benchmark",
+                             allow_abbrev=False)
     p_bench.add_argument("fixture_dir", help="directory of <name>.inp and <name>_bounds.csv")
     p_bench.add_argument("--networks", help="comma list of fixture names to run")
-    common(p_bench, bounds=False)
-    p_bench.add_argument("--repeats", type=int, default=5,
+    point_options(p_bench)
+    seed_option(p_bench)
+    p_bench.add_argument("--repeats", type=_positive_int, default=5,
                          help="timing repetitions, median reported (default %(default)s)")
     p_bench.add_argument("--out", help="results CSV path (default: stdout)")
     p_bench.add_argument("--timing-out", help="per-method timing CSV path")
     p_bench.set_defaults(fn=cmd_benchmark)
 
-    p_conv = sub.add_parser("convergence", help="sampled estimate vs sample count")
+    p_conv = sub.add_parser("convergence", help="sampled estimate vs sample count",
+                            allow_abbrev=False)
     p_conv.add_argument("inp", help="EPANET-style INP file")
-    common(p_conv)
+    bounds_options(p_conv)
+    seed_option(p_conv)
     p_conv.add_argument("--samplers", default="random,halton,sobol",
                         help="comma list of samplers (default %(default)s)")
     p_conv.add_argument("--n-grid", type=_sample_counts, default="10,100,1000,10000,100000",

@@ -13,7 +13,7 @@ from importlib import resources
 from .estimates import LipschitzEstimate
 from .network import Network
 
-SCHEMA_VERSION = "wdn-lipschitz-report/1"
+SCHEMA_VERSION = "wdn-lipschitz-report/2"
 
 ESTIMATE_KEYS = ("analytical", "osl", "interval_max", "interval_sqrt",
                  "point_max", "point_sqrt")

@@ -40,7 +40,10 @@ SAMPLER_KINDS = (KIND_RANDOM, KIND_HALTON, KIND_SOBOL)
 _DIRECTIONS_FILE = "joe_kuo_6_1111.txt"
 _DIRECTIONS_SHA256 = "2afb7368f5ad2b6ab11ad628f3c44c2fa68914bb2fe2c3987b5164c3a782501c"
 _SOBOL_BITS = 32
-_DEFAULT_BLOCK = 8192
+# a default block holds at most 8192 points and at most 2**23 float64
+# values (64 MiB), so memory stays flat however many links the network has
+_BLOCK_ROWS = 8192
+_BLOCK_VALUES = 2 ** 23
 
 
 def _first_primes(count: int) -> list[int]:
@@ -173,9 +176,11 @@ class SampleSequence:
         if self.kind == KIND_SOBOL and self.dimension > sobol_max_dimension():
             raise DimensionTooLarge(self.dimension, sobol_max_dimension())
 
-    def blocks(self, count: int, block: int = _DEFAULT_BLOCK) -> Iterator[np.ndarray]:
+    def blocks(self, count: int, block: int | None = None) -> Iterator[np.ndarray]:
         if count < 0:
             raise ValueError("count must be >= 0")
+        if block is None:
+            block = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // self.dimension))
         if self.kind == KIND_SOBOL:
             return _sobol_blocks(self.dimension, count, block)
         if self.kind == KIND_HALTON:
@@ -213,7 +218,7 @@ def _scale_into_box(points: np.ndarray, box: FlowBox) -> np.ndarray:
 
 def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
             mode: str = MODE_MAX, seed: int = 0,
-            block: int = _DEFAULT_BLOCK) -> LipschitzEstimate:
+            block: int | None = None) -> LipschitzEstimate:
     """Best objective value over n sampled flow points (an under-estimate)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -229,7 +234,7 @@ def k_lower_trace(
     n: int,
     mode: str = MODE_MAX,
     seed: int = 0,
-    block: int = _DEFAULT_BLOCK,
+    block: int | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> tuple[LipschitzEstimate, list[tuple[int, float]]]:
     """k_lower plus the running estimate at each requested prefix length.

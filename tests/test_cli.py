@@ -3,12 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import shlex
 
 import jsonschema
 import pytest
 
 from wdn_lipschitz import load_report_schema
-from wdn_lipschitz.cli import main
+from wdn_lipschitz.cli import build_parser, main
 
 from conftest import FIXTURE_DIR
 
@@ -35,8 +37,7 @@ def test_analyze_three_node_analytical(capsys):
 def test_analyze_interval_certifies_analytical(capsys):
     code, out = run(capsys, "analyze", str(FIXTURE_DIR / "three_node.inp"),
                     "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
-                    "--methods", "analytical,interval", "--gap", "1e-6",
-                    "--format", "json")
+                    "--methods", "analytical,interval", "--format", "json")
     assert code == 0
     report = json.loads(out)
     analytical = report["estimates"]["analytical"]["value"]
@@ -50,7 +51,10 @@ def test_analyze_report_validates_against_schema(capsys):
                     "--methods", "analytical,osl,interval,point",
                     "--samples", "200", "--format", "json")
     assert code == 0
-    jsonschema.validate(json.loads(out), load_report_schema())
+    report = json.loads(out)
+    jsonschema.validate(report, load_report_schema())
+    assert report["schema_version"] == "wdn-lipschitz-report/2"
+    assert list(report["config"]) == ["samples", "sampler", "seed", "mode", "bounds"]
 
 
 def test_analyze_table_format(capsys):
@@ -160,7 +164,7 @@ def test_benchmark_single_network_matches_analyze(capsys):
 
 def test_benchmark_full_run_holds_orderings(capsys):
     code, out = run(capsys, "benchmark", str(FIXTURE_DIR),
-                    "--samples", "300", "--repeats", "1", "--gap", "5e-2")
+                    "--samples", "300", "--repeats", "1")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["network"] for r in rows] == [
@@ -234,14 +238,59 @@ def test_convergence_unknown_sampler_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--samples", "0"), ("--gap", "0"), ("--gap", "nan"), ("--max-boxes", "0"),
-    ("--n-grid", "10,abc"), ("--n-grid", "0,10"),
-])
-def test_bad_numeric_option_is_usage_error(capsys, flag, value):
+ANALYZE = ("analyze", str(FIXTURE_DIR / "three_node.inp"),
+           "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"))
+CONVERGENCE = ("convergence", *ANALYZE[1:])
+BENCHMARK = ("benchmark", str(FIXTURE_DIR))
+
+
+def usage_error(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exc:
-        main(["convergence", str(FIXTURE_DIR / "three_node.inp"),
-              "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"), flag, value])
+        main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and flag in err
+    assert err.startswith("usage:")
+    return err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(ANALYZE, "--samples", "0", id="--samples-0"),
+    pytest.param(CONVERGENCE, "--n-grid", "10,abc", id="--n-grid-10,abc"),
+    pytest.param(CONVERGENCE, "--n-grid", "0,10", id="--n-grid-0,10"),
+    pytest.param(BENCHMARK, "--repeats", "0", id="--repeats-0"),
+])
+def test_bad_numeric_option_is_usage_error(capsys, command, flag, value):
+    err = usage_error(capsys, *command, flag, value)
+    assert f"argument {flag}: " in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(ANALYZE, "--gap", "1e-6", id="analyze--gap"),
+    pytest.param(ANALYZE, "--max-boxes", "5", id="analyze--max-boxes"),
+    # --sampler is a prefix of --samplers, so this also needs abbreviations off
+    pytest.param(CONVERGENCE, "--sampler", "halton", id="convergence--sampler"),
+    pytest.param(CONVERGENCE, "--samples", "5", id="convergence--samples"),
+])
+def test_option_not_read_by_subcommand_is_rejected(capsys, command, flag, value):
+    err = usage_error(capsys, *command, flag, value)
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def readme_commands() -> list[str]:
+    """Every ``wdn-lipschitz ...`` line of the README's fenced blocks."""
+    text = (FIXTURE_DIR.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("wdn-lipschitz ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {shlex.split(line)[1] for line in commands} == {"analyze", "benchmark",
+                                                           "convergence"}
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

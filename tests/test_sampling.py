@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wdn_lipschitz import (
     SampleSequence,
@@ -13,12 +15,14 @@ from wdn_lipschitz import (
     k_lower,
     k_lower_trace,
     k_network,
+    k_upper_max,
     k_upper_sqrt,
     random_points,
     sobol,
 )
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.errors import DimensionTooLarge
+from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
@@ -140,6 +144,11 @@ class TestSequences:
         chunks = np.concatenate(list(seq.blocks(257, block=16)))
         assert np.array_equal(whole, chunks)
 
+    def test_default_block_is_capped_by_bytes(self):
+        # 8192 points up to dimension 1024, then at most 2**23 values
+        assert next(SampleSequence("random", 289).blocks(10_000)).shape == (8192, 289)
+        assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (1677, 5002)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SampleSequence("sobolev", 2)
@@ -223,3 +232,40 @@ class TestKLower:
         _, net, box = three_node
         with pytest.raises(ValueError):
             k_lower(net, box, "sobol", 0)
+
+
+# On a degenerate box every sample is the corner itself, so the point route
+# and the certificate evaluate the same derivatives: numpy's vectorised pow
+# on one side, libm's pow widened by 4 ulps on the other.  The two pows may
+# differ in the last bit, so a point estimate can exceed the analytical value
+# by an ulp (the explicit example does); it never exceeds the interval upper.
+@settings(max_examples=300, deadline=None)
+@given(mu=st.sampled_from((1.0, 1.852, 2.0, 3.0)), nu=st.floats(min_value=1.0, max_value=3.0),
+       r_pipe=st.floats(min_value=1e-12, max_value=1e3),
+       r_pump=st.floats(min_value=1e-12, max_value=1e3),
+       r_valve=st.floats(min_value=1e-12, max_value=1e3),
+       speed=st.floats(min_value=1e-8, max_value=1.0),
+       openness=st.floats(min_value=1e-8, max_value=1.0),
+       q_pipe=st.floats(min_value=-1e12, max_value=1e12),
+       q_pump=st.floats(min_value=1e-12, max_value=1e12),
+       q_valve=st.floats(min_value=-1e12, max_value=1e12))
+@example(mu=1.852, nu=2.0, r_pipe=3.367289521778813e-05, r_pump=1e-12, r_valve=1e-12,
+         speed=1.0, openness=1.0, q_pipe=0.0117257249691095, q_pump=1e-12, q_valve=0.0)
+def test_point_stays_below_interval_on_degenerate_boxes(mu, nu, r_pipe, r_pump, r_valve,
+                                                        speed, openness, q_pipe, q_pump,
+                                                        q_valve):
+    desc = NetworkDescription(
+        flow_units="GPM", headloss_exponent=mu,
+        junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
+        reservoirs=[], tanks=[],
+        pipes=[PipeDesc("P1", "J1", "J2", r_pipe, mu)],
+        pumps=[PumpDesc("M1", "J1", "J2", 100.0, r_pump, nu, speed)],
+        valves=[ValveDesc("V1", "J2", "J1", r_valve, openness)],
+    )
+    net = build_network(desc)
+    box = box_from_intervals(net, {"P1": (q_pipe, q_pipe), "M1": (q_pump, q_pump),
+                                   "V1": (q_valve, q_valve)})
+    point_max = k_lower(net, box, "sobol", 1, mode="max").value
+    point_sqrt = k_lower(net, box, "sobol", 1, mode="sqrt").value
+    assert point_max <= k_upper_max(net, box).value
+    assert point_sqrt <= k_upper_sqrt(net, box).value
