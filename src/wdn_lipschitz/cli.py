@@ -227,18 +227,21 @@ def cmd_convergence(args) -> int:
     for s in samplers:
         if s not in sampling.SAMPLER_KINDS:
             raise InpError(f"unknown sampler {s!r}")
+    # build every sequence first, so one that cannot serve this network
+    # (Sobol above its table's dimensions) fails before any row is written
+    sequences = [sampling.SampleSequence(s, net.n_links, args.seed) for s in samplers]
 
     out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "sampler", "mode", "estimate"])
-        for sampler in samplers:
+        for sequence in sequences:
             _, trace = sampling.k_lower_trace(
-                net, box, sampler, args.n_grid[-1], mode=args.mode, seed=args.seed,
+                net, box, sequence, args.n_grid[-1], mode=args.mode,
                 checkpoints=args.n_grid,
             )
             for n, estimate in trace:
-                writer.writerow([n, sampler, args.mode, repr(estimate)])
+                writer.writerow([n, sequence.kind, args.mode, repr(estimate)])
     finally:
         if out is not sys.stdout:
             out.close()

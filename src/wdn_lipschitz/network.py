@@ -209,19 +209,35 @@ def eval_jacobian_diag(net: Network, flows: FlowVector) -> np.ndarray:
 def jacobian_diag_batch(net: Network, q: np.ndarray) -> np.ndarray:
     """Vectorised Jacobian diagonal over rows of q (shape (m, n_links))."""
     q = np.asarray(q, dtype=float)
+    return _jacobian_diag_into(net, q, np.empty_like(q))
+
+
+def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """jacobian_diag_batch written into out (the shape of q), with no temporaries.
+
+    Each class fills its own slice of out with its factors grouped as
+    below.  A product commutes exactly, so multiplying the power in place
+    by the leading factor gives every entry the bits of the expression:
+
+        pipe   (mu*R) * |q|**(mu-1)
+        pump   ((nu*r) * q**(nu-1)) * s**(2-nu)
+        valve  ((mu*o)*R) * |q|**(mu-1)
+    """
     n_p, n_m = net.n_pipes, net.n_pumps
-    out = np.empty_like(q)
-    v = q[:, :n_p]
-    out[:, :n_p] = net.mu * net.pipe_resistance * np.abs(v) ** (net.mu - 1.0)
+    pipes = out[:, :n_p]
+    np.abs(q[:, :n_p], out=pipes)
+    np.power(pipes, net.mu - 1.0, out=pipes)
+    pipes *= net.mu * net.pipe_resistance
     if n_m:
-        qm = q[:, n_p:n_p + n_m]
-        out[:, n_p:n_p + n_m] = (net.pump_exponent * net.pump_coeff
-                                 * qm ** (net.pump_exponent - 1.0)
-                                 * net.pump_speed ** (2.0 - net.pump_exponent))
+        pumps = out[:, n_p:n_p + n_m]
+        np.power(q[:, n_p:n_p + n_m], net.pump_exponent - 1.0, out=pumps)
+        pumps *= net.pump_exponent * net.pump_coeff
+        pumps *= net.pump_speed ** (2.0 - net.pump_exponent)
     if net.n_valves:
-        qv = q[:, n_p + n_m:]
-        out[:, n_p + n_m:] = (net.mu * net.valve_openness * net.valve_resistance
-                              * np.abs(qv) ** (net.mu - 1.0))
+        valves = out[:, n_p + n_m:]
+        np.abs(q[:, n_p + n_m:], out=valves)
+        np.power(valves, net.mu - 1.0, out=valves)
+        valves *= net.mu * net.valve_openness * net.valve_resistance
     return out
 
 

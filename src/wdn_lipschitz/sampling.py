@@ -4,7 +4,18 @@ Samplers produce deterministic points in the half-open unit cube [0,1)^d:
 
 * ``random``: numpy's PCG64 generator with an explicit seed;
 * ``halton``: coordinate k of point j is the radical inverse of j+1 in the
-  k-th prime base;
+  k-th prime base (Halton 1960), its digits folded low first: ``f /= b``,
+  then ``r += digit * f``.  A block is built from runs of consecutive
+  indices, not one digit loop per index.  For a base b up to the block's
+  rows, the fold of the low k digits (b**k the largest power within the
+  rows) is a table built once per sequence, and each run of equal high
+  part is a slice of that table plus the fold of the run's few high
+  digits, added in the same order.  A base above the rows meets at most
+  two runs.  A base above the block's last index leaves every index j one
+  digit, j * (1/b), so all such bases take one multiply.  A digit that a
+  shorter index lacks adds +0.0, which is exact, so every value has the
+  bits of the plain digit loop.  Bases are folded 16 at a time and copied
+  transposed into the C-contiguous block;
 * ``sobol``: the classic 32-bit Gray-code construction driven by the shipped
   Joe-Kuo direction-number table (dimensions 2..1111; dimension 1 is the van
   der Corput sequence).  Generation starts at index 1, so the first point is
@@ -14,10 +25,15 @@ The table file is integrity-checked against a pinned SHA-256 before use.
 
 Estimates are running maxima over sample prefixes, so they are nondecreasing
 in the sample count and identical for any block size or parallel schedule.
+A trace scales each block into the flow box in place (``p*w + lo``, then a
+clip, with ``w = hi - lo`` computed once) and writes its Jacobian into one
+buffer reused for every block, so it holds one sample block (at most 8192
+points and 64 MiB) and one Jacobian buffer of the same size.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -30,7 +46,7 @@ import numpy as np
 from .bounds import FlowBox
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
 from .errors import DimensionTooLarge
-from .network import Network, jacobian_diag_batch
+from .network import Network, _jacobian_diag_into
 
 KIND_RANDOM = "random"
 KIND_HALTON = "halton"
@@ -44,16 +60,22 @@ _SOBOL_BITS = 32
 # values (64 MiB), so memory stays flat however many links the network has
 _BLOCK_ROWS = 8192
 _BLOCK_VALUES = 2 ** 23
+# Halton folds this many bases link-major, then copies them into the block
+# transposed, so the block is written C-contiguous
+_HALTON_CHUNK = 16
 
 
 def _first_primes(count: int) -> list[int]:
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    return primes
+    # the count-th prime is below count * (ln count + ln ln count) for count >= 6
+    limit = 13
+    if count >= 6:
+        limit = int(count * (math.log(count) + math.log(math.log(count))))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)[:count].tolist()
 
 
 def _load_direction_table() -> list[tuple[int, int, list[int]]]:
@@ -115,49 +137,120 @@ def _sobol_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
         raise ValueError(f"at most {2 ** _SOBOL_BITS - 1} Sobol points supported")
     v = _sobol_matrix(dim)
     state = np.zeros(dim, dtype=np.uint64)
-    scale = 0.5 ** _SOBOL_BITS
-    done = 0
-    index = 0
-    while done < count:
-        size = min(block, count - done)
-        out = np.empty((size, dim))
-        for row in range(size):
-            index += 1
-            level = (index & -index).bit_length() - 1
-            state ^= v[level]
-            out[row] = state
-        out *= scale
-        yield out
-        done += size
+    for done in range(0, count, block):
+        yield _sobol_block(v, state, done, min(block, count - done))
+
+
+def _sobol_block(v: np.ndarray, state: np.ndarray, done: int, size: int) -> np.ndarray:
+    """Sobol points done+1..done+size; state is the Gray-code state after
+    point done, and is advanced in place."""
+    out = np.empty((size, len(state)))
+    for index in range(done + 1, done + size + 1):
+        level = (index & -index).bit_length() - 1
+        state ^= v[level]
+        out[index - done - 1] = state
+    out *= 0.5 ** _SOBOL_BITS
+    return out
 
 
 def _halton_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
     bases = _first_primes(dim)
-    done = 0
-    while done < count:
-        size = min(block, count - done)
-        idx0 = np.arange(done + 1, done + size + 1, dtype=np.int64)
-        out = np.empty((size, dim))
-        for k, base in enumerate(bases):
-            idx = idx0.copy()
-            r = np.zeros(size)
-            f = 1.0
-            while idx.any():
-                f /= base
-                r += (idx % base) * f
-                idx //= base
-            out[:, k] = r
-        yield out
-        done += size
+    tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+    chunk = np.empty((_HALTON_CHUNK, min(block, count)))
+    for done in range(0, count, block):
+        yield _halton_block(bases, done + 1, min(block, count - done), tables, chunk)
+
+
+def _halton_block(bases: list[int], first: int, size: int,
+                  tables: dict[tuple[int, int], tuple[np.ndarray, float]],
+                  chunk: np.ndarray) -> np.ndarray:
+    """Halton points first..first+size-1, C-contiguous.
+
+    tables caches each base's low-digit fold across the blocks of one
+    sequence; chunk is scratch for _HALTON_CHUNK rows of size values.
+    """
+    last = first + size - 1
+    out = np.empty((size, len(bases)))
+    # a base above the last index leaves every index j one digit: j * (1/base)
+    folded = bisect.bisect_right(bases, last)
+    np.multiply(np.arange(first, last + 1, dtype=float)[:, None],
+                1.0 / np.array(bases[folded:], dtype=float), out=out[:, folded:])
+    for start in range(0, folded, _HALTON_CHUNK):
+        part = bases[start:start + _HALTON_CHUNK]
+        for row, base in zip(chunk, part):
+            if base > size:
+                # at most two runs: the low digit is built per run
+                _halton_runs(row[:size], first, base, base, None, 1.0 / base)
+                continue
+            span = base
+            while span * base <= size:
+                span *= base
+            if (base, span) not in tables:
+                tables[base, span] = _fold_digits(base, span)
+            table, weight = tables[base, span]
+            _halton_runs(row[:size], first, base, span, table, weight)
+        out[:, start:start + len(part)] = chunk[:len(part), :size].T
+    return out
+
+
+def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
+    """Radical inverses of 0..span-1 in base, digits folded low first:
+    f /= base, then r += digit * f.  Also returns the weight f of the
+    last digit folded."""
+    idx = np.arange(span)
+    r = np.zeros(span)
+    f = 1.0
+    while idx.any():
+        f /= base
+        r += (idx % base) * f
+        idx //= base
+    return r, f
+
+
+def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
+                 table: np.ndarray | None, weight: float) -> None:
+    """Radical inverses of first, first+1, ... in base, written into row.
+
+    span is base**k and table the fold of the low k digits of 0..span-1,
+    with weight the weight of digit k.  The indices fall into runs of equal
+    high part j // span; each run is a slice of the table plus the fold of
+    its high digits, added digit by digit as _fold_digits adds them.  A
+    missing high digit adds +0.0, which leaves r >= 0 unchanged, so every
+    value has the bits of the digit loop run on j itself.  table None means
+    k = 1 and span > len(row): the run's low digit times weight.
+    """
+    size = len(row)
+    lead = first % span
+    head = min(span - lead, size) if lead else 0
+    whole = (size - head) // span
+    tail = head + whole * span
+    if head:
+        row[:head] = (table[lead:lead + head] if table is not None
+                      else np.arange(lead, lead + head) * weight)
+    body = row[head:tail].reshape(whole, span)
+    if whole:
+        body[...] = table
+    if tail < size:
+        row[tail:] = (table[:size - tail] if table is not None
+                      else np.arange(size - tail) * weight)
+    high = np.arange(first // span, (first + size - 1) // span + 1)
+    skip = 1 if head else 0
+    while high.any():
+        weight /= base
+        digit = (high % base) * weight
+        if head:
+            row[:head] += digit[0]
+        if whole:
+            body += digit[skip:skip + whole, None]
+        if tail < size:
+            row[tail:] += digit[-1]
+        high //= base
 
 
 def _random_blocks(dim: int, count: int, block: int, seed: int) -> Iterator[np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    done = 0
-    while done < count:
-        size = min(block, count - done)
-        yield rng.random((size, dim))
-        done += size
+    for done in range(0, count, block):
+        yield rng.random((min(block, count - done), dim))
 
 
 @dataclass(frozen=True)
@@ -181,6 +274,8 @@ class SampleSequence:
             raise ValueError("count must be >= 0")
         if block is None:
             block = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // self.dimension))
+        elif block < 1:
+            raise ValueError("block must be >= 1")
         if self.kind == KIND_SOBOL:
             return _sobol_blocks(self.dimension, count, block)
         if self.kind == KIND_HALTON:
@@ -207,13 +302,6 @@ def sobol(dimension: int, count: int) -> np.ndarray:
 def random_points(dimension: int, count: int, seed: int) -> np.ndarray:
     """count i.i.d. uniform points from a seeded PCG64 generator."""
     return SampleSequence(KIND_RANDOM, dimension, seed).points(count)
-
-
-def _scale_into_box(points: np.ndarray, box: FlowBox) -> np.ndarray:
-    q = box.lo + points * (box.hi - box.lo)
-    # guard against rounding drifting past an endpoint
-    np.clip(q, box.lo, box.hi, out=q)
-    return q
 
 
 def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
@@ -254,9 +342,16 @@ def k_lower_trace(
     trace: list[tuple[int, float]] = []
     best_raw = 0.0
     seen = 0
-    for points in sampler.blocks(n, block):
-        q = _scale_into_box(points, box)
-        g = jacobian_diag_batch(net, q)
+    width = box.hi - box.lo
+    jacobian = None
+    for q in sampler.blocks(n, block):
+        # lo + p*(hi-lo) in place, clipped against rounding drift past an endpoint
+        np.multiply(q, width, out=q)
+        np.add(q, box.lo, out=q)
+        np.clip(q, box.lo, box.hi, out=q)
+        if jacobian is None:
+            jacobian = np.empty_like(q)
+        g = _jacobian_diag_into(net, q, jacobian[:len(q)])
         if mode == MODE_MAX:
             per_point = g.max(axis=1)
         else:
@@ -269,6 +364,7 @@ def k_lower_trace(
             trace.append((at, math.sqrt(value) if mode == MODE_SQRT else value))
         best_raw = max(best_raw, float(running[-1]))
         seen += len(per_point)
+        del q  # so the next block is generated with this one freed
     value = math.sqrt(best_raw) if mode == MODE_SQRT else best_raw
     estimate = LipschitzEstimate(
         value=value,

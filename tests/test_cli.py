@@ -238,6 +238,27 @@ def test_convergence_unknown_sampler_exits_2(capsys):
     assert code == 2
 
 
+def test_convergence_sobol_too_large_writes_nothing(tmp_path, capsys):
+    # a chain of 1,300 pipes is past the Sobol table; random and Halton come
+    # first in the default --samplers, yet no row may be written before the exit
+    links = 1300
+    nodes = ["R0", *(f"J{i}" for i in range(1, links + 1))]
+    inp = ["[JUNCTIONS]", *(f"{j} 0 0" for j in nodes[1:]),
+           "[RESERVOIRS]", "R0 100", "[PIPES]",
+           *(f"P{i} {nodes[i - 1]} {nodes[i]} 100 10 0.02" for i in range(1, links + 1)),
+           "[OPTIONS]", "HEADLOSS D-W"]
+    (tmp_path / "chain.inp").write_text("\n".join(inp) + "\n")
+    bounds = ["link_id,q_min,q_max", *(f"P{i},-1.0,1.0" for i in range(1, links + 1))]
+    (tmp_path / "chain.csv").write_text("\n".join(bounds) + "\n")
+    code = main(["convergence", str(tmp_path / "chain.inp"),
+                 "--bounds", str(tmp_path / "chain.csv"), "--n-grid", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: sequence dimension 1300 exceeds the 1111 dimensions "
+                            "of the shipped direction-number table\n")
+
+
 ANALYZE = ("analyze", str(FIXTURE_DIR / "three_node.inp"),
            "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"))
 CONVERGENCE = ("convergence", *ANALYZE[1:])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -65,6 +66,57 @@ class TestHalton:
         h = star_discrepancy_on_grid(halton(2, 1024))
         r = star_discrepancy_on_grid(random_points(2, 1024, seed=12345))
         assert h < r
+
+
+def _reference_halton(dim: int, count: int, block: int):
+    """The radical-inverse digit loop, one base and one block at a time."""
+    bases = []
+    candidate = 2
+    while len(bases) < dim:
+        if all(candidate % p for p in bases if p * p <= candidate):
+            bases.append(candidate)
+        candidate += 1
+    done = 0
+    while done < count:
+        size = min(block, count - done)
+        idx0 = np.arange(done + 1, done + size + 1, dtype=np.int64)
+        out = np.empty((size, dim))
+        for k, base in enumerate(bases):
+            idx = idx0.copy()
+            r = np.zeros(size)
+            f = 1.0
+            while idx.any():
+                f /= base
+                r += (idx % base) * f
+                idx //= base
+            out[:, k] = r
+        yield out
+        done += size
+
+
+# at most eight blocks, so that the reference loop stays quick; dimension
+# 320 reaches base 2,113, above the rows of most draws and the last index
+# of many
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=320),
+       block=st.integers(min_value=1, max_value=3000),
+       whole=st.integers(min_value=0, max_value=7),
+       extra=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example(dim=5, block=1, whole=7, extra=0.0)
+@example(dim=40, block=9, whole=7, extra=0.5)
+@example(dim=320, block=1000, whole=2, extra=0.3)
+@example(dim=289, block=None, whole=1, extra=0.01)
+@example(dim=5002, block=None, whole=1, extra=0.01)
+def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
+    # block None is the default block (test_default_block_is_capped_by_bytes)
+    rows = block or {289: 8192, 5002: 1677}[dim]
+    count = whole * rows + int(extra * rows)
+    got = list(SampleSequence("halton", dim).blocks(count, block))
+    want = list(_reference_halton(dim, count, rows))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous
+        assert np.array_equal(a, b)
 
 
 class TestSobol:
@@ -149,6 +201,13 @@ class TestSequences:
         assert next(SampleSequence("random", 289).blocks(10_000)).shape == (8192, 289)
         assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (1677, 5002)
 
+    @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
+    def test_nonpositive_block_rejected(self, kind):
+        # a block of 0 rows would never advance through the sequence
+        for block in (0, -3):
+            with pytest.raises(ValueError):
+                SampleSequence(kind, 2).blocks(10, block)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SampleSequence("sobolev", 2)
@@ -232,6 +291,76 @@ class TestKLower:
         _, net, box = three_node
         with pytest.raises(ValueError):
             k_lower(net, box, "sobol", 0)
+
+
+# k_lower_trace at checkpoints 10, 100, 1000 and 10000 (seed 0), as float.hex,
+# frozen from the per-index Halton digit loop and the allocating scale and
+# Jacobian pass that the run-structured, in-place pass replaced
+FROZEN_TRACES = {
+    ("net3", "random", "max"): (
+        "0x1.704d5d6f7242ep-2", "0x1.9dc7650b34939p-2",
+        "0x1.a26c305855054p-2", "0x1.a2c388cd5cb50p-2"),
+    ("net3", "random", "sqrt"): (
+        "0x1.afa7eb5556be0p-2", "0x1.e73d289a3872bp-2",
+        "0x1.e78231222ff80p-2", "0x1.ed793131493adp-2"),
+    ("net3", "halton", "max"): (
+        "0x1.398ef5f0655d3p-3", "0x1.98c2ba83ba233p-3",
+        "0x1.a229de00d1a0dp-2", "0x1.a22e0b8c1fc04p-2"),
+    ("net3", "halton", "sqrt"): (
+        "0x1.7c5838776a241p-3", "0x1.bcbcfe2006f9dp-3",
+        "0x1.eefedc718a7a8p-2", "0x1.efb7d44fe0d9ap-2"),
+    ("net3", "sobol", "max"): (
+        "0x1.8492b06f80a48p-2", "0x1.9b4d1d71b228ap-2",
+        "0x1.a270f48264d88p-2", "0x1.a2dbb7adb00f4p-2"),
+    ("net3", "sobol", "sqrt"): (
+        "0x1.c5286ad667dddp-2", "0x1.d74c6ddfe3d04p-2",
+        "0x1.ef555df4cadf1p-2", "0x1.ef555df4cadf1p-2"),
+    ("obcl", "random", "max"): (
+        "0x1.6537a1bc1c1e3p-2", "0x1.a0e9a52acc2a5p-2",
+        "0x1.a0eaa9726ea00p-2", "0x1.a10ab95786260p-2"),
+    ("obcl", "random", "sqrt"): (
+        "0x1.7793ca525ef36p-2", "0x1.b31b072618186p-2",
+        "0x1.b858373c3be96p-2", "0x1.bae62a56d69a2p-2"),
+    ("obcl", "halton", "max"): (
+        "0x1.fb8c46ac08f52p-5", "0x1.77bd3013f8f71p-4",
+        "0x1.2e45e7607cf05p-2", "0x1.a0eeffd25657bp-2"),
+    ("obcl", "halton", "sqrt"): (
+        "0x1.7f36b240e58ffp-3", "0x1.7f36b240e58ffp-3",
+        "0x1.4d45d63ebb8dcp-2", "0x1.b86a6fb8472c3p-2"),
+    ("obcl", "sobol", "max"): (
+        "0x1.859140c91807bp-2", "0x1.9db516c5f75dbp-2",
+        "0x1.a0d6b5cf82ce1p-2", "0x1.a1054b27b8205p-2"),
+    ("obcl", "sobol", "sqrt"): (
+        "0x1.992f59d4bc563p-2", "0x1.b4daf38466b7fp-2",
+        "0x1.b8500db2d180cp-2", "0x1.b9789b65560f8p-2"),
+}
+
+
+@pytest.mark.parametrize("name, kind, mode", list(FROZEN_TRACES))
+def test_traces_match_frozen_values(fixtures, name, kind, mode):
+    _, net, box = fixtures[name]
+    marks = (10, 100, 1000, 10_000)
+    est, trace = k_lower_trace(net, box, kind, 10_000, mode=mode, checkpoints=marks)
+    assert [n for n, _ in trace] == list(marks)
+    assert [v.hex() for _, v in trace] == list(FROZEN_TRACES[name, kind, mode])
+    assert est.value == trace[-1][1]
+
+
+@pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
+    # numpy reports its buffers to tracemalloc; a trace holds one sample
+    # block and one Jacobian buffer (2.0 to 2.2 blocks; 6.0 before the
+    # in-place pass), so one more block-sized temporary fails this
+    _, net, box = fixtures["obcl"]
+    block_bytes = 8192 * net.n_links * 8
+    tracemalloc.start()
+    try:
+        k_lower_trace(net, box, kind, 20_000, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block_bytes
 
 
 # On a degenerate box every sample is the corner itself, so the point route
