@@ -12,12 +12,8 @@ from .analytical import (
     Bracket,
     interval_bracket,
     k_network,
-    k_pipes,
-    k_pumps,
     k_upper_max,
     k_upper_sqrt,
-    k_valves,
-    osl_network,
 )
 from .bounds import (
     FlowBox,
@@ -64,22 +60,12 @@ from .network import (
     eval_f,
     eval_f_batch,
     eval_jacobian_diag,
-    headgain_pump,
-    headloss_pipe,
-    headloss_valve,
     jacobian_diag_batch,
     junction_residual,
     tank_step,
 )
 from .report import AnalysisReport, load_report_schema
-from .sampling import (
-    SampleSequence,
-    halton,
-    k_lower,
-    k_lower_trace,
-    random_points,
-    sobol,
-)
+from .sampling import SampleSequence, k_lower, k_lower_trace
 
 __version__ = "0.1.0"
 
@@ -122,29 +108,19 @@ __all__ = [
     "eval_jacobian_diag",
     "export_dae",
     "fit_pump_curve",
-    "halton",
-    "headgain_pump",
-    "headloss_pipe",
-    "headloss_valve",
     "interval_bracket",
     "jacobian_diag_batch",
     "junction_residual",
     "k_lower",
     "k_lower_trace",
     "k_network",
-    "k_pipes",
-    "k_pumps",
     "k_upper_max",
     "k_upper_sqrt",
-    "k_valves",
     "load_bounds",
     "load_report_schema",
     "loads_bounds",
-    "osl_network",
     "parse_inp",
     "pump_max_flow",
-    "random_points",
     "save_bounds",
-    "sobol",
     "tank_step",
 ]

@@ -10,9 +10,10 @@ corner_derivatives, serves both routes below:
     pumps   nu_i * r_i * c_i**(nu_i-1) * s_i**(2-nu_i)
     valves  mu * o_i * R_i * c_i**(mu-1)
 
-The sharp constant K is the largest of these, per class and overall (an
-empty class contributes 0).  The one-sided constant equals K: the log norm
-of a nonnegative diagonal matrix is its largest entry.
+The sharp constant K is the largest of these, overall and per class (an
+empty class contributes 0); k_network returns both.  The one-sided constant
+equals K, because the log norm of a nonnegative diagonal matrix is its
+largest entry, so k_network's estimate is also the one-sided constant.
 
 The interval route brackets the suprema of max_i |J_ii| (max mode, the
 spectral norm) and sqrt(sum_i J_ii**2) (sqrt mode, the Frobenius norm, an
@@ -54,7 +55,8 @@ def corner_derivatives(net: Network, box: FlowBox) -> list[float]:
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
-    """Exact Lipschitz constant of the stacked nonlinearity over the box."""
+    """Exact Lipschitz (and one-sided Lipschitz) constant over the box, with
+    the constant of each link class in ``per_class``."""
     values = corner_derivatives(net, box)
     pumps_end = net.n_pipes + net.n_pumps
     per_class = {
@@ -68,23 +70,6 @@ def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
         mode=MODE_MAX,
         per_class=per_class,
     )
-
-
-def k_pipes(net: Network, box: FlowBox) -> float:
-    return k_network(net, box).per_class["pipes"]
-
-
-def k_pumps(net: Network, box: FlowBox) -> float:
-    return k_network(net, box).per_class["pumps"]
-
-
-def k_valves(net: Network, box: FlowBox) -> float:
-    return k_network(net, box).per_class["valves"]
-
-
-def osl_network(net: Network, box: FlowBox) -> LipschitzEstimate:
-    """One-sided Lipschitz constant; identical to k_network by construction."""
-    return k_network(net, box)
 
 
 def ulp_up(x: float, steps: int = 1) -> float:

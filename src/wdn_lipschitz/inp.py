@@ -25,13 +25,16 @@ root solve on three points) and then fit (r, nu) by least squares on
 
 Valves are general purpose valves written as ``id node1 node2 diameter GPV
 resistance [openness]``; openness defaults to 1.
+
+INP text is the package's only network input format.  parse_inp rejects a
+duplicate id or a link to an undeclared node as it reads each row, then
+checks every parameter range.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateId,
@@ -108,7 +111,10 @@ class ValveDesc:
 
 @dataclass
 class NetworkDescription:
-    """Validated, index-free description of a water distribution network."""
+    """Index-free description of a water distribution network.
+
+    parse_inp returns one validated; one built directly is not checked.
+    """
 
     flow_units: str
     headloss_exponent: float
@@ -130,36 +136,6 @@ class NetworkDescription:
             len(self.pumps),
             len(self.valves),
         )
-
-    def to_json(self) -> str:
-        """Canonical JSON form: fixed key order, floats via repr round-trip."""
-        doc = {
-            "flow_units": self.flow_units,
-            "headloss_exponent": self.headloss_exponent,
-            "junctions": [asdict(j) for j in self.junctions],
-            "reservoirs": [asdict(r) for r in self.reservoirs],
-            "tanks": [asdict(t) for t in self.tanks],
-            "pipes": [asdict(p) for p in self.pipes],
-            "pumps": [asdict(p) for p in self.pumps],
-            "valves": [asdict(v) for v in self.valves],
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkDescription":
-        doc = json.loads(text)
-        desc = cls(
-            flow_units=doc["flow_units"],
-            headloss_exponent=doc["headloss_exponent"],
-            junctions=[JunctionDesc(**j) for j in doc["junctions"]],
-            reservoirs=[ReservoirDesc(**r) for r in doc["reservoirs"]],
-            tanks=[TankDesc(**t) for t in doc["tanks"]],
-            pipes=[PipeDesc(**p) for p in doc["pipes"]],
-            pumps=[PumpDesc(**p) for p in doc["pumps"]],
-            valves=[ValveDesc(**v) for v in doc["valves"]],
-        )
-        _validate(desc)
-        return desc
 
 
 def hazen_williams_resistance(length: float, diameter: float, roughness: float) -> float:
@@ -501,6 +477,8 @@ def parse_inp(text: str) -> NetworkDescription:
 
 
 def _validate(desc: NetworkDescription) -> None:
+    # range checks only: parse_inp has already rejected duplicate ids and
+    # unknown node references while it declared each id
     mu = desc.headloss_exponent
     if not 1.0 <= mu <= 3.0:
         raise ParameterOutOfRange(f"head-loss exponent {mu} outside [1, 3]")
@@ -528,27 +506,3 @@ def _validate(desc: NetworkDescription) -> None:
     for t in desc.tanks:
         if t.cross_section_area <= 0:
             raise ParameterOutOfRange(f"tank {t.id!r}: cross-section area must be > 0")
-
-    node_ids: set[str] = set()
-    for group, section in (
-        (desc.junctions, "[JUNCTIONS]"),
-        (desc.reservoirs, "[RESERVOIRS]"),
-        (desc.tanks, "[TANKS]"),
-    ):
-        for node in group:
-            if node.id in node_ids:
-                raise DuplicateId(node.id, section)
-            node_ids.add(node.id)
-    link_ids: set[str] = set()
-    for group, section in (
-        (desc.pipes, "[PIPES]"),
-        (desc.pumps, "[PUMPS]"),
-        (desc.valves, "[VALVES]"),
-    ):
-        for link in group:
-            if link.id in link_ids:
-                raise DuplicateId(link.id, section)
-            link_ids.add(link.id)
-            for node in (link.from_node, link.to_node):
-                if node not in node_ids:
-                    raise UnknownNodeRef(node, link.id)

@@ -145,25 +145,6 @@ class FlowVector:
         return cls(v=q[: net.n_pipes].copy(), u=q[net.n_pipes:].copy())
 
 
-def headloss_pipe(resistance: float, exponent: float, q: float) -> float:
-    """Friction head loss R*q*|q|**(mu-1); odd in q."""
-    return resistance * q * math.pow(abs(q), exponent - 1.0)
-
-
-def headgain_pump(shutoff_head: float, coeff: float, exponent: float,
-                  speed: float, q: float) -> float:
-    """Pump head relationship -s**2*h_s + r*q**nu*s**(2-nu), defined for q > 0."""
-    if q <= 0.0:
-        raise NonPositiveFlow("(scalar)", q)
-    return (-speed * speed * shutoff_head
-            + coeff * math.pow(q, exponent) * math.pow(speed, 2.0 - exponent))
-
-
-def headloss_valve(openness: float, resistance: float, exponent: float, q: float) -> float:
-    """GPV head loss: openness-scaled pipe law."""
-    return openness * headloss_pipe(resistance, exponent, q)
-
-
 def _check_flows(net: Network, flows: FlowVector) -> None:
     if flows.v.shape != (net.n_pipes,) or flows.u.shape != (net.n_pumps + net.n_valves,):
         raise ValueError("flow vector shape does not match the network")

@@ -1,6 +1,7 @@
 """Point-based under-approximation of Lipschitz constants.
 
-Samplers produce deterministic points in the half-open unit cube [0,1)^d:
+SampleSequence(kind, dimension, seed) yields deterministic points in the
+half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
 
 * ``random``: numpy's PCG64 generator with an explicit seed;
 * ``halton``: coordinate k of point j is the radical inverse of j+1 in the
@@ -289,27 +290,10 @@ class SampleSequence:
         return np.concatenate(parts, axis=0)
 
 
-def halton(dimension: int, count: int) -> np.ndarray:
-    """First count Halton points in the given dimension."""
-    return SampleSequence(KIND_HALTON, dimension).points(count)
-
-
-def sobol(dimension: int, count: int) -> np.ndarray:
-    """First count Sobol points (index-1 start: the first point is all 0.5)."""
-    return SampleSequence(KIND_SOBOL, dimension).points(count)
-
-
-def random_points(dimension: int, count: int, seed: int) -> np.ndarray:
-    """count i.i.d. uniform points from a seeded PCG64 generator."""
-    return SampleSequence(KIND_RANDOM, dimension, seed).points(count)
-
-
 def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
             mode: str = MODE_MAX, seed: int = 0,
             block: int | None = None) -> LipschitzEstimate:
     """Best objective value over n sampled flow points (an under-estimate)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     estimate, _ = k_lower_trace(net, box, sampler, n, mode=mode, seed=seed,
                                 block=block, checkpoints=())
     return estimate
@@ -330,6 +314,8 @@ def k_lower_trace(
     A checkpoint at m equals an independent run with n=m because the
     estimate is a prefix maximum of a deterministic sequence.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(sampler, str):

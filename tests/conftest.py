@@ -75,6 +75,21 @@ def make_single_pipe(resistance: float = 1.0, mu: float = 2.0) -> NetworkDescrip
     )
 
 
+def make_single_pump(shutoff_head: float, coeff: float, exponent: float,
+                     speed: float = 1.0) -> NetworkDescription:
+    """One pump PU1 from reservoir R1 to junction J1."""
+    return NetworkDescription(
+        flow_units="GPM",
+        headloss_exponent=2.0,
+        junctions=[JunctionDesc("J1", 0.0)],
+        reservoirs=[ReservoirDesc("R1", 0.0)],
+        tanks=[],
+        pipes=[],
+        pumps=[PumpDesc("PU1", "R1", "J1", shutoff_head, coeff, exponent, speed)],
+        valves=[],
+    )
+
+
 def make_valve_network() -> NetworkDescription:
     """Small mixed network with a valve in every link class."""
     mu = 1.852

@@ -12,10 +12,6 @@ from wdn_lipschitz import (
     eval_f_batch,
     jacobian_diag_batch,
     k_network,
-    k_pipes,
-    k_pumps,
-    k_valves,
-    osl_network,
 )
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.inp import (
@@ -26,7 +22,6 @@ from wdn_lipschitz.inp import (
 )
 
 from conftest import (
-    FIXTURE_NAMES,
     make_random_network,
     make_single_pipe,
     make_valve_network,
@@ -57,25 +52,25 @@ def pump_only_net(pumps: list[PumpDesc]):
 class TestKPipes:
     def test_unit_quadratic(self):
         net, box = single_pipe_box(1.0, 2.0, -1.0, 1.0)
-        assert k_pipes(net, box) == 2.0
+        assert k_network(net, box).per_class["pipes"] == 2.0
 
     def test_linear_exponent_gives_resistance(self):
         net, box = single_pipe_box(7.25, 1.0, -123.0, 45.0)
-        assert k_pipes(net, box) == 7.25
+        assert k_network(net, box).per_class["pipes"] == 7.25
 
     def test_three_node_value(self, three_node):
         _, net, box = three_node
-        assert k_pipes(net, box) == pytest.approx(0.004, abs=5e-4)
+        assert k_network(net, box).per_class["pipes"] == pytest.approx(0.004, abs=5e-4)
 
     def test_uses_largest_magnitude_endpoint(self):
         net, box = single_pipe_box(1.0, 2.0, -5.0, 2.0)
-        assert k_pipes(net, box) == 10.0
+        assert k_network(net, box).per_class["pipes"] == 10.0
 
     def test_empty_class_contributes_zero(self):
         net = pump_only_net([PumpDesc("PU1", "R1", "J1", 16.0, 1.0, 2.0, 1.0)])
         box = box_from_intervals(net, {"PU1": (1.0, 4.0)})
-        assert k_pipes(net, box) == 0.0
-        assert k_valves(net, box) == 0.0
+        assert k_network(net, box).per_class["pipes"] == 0.0
+        assert k_network(net, box).per_class["valves"] == 0.0
 
 
 class TestKPumps:
@@ -83,17 +78,17 @@ class TestKPumps:
         net = pump_only_net([PumpDesc("PU1", "R1", "J1", 100.0, 2.0, 1.0, 0.5)])
         for hi in (3.0, 300.0):
             box = box_from_intervals(net, {"PU1": (1.0, hi)})
-            assert k_pumps(net, box) == pytest.approx(1.0)
+            assert k_network(net, box).per_class["pumps"] == pytest.approx(1.0)
 
     def test_quadratic_pump_ignores_speed(self):
         for s in (0.3, 1.0):
             net = pump_only_net([PumpDesc("PU1", "R1", "J1", 100.0, 0.5, 2.0, s)])
             box = box_from_intervals(net, {"PU1": (1.0, 10.0)})
-            assert k_pumps(net, box) == pytest.approx(10.0)
+            assert k_network(net, box).per_class["pumps"] == pytest.approx(10.0)
 
     def test_three_node_value(self, three_node):
         _, net, box = three_node
-        assert k_pumps(net, box) == pytest.approx(0.5023, abs=5e-4)
+        assert k_network(net, box).per_class["pumps"] == pytest.approx(0.5023, abs=5e-4)
 
 
 class TestKValves:
@@ -107,9 +102,10 @@ class TestKValves:
         table["V1"] = (-30.0, 44.0)
         box = box_from_intervals(net, table)
         pipe_net, pipe_box = single_pipe_box(4.0e-5, mu, -30.0, 44.0)
-        got = k_valves(net, box)
+        got = k_network(net, box).per_class["valves"]
         v2 = 1.852 * 1.0 * 8.0e-5 * math.pow(250.0, 0.852)
-        assert got == pytest.approx(max(k_pipes(pipe_net, pipe_box), v2), rel=1e-12)
+        pipe_k = k_network(pipe_net, pipe_box).per_class["pipes"]
+        assert got == pytest.approx(max(pipe_k, v2), rel=1e-12)
 
     def test_half_open_hand_value(self):
         from wdn_lipschitz.inp import ValveDesc
@@ -117,7 +113,7 @@ class TestKValves:
         desc.valves.append(ValveDesc("V1", "J1", "J2", 1.0, 0.5))
         net = build_network(desc)
         box = box_from_intervals(net, {"P1": (0.0, 0.0), "V1": (0.0, 3.0)})
-        assert k_valves(net, box) == pytest.approx(3.0)
+        assert k_network(net, box).per_class["valves"] == pytest.approx(3.0)
 
     def test_oracle_value(self):
         exact = mpf("1.852") * mpf("0.37") * 2 * power(4, mpf("0.852"))
@@ -127,7 +123,7 @@ class TestKValves:
         desc.valves.append(ValveDesc("V1", "J1", "J2", 2.0, 0.37))
         net = build_network(desc)
         box = box_from_intervals(net, {"P1": (0.0, 0.0), "V1": (-4.0, 2.0)})
-        assert k_valves(net, box) == pytest.approx(K_VALVE_CASE, rel=1e-13)
+        assert k_network(net, box).per_class["valves"] == pytest.approx(K_VALVE_CASE, rel=1e-13)
 
 
 class TestKNetwork:
@@ -143,7 +139,7 @@ class TestKNetwork:
     def test_pipe_only_network(self):
         net, box = single_pipe_box(3.0, 2.0, -2.0, 1.0)
         est = k_network(net, box)
-        assert est.value == k_pipes(net, box) == 12.0
+        assert est.value == k_network(net, box).per_class["pipes"] == 12.0
 
     def test_scaling_homogeneity(self, valve_net):
         desc, _, box = valve_net
@@ -179,7 +175,7 @@ class TestKNetwork:
 
     def test_class_independence(self, valve_net):
         desc, net, box = valve_net
-        base = k_pipes(net, box)
+        base = k_network(net, box).per_class["pipes"]
         tweaked = replace(
             desc,
             pumps=[replace(m, curve_coeff=9 * m.curve_coeff) for m in desc.pumps],
@@ -189,18 +185,10 @@ class TestKNetwork:
         box2 = box_from_intervals(
             net2, {lid: (float(lo), float(hi))
                    for lid, lo, hi in zip(box.link_ids, box.lo, box.hi)})
-        assert k_pipes(net2, box2) == base
+        assert k_network(net2, box2).per_class["pipes"] == base
 
 
 class TestOsl:
-    def test_identical_to_k_on_fixtures(self, fixtures):
-        for name in FIXTURE_NAMES:
-            _, net, box = fixtures[name]
-            k = k_network(net, box)
-            osl = osl_network(net, box)
-            assert osl.value == k.value
-            assert osl.per_class == k.per_class
-
     def test_diag_log_norm_limit_oracle(self):
         # eta_2(D) = lim (||I + eps D||_2 - 1)/eps for D the Jacobian diagonal
         # at the box corner, where every entry attains its supremum
@@ -213,24 +201,26 @@ class TestOsl:
             eps = 1e-9 / scale
             m = np.eye(len(d)) + eps * np.diag(d)
             numeric = (np.linalg.norm(m, 2) - 1.0) / eps
-            assert osl_network(net, box).value == pytest.approx(numeric, rel=1e-5)
+            assert k_network(net, box).value == pytest.approx(numeric, rel=1e-5)
 
 
 class TestPumpShortcut:
-    """k_pumps over pumps that share (r, nu) picks the extremal speed:
-    s_max for nu <= 2 (exponent 2 - nu >= 0) and s_min for nu > 2."""
+    """The pump class constant over pumps that share (r, nu) picks the
+    extremal speed: s_max for nu <= 2 (exponent 2 - nu >= 0) and s_min for
+    nu > 2."""
 
     def test_exponent_two_ignores_speed(self):
         net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 0.5, 2.0, 0.2),
                              PumpDesc("B", "R1", "J1", 1e4, 0.5, 2.0, 0.9)])
         box = box_from_intervals(net, {"A": (1.0, 100.0), "B": (1.0, 100.0)})
-        assert k_pumps(net, box) == pytest.approx(100.0)
+        assert k_network(net, box).per_class["pumps"] == pytest.approx(100.0)
 
     def test_low_exponent_uses_max_speed(self):
         net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 1.0, 1.5, 0.4),
                              PumpDesc("B", "R1", "J1", 1e4, 1.0, 1.5, 1.0)])
         box = box_from_intervals(net, {"A": (1.0, 9.0), "B": (1.0, 9.0)})
-        assert k_pumps(net, box) == pytest.approx(1.5 * math.pow(9.0, 0.5) * 1.0)
+        assert k_network(net, box).per_class["pumps"] == pytest.approx(
+            1.5 * math.pow(9.0, 0.5) * 1.0)
 
     def test_oracle_value_and_cross_check(self):
         exact = mpf("2.59") * mpf("3.746e-6") * power(mpf("922.5"), mpf("1.59")) \
@@ -242,7 +232,8 @@ class TestPumpShortcut:
             PumpDesc("B", "R1", "J1", 393.7008, 3.746e-6, 2.59, 1.0),
         ])
         box = box_from_intervals(net, {"A": (1.0, 922.5), "B": (1.0, 922.5)})
-        assert k_pumps(net, box) == pytest.approx(PUMP_SHORTCUT_CASE, rel=1e-13)
+        assert k_network(net, box).per_class["pumps"] == pytest.approx(
+            PUMP_SHORTCUT_CASE, rel=1e-13)
 
 
 class TestDerivativeSupremumIdentity:
@@ -286,7 +277,7 @@ class TestDerivativeSupremumIdentity:
     def test_osl_inequality_sampled(self, valve_net):
         _, net, box = valve_net
         rng = np.random.default_rng(61)
-        level = osl_network(net, box).value
+        level = k_network(net, box).value
         t1 = rng.uniform(0, 1, (1000, net.n_links))
         t2 = rng.uniform(0, 1, (1000, net.n_links))
         z1 = box.lo + t1 * (box.hi - box.lo)

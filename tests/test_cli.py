@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import shlex
 import jsonschema
 import pytest
 
+import wdn_lipschitz
 from wdn_lipschitz import load_report_schema
 from wdn_lipschitz.cli import build_parser, main
 
@@ -201,6 +203,43 @@ def test_benchmark_timing_csv(tmp_path, capsys):
     assert all(float(r["median_s"]) >= 0.0 for r in rows)
 
 
+def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
+    for name in ("three_node.inp", "three_node_bounds.csv", "net2.inp"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    out_path = tmp_path / "results.csv"
+    code, _ = run(capsys, "benchmark", str(tmp_path), "--samples", "10",
+                  "--repeats", "1", "--out", str(out_path))
+    assert code == 0
+    rows = {row["network"]: row for row in csv.DictReader(io.StringIO(out_path.read_text()))}
+    assert list(rows) == ["three_node", "net2"]
+    assert rows["three_node"]["status"] == "ok"
+    missing = tmp_path / "net2_bounds.csv"
+    assert rows["net2"]["status"].startswith(f"error: BoundsError: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("analyze", str(FIXTURE_DIR / "three_node.inp"),
+                  "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"), "--out"),
+                 id="analyze--out"),
+    pytest.param(("convergence", str(FIXTURE_DIR / "three_node.inp"),
+                  "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
+                  "--n-grid", "10", "--out"), id="convergence--out"),
+    pytest.param(("benchmark", str(FIXTURE_DIR), "--networks", "three_node",
+                  "--samples", "10", "--repeats", "1", "--out"), id="benchmark--out"),
+    pytest.param(("benchmark", str(FIXTURE_DIR), "--networks", "three_node",
+                  "--samples", "10", "--repeats", "1", "--timing-out"),
+                 id="benchmark--timing-out"),
+])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
+    target = tmp_path / "no_such_dir" / "out"
+    code = main([*argv, str(target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(target) in err
+
+
 def test_benchmark_unknown_network_exits_2(capsys):
     code, _ = run(capsys, "benchmark", str(FIXTURE_DIR),
                   "--networks", "atlantis")
@@ -315,3 +354,15 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_library_names_are_exported():
+    text = (FIXTURE_DIR.parent / "README.md").read_text()
+    section = text.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "wdn_lipschitz"
+                for alias in node.names}
+    assert imported
+    assert sorted(imported - set(wdn_lipschitz.__all__)) == []
+    assert [name for name in wdn_lipschitz.__all__ if not hasattr(wdn_lipschitz, name)] == []

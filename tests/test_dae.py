@@ -11,9 +11,8 @@ from wdn_lipschitz import (
     build_network,
     dae_residual,
     eval_f,
+    eval_f_batch,
     export_dae,
-    headgain_pump,
-    headloss_pipe,
     junction_residual,
     tank_step,
 )
@@ -130,15 +129,12 @@ def test_residual_vanishes_on_consistent_state(three_node):
     desc, net, _ = three_node
     dt = 60.0
     dae = build_dae(net, "discrete", dt=dt)
-    pump, pipe = desc.pumps[0], desc.pipes[0]
     demand = desc.junctions[0].base_demand
     h_res = desc.reservoirs[0].head
 
     q_pipe = 300.0
     q_pump = q_pipe + demand          # junction mass balance
-    f_pump = headgain_pump(pump.shutoff_head, pump.curve_coeff,
-                           pump.curve_exponent, pump.speed, q_pump)
-    f_pipe = headloss_pipe(pipe.resistance, pipe.exponent, q_pipe)
+    f_pipe, f_pump = eval_f_batch(net, np.array([[q_pipe, q_pump]]))[0]
     h_j = h_res - f_pump              # pump energy row
     h_t = h_j - f_pipe                # pipe energy row
     h_t_next = h_t + dt / desc.tanks[0].cross_section_area * q_pipe

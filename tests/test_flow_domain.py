@@ -9,7 +9,7 @@ from mpmath import mp, mpf, power
 from wdn_lipschitz import (
     build_network,
     default_box,
-    headgain_pump,
+    eval_f_batch,
     load_bounds,
     loads_bounds,
     pump_max_flow,
@@ -26,7 +26,7 @@ from wdn_lipschitz.errors import (
     UnknownLink,
 )
 
-from conftest import make_single_pipe, make_valve_network
+from conftest import make_single_pipe, make_single_pump, make_valve_network
 
 mp.dps = 50
 
@@ -125,8 +125,8 @@ class TestPumpMaxFlow:
 
     def test_headgain_vanishes_at_max_flow(self):
         q = pump_max_flow(393.7008, 3.746e-6, 2.59, 1.0)
-        assert headgain_pump(393.7008, 3.746e-6, 2.59, 1.0, q) == \
-            pytest.approx(0.0, abs=1e-9)
+        net = build_network(make_single_pump(393.7008, 3.746e-6, 2.59, 1.0))
+        assert eval_f_batch(net, np.array([[q]]))[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDefaultBox:

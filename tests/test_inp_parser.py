@@ -5,7 +5,7 @@ import math
 import pytest
 from mpmath import mp, mpf, power
 
-from wdn_lipschitz import NetworkDescription, parse_inp
+from wdn_lipschitz import parse_inp
 from wdn_lipschitz.errors import (
     DuplicateId,
     MalformedSection,
@@ -85,15 +85,8 @@ def test_comment_insertion_is_invisible():
     for name in FIXTURE_NAMES:
         text = (FIXTURE_DIR / f"{name}.inp").read_text()
         commented = "\n".join(line + "; junk" for line in text.splitlines())
-        assert parse_inp(commented).to_json() == parse_inp(text).to_json(), name
-
-
-def test_json_round_trip_is_identity():
-    for name in FIXTURE_NAMES:
-        desc = parse_inp((FIXTURE_DIR / f"{name}.inp").read_text())
-        again = NetworkDescription.from_json(desc.to_json())
-        assert again == desc, name
-        assert again.to_json() == desc.to_json(), name
+        # repr shows every field, floats by their shortest round-trip digits
+        assert repr(parse_inp(commented)) == repr(parse_inp(text)), name
 
 
 def test_headloss_option_selects_exponent():

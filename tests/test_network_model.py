@@ -12,9 +12,6 @@ from wdn_lipschitz import (
     eval_f,
     eval_f_batch,
     eval_jacobian_diag,
-    headgain_pump,
-    headloss_pipe,
-    headloss_valve,
     jacobian_diag_batch,
     junction_residual,
     tank_step,
@@ -27,9 +24,10 @@ from wdn_lipschitz.inp import (
     PumpDesc,
     ReservoirDesc,
     TankDesc,
+    ValveDesc,
 )
 
-from conftest import sample_interior
+from conftest import make_single_pipe, make_single_pump, sample_interior
 
 mp.dps = 50
 
@@ -50,53 +48,88 @@ PUMP_AT_500 = -357.06547199221835       # h_s=393.7008, r=3.746e-6, nu=2.59, s=1
 VALVE_AT_MINUS4 = -9.6437695467513499   # o=0.37, R=2, mu=1.852, q=-4
 
 
+def f_row(desc: NetworkDescription, q: list[float]) -> np.ndarray:
+    """eval_f_batch on one row of stacked flows."""
+    return eval_f_batch(build_network(desc), np.array([q], dtype=float))[0]
+
+
+def pipe_and_valve(resistance: float, openness: float, mu: float) -> NetworkDescription:
+    """Pipe P1 and valve V1 between J1 and J2, both of the given resistance."""
+    desc = make_single_pipe(resistance, mu)
+    desc.valves.append(ValveDesc("V1", "J1", "J2", resistance, openness))
+    return desc
+
+
+def reference_f(desc: NetworkDescription, q: np.ndarray) -> list[float]:
+    """The head-loss laws entry by entry in scalar math.pow: the oracle for
+    eval_f_batch."""
+    mu = desc.headloss_exponent
+    n_p, n_m = len(desc.pipes), len(desc.pumps)
+    pipes, pumps, valves = q[:n_p], q[n_p:n_p + n_m], q[n_p + n_m:]
+    out = [p.resistance * x * math.pow(abs(x), p.exponent - 1.0)
+           for p, x in zip(desc.pipes, pipes)]
+    out += [-m.speed * m.speed * m.shutoff_head
+            + m.curve_coeff * math.pow(x, m.curve_exponent)
+            * math.pow(m.speed, 2.0 - m.curve_exponent)
+            for m, x in zip(desc.pumps, pumps)]
+    out += [v.openness * (v.resistance * x * math.pow(abs(x), mu - 1.0))
+            for v, x in zip(desc.valves, valves)]
+    return out
+
+
 class TestScalarOps:
     def test_pipe_sign_symmetry(self):
-        assert headloss_pipe(1.0, 2.0, -3.0) == -9.0
-        assert headloss_pipe(1.0, 2.0, 3.0) == 9.0
+        assert f_row(make_single_pipe(1.0, 2.0), [-3.0])[0] == -9.0
+        assert f_row(make_single_pipe(1.0, 2.0), [3.0])[0] == 9.0
 
     def test_pipe_linear_case(self):
-        assert headloss_pipe(1.0, 1.0, 5.0) == 5.0
+        assert f_row(make_single_pipe(1.0, 1.0), [5.0])[0] == 5.0
 
     def test_pipe_oracle_value(self):
         assert mp_pipe(2.346e-6, 1.852, 100.0) == pytest.approx(PIPE_AT_100, rel=1e-15)
-        assert headloss_pipe(2.346e-6, 1.852, 100.0) == pytest.approx(PIPE_AT_100, rel=1e-13)
+        assert f_row(make_single_pipe(2.346e-6, 1.852), [100.0])[0] == pytest.approx(
+            PIPE_AT_100, rel=1e-13)
 
     def test_pipe_odd_in_q(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             r, mu, q = rng.lognormal(0, 2), rng.uniform(1, 3), rng.uniform(0.01, 1e4)
-            assert headloss_pipe(r, mu, -q) == -headloss_pipe(r, mu, q)
+            net = build_network(make_single_pipe(float(r), float(mu)))
+            minus, plus = eval_f_batch(net, np.array([[-q], [q]]))[:, 0]
+            assert minus == -plus
 
     def test_pump_hand_value(self):
-        assert headgain_pump(10.0, 1.0, 2.0, 1.0, 3.0) == pytest.approx(-1.0)
+        assert f_row(make_single_pump(10.0, 1.0, 2.0, 1.0), [3.0])[0] == pytest.approx(-1.0)
 
     def test_pump_zero_headgain_root(self):
         q = (16.0 / 1.0) ** (1 / 2.0)
-        assert headgain_pump(16.0, 1.0, 2.0, 1.0, q) == pytest.approx(0.0, abs=1e-12)
+        assert f_row(make_single_pump(16.0, 1.0, 2.0, 1.0), [q])[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_pump_oracle_value(self):
         assert mp_pump(393.7008, 3.746e-6, 2.59, 1.0, 500.0) == pytest.approx(
             PUMP_AT_500, rel=1e-15)
-        assert headgain_pump(393.7008, 3.746e-6, 2.59, 1.0, 500.0) == pytest.approx(
-            PUMP_AT_500, rel=1e-13)
+        assert f_row(make_single_pump(393.7008, 3.746e-6, 2.59, 1.0), [500.0])[0] == \
+            pytest.approx(PUMP_AT_500, rel=1e-13)
 
     def test_pump_rejects_nonpositive_flow(self):
-        with pytest.raises(NonPositiveFlow):
-            headgain_pump(10.0, 1.0, 2.0, 1.0, 0.0)
-        with pytest.raises(NonPositiveFlow):
-            headgain_pump(10.0, 1.0, 2.0, 1.0, -5.0)
+        net = build_network(make_single_pump(10.0, 1.0, 2.0, 1.0))
+        for q in (0.0, -5.0):
+            with pytest.raises(NonPositiveFlow):
+                eval_f(net, FlowVector(v=np.zeros(0), u=np.array([q])))
 
     def test_valve_identity_openness(self):
+        desc = pipe_and_valve(2.0, 1.0, 1.852)
         for q in (-7.0, 0.0, 2.5):
-            assert headloss_valve(1.0, 2.0, 1.852, q) == headloss_pipe(2.0, 1.852, q)
+            pipe, valve = f_row(desc, [q, q])
+            assert valve == pipe
 
     def test_valve_hand_value(self):
-        assert headloss_valve(0.5, 1.0, 2.0, 4.0) == pytest.approx(8.0)
+        assert f_row(pipe_and_valve(1.0, 0.5, 2.0), [0.0, 4.0])[1] == pytest.approx(8.0)
 
     def test_valve_oracle_value(self):
         assert 0.37 * mp_pipe(2.0, 1.852, -4.0) == pytest.approx(VALVE_AT_MINUS4, rel=1e-15)
-        assert headloss_valve(0.37, 2.0, 1.852, -4.0) == pytest.approx(
+        assert f_row(pipe_and_valve(2.0, 0.37, 1.852), [0.0, -4.0])[1] == pytest.approx(
             VALVE_AT_MINUS4, rel=1e-13)
 
 
@@ -140,17 +173,7 @@ class TestEvalF:
         q = sample_interior(box, 50, rng)
         batch = eval_f_batch(net, q)
         for row in range(q.shape[0]):
-            expected = []
-            for i, p in enumerate(desc.pipes):
-                expected.append(headloss_pipe(p.resistance, p.exponent, q[row, i]))
-            base = len(desc.pipes)
-            for i, m in enumerate(desc.pumps):
-                expected.append(headgain_pump(m.shutoff_head, m.curve_coeff,
-                                              m.curve_exponent, m.speed, q[row, base + i]))
-            base += len(desc.pumps)
-            for i, v in enumerate(desc.valves):
-                expected.append(headloss_valve(v.openness, v.resistance,
-                                               desc.headloss_exponent, q[row, base + i]))
+            expected = reference_f(desc, q[row])
             assert batch[row] == pytest.approx(expected, rel=1e-12)
 
     def test_pump_positivity_enforced(self, valve_net):

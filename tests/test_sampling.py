@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 from wdn_lipschitz import (
     SampleSequence,
     build_network,
-    halton,
     k_lower,
     k_lower_trace,
     k_network,
     k_upper_max,
     k_upper_sqrt,
-    random_points,
-    sobol,
 )
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.errors import DimensionTooLarge
@@ -52,19 +49,19 @@ def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
 
 class TestHalton:
     def test_first_three_points_in_2d(self):
-        pts = halton(2, 3)
+        pts = SampleSequence("halton", 2).points(3)
         expected = np.array([[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9]])
         assert pts == pytest.approx(expected, rel=1e-15)
 
     def test_dyadic_indices_in_1d(self):
         # 0-based index 2**m - 1 is the radical inverse of 2**m: exactly 2**-(m+1)
-        pts = halton(1, 64).ravel()
+        pts = SampleSequence("halton", 1).points(64).ravel()
         for m in range(1, 6):
             assert pts[2**m - 1] == 2.0 ** -(m + 1)
 
     def test_lower_grid_discrepancy_than_random(self):
-        h = star_discrepancy_on_grid(halton(2, 1024))
-        r = star_discrepancy_on_grid(random_points(2, 1024, seed=12345))
+        h = star_discrepancy_on_grid(SampleSequence("halton", 2).points(1024))
+        r = star_discrepancy_on_grid(SampleSequence("random", 2, 12345).points(1024))
         assert h < r
 
 
@@ -121,31 +118,31 @@ def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
 
 class TestSobol:
     def test_first_three_points_in_1d(self):
-        assert sobol(1, 3).ravel().tolist() == [0.5, 0.75, 0.25]
+        assert SampleSequence("sobol", 1).points(3).ravel().tolist() == [0.5, 0.75, 0.25]
 
     def test_first_point_is_centre_in_any_dimension(self):
         for d in (1, 2, 7, 40):
-            assert np.all(sobol(d, 1)[0] == 0.5)
+            assert np.all(SampleSequence("sobol", d).points(1)[0] == 0.5)
 
     def test_aligned_prefixes_are_dyadic_permutations(self):
         # the 2**k - 1 points after the skipped origin fill {1..2**k-1}/2**k
         for d in (1, 3, 5):
             for k in (3, 5, 7):
-                pts = sobol(d, 2**k - 1) * 2**k
+                pts = SampleSequence("sobol", d).points(2**k - 1) * 2**k
                 for col in range(d):
                     ints = np.sort(pts[:, col])
                     assert np.array_equal(ints, np.arange(1, 2**k)), (d, k)
 
     def test_matches_published_direction_numbers(self):
         # dimension 3 uses s=2, a=1, m=(1,3): second point must be (0.75, 0.25, 0.25)
-        pts = sobol(3, 2)
+        pts = SampleSequence("sobol", 3).points(2)
         assert pts[1].tolist() == [0.75, 0.25, 0.25]
 
     def test_dimension_limit(self):
         limit = sobol_max_dimension()
         assert limit >= 1000
         with pytest.raises(DimensionTooLarge):
-            sobol(limit + 1, 4)
+            SampleSequence("sobol", limit + 1).points(4)
 
     def test_point_count_limit(self):
         with pytest.raises(ValueError):
@@ -169,16 +166,16 @@ class TestSobol:
 
 class TestRandom:
     def test_seed_determinism(self):
-        assert np.array_equal(random_points(4, 100, seed=9),
-                              random_points(4, 100, seed=9))
+        assert np.array_equal(SampleSequence("random", 4, 9).points(100),
+                              SampleSequence("random", 4, 9).points(100))
 
     def test_seeds_differ(self):
-        a = random_points(4, 1, seed=1)
-        b = random_points(4, 1, seed=2)
+        a = SampleSequence("random", 4, 1).points(1)
+        b = SampleSequence("random", 4, 2).points(1)
         assert not np.array_equal(a, b)
 
     def test_coordinate_mean_near_half(self):
-        pts = random_points(3, 100_000, seed=0)
+        pts = SampleSequence("random", 3, 0).points(100_000)
         assert np.abs(pts.mean(axis=0) - 0.5).max() < 0.01
 
 
@@ -291,6 +288,14 @@ class TestKLower:
         _, net, box = three_node
         with pytest.raises(ValueError):
             k_lower(net, box, "sobol", 0)
+
+    @pytest.mark.parametrize("estimate", [k_lower, k_lower_trace],
+                             ids=["k_lower", "k_lower_trace"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_checked_by_both_entry_points(self, three_node, estimate, n):
+        _, net, box = three_node
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimate(net, box, "sobol", n)
 
 
 # k_lower_trace at checkpoints 10, 100, 1000 and 10000 (seed 0), as float.hex,
