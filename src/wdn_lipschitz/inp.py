@@ -26,9 +26,10 @@ root solve on three points) and then fit (r, nu) by least squares on
 Valves are general purpose valves written as ``id node1 node2 diameter GPV
 resistance [openness]``; openness defaults to 1.
 
-INP text is the package's only network input format.  parse_inp rejects a
-duplicate id or a link to an undeclared node as it reads each row, then
-checks every parameter range.
+INP text is the package's only network input format.  Once every row is
+read, parse_inp rejects a duplicate id, a link to an undeclared node and a
+parameter out of range; build_network runs the same checks on a
+description built directly.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class ValveDesc:
 class NetworkDescription:
     """Index-free description of a water distribution network.
 
-    parse_inp returns one validated; one built directly is not checked.
+    parse_inp returns one validated; build_network validates one built
+    directly.
     """
 
     flow_units: str
@@ -330,18 +332,9 @@ def parse_inp(text: str) -> NetworkDescription:
             headloss_model = model
     mu = HEADLOSS_EXPONENT[headloss_model]
 
-    node_ids: set[str] = set()
-    link_ids: set[str] = set()
-
-    def declare(object_id: str, pool: set[str], section: str) -> None:
-        if object_id in pool:
-            raise DuplicateId(object_id, section)
-        pool.add(object_id)
-
     junctions = []
     for line_no, tokens in parser.rows("JUNCTIONS"):
         _arity("JUNCTIONS", line_no, tokens, 2, 3)
-        declare(tokens[0], node_ids, "[JUNCTIONS]")
         elevation = _num("JUNCTIONS", line_no, tokens, 1, "elevation")
         demand = _num("JUNCTIONS", line_no, tokens, 2, "demand") if len(tokens) > 2 else 0.0
         junctions.append(JunctionDesc(tokens[0], elevation, demand))
@@ -349,13 +342,11 @@ def parse_inp(text: str) -> NetworkDescription:
     reservoirs = []
     for line_no, tokens in parser.rows("RESERVOIRS"):
         _arity("RESERVOIRS", line_no, tokens, 2, 2)
-        declare(tokens[0], node_ids, "[RESERVOIRS]")
         reservoirs.append(ReservoirDesc(tokens[0], _num("RESERVOIRS", line_no, tokens, 1, "head")))
 
     tanks = []
     for line_no, tokens in parser.rows("TANKS"):
         _arity("TANKS", line_no, tokens, 6, 7)
-        declare(tokens[0], node_ids, "[TANKS]")
         elevation = _num("TANKS", line_no, tokens, 1, "elevation")
         init_level = _num("TANKS", line_no, tokens, 2, "initial level")
         _num("TANKS", line_no, tokens, 3, "minimum level")
@@ -366,17 +357,10 @@ def parse_inp(text: str) -> NetworkDescription:
         area = math.pi * diameter * diameter / 4.0
         tanks.append(TankDesc(tokens[0], elevation, init_level, area))
 
-    def check_endpoints(link_id: str, a: str, b: str) -> None:
-        for node in (a, b):
-            if node not in node_ids:
-                raise UnknownNodeRef(node, link_id)
-
     resistance_fn = _RESISTANCE[headloss_model]
     pipes = []
     for line_no, tokens in parser.rows("PIPES"):
         _arity("PIPES", line_no, tokens, 6, 8)
-        declare(tokens[0], link_ids, "[PIPES]")
-        check_endpoints(tokens[0], tokens[1], tokens[2])
         length = _num("PIPES", line_no, tokens, 3, "length")
         diameter = _num("PIPES", line_no, tokens, 4, "diameter")
         roughness = _num("PIPES", line_no, tokens, 5, "roughness")
@@ -406,8 +390,6 @@ def parse_inp(text: str) -> NetworkDescription:
     pumps = []
     for line_no, tokens in parser.rows("PUMPS"):
         _arity("PUMPS", line_no, tokens, 5, 7)
-        declare(tokens[0], link_ids, "[PUMPS]")
-        check_endpoints(tokens[0], tokens[1], tokens[2])
         curve_id: str | None = None
         speed = 1.0
         rest = tokens[3:]
@@ -444,8 +426,6 @@ def parse_inp(text: str) -> NetworkDescription:
     valves = []
     for line_no, tokens in parser.rows("VALVES"):
         _arity("VALVES", line_no, tokens, 6, 7)
-        declare(tokens[0], link_ids, "[VALVES]")
-        check_endpoints(tokens[0], tokens[1], tokens[2])
         _num("VALVES", line_no, tokens, 3, "diameter")
         if tokens[4].upper() != "GPV":
             raise MalformedSection(
@@ -477,20 +457,39 @@ def parse_inp(text: str) -> NetworkDescription:
 
 
 def _validate(desc: NetworkDescription) -> None:
-    # range checks only: parse_inp has already rejected duplicate ids and
-    # unknown node references while it declared each id
+    """Reject a duplicate id, a link to an undeclared node, and a parameter
+    out of range.  The closed form and the point route's hull rest on
+    positive coefficients and exponents in [1, 3]; each check is written so
+    that a NaN fails it."""
+    nodes: set[str] = set()
+    for section, items in (("[JUNCTIONS]", desc.junctions),
+                           ("[RESERVOIRS]", desc.reservoirs), ("[TANKS]", desc.tanks)):
+        for node in items:
+            if node.id in nodes:
+                raise DuplicateId(node.id, section)
+            nodes.add(node.id)
+    links: set[str] = set()
+    for section, items in (("[PIPES]", desc.pipes), ("[PUMPS]", desc.pumps),
+                           ("[VALVES]", desc.valves)):
+        for link in items:
+            if link.id in links:
+                raise DuplicateId(link.id, section)
+            links.add(link.id)
+            for end in (link.from_node, link.to_node):
+                if end not in nodes:
+                    raise UnknownNodeRef(end, link.id)
     mu = desc.headloss_exponent
     if not 1.0 <= mu <= 3.0:
         raise ParameterOutOfRange(f"head-loss exponent {mu} outside [1, 3]")
     for p in desc.pipes:
-        if p.resistance <= 0:
+        if not p.resistance > 0:
             raise ParameterOutOfRange(f"pipe {p.id!r}: resistance must be > 0")
         if p.exponent != mu:
             raise ParameterOutOfRange(f"pipe {p.id!r}: exponent differs from network value")
     for m in desc.pumps:
-        if m.shutoff_head <= 0:
+        if not m.shutoff_head > 0:
             raise ParameterOutOfRange(f"pump {m.id!r}: shutoff head must be > 0")
-        if m.curve_coeff <= 0:
+        if not m.curve_coeff > 0:
             raise ParameterOutOfRange(f"pump {m.id!r}: curve coefficient must be > 0")
         if not 1.0 <= m.curve_exponent <= 3.0:
             raise ParameterOutOfRange(
@@ -499,10 +498,10 @@ def _validate(desc: NetworkDescription) -> None:
         if not 0.0 < m.speed <= 1.0:
             raise ParameterOutOfRange(f"pump {m.id!r}: speed {m.speed} outside (0, 1]")
     for v in desc.valves:
-        if v.resistance <= 0:
+        if not v.resistance > 0:
             raise ParameterOutOfRange(f"valve {v.id!r}: resistance must be > 0")
         if not 0.0 < v.openness <= 1.0:
             raise ParameterOutOfRange(f"valve {v.id!r}: openness {v.openness} outside (0, 1]")
     for t in desc.tanks:
-        if t.cross_section_area <= 0:
+        if not t.cross_section_area > 0:
             raise ParameterOutOfRange(f"tank {t.id!r}: cross-section area must be > 0")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveFlow
-from .inp import NetworkDescription
+from .inp import NetworkDescription, _validate
 
 PIPE = "pipe"
 PUMP = "pump"
@@ -123,7 +123,11 @@ class Network:
 
 
 def build_network(desc: NetworkDescription) -> Network:
-    """Resolve a description into an indexed Network (declaration order)."""
+    """Resolve a description into an indexed Network (declaration order).
+
+    A description built directly, not by parse_inp, gets parse_inp's checks.
+    """
+    _validate(desc)
     return Network(desc)
 
 

@@ -26,10 +26,22 @@ The table file is integrity-checked against a pinned SHA-256 before use.
 
 Estimates are running maxima over sample prefixes, so they are nondecreasing
 in the sample count and identical for any block size or parallel schedule.
-A trace scales each block into the flow box in place (``p*w + lo``, then a
-clip, with ``w = hi - lo`` computed once) and writes its Jacobian into one
-buffer reused for every block, so it holds one sample block (at most 8192
-points and 64 MiB) and one Jacobian buffer of the same size.
+A sample p maps into the flow box as ``p*w + lo``, then a clip, with
+``w = hi - lo`` computed once.
+
+A ``max`` trace evaluates no Jacobian on the blocks.  It keeps the
+per-coordinate minimum and maximum of the unit samples, and at each
+checkpoint maps those two hull rows into the box and takes their largest
+Jacobian entry.  Each step of the map is nondecreasing in p, so a
+coordinate's smallest and largest flow are the images of its hull entries,
+and every Jacobian entry is nondecreasing in ``|q_i|``.  So the hull gives
+the maximum over all sampled points bit for bit wherever numpy's ``pow`` is
+monotone, and never more than that, since each hull entry is a sampled
+flow.  It holds one sample block (at most 8192 points and 64 MiB).
+
+A ``sqrt`` trace needs each point's sum of squares.  It scales each block
+in place and writes its Jacobian into one buffer reused for every block, so
+it holds one sample block and one Jacobian buffer of the same size.
 """
 
 from __future__ import annotations
@@ -324,34 +336,11 @@ def k_lower_trace(
         raise ValueError("sampler dimension does not match the network")
 
     pending = sorted(c for c in checkpoints if 1 <= c <= n)
-    next_mark = 0
-    trace: list[tuple[int, float]] = []
-    best_raw = 0.0
-    seen = 0
-    width = box.hi - box.lo
-    jacobian = None
-    for q in sampler.blocks(n, block):
-        # lo + p*(hi-lo) in place, clipped against rounding drift past an endpoint
-        np.multiply(q, width, out=q)
-        np.add(q, box.lo, out=q)
-        np.clip(q, box.lo, box.hi, out=q)
-        if jacobian is None:
-            jacobian = np.empty_like(q)
-        g = _jacobian_diag_into(net, q, jacobian[:len(q)])
-        if mode == MODE_MAX:
-            per_point = g.max(axis=1)
-        else:
-            per_point = np.einsum("ij,ij->i", g, g)
-        running = np.maximum.accumulate(per_point)
-        while next_mark < len(pending) and pending[next_mark] <= seen + len(per_point):
-            at = pending[next_mark]
-            next_mark += 1
-            value = max(best_raw, float(running[at - seen - 1]))
-            trace.append((at, math.sqrt(value) if mode == MODE_SQRT else value))
-        best_raw = max(best_raw, float(running[-1]))
-        seen += len(per_point)
-        del q  # so the next block is generated with this one freed
-    value = math.sqrt(best_raw) if mode == MODE_SQRT else best_raw
+    blocks = sampler.blocks(n, block)
+    if mode == MODE_MAX:
+        value, trace = _max_trace(net, box, blocks, pending)
+    else:
+        value, trace = _sqrt_trace(net, box, blocks, pending)
     estimate = LipschitzEstimate(
         value=value,
         method=METHOD_POINT_LOWER,
@@ -359,3 +348,71 @@ def k_lower_trace(
         effort=n,
     )
     return estimate, trace
+
+
+def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarray:
+    # lo + p*(hi-lo) in place, clipped against rounding drift past an endpoint
+    np.multiply(q, width, out=q)
+    np.add(q, box.lo, out=q)
+    np.clip(q, box.lo, box.hi, out=q)
+    return q
+
+
+def _max_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
+               pending: list[int]) -> tuple[float, list[tuple[int, float]]]:
+    """Largest sampled Jacobian entry, overall and at each pending prefix,
+    from the per-column hull of the unit samples (see the module docstring)."""
+    width = box.hi - box.lo
+    p_min = np.full(len(width), np.inf)
+    p_max = np.full(len(width), -np.inf)
+
+    def hull_max() -> float:
+        q = _scale_into_box(np.stack([p_min, p_max]), box, width)
+        return float(_jacobian_diag_into(net, q, np.empty_like(q)).max())
+
+    trace: list[tuple[int, float]] = []
+    next_mark = 0
+    seen = 0
+    for p in blocks:
+        start = 0
+        while start < len(p):
+            stop = len(p)
+            if next_mark < len(pending):
+                stop = min(stop, pending[next_mark] - seen)
+            seg = p[start:stop]
+            np.minimum(p_min, seg.min(axis=0), out=p_min)
+            np.maximum(p_max, seg.max(axis=0), out=p_max)
+            del seg  # a live view would keep this block alive into the next
+            start = stop
+            while next_mark < len(pending) and pending[next_mark] == seen + start:
+                trace.append((pending[next_mark], hull_max()))
+                next_mark += 1
+        seen += len(p)
+        del p  # so the next block is generated with this one freed
+    return hull_max(), trace
+
+
+def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
+                pending: list[int]) -> tuple[float, list[tuple[int, float]]]:
+    """Largest Frobenius norm of a sampled Jacobian, overall and at each
+    pending prefix; it needs every point, so each block is evaluated."""
+    trace: list[tuple[int, float]] = []
+    next_mark = 0
+    best = 0.0
+    seen = 0
+    width = box.hi - box.lo
+    jacobian = None
+    for q in blocks:
+        _scale_into_box(q, box, width)
+        if jacobian is None:
+            jacobian = np.empty_like(q)
+        g = _jacobian_diag_into(net, q, jacobian[:len(q)])
+        running = np.maximum.accumulate(np.einsum("ij,ij->i", g, g))
+        while next_mark < len(pending) and pending[next_mark] <= seen + len(running):
+            at = pending[next_mark]
+            next_mark += 1
+            trace.append((at, math.sqrt(max(best, float(running[at - seen - 1])))))
+        best = max(best, float(running[-1]))
+        seen += len(running)
+        del q  # so the next block is generated with this one freed
+    return math.sqrt(best), trace

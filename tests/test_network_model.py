@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,12 @@ from wdn_lipschitz import (
     junction_residual,
     tank_step,
 )
-from wdn_lipschitz.errors import NonPositiveFlow
+from wdn_lipschitz.errors import (
+    DuplicateId,
+    NonPositiveFlow,
+    ParameterOutOfRange,
+    UnknownNodeRef,
+)
 from wdn_lipschitz.inp import (
     JunctionDesc,
     NetworkDescription,
@@ -151,6 +157,32 @@ def test_three_node_network_counts(three_node):
     assert net.component_counts() == (1, 1, 1, 1, 1, 0)
     assert net.n_links == 2
     assert net.link_ids == ("P1", "PU1")
+
+
+class TestBuildNetworkValidation:
+    """A description built directly gets parse_inp's checks."""
+
+    def test_undeclared_endpoint_is_typed(self):
+        pipe = PipeDesc("P1", "J1", "NOWHERE", 1.0, 2.0)
+        desc = dataclasses.replace(make_single_pipe(), pipes=[pipe])
+        with pytest.raises(UnknownNodeRef) as err:
+            build_network(desc)
+        assert (err.value.node_id, err.value.link_id) == ("NOWHERE", "P1")
+
+    def test_duplicate_link_id_rejected(self):
+        # two links under one id would share one bounds row
+        pipe = PipeDesc("P1", "J1", "J2", 1.0, 2.0)
+        with pytest.raises(DuplicateId):
+            build_network(dataclasses.replace(make_single_pipe(), pipes=[pipe, pipe]))
+
+    @pytest.mark.parametrize("resistance", [-1.0, float("nan")])
+    def test_nonpositive_resistance_rejected(self, resistance):
+        with pytest.raises(ParameterOutOfRange):
+            build_network(make_single_pipe(resistance=resistance))
+
+    def test_exponent_outside_one_to_three_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            build_network(make_single_pipe(mu=5.0))
 
 
 class TestEvalF:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import tracemalloc
 from importlib import resources
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from wdn_lipschitz import (
     SampleSequence,
     build_network,
+    jacobian_diag_batch,
     k_lower,
     k_lower_trace,
     k_network,
@@ -24,10 +26,11 @@ from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDe
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
+    SAMPLER_KINDS,
     sobol_max_dimension,
 )
 
-from conftest import FIXTURE_NAMES, make_single_pipe
+from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe
 
 
 def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
@@ -354,9 +357,12 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
-    # numpy reports its buffers to tracemalloc; a trace holds one sample
-    # block and one Jacobian buffer (2.0 to 2.2 blocks; 6.0 before the
-    # in-place pass), so one more block-sized temporary fails this
+    # numpy reports its buffers to tracemalloc.  A max trace holds one
+    # sample block and the two hull rows (1.03 to 1.21 blocks; 2.0 to 2.2
+    # while a segment view kept the previous block alive).  A sqrt trace
+    # holds one sample block and one Jacobian buffer (2.0 to 2.2 blocks;
+    # 6.0 before the in-place pass).  One more block-sized buffer fails
+    # either bound.
     _, net, box = fixtures["obcl"]
     block_bytes = 8192 * net.n_links * 8
     tracemalloc.start()
@@ -365,7 +371,44 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * block_bytes
+    assert peak <= (1.5 if mode == "max" else 2.5) * block_bytes
+
+
+def _brute_force_max_trace(net, box, kind, seed, n, marks):
+    # every sampled point mapped into the box, its whole Jacobian row, then
+    # a row max and a prefix max: the definition the hull must reproduce
+    q = SampleSequence(kind, net.n_links, seed).points(n)
+    q = np.clip(box.lo + q * (box.hi - box.lo), box.lo, box.hi)
+    running = np.maximum.accumulate(jacobian_diag_batch(net, q).max(axis=1))
+    return [float(running[m - 1]) for m in marks]
+
+
+# Networks from make_random_network have pipe and valve boxes that cross
+# zero and pump boxes near zero flow; "some" and "all" collapse links to
+# their upper bound, where every sample is the same flow.
+@settings(max_examples=80, deadline=None)
+@given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
+       seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
+       extra=st.integers(0, 299), collapse=st.sampled_from(("none", "some", "all")),
+       data=st.data())
+def test_max_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra,
+                                       collapse, data):
+    net, box = make_random_network(np.random.default_rng(net_seed))
+    if collapse != "none":
+        step = 2 if collapse == "some" else 1
+        lo = box.lo.copy()
+        lo[::step] = box.hi[::step]
+        box = dataclasses.replace(box, lo=lo)
+    n = block * whole + extra
+    edges = {block * k for k in range(1, whole + 1)}
+    others = data.draw(st.lists(st.integers(1, n), max_size=4))
+    marks = sorted(edges | set(others) | {1, n})
+    est, trace = k_lower_trace(net, box, kind, n, mode="max", seed=seed, block=block,
+                               checkpoints=tuple(marks))
+    expected = _brute_force_max_trace(net, box, kind, seed, n, marks)
+    assert [at for at, _ in trace] == marks
+    assert [v.hex() for _, v in trace] == [v.hex() for v in expected]
+    assert est.value.hex() == expected[-1].hex()
 
 
 # On a degenerate box every sample is the corner itself, so the point route
