@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from wdn_lipschitz.inp import (
     ValveDesc,
 )
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "fixtures"
 FIXTURE_NAMES = ("three_node", "eight_node", "anytown", "net2", "net3", "obcl")
 
 EXPECTED_COUNTS = {
@@ -172,6 +174,55 @@ def make_random_network(rng: np.random.Generator):
         hi = float(rng.uniform(0.5, 0.95) * q_cap)
         table[m.id] = (min(lo, hi * 0.5), hi)
     return net, box_from_intervals(net, table)
+
+
+def make_tank_network(rng: np.random.Generator):
+    """Random valid network with reservoirs and tanks in which every pump and
+    every valve has a tank at one end, for checking tank rows against
+    tank_step.  make_random_network has no tanks, and its draw sequence is
+    left alone because seeded tests depend on it."""
+    mu = float(rng.choice([1.0, 1.852, 2.0, 2.7]))
+    junctions = [JunctionDesc(f"J{i}", float(rng.uniform(0, 50)), float(rng.uniform(0, 20)))
+                 for i in range(int(rng.integers(1, 5)))]
+    reservoirs = [ReservoirDesc(f"R{i}", float(rng.uniform(100, 200)))
+                  for i in range(int(rng.integers(0, 3)))]
+    tanks = [TankDesc(f"T{i}", float(rng.uniform(50, 90)), float(rng.uniform(1, 20)),
+                      float(rng.lognormal(5, 1)))
+             for i in range(int(rng.integers(1, 4)))]
+    nodes = [n.id for n in junctions + reservoirs + tanks]
+
+    def ends(first: list[str]):
+        a = first[int(rng.integers(len(first)))]
+        b = str(rng.choice([n for n in nodes if n != a]))
+        return (a, b) if rng.random() < 0.5 else (b, a)
+
+    tank_ids = [t.id for t in tanks]
+    pipes = [PipeDesc(f"P{i}", *ends(nodes), float(rng.lognormal(-8, 2)), mu)
+             for i in range(int(rng.integers(1, 6)))]
+    pumps = [PumpDesc(f"PU{i}", *ends(tank_ids),
+                      shutoff_head=float(rng.uniform(50, 500)),
+                      curve_coeff=float(rng.lognormal(-9, 2)),
+                      curve_exponent=float(rng.uniform(1.0, 3.0)),
+                      speed=float(rng.uniform(0.2, 1.0)))
+             for i in range(int(rng.integers(1, 4)))]
+    valves = [ValveDesc(f"V{i}", *ends(tank_ids), float(rng.lognormal(-8, 2)),
+                        float(rng.uniform(0.05, 1.0)))
+              for i in range(int(rng.integers(1, 4)))]
+    return build_network(NetworkDescription(
+        flow_units="GPM", headloss_exponent=mu, junctions=junctions,
+        reservoirs=reservoirs, tanks=tanks, pipes=pipes, pumps=pumps, valves=valves,
+    ))
+
+
+def synthetic_network(counts: tuple[int, ...], seed: int):
+    """A network from scripts/gen_fixtures.py's generator (perfbench's scale
+    network is counts (4000, 2, 3, 5000, 2, 0) at seed 5000)."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", ROOT / "scripts" / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inp_text, _ = gen.synthetic("synthetic", counts, seed)
+    return build_network(parse_inp(inp_text))
 
 
 def sample_interior(box, n: int, rng: np.random.Generator,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -26,7 +27,57 @@ from wdn_lipschitz.inp import (
     ValveDesc,
 )
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, make_tank_network, synthetic_network
+
+# SHA-256 of each network's DAE export: for (discrete, dt=60) and then
+# continuous, over sorted(export_dae(...)), each file's name and then its
+# bytes.  Any change to a row, a column, a value or the layout shows here.
+FROZEN_EXPORTS = {
+    "three_node": "4711d85515c78e3793fa378e3d6dcb3b706502c40b57bd8ff7716adbb9e9289c",
+    "eight_node": "f1edb2eafd782fba53decfd3890af3400ba8cc2d99dcbccda005ddf56ffde5a8",
+    "anytown": "1b438c1e64dfd06d22892ac1e57948ad6d770e19d3308ea300289664190fec43",
+    "net2": "9ec33b58078833b50694096f5370c081cd5b64d8d88f8fe240e404ed99757d7b",
+    "net3": "ea9ec77f82a3e35c2965fabb736ab2c0530cdb58fe185eecc74635b8150aafab",
+    "obcl": "0e3f142234a60d7f78f3fb46384b1601583c377d6f81efc5a53c10fe51790d33",
+}
+# perfbench's scale network (5,002 links)
+FROZEN_SCALE_EXPORT = "20b4abc4c37010edb9dd2253063040b529b93fa5395814a1b1ea60a3697da6d7"
+# the fixtures have no valve and no pump at a tank; these networks do
+FROZEN_VALVE_NET_EXPORT = "a532537cfe7ea55270a8f8a1adb0e8e2a05a3f41dacd3a1a6e8155b83b5cf84a"
+FROZEN_TANK_NETWORK_EXPORTS = {   # make_tank_network(np.random.default_rng(seed))
+    0: "db25c3cf2823d3f6370125bf68301167fe93f114110e448964a46d2f25020118",
+    1: "1fb88d087788815e21f12faa06960b4036d61410de9994eda5db023b8b735ab5",
+    2: "0052320fb53210a82568ad1ece13a087e962ab27257d94659fb438688c05906d",
+    3: "ba758d25599bb5c0723f2ebdc01a42c89d8926a4e4a5e991732907d8371a1690",
+}
+
+
+def export_digest(net, directory) -> str:
+    h = hashlib.sha256()
+    for mode, dt in (("discrete", 60.0), ("continuous", None)):
+        for path in sorted(export_dae(build_dae(net, mode, dt), directory / mode)):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_export_matches_frozen_digest(tmp_path, fixtures, name):
+    _, net, _ = fixtures[name]
+    assert export_digest(net, tmp_path) == FROZEN_EXPORTS[name]
+
+
+def test_scale_export_matches_frozen_digest(tmp_path):
+    net = synthetic_network((4000, 2, 3, 5000, 2, 0), 5000)
+    assert net.n_links == 5002
+    assert export_digest(net, tmp_path) == FROZEN_SCALE_EXPORT
+
+
+def test_tank_link_exports_match_frozen_digests(tmp_path, valve_net):
+    assert export_digest(valve_net[1], tmp_path / "valve") == FROZEN_VALVE_NET_EXPORT
+    for seed, expected in FROZEN_TANK_NETWORK_EXPORTS.items():
+        net = make_tank_network(np.random.default_rng(seed))
+        assert export_digest(net, tmp_path / str(seed)) == expected, seed
 
 
 def test_three_node_discrete_blocks(three_node):
