@@ -54,7 +54,6 @@ from .errors import (
 from .estimates import LipschitzEstimate
 from .inp import NetworkDescription, fit_pump_curve, parse_inp
 from .network import (
-    FlowVector,
     Network,
     build_network,
     eval_f,
@@ -80,7 +79,6 @@ __all__ = [
     "DuplicateId",
     "DuplicateLink",
     "FlowBox",
-    "FlowVector",
     "InpError",
     "InvertedInterval",
     "LipschitzEstimate",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import FlowBox
+from .errors import BoundsError
 from .estimates import (METHOD_ANALYTICAL, METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT,
                         LipschitzEstimate)
 from .network import Network
@@ -50,8 +51,20 @@ def link_derivative(net: Network, pos: int, magnitude: float) -> float:
 
 
 def corner_derivatives(net: Network, box: FlowBox) -> list[float]:
-    """Each link's |J_ii| at the box corner: its supremum over the box."""
-    return [link_derivative(net, pos, m) for pos, m in enumerate(box.corner_magnitudes())]
+    """Each link's |J_ii| at the box corner: its supremum over the box.
+
+    A value past the float range raises BoundsError: the box is too wide.
+    """
+    values = []
+    for link, m in zip(net.links, box.corner_magnitudes()):
+        try:
+            value = link_derivative(net, link.flow_pos, m)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise BoundsError(f"link {link.link_id!r}: |df/dq| at flow {m!r} overflows a float")
+        values.append(value)
+    return values
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
@@ -133,14 +146,17 @@ def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
     if mode == MODE_MAX:
         lower, upper = max(lowers), max(uppers)
     elif mode == MODE_SQRT:
-        squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
-        squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
-        lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
-        upper = sqrt_up(ulp_up(squares_hi))
+        try:
+            squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
+            squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
+            lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
+            upper = sqrt_up(ulp_up(squares_hi))
+        except OverflowError:   # fsum's partial sums, or Fraction(inf) in sqrt_up
+            upper = math.inf
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(upper):
-        raise ValueError("interval enclosure overflows")
+        raise BoundsError(f"{mode}-mode interval enclosure overflows a float: the box is too wide")
     return Bracket(upper=upper, lower=lower, gap=upper - lower)
 
 

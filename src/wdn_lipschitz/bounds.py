@@ -161,7 +161,7 @@ def default_box(net: Network, floor: float = PUMP_FLOW_FLOOR) -> FlowBox:
     table: dict[str, tuple[float, float]] = {}
     for link in net.links:
         if link.kind == PUMP:
-            table[link.link_id] = (floor, per_pump[link.index])
+            table[link.link_id] = (floor, per_pump[link.flow_pos - net.n_pipes])
         else:
             table[link.link_id] = (-cap, cap)
     return _box_from_mapping(net, table)

@@ -11,6 +11,12 @@ The square system  E z+ = A z + B_f f(z) + B_l l  is laid out as:
 
     l = (junction demands, reservoir heads).
 
+Both index sets are the network's stacked ones (network.py): head column
+c is the node at Network.node_pos c, and energy row i, flow column v + i
+and B_f column i belong to the link at flow_pos i.  So the pipe rows and
+the pump+valve rows are one block of n_links rows, and v and u are one
+block of n_links columns.
+
 Sign conventions per row block:
 
     pipe i->j:      0 = -h_i + h_j + f_pipe(q)
@@ -29,12 +35,13 @@ serialized systems are byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .network import Network
+from .network import PIPE, Network
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -73,6 +80,16 @@ class TripletMatrix:
         for r, c, val in zip(self.rows, self.cols, self.values):
             out[r, c] = val
         return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """This matrix times x, summed over the triplets (no dense copy)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_cols,):
+            raise ValueError(f"expected a vector of {self.n_cols}, got shape {x.shape}")
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        return np.bincount(rows, weights=np.asarray(self.values) * x[cols],
+                           minlength=self.n_rows)
 
     def write_matrix_market(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -132,55 +149,40 @@ class DaeSystem:
 def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> DaeSystem:
     """Assemble the block system for the given network.
 
-    Discrete mode requires dt > 0; continuous mode drops the tank carry-over
-    term and the dt factor, leaving dh/dt = (1/A)(net inflow).
+    Discrete mode requires a finite dt > 0; continuous mode drops the tank
+    carry-over term and the dt factor, leaving dh/dt = (1/A)(net inflow).
     """
     if mode not in (DISCRETE, CONTINUOUS):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == DISCRETE:
-        if dt is None or dt <= 0:
-            raise ValueError("discrete mode requires dt > 0")
+        if dt is None or not 0 < dt < math.inf:
+            raise ValueError("discrete mode requires a finite dt > 0")
     else:
         dt = None
 
     n_j, n_r, n_t = net.n_junctions, net.n_reservoirs, net.n_tanks
     n_p, n_mv = net.n_pipes, net.n_pumps + net.n_valves
-    dim = n_j + n_r + n_t + n_p + n_mv
+    n_heads = n_j + n_r + n_t
+    dim = n_heads + n_p + n_mv
 
-    z_off = {"x1": 0, "x2": n_j, "x3": n_j + n_r, "v": n_j + n_r + n_t,
-             "u": n_j + n_r + n_t + n_p}
+    z_off = {"x1": 0, "x2": n_j, "x3": n_j + n_r, "v": n_heads, "u": n_heads + n_p}
     row_off = {"pipes": 0, "pumps_valves": n_p, "tanks": n_p + n_mv,
                "junctions": n_p + n_mv + n_t, "reservoirs": n_p + n_mv + n_t + n_j}
-
-    def head_column(node_id: str) -> tuple[str, int]:
-        kind, idx = net.node_kind[node_id]
-        block = {"junction": "x1", "reservoir": "x2", "tank": "x3"}[kind]
-        return block, z_off[block] + idx
-
-    def flow_column(link) -> int:
-        if link.kind == "pipe":
-            return z_off["v"] + link.index
-        return z_off["u"] + (link.flow_pos - n_p)
+    v = z_off["v"]
 
     e_entries: list[tuple[int, int, float]] = []
     a_entries: list[tuple[int, int, float]] = []
     f_entries: list[tuple[int, int, float]] = []
     l_entries: list[tuple[int, int, float]] = []
 
-    # pipe and pump/valve energy rows: 0 = -h_from + h_to + f
+    # energy row flow_pos: 0 = -h_from + h_to + f; pump and valve rows skip
+    # tank heads
     for link in net.links:
-        if link.kind == "pipe":
-            row = row_off["pipes"] + link.index
-            skip_tanks = False
-        else:
-            row = row_off["pumps_valves"] + (link.flow_pos - n_p)
-            skip_tanks = True
         for node_id, sign in ((link.from_node, -1.0), (link.to_node, 1.0)):
-            block, col = head_column(node_id)
-            if skip_tanks and block == "x3":
-                continue
-            a_entries.append((row, col, sign))
-        f_entries.append((row, link.flow_pos, 1.0))
+            col = net.node_pos[node_id]
+            if link.kind == PIPE or col < z_off["x3"]:
+                a_entries.append((link.flow_pos, col, sign))
+        f_entries.append((link.flow_pos, link.flow_pos, 1.0))
 
     # tank rows
     for i, tank_id in enumerate(net.tank_ids):
@@ -193,17 +195,17 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
         else:
             factor = 1.0 / float(net.tank_area[i])
         for link in net.in_links[tank_id]:
-            a_entries.append((row, flow_column(link), factor))
+            a_entries.append((row, v + link.flow_pos, factor))
         for link in net.out_links[tank_id]:
-            a_entries.append((row, flow_column(link), -factor))
+            a_entries.append((row, v + link.flow_pos, -factor))
 
     # junction mass-balance rows: 0 = -(in - out) + d
     for i, junction_id in enumerate(net.junction_ids):
         row = row_off["junctions"] + i
         for link in net.in_links[junction_id]:
-            a_entries.append((row, flow_column(link), -1.0))
+            a_entries.append((row, v + link.flow_pos, -1.0))
         for link in net.out_links[junction_id]:
-            a_entries.append((row, flow_column(link), 1.0))
+            a_entries.append((row, v + link.flow_pos, 1.0))
         l_entries.append((row, i, 1.0))
 
     # reservoir rows: 0 = -x2 + h_R
@@ -231,8 +233,8 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
 def dae_residual(dae: DaeSystem, z: np.ndarray, z_next: np.ndarray,
                  f_values: np.ndarray, loads: np.ndarray) -> np.ndarray:
     """A z + B_f f + B_l l - E z+  (zero when z satisfies the component laws)."""
-    return (dae.a_z.to_dense() @ z + dae.b_f.to_dense() @ f_values
-            + dae.b_l.to_dense() @ loads - dae.e_z.to_dense() @ z_next)
+    return (dae.a_z.matvec(z) + dae.b_f.matvec(f_values)
+            + dae.b_l.matvec(loads) - dae.e_z.matvec(z_next))
 
 
 def export_dae(dae: DaeSystem, directory: str | Path) -> list[Path]:

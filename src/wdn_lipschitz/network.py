@@ -1,9 +1,16 @@
 """Indexed network model and the hydraulic nonlinearity.
 
-The stacked flow layout used everywhere in this package is: pipe flows in
-declaration order, then pump flows, then valve flows.  The nonlinearity f
-maps those flows to per-link head losses (head gains for pumps, with the
-sign convention that a working pump produces a negative value):
+Every view of the model uses one stacked flow index and one stacked head
+index.  Flows are stacked as pipes, then pumps, then valves, each class in
+declaration order; a link's position is its LinkRef.flow_pos, and the
+functions here take flows as one stacked array q of shape (n_links,).
+Heads are stacked as junctions, then reservoirs, then tanks; a node's
+position is Network.node_pos[node_id].  The DAE (dae.py) uses both
+positions as they are.
+
+The nonlinearity f maps the stacked flows to per-link head losses (head
+gains for pumps, with the sign convention that a working pump produces a
+negative value):
 
     pipe   f = R * q * |q|**(mu-1)
     pump   f = -s**2 * h_s + r * q**nu * s**(2-nu)        (q > 0 required)
@@ -30,7 +37,6 @@ VALVE = "valve"
 @dataclass(frozen=True)
 class LinkRef:
     kind: str
-    index: int          # index within its kind
     flow_pos: int       # position in the stacked flow vector
     link_id: str
     from_node: str
@@ -38,43 +44,36 @@ class LinkRef:
 
 
 class Network:
-    """Immutable, index-resolved view of a NetworkDescription."""
+    """Index-resolved, read-only view of a NetworkDescription."""
 
     def __init__(self, desc: NetworkDescription):
         self.desc = desc
         self.mu = desc.headloss_exponent
+        (self.n_junctions, self.n_reservoirs, self.n_tanks,
+         self.n_pipes, self.n_pumps, self.n_valves) = desc.component_counts()
 
         self.junction_ids = tuple(j.id for j in desc.junctions)
         self.reservoir_ids = tuple(r.id for r in desc.reservoirs)
         self.tank_ids = tuple(t.id for t in desc.tanks)
+        # position in the stacked head vector; tanks are the positions
+        # >= n_junctions + n_reservoirs
+        self.node_pos = {node_id: i for i, node_id in
+                         enumerate(self.junction_ids + self.reservoir_ids + self.tank_ids)}
 
-        self.node_kind: dict[str, tuple[str, int]] = {}
-        for i, j in enumerate(desc.junctions):
-            self.node_kind[j.id] = ("junction", i)
-        for i, r in enumerate(desc.reservoirs):
-            self.node_kind[r.id] = ("reservoir", i)
-        for i, t in enumerate(desc.tanks):
-            self.node_kind[t.id] = ("tank", i)
+        stacked = ([(PIPE, p) for p in desc.pipes] + [(PUMP, m) for m in desc.pumps]
+                   + [(VALVE, v) for v in desc.valves])
+        self.links = tuple(LinkRef(kind, pos, link.id, link.from_node, link.to_node)
+                           for pos, (kind, link) in enumerate(stacked))
+        self.link_ids = tuple(l.link_id for l in self.links)
+        self.n_links = len(self.links)
 
-        links: list[LinkRef] = []
-        pos = 0
-        for i, p in enumerate(desc.pipes):
-            links.append(LinkRef(PIPE, i, pos, p.id, p.from_node, p.to_node))
-            pos += 1
-        for i, m in enumerate(desc.pumps):
-            links.append(LinkRef(PUMP, i, pos, m.id, m.from_node, m.to_node))
-            pos += 1
-        for i, v in enumerate(desc.valves):
-            links.append(LinkRef(VALVE, i, pos, v.id, v.from_node, v.to_node))
-            pos += 1
-        self.links = tuple(links)
-        self.link_ids = tuple(l.link_id for l in links)
-
-        self.in_links: dict[str, tuple[LinkRef, ...]] = {n: () for n in self.node_kind}
-        self.out_links: dict[str, tuple[LinkRef, ...]] = {n: () for n in self.node_kind}
-        for link in links:
-            self.out_links[link.from_node] += (link,)
-            self.in_links[link.to_node] += (link,)
+        in_links: dict[str, list[LinkRef]] = {n: [] for n in self.node_pos}
+        out_links: dict[str, list[LinkRef]] = {n: [] for n in self.node_pos}
+        for link in self.links:
+            out_links[link.from_node].append(link)
+            in_links[link.to_node].append(link)
+        self.in_links = {n: tuple(ls) for n, ls in in_links.items()}
+        self.out_links = {n: tuple(ls) for n, ls in out_links.items()}
 
         self.pipe_resistance = np.array([p.resistance for p in desc.pipes], dtype=float)
         self.pump_shutoff = np.array([m.shutoff_head for m in desc.pumps], dtype=float)
@@ -85,41 +84,6 @@ class Network:
         self.valve_openness = np.array([v.openness for v in desc.valves], dtype=float)
         self.valve_resistance = np.array([v.resistance for v in desc.valves], dtype=float)
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
-        self.tank_elevation = np.array([t.elevation for t in desc.tanks], dtype=float)
-        self.reservoir_head = np.array([r.head for r in desc.reservoirs], dtype=float)
-        self.junction_demand = np.array([j.base_demand for j in desc.junctions], dtype=float)
-
-    @property
-    def n_junctions(self) -> int:
-        return len(self.junction_ids)
-
-    @property
-    def n_reservoirs(self) -> int:
-        return len(self.reservoir_ids)
-
-    @property
-    def n_tanks(self) -> int:
-        return len(self.tank_ids)
-
-    @property
-    def n_pipes(self) -> int:
-        return len(self.pipe_resistance)
-
-    @property
-    def n_pumps(self) -> int:
-        return len(self.pump_coeff)
-
-    @property
-    def n_valves(self) -> int:
-        return len(self.valve_resistance)
-
-    @property
-    def n_links(self) -> int:
-        return len(self.links)
-
-    def component_counts(self) -> tuple[int, int, int, int, int, int]:
-        return (self.n_junctions, self.n_reservoirs, self.n_tanks,
-                self.n_pipes, self.n_pumps, self.n_valves)
 
 
 def build_network(desc: NetworkDescription) -> Network:
@@ -131,38 +95,27 @@ def build_network(desc: NetworkDescription) -> Network:
     return Network(desc)
 
 
-@dataclass
-class FlowVector:
-    """Flows through pipes (v) and through pumps then valves (u)."""
-
-    v: np.ndarray
-    u: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.v, self.u])
-
-    @classmethod
-    def from_stacked(cls, net: Network, q: np.ndarray) -> "FlowVector":
-        q = np.asarray(q, dtype=float)
-        if q.shape != (net.n_links,):
-            raise ValueError(f"expected {net.n_links} flows, got shape {q.shape}")
-        return cls(v=q[: net.n_pipes].copy(), u=q[net.n_pipes:].copy())
+def _as_flows(net: Network, q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (net.n_links,):
+        raise ValueError(f"expected {net.n_links} flows, got shape {q.shape}")
+    return q
 
 
-def _check_flows(net: Network, flows: FlowVector) -> None:
-    if flows.v.shape != (net.n_pipes,) or flows.u.shape != (net.n_pumps + net.n_valves,):
-        raise ValueError("flow vector shape does not match the network")
-    if not (np.all(np.isfinite(flows.v)) and np.all(np.isfinite(flows.u))):
+def _check_flows(net: Network, q) -> np.ndarray:
+    """q as stacked flows: one finite flow per link, every pump flow > 0."""
+    q = _as_flows(net, q)
+    if not np.all(np.isfinite(q)):
         raise ValueError("flow entries must be finite")
-    for i in range(net.n_pumps):
-        if flows.u[i] <= 0.0:
-            raise NonPositiveFlow(net.pump_ids[i], float(flows.u[i]))
+    for pump_id, flow in zip(net.pump_ids, q[net.n_pipes:net.n_pipes + net.n_pumps]):
+        if flow <= 0.0:
+            raise NonPositiveFlow(pump_id, float(flow))
+    return q
 
 
-def eval_f(net: Network, flows: FlowVector) -> np.ndarray:
-    """Stacked nonlinearity: pipe losses, pump gains, valve losses."""
-    _check_flows(net, flows)
-    return eval_f_batch(net, flows.stacked()[None, :])[0]
+def eval_f(net: Network, q: np.ndarray) -> np.ndarray:
+    """Stacked nonlinearity at stacked flows q: pipe losses, pump gains, valve losses."""
+    return eval_f_batch(net, _check_flows(net, q)[None, :])[0]
 
 
 def eval_f_batch(net: Network, q: np.ndarray) -> np.ndarray:
@@ -185,10 +138,9 @@ def eval_f_batch(net: Network, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_jacobian_diag(net: Network, flows: FlowVector) -> np.ndarray:
-    """Diagonal of the Jacobian of f at the given flows (all entries >= 0)."""
-    _check_flows(net, flows)
-    return jacobian_diag_batch(net, flows.stacked()[None, :])[0]
+def eval_jacobian_diag(net: Network, q: np.ndarray) -> np.ndarray:
+    """Diagonal of the Jacobian of f at stacked flows q (all entries >= 0)."""
+    return jacobian_diag_batch(net, _check_flows(net, q)[None, :])[0]
 
 
 def jacobian_diag_batch(net: Network, q: np.ndarray) -> np.ndarray:
@@ -226,35 +178,34 @@ def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def tank_step(net: Network, tank_heads: np.ndarray, flows: FlowVector,
+def _net_inflow(net: Network, q: np.ndarray, node_id: str) -> float:
+    """Inflow minus outflow at a node, summed exactly by math.fsum."""
+    return math.fsum([q[l.flow_pos] for l in net.in_links[node_id]]
+                     + [-q[l.flow_pos] for l in net.out_links[node_id]])
+
+
+def tank_step(net: Network, tank_heads: np.ndarray, q: np.ndarray,
               dt: float) -> np.ndarray:
-    """One tank-head update: h + (dt/A) * (inflow - outflow) per tank."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    """One tank-head update at stacked flows q: h + (dt/A) * (inflow - outflow)."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
     tank_heads = np.asarray(tank_heads, dtype=float)
     if tank_heads.shape != (net.n_tanks,):
         raise ValueError("tank head vector length mismatch")
-    q = flows.stacked()
+    q = _as_flows(net, q)
     out = tank_heads.copy()
     for i, tank_id in enumerate(net.tank_ids):
-        net_in = math.fsum(
-            [q[l.flow_pos] for l in net.in_links[tank_id]]
-            + [-q[l.flow_pos] for l in net.out_links[tank_id]]
-        )
-        out[i] += dt / net.tank_area[i] * net_in
+        out[i] += dt / net.tank_area[i] * _net_inflow(net, q, tank_id)
     return out
 
 
-def junction_residual(net: Network, flows: FlowVector, demand: np.ndarray) -> np.ndarray:
-    """Mass balance residual per junction: inflow - outflow - demand."""
+def junction_residual(net: Network, q: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Mass balance residual per junction at stacked flows q: inflow - outflow - demand."""
     demand = np.asarray(demand, dtype=float)
     if demand.shape != (net.n_junctions,):
         raise ValueError("demand vector length mismatch")
-    q = flows.stacked()
+    q = _as_flows(net, q)
     out = np.empty(net.n_junctions)
     for i, junction_id in enumerate(net.junction_ids):
-        out[i] = math.fsum(
-            [q[l.flow_pos] for l in net.in_links[junction_id]]
-            + [-q[l.flow_pos] for l in net.out_links[junction_id]]
-        ) - demand[i]
+        out[i] = _net_inflow(net, q, junction_id) - demand[i]
     return out

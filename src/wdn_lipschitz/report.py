@@ -35,7 +35,7 @@ class AnalysisReport:
 
     @classmethod
     def for_network(cls, name: str, net: Network, config: dict) -> "AnalysisReport":
-        return cls(network_name=name, counts=net.component_counts(), config=config)
+        return cls(network_name=name, counts=net.desc.component_counts(), config=config)
 
     def add(self, key: str, estimate: LipschitzEstimate, seconds: float) -> None:
         if key not in ESTIMATE_KEYS:

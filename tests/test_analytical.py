@@ -8,10 +8,12 @@ import pytest
 from mpmath import mp, mpf, power
 
 from wdn_lipschitz import (
+    BoundsError,
     build_network,
     eval_f_batch,
     jacobian_diag_batch,
     k_network,
+    k_upper_sqrt,
 )
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.inp import (
@@ -186,6 +188,19 @@ class TestKNetwork:
             net2, {lid: (float(lo), float(hi))
                    for lid, lo, hi in zip(box.link_ids, box.lo, box.hi)})
         assert k_network(net2, box2).per_class["pipes"] == base
+
+
+    def test_overflowing_box_is_a_bounds_error(self, three_node):
+        _, net, _ = three_node
+        # the pump's pow overflows in the corner pass
+        box = box_from_intervals(net, {"P1": (1.0, 1e300), "PU1": (1.0, 1e300)})
+        with pytest.raises(BoundsError, match="'PU1'.*overflows"):
+            k_network(net, box)
+        # every corner value is finite, but the sum of their squares is not
+        box = box_from_intervals(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
+        assert math.isfinite(k_network(net, box).value)
+        with pytest.raises(BoundsError, match="overflows"):
+            k_upper_sqrt(net, box)
 
 
 class TestOsl:

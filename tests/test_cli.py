@@ -107,6 +107,22 @@ def test_invalid_bounds_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("rows, methods", [
+    (("P1,1,1e300", "PU1,1,1e300"), "analytical"),
+    (("P1,1,1e200", "PU1,1,1e120"), "interval"),
+])
+def test_overflowing_bounds_exit_3(capsys, tmp_path, rows, methods):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("link_id,q_min,q_max\n" + "\n".join(rows) + "\n")
+    code = main(["analyze", str(FIXTURE_DIR / "three_node.inp"), "--bounds", str(wide),
+                 "--methods", methods])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("bounds error: ") and err.count("\n") == 1
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_assumption_violation_exits_4(capsys, tmp_path):
     bad = tmp_path / "pump_zero.csv"
     bad.write_text("link_id,q_min,q_max\nP1,0,900\nPU1,0,900\n")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdn_lipschitz import (
-    FlowVector,
     build_dae,
     build_network,
     dae_residual,
@@ -139,6 +142,15 @@ def test_discrete_mode_requires_dt(three_node):
         build_dae(net, "discrete", dt=-5.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_dt_must_be_finite_and_positive(three_node, dt):
+    _, net, _ = three_node
+    with pytest.raises(ValueError):
+        build_dae(net, "discrete", dt)
+    with pytest.raises(ValueError):
+        tank_step(net, np.array([10.0]), np.array([1.0, 1.0]), dt)
+
+
 def test_tankless_network_is_purely_algebraic(fixtures):
     _, net, _ = fixtures["anytown"]
     dae = build_dae(net, "discrete", dt=60.0)
@@ -193,7 +205,7 @@ def test_residual_vanishes_on_consistent_state(three_node):
     z = np.array([h_j, h_res, h_t, q_pipe, q_pump])
     z_next = z.copy()
     z_next[2] = h_t_next
-    f_vals = eval_f(net, FlowVector(v=np.array([q_pipe]), u=np.array([q_pump])))
+    f_vals = eval_f(net, np.array([q_pipe, q_pump]))
     loads = np.array([demand, h_res])
     res = dae_residual(dae, z, z_next, f_vals, loads)
     assert np.max(np.abs(res)) <= 1e-9
@@ -210,18 +222,86 @@ def test_residual_vanishes_on_consistent_state(three_node):
     )
     net = build_network(desc)
     dae = build_dae(net, "discrete", dt=dt)
-    flows = FlowVector(v=np.array([3.0]), u=np.array([2.0, 0.5]))
-    f_vals = eval_f(net, flows)
+    q = np.array([3.0, 2.0, 0.5])
+    f_vals = eval_f(net, q)
     f_pipe, f_pump, f_valve = f_vals
     h_j1 = -f_pump                    # pump energy row, tank head skipped
     h_j2 = -f_valve                   # valve energy row, tank head skipped
     h_t = h_j1 - f_pipe               # pipe energy row
     z = np.array([h_j1, h_j2, h_t, 3.0, 2.0, 0.5])
     z_next = z.copy()
-    z_next[2] = tank_step(net, np.array([h_t]), flows, dt)[0]
-    loads = junction_residual(net, flows, np.zeros(net.n_junctions))
+    z_next[2] = tank_step(net, np.array([h_t]), q, dt)[0]
+    loads = junction_residual(net, q, np.zeros(net.n_junctions))
     res = dae_residual(dae, z, z_next, f_vals, loads)
     assert np.max(np.abs(res)) <= 1e-9
+
+
+def rounding_scale(dae, z, z_next, f_values, loads) -> np.ndarray:
+    """Per row, the residual's terms summed in absolute value: the scale of
+    its rounding error."""
+    return (np.abs(dae.a_z.to_dense()) @ np.abs(z) + np.abs(dae.b_f.to_dense()) @ np.abs(f_values)
+            + np.abs(dae.b_l.to_dense()) @ np.abs(loads)
+            + np.abs(dae.e_z.to_dense()) @ np.abs(z_next))
+
+
+def test_residual_matches_dense_product(fixtures):
+    rng = np.random.default_rng(41)
+    for name in FIXTURE_NAMES:
+        _, net, _ = fixtures[name]
+        dae = build_dae(net, "discrete", dt=60.0)
+        z, z_next = rng.uniform(-100.0, 100.0, (2, dae.layout.dim))
+        f_vals = rng.uniform(-100.0, 100.0, net.n_links)
+        loads = rng.uniform(0.0, 100.0, net.n_junctions + net.n_reservoirs)
+        dense = (dae.a_z.to_dense() @ z + dae.b_f.to_dense() @ f_vals
+                 + dae.b_l.to_dense() @ loads - dae.e_z.to_dense() @ z_next)
+        res = dae_residual(dae, z, z_next, f_vals, loads)
+        scale = rounding_scale(dae, z, z_next, f_vals, loads)
+        assert np.all(np.abs(res - dense) <= 1e-12 * scale), name
+
+
+def test_residual_allocates_no_dense_matrix():
+    # 1,000 junctions: one dense dim x dim matrix would be about 38 MB
+    net = synthetic_network((1000, 2, 3, 1200, 2, 0), 5000)
+    dae = build_dae(net, "discrete", dt=60.0)
+    z = np.ones(dae.layout.dim)
+    f_vals = np.ones(net.n_links)
+    loads = np.ones(net.n_junctions + net.n_reservoirs)
+    tracemalloc.start()
+    try:
+        dae_residual(dae, z, z, f_vals, loads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(net_seed=st.integers(0, 2 ** 32 - 1), state_seed=st.integers(0, 2 ** 32 - 1))
+def test_tank_and_junction_rows_agree_with_component_laws(net_seed, state_seed):
+    # pumps and valves at tanks: the tank rows are tank_step and the
+    # junction rows are -junction_residual, up to rounding
+    net = make_tank_network(np.random.default_rng(net_seed))
+    rng = np.random.default_rng(state_seed)
+    dt = float(rng.uniform(1.0, 3600.0))
+    dae = build_dae(net, "discrete", dt)
+    q = rng.uniform(-500.0, 500.0, net.n_links)
+    q[net.n_pipes:net.n_pipes + net.n_pumps] = rng.uniform(1e-3, 500.0, net.n_pumps)
+    heads = rng.uniform(0.0, 200.0, len(net.node_pos))
+    demand = rng.uniform(-50.0, 50.0, net.n_junctions)
+    x3 = dae.layout.z_offsets["x3"]
+    z = np.concatenate([heads, q])
+    z_next = z.copy()
+    z_next[x3:x3 + net.n_tanks] = tank_step(net, heads[x3:], q, dt)
+    f_vals = eval_f(net, q)
+    loads = np.concatenate([demand, heads[net.n_junctions:x3]])
+    res = dae_residual(dae, z, z_next, f_vals, loads)
+    tol = 1e-13 * rounding_scale(dae, z, z_next, f_vals, loads)
+
+    tanks = slice(dae.layout.row_offsets["tanks"], dae.layout.row_offsets["tanks"] + net.n_tanks)
+    assert np.all(np.abs(res[tanks]) <= tol[tanks])
+    junctions = slice(dae.layout.row_offsets["junctions"],
+                      dae.layout.row_offsets["junctions"] + net.n_junctions)
+    assert np.all(np.abs(res[junctions] + junction_residual(net, q, demand)) <= tol[junctions])
 
 
 def test_junction_rows_negate_mass_balance(valve_net):
@@ -234,10 +314,9 @@ def test_junction_rows_negate_mass_balance(valve_net):
     g_u = rows[:, dae.layout.z_offsets["u"]:]
     rng = np.random.default_rng(31)
     q = box.lo + rng.uniform(0, 1, net.n_links) * (box.hi - box.lo)
-    flows = FlowVector.from_stacked(net, q)
     demand = rng.uniform(0, 10, net.n_junctions)
-    lhs = g_v @ flows.v + g_u @ flows.u + demand
-    assert np.allclose(lhs, -junction_residual(net, flows, demand), rtol=1e-12, atol=1e-12)
+    lhs = g_v @ q[:net.n_pipes] + g_u @ q[net.n_pipes:] + demand
+    assert np.allclose(lhs, -junction_residual(net, q, demand), rtol=1e-12, atol=1e-12)
 
 
 def test_pump_valve_rows_skip_tank_heads(valve_net):
