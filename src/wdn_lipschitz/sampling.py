@@ -21,13 +21,24 @@ half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
   Joe-Kuo direction-number table (dimensions 2..1111; dimension 1 is the van
   der Corput sequence).  Generation starts at index 1, so the first point is
   (0.5, ..., 0.5) and the origin corner of the flow box is never sampled.
+  The state of index i is the XOR of the direction numbers v[k] over the
+  set bits k of gray(i) = i ^ (i >> 1) (Antonov & Saleev 1979).  Over an
+  aligned run i = 128r + t, t < 128, gray(i) >> 7 = gray(r) and
+  gray(i) & 127 = gray(t) ^ ((r & 1) << 6), so the state of i is the state
+  of 128r XOR the state of t.  A block is built run by run: a table of the
+  states of 0..127 (the XOR span of v[0..6]), XORed with the run's first
+  state, which steps to the next run by one XOR,
+  v[6] ^ v[7 + trailing zeros of r+1].  States are uint32 and
+  float(uint32) * 2**-32 is exact, so every value has the bits of the
+  per-point loop.  A few runs at a time go through a small uint32 scratch.
 
 The table file is integrity-checked against a pinned SHA-256 before use.
 
 Estimates are running maxima over sample prefixes, so they are nondecreasing
 in the sample count and identical for any block size or parallel schedule.
-A sample p maps into the flow box as ``p*w + lo``, then a clip, with
-``w = hi - lo`` computed once.
+A sample p maps into the flow box as ``p*w + lo``, then a clip at hi, with
+``w = hi - lo`` computed once; the sum never falls below lo (see
+``_scale_into_box``).
 
 A ``max`` trace evaluates no Jacobian on the blocks.  It keeps the
 per-coordinate minimum and maximum of the unit samples, and at each
@@ -39,9 +50,11 @@ the maximum over all sampled points bit for bit wherever numpy's ``pow`` is
 monotone, and never more than that, since each hull entry is a sampled
 flow.  It holds one sample block (at most 8192 points and 64 MiB).
 
-A ``sqrt`` trace needs each point's sum of squares.  It scales each block
-in place and writes its Jacobian into one buffer reused for every block, so
-it holds one sample block and one Jacobian buffer of the same size.
+A ``sqrt`` trace needs each point's sum of squares.  It walks each block
+in tiles of at most 2**16 values (512 KiB): it scales a tile in place,
+writes its Jacobian into one tile-sized buffer and its row sums into a
+vector for the block, then takes the block's prefix maximum.  So it holds
+one sample block plus one tile, and each tile's passes stay in cache.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ import numpy as np
 
 from .bounds import FlowBox
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
-from .errors import DimensionTooLarge
+from .errors import BoundsError, DimensionTooLarge
 from .network import Network, _jacobian_diag_into
 
 KIND_RANDOM = "random"
@@ -69,10 +82,18 @@ SAMPLER_KINDS = (KIND_RANDOM, KIND_HALTON, KIND_SOBOL)
 _DIRECTIONS_FILE = "joe_kuo_6_1111.txt"
 _DIRECTIONS_SHA256 = "2afb7368f5ad2b6ab11ad628f3c44c2fa68914bb2fe2c3987b5164c3a782501c"
 _SOBOL_BITS = 32
+# Sobol states are built by aligned runs of 2**7 indices, a few runs at a
+# time in a uint32 scratch of at most this many values (or one run)
+_SOBOL_RUN_BITS = 7
+_SOBOL_RUN = 1 << _SOBOL_RUN_BITS
+_SOBOL_SCRATCH_VALUES = 2 ** 16
 # a default block holds at most 8192 points and at most 2**23 float64
 # values (64 MiB), so memory stays flat however many links the network has
 _BLOCK_ROWS = 8192
 _BLOCK_VALUES = 2 ** 23
+# a sqrt trace evaluates a block in tiles of at most this many values
+# (512 KiB of float64), so its Jacobian stays in a core's cache
+_TILE_VALUES = 2 ** 16
 # Halton folds this many bases link-major, then copies them into the block
 # transposed, so the block is written C-contiguous
 _HALTON_CHUNK = 16
@@ -122,11 +143,11 @@ def sobol_max_dimension() -> int:
 
 
 def _sobol_matrix(dim: int) -> np.ndarray:
-    """Direction numbers as a (bits, dim) uint64 matrix of 32-bit integers."""
+    """Direction numbers as a (bits, dim) uint32 matrix."""
     rows = _direction_rows()
     if dim > len(rows) + 1:
         raise DimensionTooLarge(dim, len(rows) + 1)
-    v = np.zeros((_SOBOL_BITS, dim), dtype=np.uint64)
+    v = np.zeros((_SOBOL_BITS, dim), dtype=np.uint32)
     # dimension 1: van der Corput in base 2
     for k in range(_SOBOL_BITS):
         v[k, 0] = 1 << (_SOBOL_BITS - 1 - k)
@@ -145,25 +166,56 @@ def _sobol_matrix(dim: int) -> np.ndarray:
     return v
 
 
+def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
+    """Gray-code state of index: the XOR of v[k] over the set bits k of
+    gray(index) = index ^ (index >> 1)."""
+    gray = index ^ (index >> 1)
+    return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
+
+
 def _sobol_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
     if count >= 2 ** _SOBOL_BITS:
         raise ValueError(f"at most {2 ** _SOBOL_BITS - 1} Sobol points supported")
     v = _sobol_matrix(dim)
-    state = np.zeros(dim, dtype=np.uint64)
+    # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
+    table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
+    for k in range(_SOBOL_RUN_BITS):
+        h = 1 << k
+        np.bitwise_xor(table[h - 1::-1], v[k], out=table[h:2 * h])
+    # from the first state of run r to that of run r+1, r+1 with k trailing zeros
+    steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
+    runs = max(1, _SOBOL_SCRATCH_VALUES // table.size)
+    scratch = np.empty((runs * _SOBOL_RUN, dim), dtype=np.uint32)
     for done in range(0, count, block):
-        yield _sobol_block(v, state, done, min(block, count - done))
+        yield _sobol_block(v, table, steps, scratch, done + 1, min(block, count - done))
 
 
-def _sobol_block(v: np.ndarray, state: np.ndarray, done: int, size: int) -> np.ndarray:
-    """Sobol points done+1..done+size; state is the Gray-code state after
-    point done, and is advanced in place."""
-    out = np.empty((size, len(state)))
-    for index in range(done + 1, done + size + 1):
-        level = (index & -index).bit_length() - 1
-        state ^= v[level]
-        out[index - done - 1] = state
-    out *= 0.5 ** _SOBOL_BITS
-    return out
+def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
+                 scratch: np.ndarray, first: int, size: int) -> np.ndarray:
+    """Sobol points first..first+size-1, C-contiguous.
+
+    The states of a run are table XOR the state of the run's first index
+    (see the module docstring).  They are XORed into scratch run by run,
+    and scratch is scaled into the block whenever the next run might not
+    fit.
+    """
+    out = np.empty((size, v.shape[1]))
+    run, lead = divmod(first, _SOBOL_RUN)
+    base = _sobol_state(v, first - lead)
+    written = held = 0
+    while True:
+        take = min(_SOBOL_RUN - lead, size - written - held)
+        np.bitwise_xor(table[lead:lead + take], base, out=scratch[held:held + take])
+        held += take
+        if written + held == size or held + _SOBOL_RUN > len(scratch):
+            np.multiply(scratch[:held], 0.5 ** _SOBOL_BITS, out=out[written:written + held])
+            written += held
+            held = 0
+            if written == size:
+                return out
+        run += 1
+        lead = 0
+        base ^= steps[(run & -run).bit_length() - 1]
 
 
 def _halton_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
@@ -324,7 +376,8 @@ def k_lower_trace(
     """k_lower plus the running estimate at each requested prefix length.
 
     A checkpoint at m equals an independent run with n=m because the
-    estimate is a prefix maximum of a deterministic sequence.
+    estimate is a prefix maximum of a deterministic sequence.  An estimate
+    past the float range raises BoundsError: the box is too wide.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -341,6 +394,9 @@ def k_lower_trace(
         value, trace = _max_trace(net, box, blocks, pending)
     else:
         value, trace = _sqrt_trace(net, box, blocks, pending)
+    # the trace is nondecreasing, so a finite last value makes all finite
+    if not math.isfinite(value):
+        raise BoundsError(f"{mode}-mode point estimate overflows a float: the box is too wide")
     estimate = LipschitzEstimate(
         value=value,
         method=METHOD_POINT_LOWER,
@@ -351,10 +407,15 @@ def k_lower_trace(
 
 
 def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarray:
-    # lo + p*(hi-lo) in place, clipped against rounding drift past an endpoint
+    # lo + p*w in place, with w = fl(hi - lo), then clipped at hi against
+    # rounding drift.  No lower clip is needed: p >= 0 and w >= 0 give
+    # fl(p*w) >= 0, and rounding is monotone, so fl(lo + p*w) >= fl(lo) = lo.
+    # A lower clip could only change the sign of a zero flow, and every
+    # Jacobian entry reads |q|.  (A width that overflowed to inf times p = 0
+    # is NaN, with or without the lower clip.)
     np.multiply(q, width, out=q)
     np.add(q, box.lo, out=q)
-    np.clip(q, box.lo, box.hi, out=q)
+    np.minimum(q, box.hi, out=q)
     return q
 
 
@@ -395,19 +456,23 @@ def _max_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
 def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
                 pending: list[int]) -> tuple[float, list[tuple[int, float]]]:
     """Largest Frobenius norm of a sampled Jacobian, overall and at each
-    pending prefix; it needs every point, so each block is evaluated."""
+    pending prefix; it needs every point, so each block is evaluated, one
+    tile of rows at a time (see the module docstring)."""
     trace: list[tuple[int, float]] = []
     next_mark = 0
     best = 0.0
     seen = 0
     width = box.hi - box.lo
-    jacobian = None
+    rows = max(1, _TILE_VALUES // net.n_links)
+    jacobian = np.empty((rows, net.n_links))
     for q in blocks:
-        _scale_into_box(q, box, width)
-        if jacobian is None:
-            jacobian = np.empty_like(q)
-        g = _jacobian_diag_into(net, q, jacobian[:len(q)])
-        running = np.maximum.accumulate(np.einsum("ij,ij->i", g, g))
+        running = np.empty(len(q))
+        for start in range(0, len(q), rows):
+            tile = _scale_into_box(q[start:start + rows], box, width)
+            g = _jacobian_diag_into(net, tile, jacobian[:len(tile)])
+            np.einsum("ij,ij->i", g, g, out=running[start:start + len(tile)])
+        del tile  # a live view would keep this block alive into the next
+        np.maximum.accumulate(running, out=running)
         while next_mark < len(pending) and pending[next_mark] <= seen + len(running):
             at = pending[next_mark]
             next_mark += 1

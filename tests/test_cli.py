@@ -110,6 +110,7 @@ def test_invalid_bounds_exits_3(capsys, tmp_path):
 @pytest.mark.parametrize("rows, methods", [
     (("P1,1,1e300", "PU1,1,1e300"), "analytical"),
     (("P1,1,1e200", "PU1,1,1e120"), "interval"),
+    (("P1,1,1e200", "PU1,1,1e120"), "point"),
 ])
 def test_overflowing_bounds_exit_3(capsys, tmp_path, rows, methods):
     wide = tmp_path / "wide.csv"

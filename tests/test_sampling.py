@@ -20,13 +20,15 @@ from wdn_lipschitz import (
     k_upper_max,
     k_upper_sqrt,
 )
-from wdn_lipschitz.bounds import box_from_intervals
+from wdn_lipschitz.bounds import FlowBox, box_from_intervals
 from wdn_lipschitz.errors import DimensionTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
     SAMPLER_KINDS,
+    _scale_into_box,
+    _sobol_matrix,
     sobol_max_dimension,
 )
 
@@ -165,6 +167,46 @@ class TestSobol:
         finally:
             monkeypatch.undo()
             sampling._direction_rows.cache_clear()
+
+
+def _reference_sobol(dim: int, count: int, block: int):
+    """The Gray-code loop, one point at a time: index i XORs the direction
+    number of its lowest set bit into the state (Antonov & Saleev 1979)."""
+    v = _sobol_matrix(dim)
+    state = np.zeros(dim, dtype=np.uint32)
+    for done in range(0, count, block):
+        size = min(block, count - done)
+        out = np.empty((size, dim))
+        for index in range(done + 1, done + size + 1):
+            state ^= v[(index & -index).bit_length() - 1]
+            out[index - done - 1] = state
+        out *= 0.5 ** 32
+        yield out
+
+
+# counts go up to three blocks plus 300 points, so they cross 128-row runs
+# at every block size, and block edges fall both inside runs and on them
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=1111),
+       block=st.integers(min_value=1, max_value=3000),
+       count=st.integers(min_value=0, max_value=9300))
+@example(dim=1, block=1, count=300)
+@example(dim=7, block=7, count=390)
+@example(dim=40, block=3000, count=6500)
+@example(dim=119, block=None, count=8192 + 300)
+@example(dim=289, block=None, count=8192 + 129)
+@example(dim=1111, block=None, count=7550 + 131)
+def test_sobol_blocks_match_gray_code_loop(dim, block, count):
+    # block None is the default block (test_default_block_is_capped_by_bytes)
+    rows = block or min(8192, 2 ** 23 // dim)
+    if block is not None:
+        count = min(count, 3 * block + 300)
+    got = list(SampleSequence("sobol", dim).blocks(count, block))
+    want = list(_reference_sobol(dim, count, rows))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous
+        assert np.array_equal(a, b)
 
 
 class TestRandom:
@@ -358,11 +400,12 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # numpy reports its buffers to tracemalloc.  A max trace holds one
-    # sample block and the two hull rows (1.03 to 1.21 blocks; 2.0 to 2.2
+    # sample block and the two hull rows (1.04 to 1.21 blocks; 2.0 to 2.2
     # while a segment view kept the previous block alive).  A sqrt trace
-    # holds one sample block and one Jacobian buffer (2.0 to 2.2 blocks;
-    # 6.0 before the in-place pass).  One more block-sized buffer fails
-    # either bound.
+    # holds one sample block, one Jacobian tile and a row-sum vector (1.04
+    # to 1.24 blocks; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
+    # before the in-place pass).  One more block-sized buffer fails the
+    # bound.
     _, net, box = fixtures["obcl"]
     block_bytes = 8192 * net.n_links * 8
     tracemalloc.start()
@@ -371,7 +414,35 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (1.5 if mode == "max" else 2.5) * block_bytes
+    assert peak <= 1.5 * block_bytes
+
+
+# endpoints up to 1e300, so that a width hi - lo stays finite; signed
+# zeros, subnormals and equal endpoints drawn on purpose
+_ENDPOINTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0)),
+    st.floats(min_value=-1e300, max_value=1e300))
+_UNIT = st.one_of(st.sampled_from((0.0, float(np.nextafter(1.0, 0.0)))),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS, st.booleans()),
+                     min_size=1, max_size=6),
+       data=st.data())
+def test_scale_into_box_needs_no_lower_clip(ends, data):
+    lo = np.array([min(a, b) if wide else a for a, b, wide in ends])
+    hi = np.array([max(a, b) if wide else a for a, b, wide in ends])
+    box = FlowBox(link_ids=tuple(f"P{i}" for i in range(len(ends))),
+                  kinds=("pipe",) * len(ends), lo=lo, hi=hi)
+    rows = data.draw(st.integers(1, 4))
+    p = np.array(data.draw(st.lists(_UNIT, min_size=rows * len(ends),
+                                    max_size=rows * len(ends)))).reshape(rows, -1)
+    width = hi - lo
+    q = _scale_into_box(p.copy(), box, width)
+    assert np.all(q >= lo) and np.all(q <= hi)
+    clipped = np.clip(lo + p * width, lo, hi)
+    assert np.array_equal(np.abs(q).view(np.uint64), np.abs(clipped).view(np.uint64))
 
 
 def _brute_force_max_trace(net, box, kind, seed, n, marks):
