@@ -47,6 +47,7 @@ from .errors import (
     NoPumps,
     ParameterOutOfRange,
     PumpNonpositiveLower,
+    SampleCountTooLarge,
     UnknownLink,
     UnknownNodeRef,
     WdnError,
@@ -91,6 +92,7 @@ __all__ = [
     "NoPumps",
     "ParameterOutOfRange",
     "PumpNonpositiveLower",
+    "SampleCountTooLarge",
     "SampleSequence",
     "TripletMatrix",
     "UnknownLink",

@@ -9,8 +9,9 @@ Subcommands:
     convergence  sampled lower bound as a function of the sample count
 
 Exit codes: 0 success, 2 input-file (INP) error or command-line usage
-error, 3 bounds-file error, 4 modelling-assumption violation, 1 other
-failure, such as an output file that cannot be written.
+error, including a sample count past the sampler's limit, 3 bounds-file
+error, 4 modelling-assumption violation, 1 other failure, such as an output
+file that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
-from .errors import AssumptionError, BoundsError, InpError, WdnError
+from .errors import AssumptionError, BoundsError, InpError, SampleCountTooLarge, WdnError
 from .inp import parse_inp
 from .network import Network, build_network
 from .report import AnalysisReport
@@ -115,6 +116,8 @@ def cmd_analyze(args) -> int:
     if unknown:
         raise InpError(f"unknown methods: {sorted(unknown)}")
     modes = {"max", "sqrt"} if args.mode == "both" else {args.mode}
+    if "point" in methods:
+        sampling.check_sample_count(args.sampler, args.samples)
 
     config = {
         "samples": args.samples,
@@ -165,6 +168,8 @@ def cmd_benchmark(args) -> int:
     if args.networks:
         wanted = [n.strip() for n in args.networks.split(",") if n.strip()]
     fixtures = _discover_fixtures(fixture_dir, wanted)
+    # every network would fail on it, so it is a usage error, not an error row
+    sampling.check_sample_count(args.sampler, args.samples)
 
     estimate_cols = ("analytical", "point_max", "point_sqrt",
                      "interval_max", "interval_sqrt")
@@ -231,8 +236,11 @@ def cmd_convergence(args) -> int:
         if s not in sampling.SAMPLER_KINDS:
             raise InpError(f"unknown sampler {s!r}")
     # build every sequence first, so one that cannot serve this network
-    # (Sobol above its table's dimensions) fails before any row is written
+    # (Sobol above its table's dimensions or its point count) fails before
+    # any row is written
     sequences = [sampling.SampleSequence(s, net.n_links, args.seed) for s in samplers]
+    for s in samplers:
+        sampling.check_sample_count(s, args.n_grid[-1])
 
     out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
     try:
@@ -329,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except InpError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except SampleCountTooLarge as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BoundsError as exc:
         print(f"bounds error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: input-file problems exit 2, bounds-file
-problems exit 3, modelling-assumption violations exit 4.
+problems exit 3, modelling-assumption violations exit 4, and a sample count
+past what a sampler can index (SampleCountTooLarge) exits 2 as a
+command-line usage error.
 """
 
 from __future__ import annotations
@@ -108,3 +110,16 @@ class DimensionTooLarge(WdnError):
             f"sequence dimension {wanted} exceeds the {available} dimensions "
             f"of the shipped direction-number table"
         )
+
+
+class SampleCountTooLarge(WdnError, ValueError):
+    """More points asked of a sequence than its index arithmetic covers:
+    Sobol's 32-bit states index 1..2**32-1, Halton's int64 digits up to
+    2**63-1."""
+
+    def __init__(self, kind: str, wanted: int, available: int):
+        self.kind = kind
+        self.wanted = wanted
+        self.available = available
+        super().__init__(f"{wanted} {kind} points requested; the sequence indexes "
+                         f"at most {available}")

@@ -9,7 +9,7 @@ half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
   then ``r += digit * f``.  A block is built from runs of consecutive
   indices, not one digit loop per index.  For a base b up to the block's
   rows, the fold of the low k digits (b**k the largest power within the
-  rows) is a table built once per sequence, and each run of equal high
+  rows) is a table built once per process, and each run of equal high
   part is a slice of that table plus the fold of the run's few high
   digits, added in the same order.  A base above the rows meets at most
   two runs.  A base above the block's last index leaves every index j one
@@ -33,6 +33,8 @@ half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
   per-point loop.  A few runs at a time go through a small uint32 scratch.
 
 The table file is integrity-checked against a pinned SHA-256 before use.
+Sobol indexes at most 2**32 - 1 points and Halton at most 2**63 - 1 (int64
+digits); asking for more raises SampleCountTooLarge.
 
 Estimates are running maxima over sample prefixes, so they are nondecreasing
 in the sample count and identical for any block size or parallel schedule.
@@ -40,15 +42,36 @@ A sample p maps into the flow box as ``p*w + lo``, then a clip at hi, with
 ``w = hi - lo`` computed once; the sum never falls below lo (see
 ``_scale_into_box``).
 
-A ``max`` trace evaluates no Jacobian on the blocks.  It keeps the
-per-coordinate minimum and maximum of the unit samples, and at each
-checkpoint maps those two hull rows into the box and takes their largest
-Jacobian entry.  Each step of the map is nondecreasing in p, so a
-coordinate's smallest and largest flow are the images of its hull entries,
-and every Jacobian entry is nondecreasing in ``|q_i|``.  So the hull gives
-the maximum over all sampled points bit for bit wherever numpy's ``pow`` is
-monotone, and never more than that, since each hull entry is a sampled
-flow.  It holds one sample block (at most 8192 points and 64 MiB).
+A ``max`` trace evaluates no Jacobian on sample points.  At each
+checkpoint n it reads the hull of points 1..n, the per-coordinate minimum
+and maximum of the unit samples, maps those two rows into the box and takes
+their largest Jacobian entry.  Each step of the map is nondecreasing in p,
+so a coordinate's smallest and largest flow are the images of its hull
+entries, and every Jacobian entry is nondecreasing in ``|q_i|``.  So the
+hull gives the maximum over all sampled points bit for bit wherever numpy's
+``pow`` is monotone, and never more than that, since each hull entry is a
+sampled flow.  A random hull is reduced from the sample blocks, so the
+trace holds one block (at most 8192 points and 64 MiB).  Halton and Sobol
+hulls are taken in closed form in O(d log n), with the bits of the
+generated points (for Halton up to a bound on n, below): they generate no
+points, their cost does not depend on n, and they ignore ``block``.
+
+* Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
+  [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
+  span of v[0..k-1].  Each v[k] is m_k << (31-k) with m_k odd, so that span
+  is every value whose low 32-k bits are zero, and the block's least and
+  greatest states are the first state with its top k bits cleared and set.
+* Halton: the radical inverse orders indices by their reversed digits.  The
+  minimum over [1, n] is at the largest power of b within n; the maximum
+  takes the digits greedily, lowest first, each as large as keeps the index
+  within n.  Both indices are folded in the digit loop's own order.  Every
+  other index's fold adds a term at least the minimum's, so the minimum
+  has the generated bits at any n.  The exact radical inverses of distinct
+  indices differ by at least b**-(K+1), K = floor(log_b n), and a fold errs
+  by under (2K+3) * 2**-53, so the maximum has the generated bits wherever
+  b**(K+1) * (2K+3) < 2**52: at every base of 5,002 dimensions up to
+  n = 1e11.  Past that it is the fold of the index with the largest exact
+  radical inverse, still a sampled point.
 
 A ``sqrt`` trace needs each point's sum of squares.  It walks each block
 in tiles of at most 2**16 values (512 KiB): it scales a tile in place,
@@ -71,7 +94,7 @@ import numpy as np
 
 from .bounds import FlowBox
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
-from .errors import BoundsError, DimensionTooLarge
+from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
 from .network import Network, _jacobian_diag_into
 
 KIND_RANDOM = "random"
@@ -82,6 +105,9 @@ SAMPLER_KINDS = (KIND_RANDOM, KIND_HALTON, KIND_SOBOL)
 _DIRECTIONS_FILE = "joe_kuo_6_1111.txt"
 _DIRECTIONS_SHA256 = "2afb7368f5ad2b6ab11ad628f3c44c2fa68914bb2fe2c3987b5164c3a782501c"
 _SOBOL_BITS = 32
+# the most points each sequence can index: Sobol's states are _SOBOL_BITS
+# wide, and Halton takes its digits from int64 indices
+_MAX_COUNT = {KIND_SOBOL: 2 ** _SOBOL_BITS - 1, KIND_HALTON: 2 ** 63 - 1}
 # Sobol states are built by aligned runs of 2**7 indices, a few runs at a
 # time in a uint32 scratch of at most this many values (or one run)
 _SOBOL_RUN_BITS = 7
@@ -174,8 +200,6 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
 
 
 def _sobol_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
-    if count >= 2 ** _SOBOL_BITS:
-        raise ValueError(f"at most {2 ** _SOBOL_BITS - 1} Sobol points supported")
     v = _sobol_matrix(dim)
     # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
     table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
@@ -220,20 +244,14 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
 
 def _halton_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
     bases = _first_primes(dim)
-    tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
     chunk = np.empty((_HALTON_CHUNK, min(block, count)))
     for done in range(0, count, block):
-        yield _halton_block(bases, done + 1, min(block, count - done), tables, chunk)
+        yield _halton_block(bases, done + 1, min(block, count - done), chunk)
 
 
-def _halton_block(bases: list[int], first: int, size: int,
-                  tables: dict[tuple[int, int], tuple[np.ndarray, float]],
-                  chunk: np.ndarray) -> np.ndarray:
-    """Halton points first..first+size-1, C-contiguous.
-
-    tables caches each base's low-digit fold across the blocks of one
-    sequence; chunk is scratch for _HALTON_CHUNK rows of size values.
-    """
+def _halton_block(bases: list[int], first: int, size: int, chunk: np.ndarray) -> np.ndarray:
+    """Halton points first..first+size-1, C-contiguous; chunk is scratch for
+    _HALTON_CHUNK rows of size values."""
     last = first + size - 1
     out = np.empty((size, len(bases)))
     # a base above the last index leaves every index j one digit: j * (1/base)
@@ -250,21 +268,31 @@ def _halton_block(bases: list[int], first: int, size: int,
             span = base
             while span * base <= size:
                 span *= base
-            if (base, span) not in tables:
-                tables[base, span] = _fold_digits(base, span)
-            table, weight = tables[base, span]
+            table, weight = _fold_digits(base, span)
             _halton_runs(row[:size], first, base, span, table, weight)
         out[:, start:start + len(part)] = chunk[:len(part), :size].T
     return out
 
 
+# Cached across sequences and calls, and read-only, since every caller
+# shares it.  A table holds span values, span at most a block's rows, for a
+# base up to those rows (obcl's 289 bases at 8192 rows: about 2.6 MiB).
+@lru_cache(maxsize=None)
 def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
-    """Radical inverses of 0..span-1 in base, digits folded low first:
-    f /= base, then r += digit * f.  Also returns the weight f of the
-    last digit folded."""
-    idx = np.arange(span)
-    r = np.zeros(span)
-    f = 1.0
+    """Radical inverses of 0..span-1 in base, and the weight of the last
+    digit folded (see _fold)."""
+    r, f = _fold(np.arange(span), base)
+    r.flags.writeable = False
+    return r, float(f)
+
+
+def _fold(idx: np.ndarray, base: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radical inverses of the indices idx, digits folded low first:
+    f /= base, then r += digit * f.  base is one base, or one per column of
+    idx.  Also returns the weight f of the last digit folded.  idx is
+    consumed (divided down to zero in place)."""
+    r = np.zeros(idx.shape)
+    f = np.ones(np.shape(base))
     while idx.any():
         f /= base
         r += (idx % base) * f
@@ -312,6 +340,56 @@ def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
         high //= base
 
 
+def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(mark, p_min, p_max) for each mark: the per-coordinate hull of Sobol
+    points 1..mark, from one state per aligned dyadic block of indices."""
+    v = _sobol_matrix(dim)
+    low = np.full(dim, 2 ** _SOBOL_BITS - 1, dtype=np.uint32)
+    high = np.zeros(dim, dtype=np.uint32)
+    first = 1
+    for mark in marks:
+        while first <= mark:
+            # the largest block [first, first + 2**k) aligned at first and
+            # within mark; its states are the state of first XOR the span of
+            # v[0..k-1], every value with the low 32-k bits clear
+            k = (first & -first).bit_length() - 1
+            while first + (1 << k) > mark + 1:
+                k -= 1
+            state = _sobol_state(v, first)
+            kept = np.uint32((1 << (_SOBOL_BITS - k)) - 1)
+            np.minimum(low, state & kept, out=low)
+            np.maximum(high, state | ~kept, out=high)
+            first += 1 << k
+        yield mark, low * 0.5 ** _SOBOL_BITS, high * 0.5 ** _SOBOL_BITS
+
+
+def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(mark, p_min, p_max) for each mark: the per-coordinate hull of Halton
+    points 1..mark, from the two indices that attain it in each base."""
+    bases = np.array(_first_primes(dim))
+    for mark in marks:
+        # the smallest radical inverse is at the largest power of the base
+        low = np.ones(dim, dtype=np.int64)
+        grow = low <= mark // bases
+        while grow.any():
+            np.multiply(low, bases, out=low, where=grow)
+            grow &= low <= mark // bases
+        # the largest takes each digit, lowest first, as large as keeps the
+        # index within mark; live while the next digit can be nonzero
+        high = np.zeros(dim, dtype=np.int64)
+        rest = np.full(dim, mark, dtype=np.int64)
+        power = np.ones(dim, dtype=np.int64)
+        live = np.ones(dim, dtype=bool)
+        while live.any():
+            step = np.where(live, np.minimum(bases - 1, rest // power) * power, 0)
+            high += step
+            rest -= step
+            live &= power <= rest // bases
+            np.multiply(power, bases, out=power, where=live)
+        p, _ = _fold(np.stack([low, high]), bases)
+        yield mark, p[0], p[1]
+
+
 def _random_blocks(dim: int, count: int, block: int, seed: int) -> Iterator[np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
     for done in range(0, count, block):
@@ -341,6 +419,7 @@ class SampleSequence:
             block = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // self.dimension))
         elif block < 1:
             raise ValueError("block must be >= 1")
+        check_sample_count(self.kind, count)
         if self.kind == KIND_SOBOL:
             return _sobol_blocks(self.dimension, count, block)
         if self.kind == KIND_HALTON:
@@ -352,6 +431,14 @@ class SampleSequence:
         if not parts:
             return np.empty((0, self.dimension))
         return np.concatenate(parts, axis=0)
+
+
+def check_sample_count(kind: str, count: int) -> None:
+    """Raise SampleCountTooLarge if a sequence of this kind cannot index
+    count points."""
+    limit = _MAX_COUNT.get(kind)
+    if limit is not None and count > limit:
+        raise SampleCountTooLarge(kind, count, limit)
 
 
 def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
@@ -377,23 +464,28 @@ def k_lower_trace(
 
     A checkpoint at m equals an independent run with n=m because the
     estimate is a prefix maximum of a deterministic sequence.  An estimate
-    past the float range raises BoundsError: the box is too wide.
+    past the float range raises BoundsError: the box is too wide.  More
+    points than the sequence can index raise SampleCountTooLarge.  A max
+    trace over Halton or Sobol points takes its hull in closed form, so its
+    cost does not depend on n and it ignores block.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
         raise ValueError(f"unknown mode {mode!r}")
+    if block is not None and block < 1:
+        raise ValueError("block must be >= 1")
     if isinstance(sampler, str):
         sampler = SampleSequence(sampler, net.n_links, seed)
     elif sampler.dimension != net.n_links:
         raise ValueError("sampler dimension does not match the network")
+    check_sample_count(sampler.kind, n)
 
     pending = sorted(c for c in checkpoints if 1 <= c <= n)
-    blocks = sampler.blocks(n, block)
     if mode == MODE_MAX:
-        value, trace = _max_trace(net, box, blocks, pending)
+        value, trace = _max_trace(net, box, _prefix_hulls(sampler, [*pending, n], block))
     else:
-        value, trace = _sqrt_trace(net, box, blocks, pending)
+        value, trace = _sqrt_trace(net, box, sampler.blocks(n, block), pending)
     # the trace is nondecreasing, so a finite last value makes all finite
     if not math.isfinite(value):
         raise BoundsError(f"{mode}-mode point estimate overflows a float: the box is too wide")
@@ -419,38 +511,53 @@ def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarra
     return q
 
 
-def _max_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
-               pending: list[int]) -> tuple[float, list[tuple[int, float]]]:
-    """Largest sampled Jacobian entry, overall and at each pending prefix,
-    from the per-column hull of the unit samples (see the module docstring)."""
-    width = box.hi - box.lo
-    p_min = np.full(len(width), np.inf)
-    p_max = np.full(len(width), -np.inf)
+def _prefix_hulls(sequence: SampleSequence, marks: list[int],
+                  block: int | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(mark, p_min, p_max) for each mark of the nondecreasing marks: the
+    per-coordinate hull of points 1..mark.  Halton and Sobol hulls are in
+    closed form and ignore block; random ones stream the sample blocks."""
+    if sequence.kind == KIND_SOBOL:
+        return _sobol_hulls(sequence.dimension, marks)
+    if sequence.kind == KIND_HALTON:
+        return _halton_hulls(sequence.dimension, marks)
+    return _block_hulls(sequence.blocks(marks[-1], block), sequence.dimension, marks)
 
-    def hull_max() -> float:
-        q = _scale_into_box(np.stack([p_min, p_max]), box, width)
-        return float(_jacobian_diag_into(net, q, np.empty_like(q)).max())
 
-    trace: list[tuple[int, float]] = []
+def _block_hulls(blocks: Iterator[np.ndarray], dim: int,
+                 marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(mark, p_min, p_max) for each mark, from blocks of points 1..marks[-1].
+    The two rows are updated in place once the next row is drawn."""
+    p_min = np.full(dim, np.inf)
+    p_max = np.full(dim, -np.inf)
     next_mark = 0
     seen = 0
     for p in blocks:
         start = 0
         while start < len(p):
-            stop = len(p)
-            if next_mark < len(pending):
-                stop = min(stop, pending[next_mark] - seen)
+            stop = min(len(p), marks[next_mark] - seen)
             seg = p[start:stop]
             np.minimum(p_min, seg.min(axis=0), out=p_min)
             np.maximum(p_max, seg.max(axis=0), out=p_max)
             del seg  # a live view would keep this block alive into the next
             start = stop
-            while next_mark < len(pending) and pending[next_mark] == seen + start:
-                trace.append((pending[next_mark], hull_max()))
+            while next_mark < len(marks) and marks[next_mark] == seen + start:
+                yield marks[next_mark], p_min, p_max
                 next_mark += 1
         seen += len(p)
         del p  # so the next block is generated with this one freed
-    return hull_max(), trace
+
+
+def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray, np.ndarray]]
+               ) -> tuple[float, list[tuple[int, float]]]:
+    """Largest sampled Jacobian entry at each hull row (mark, p_min, p_max)
+    (see the module docstring).  The last row is the whole run's: its value
+    is the estimate, and the rows before it are the trace."""
+    width = box.hi - box.lo
+    trace: list[tuple[int, float]] = []
+    for mark, p_min, p_max in hulls:
+        q = _scale_into_box(np.stack([p_min, p_max]), box, width)
+        trace.append((mark, float(_jacobian_diag_into(net, q, np.empty_like(q)).max())))
+    return trace.pop()[1], trace
 
 
 def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],

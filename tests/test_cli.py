@@ -341,6 +341,24 @@ def test_bad_numeric_option_is_usage_error(capsys, command, flag, value):
     assert f"argument {flag}: " in err
 
 
+# the closed-form max trace makes a huge count cheap, yet Sobol's 32-bit
+# states index at most 2**32 - 1 points; nothing is written before the exit
+@pytest.mark.parametrize("argv", [
+    pytest.param((*CONVERGENCE, "--samplers", "random,sobol", "--n-grid", "10,5000000000"),
+                 id="convergence"),
+    pytest.param((*ANALYZE, "--methods", "point", "--samples", "5000000000"), id="analyze"),
+    pytest.param((*BENCHMARK, "--networks", "three_node", "--samples", "5000000000",
+                  "--repeats", "1"), id="benchmark"),
+])
+def test_sobol_count_past_its_states_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("usage error: 5000000000 sobol points requested; "
+                            "the sequence indexes at most 4294967295\n")
+
+
 @pytest.mark.parametrize("command, flag, value", [
     pytest.param(ANALYZE, "--gap", "1e-6", id="analyze--gap"),
     pytest.param(ANALYZE, "--max-boxes", "5", id="analyze--max-boxes"),

@@ -21,13 +21,18 @@ from wdn_lipschitz import (
     k_upper_sqrt,
 )
 from wdn_lipschitz.bounds import FlowBox, box_from_intervals
-from wdn_lipschitz.errors import DimensionTooLarge
+from wdn_lipschitz.errors import DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
+from wdn_lipschitz import sampling
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
     SAMPLER_KINDS,
+    _first_primes,
+    _fold_digits,
+    _halton_hulls,
     _scale_into_box,
+    _sobol_hulls,
     _sobol_matrix,
     sobol_max_dimension,
 )
@@ -149,9 +154,18 @@ class TestSobol:
         with pytest.raises(DimensionTooLarge):
             SampleSequence("sobol", limit + 1).points(4)
 
-    def test_point_count_limit(self):
-        with pytest.raises(ValueError):
-            list(SampleSequence("sobol", 2).blocks(2**32))
+    def test_point_count_limit(self, three_node):
+        # a typed ValueError on every route: the closed-form hull would
+        # serve any count, so it keeps the limit
+        _, net, box = three_node
+        assert issubclass(SampleCountTooLarge, ValueError)
+        with pytest.raises(SampleCountTooLarge):
+            SampleSequence("sobol", 2).blocks(2**32)
+        for mode in ("max", "sqrt"):
+            with pytest.raises(SampleCountTooLarge):
+                k_lower_trace(net, box, "sobol", 2**32, mode=mode)
+            with pytest.raises(SampleCountTooLarge):
+                k_lower_trace(net, box, "halton", 2**63, mode=mode)
 
     def test_table_checksum_pinned(self):
         data = resources.files("wdn_lipschitz.data").joinpath(_DIRECTIONS_FILE).read_bytes()
@@ -207,6 +221,22 @@ def test_sobol_blocks_match_gray_code_loop(dim, block, count):
     for a, b in zip(got, want):
         assert a.flags.c_contiguous
         assert np.array_equal(a, b)
+
+
+class TestHaltonTables:
+    def test_second_trace_builds_no_table(self, fixtures):
+        _, net, box = fixtures["obcl"]
+        _fold_digits.cache_clear()
+        k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
+        built = _fold_digits.cache_info().misses
+        assert built > 0
+        k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
+        assert _fold_digits.cache_info().misses == built
+
+    def test_shared_tables_are_read_only(self):
+        table, _ = _fold_digits(3, 27)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 class TestRandom:
@@ -399,22 +429,28 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
-    # numpy reports its buffers to tracemalloc.  A max trace holds one
-    # sample block and the two hull rows (1.04 to 1.21 blocks; 2.0 to 2.2
-    # while a segment view kept the previous block alive).  A sqrt trace
-    # holds one sample block, one Jacobian tile and a row-sum vector (1.04
-    # to 1.24 blocks; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
-    # before the in-place pass).  One more block-sized buffer fails the
-    # bound.
+    # numpy reports its buffers to tracemalloc.  A random max trace holds
+    # one sample block and the two hull rows (1.04 to 1.21 blocks; 2.0 to
+    # 2.2 while a segment view kept the previous block alive).  A Halton or
+    # Sobol max trace takes its hull in closed form and holds a few rows of
+    # n_links values (22 to 28 float64 rows; Sobol's largest buffers are its
+    # 32 uint32 rows of direction numbers and one gathered copy of them), so
+    # a single block-sized buffer fails its bound.  A sqrt trace holds one
+    # sample block, one Jacobian tile and a row-sum vector (1.04 to 1.24
+    # blocks; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0 before the
+    # in-place pass).  One more block-sized buffer fails the bound.
     _, net, box = fixtures["obcl"]
-    block_bytes = 8192 * net.n_links * 8
+    row_bytes = net.n_links * 8
+    closed_form = mode == "max" and kind != "random"
+    bound = 48 * row_bytes if closed_form else 1.5 * 8192 * row_bytes
+    sobol_max_dimension()  # the direction table is parsed once per process
     tracemalloc.start()
     try:
         k_lower_trace(net, box, kind, 20_000, mode=mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * block_bytes
+    assert peak <= bound
 
 
 # endpoints up to 1e300, so that a width hi - lo stays finite; signed
@@ -517,3 +553,70 @@ def test_point_stays_below_interval_on_degenerate_boxes(mu, nu, r_pipe, r_pump, 
     point_sqrt = k_lower(net, box, "sobol", 1, mode="sqrt").value
     assert point_max <= k_upper_max(net, box).value
     assert point_sqrt <= k_upper_sqrt(net, box).value
+
+
+def _hulls_of_points(kind, dim, marks):
+    """points(n).min/max(axis=0) for each prefix n in marks, block by block,
+    so that no more than one block of points is held."""
+    p_min, p_max = np.full(dim, np.inf), np.full(dim, -np.inf)
+    hulls, seen = [], 0
+    for p in SampleSequence(kind, dim).blocks(marks[-1]):
+        for mark in marks:
+            if seen < mark <= seen + len(p):
+                head = p[:mark - seen]
+                hulls.append((np.minimum(p_min, head.min(axis=0)),
+                              np.maximum(p_max, head.max(axis=0))))
+        p_min = np.minimum(p_min, p.min(axis=0))
+        p_max = np.maximum(p_max, p.max(axis=0))
+        seen += len(p)
+    return hulls
+
+
+def _assert_hulls_match_points(kind, dim, marks):
+    hulls = _sobol_hulls if kind == "sobol" else _halton_hulls
+    got = list(hulls(dim, marks))
+    assert [mark for mark, _, _ in got] == marks
+    for (_, p_min, p_max), (q_min, q_max) in zip(got, _hulls_of_points(kind, dim, marks),
+                                                 strict=True):
+        assert np.array_equal(p_min, q_min) and np.array_equal(p_max, q_max)
+
+
+# n on and next to a power of two or of one of the sequence's first bases;
+# the oracle generates at most 10**7 values per draw, so the largest n falls
+# as the dimension rises (10**5 up to dimension 100, 1,999 at 5,002)
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("halton", "sobol")), data=st.data())
+def test_closed_form_hull_matches_points(kind, data):
+    top = 1111 if kind == "sobol" else 5002
+    dim = data.draw(st.one_of(st.integers(1, top), st.sampled_from((1, 2, top))), label="dim")
+    cap = min(10 ** 5, 10 ** 7 // dim)
+    base = data.draw(st.sampled_from([2, *_first_primes(dim)[:50]]), label="base")
+    powers = [1]
+    while powers[-1] * base <= cap:
+        powers.append(powers[-1] * base)
+    power = data.draw(st.sampled_from(powers[::-1]), label="power")
+    n = min(cap, max(1, power + data.draw(st.integers(-1, 1), label="offset")))
+    others = data.draw(st.lists(st.integers(1, n), max_size=4), label="marks")
+    _assert_hulls_match_points(kind, dim, sorted({*others, n}))
+
+
+@pytest.mark.parametrize("kind, dim, n", [
+    ("sobol", 1, 10 ** 5), ("sobol", 97, 2 ** 16 + 1), ("sobol", 1111, 2 ** 13 - 1),
+    ("halton", 97, 3 ** 10), ("halton", 289, 2 ** 15), ("halton", 5002, 1999)])
+def test_closed_form_hull_matches_points_at_the_edges(kind, dim, n):
+    _assert_hulls_match_points(kind, dim, [1, 2, 3, n // 2, n - 1, n])
+
+
+@pytest.mark.parametrize("kind, n", [("sobol", 2 ** 32 - 1), ("halton", 10 ** 12)])
+def test_closed_form_max_traces_generate_no_blocks(fixtures, monkeypatch, kind, n):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a closed-form max trace generated a sample block")
+
+    monkeypatch.setattr(sampling, "_sobol_blocks", no_blocks)
+    monkeypatch.setattr(sampling, "_halton_blocks", no_blocks)
+    _, net, box = fixtures["obcl"]
+    marks = tuple(10 ** k for k in range(1, len(str(n))))
+    est, trace = k_lower_trace(net, box, kind, n, mode="max", checkpoints=marks)
+    assert [at for at, _ in trace] == list(marks)
+    values = [v for _, v in trace] + [est.value]
+    assert all(a <= b for a, b in zip(values, values[1:]))
