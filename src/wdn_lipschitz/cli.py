@@ -9,9 +9,10 @@ Subcommands:
     convergence  sampled lower bound as a function of the sample count
 
 Exit codes: 0 success, 2 input-file (INP) error or command-line usage
-error, including a sample count past the sampler's limit, 3 bounds-file
-error, 4 modelling-assumption violation, 1 other failure, such as an output
-file that cannot be written.
+error, including a sample count past the sampler's limit and a Sobol
+sampler past its table's dimensions, 3 bounds-file error, 4
+modelling-assumption violation, 1 other failure, such as an output file
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from pathlib import Path
 
 from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
-from .errors import AssumptionError, BoundsError, InpError, SampleCountTooLarge, WdnError
+from .errors import (AssumptionError, BoundsError, DimensionTooLarge, InpError,
+                     SampleCountTooLarge, WdnError)
 from .inp import parse_inp
 from .network import Network, build_network
 from .report import AnalysisReport
@@ -338,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except InpError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except SampleCountTooLarge as exc:
+    except (SampleCountTooLarge, DimensionTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BoundsError as exc:

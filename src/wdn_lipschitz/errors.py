@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: input-file problems exit 2, bounds-file
 problems exit 3, modelling-assumption violations exit 4, and a sample count
-past what a sampler can index (SampleCountTooLarge) exits 2 as a
+past what a sampler can index (SampleCountTooLarge) or a Sobol dimension
+past the direction-number table (DimensionTooLarge) exits 2 as a
 command-line usage error.
 """
 

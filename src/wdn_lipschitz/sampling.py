@@ -37,7 +37,7 @@ Sobol indexes at most 2**32 - 1 points and Halton at most 2**63 - 1 (int64
 digits); asking for more raises SampleCountTooLarge.
 
 Estimates are running maxima over sample prefixes, so they are nondecreasing
-in the sample count and identical for any block size or parallel schedule.
+in the sample count and identical wherever block edges fall.
 A sample p maps into the flow box as ``p*w + lo``, then a clip at hi, with
 ``w = hi - lo`` computed once; the sum never falls below lo (see
 ``_scale_into_box``).
@@ -51,10 +51,10 @@ entries, and every Jacobian entry is nondecreasing in ``|q_i|``.  So the
 hull gives the maximum over all sampled points bit for bit wherever numpy's
 ``pow`` is monotone, and never more than that, since each hull entry is a
 sampled flow.  A random hull is reduced from the sample blocks, so the
-trace holds one block (at most 8192 points and 64 MiB).  Halton and Sobol
-hulls are taken in closed form in O(d log n), with the bits of the
-generated points (for Halton up to a bound on n, below): they generate no
-points, their cost does not depend on n, and they ignore ``block``.
+trace holds one block.  Halton and Sobol hulls are taken in closed form in
+O(d log n), with the bits of the generated points (for Halton up to a
+bound on n, below): they generate no points, and their cost does not
+depend on n.
 
 * Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
   [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
@@ -73,11 +73,12 @@ points, their cost does not depend on n, and they ignore ``block``.
   n = 1e11.  Past that it is the fold of the index with the largest exact
   radical inverse, still a sampled point.
 
-A ``sqrt`` trace needs each point's sum of squares.  It walks each block
+A ``sqrt`` trace needs each point's sum of squares.  It walks the points
 in tiles of at most 2**16 values (512 KiB): it scales a tile in place,
 writes its Jacobian into one tile-sized buffer and its row sums into a
-vector for the block, then takes the block's prefix maximum.  So it holds
-one sample block plus one tile, and each tile's passes stay in cache.
+vector for the points between two checkpoints or block edges, and keeps
+the largest sum.  So it holds one sample block plus one tile, and each
+tile's passes stay in cache.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,10 +114,6 @@ _MAX_COUNT = {KIND_SOBOL: 2 ** _SOBOL_BITS - 1, KIND_HALTON: 2 ** 63 - 1}
 _SOBOL_RUN_BITS = 7
 _SOBOL_RUN = 1 << _SOBOL_RUN_BITS
 _SOBOL_SCRATCH_VALUES = 2 ** 16
-# a default block holds at most 8192 points and at most 2**23 float64
-# values (64 MiB), so memory stays flat however many links the network has
-_BLOCK_ROWS = 8192
-_BLOCK_VALUES = 2 ** 23
 # a sqrt trace evaluates a block in tiles of at most this many values
 # (512 KiB of float64), so its Jacobian stays in a core's cache
 _TILE_VALUES = 2 ** 16
@@ -168,6 +165,8 @@ def sobol_max_dimension() -> int:
     return len(_direction_rows()) + 1
 
 
+# Cached per dimension and read-only, since every trace shares it
+@lru_cache(maxsize=None)
 def _sobol_matrix(dim: int) -> np.ndarray:
     """Direction numbers as a (bits, dim) uint32 matrix."""
     rows = _direction_rows()
@@ -189,6 +188,7 @@ def _sobol_matrix(dim: int) -> np.ndarray:
                     acc ^= col[k - i]
             col[k] = acc
         v[:, j] = col
+    v.flags.writeable = False
     return v
 
 
@@ -199,7 +199,7 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
     return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
 
 
-def _sobol_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
+def _sobol_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
     v = _sobol_matrix(dim)
     # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
     table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
@@ -210,8 +210,8 @@ def _sobol_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
     steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
     runs = max(1, _SOBOL_SCRATCH_VALUES // table.size)
     scratch = np.empty((runs * _SOBOL_RUN, dim), dtype=np.uint32)
-    for done in range(0, count, block):
-        yield _sobol_block(v, table, steps, scratch, done + 1, min(block, count - done))
+    for done in range(0, count, rows):
+        yield _sobol_block(v, table, steps, scratch, done + 1, min(rows, count - done))
 
 
 def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
@@ -242,11 +242,11 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
         base ^= steps[(run & -run).bit_length() - 1]
 
 
-def _halton_blocks(dim: int, count: int, block: int) -> Iterator[np.ndarray]:
+def _halton_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
     bases = _first_primes(dim)
-    chunk = np.empty((_HALTON_CHUNK, min(block, count)))
-    for done in range(0, count, block):
-        yield _halton_block(bases, done + 1, min(block, count - done), chunk)
+    chunk = np.empty((_HALTON_CHUNK, min(rows, count)))
+    for done in range(0, count, rows):
+        yield _halton_block(bases, done + 1, min(rows, count - done), chunk)
 
 
 def _halton_block(bases: list[int], first: int, size: int, chunk: np.ndarray) -> np.ndarray:
@@ -390,10 +390,16 @@ def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray,
         yield mark, p[0], p[1]
 
 
-def _random_blocks(dim: int, count: int, block: int, seed: int) -> Iterator[np.ndarray]:
+def _random_blocks(dim: int, count: int, rows: int, seed: int) -> Iterator[np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    for done in range(0, count, block):
-        yield rng.random((min(block, count - done), dim))
+    for done in range(0, count, rows):
+        yield rng.random((min(rows, count - done), dim))
+
+
+def _block_rows(dim: int) -> int:
+    """Points per sample block: at most 8192 and 2**23 float64 values
+    (64 MiB), so memory stays flat however many links the network has."""
+    return max(1, min(8192, 2 ** 23 // dim))
 
 
 @dataclass(frozen=True)
@@ -412,25 +418,19 @@ class SampleSequence:
         if self.kind == KIND_SOBOL and self.dimension > sobol_max_dimension():
             raise DimensionTooLarge(self.dimension, sobol_max_dimension())
 
-    def blocks(self, count: int, block: int | None = None) -> Iterator[np.ndarray]:
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
         if count < 0:
             raise ValueError("count must be >= 0")
-        if block is None:
-            block = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // self.dimension))
-        elif block < 1:
-            raise ValueError("block must be >= 1")
         check_sample_count(self.kind, count)
+        rows = _block_rows(self.dimension)
         if self.kind == KIND_SOBOL:
-            return _sobol_blocks(self.dimension, count, block)
+            return _sobol_blocks(self.dimension, count, rows)
         if self.kind == KIND_HALTON:
-            return _halton_blocks(self.dimension, count, block)
-        return _random_blocks(self.dimension, count, block, self.seed)
+            return _halton_blocks(self.dimension, count, rows)
+        return _random_blocks(self.dimension, count, rows, self.seed)
 
     def points(self, count: int) -> np.ndarray:
-        parts = list(self.blocks(count))
-        if not parts:
-            return np.empty((0, self.dimension))
-        return np.concatenate(parts, axis=0)
+        return np.concatenate([np.empty((0, self.dimension)), *self.blocks(count)])
 
 
 def check_sample_count(kind: str, count: int) -> None:
@@ -442,12 +442,9 @@ def check_sample_count(kind: str, count: int) -> None:
 
 
 def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
-            mode: str = MODE_MAX, seed: int = 0,
-            block: int | None = None) -> LipschitzEstimate:
+            mode: str = MODE_MAX, seed: int = 0) -> LipschitzEstimate:
     """Best objective value over n sampled flow points (an under-estimate)."""
-    estimate, _ = k_lower_trace(net, box, sampler, n, mode=mode, seed=seed,
-                                block=block, checkpoints=())
-    return estimate
+    return k_lower_trace(net, box, sampler, n, mode=mode, seed=seed)[0]
 
 
 def k_lower_trace(
@@ -457,7 +454,6 @@ def k_lower_trace(
     n: int,
     mode: str = MODE_MAX,
     seed: int = 0,
-    block: int | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> tuple[LipschitzEstimate, list[tuple[int, float]]]:
     """k_lower plus the running estimate at each requested prefix length.
@@ -467,35 +463,29 @@ def k_lower_trace(
     past the float range raises BoundsError: the box is too wide.  More
     points than the sequence can index raise SampleCountTooLarge.  A max
     trace over Halton or Sobol points takes its hull in closed form, so its
-    cost does not depend on n and it ignores block.
+    cost does not depend on n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
         raise ValueError(f"unknown mode {mode!r}")
-    if block is not None and block < 1:
-        raise ValueError("block must be >= 1")
     if isinstance(sampler, str):
         sampler = SampleSequence(sampler, net.n_links, seed)
     elif sampler.dimension != net.n_links:
         raise ValueError("sampler dimension does not match the network")
     check_sample_count(sampler.kind, n)
 
-    pending = sorted(c for c in checkpoints if 1 <= c <= n)
+    marks = [*sorted(c for c in checkpoints if 1 <= c <= n), n]
     if mode == MODE_MAX:
-        value, trace = _max_trace(net, box, _prefix_hulls(sampler, [*pending, n], block))
+        trace = _max_trace(net, box, _prefix_hulls(sampler, marks))
     else:
-        value, trace = _sqrt_trace(net, box, sampler.blocks(n, block), pending)
+        trace = _sqrt_trace(net, box, sampler.blocks(n), marks)
+    # the last mark is n: its value is the estimate, the rest are checkpoints
+    value = trace.pop()[1]
     # the trace is nondecreasing, so a finite last value makes all finite
     if not math.isfinite(value):
         raise BoundsError(f"{mode}-mode point estimate overflows a float: the box is too wide")
-    estimate = LipschitzEstimate(
-        value=value,
-        method=METHOD_POINT_LOWER,
-        mode=mode,
-        effort=n,
-    )
-    return estimate, trace
+    return LipschitzEstimate(value=value, method=METHOD_POINT_LOWER, mode=mode, effort=n), trace
 
 
 def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarray:
@@ -511,80 +501,80 @@ def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarra
     return q
 
 
-def _prefix_hulls(sequence: SampleSequence, marks: list[int],
-                  block: int | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _prefix_hulls(sequence: SampleSequence,
+                  marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(mark, p_min, p_max) for each mark of the nondecreasing marks: the
     per-coordinate hull of points 1..mark.  Halton and Sobol hulls are in
-    closed form and ignore block; random ones stream the sample blocks."""
+    closed form.  Random ones are reduced from the sample blocks, and their
+    two rows are updated in place once the next row is drawn."""
     if sequence.kind == KIND_SOBOL:
         return _sobol_hulls(sequence.dimension, marks)
     if sequence.kind == KIND_HALTON:
         return _halton_hulls(sequence.dimension, marks)
-    return _block_hulls(sequence.blocks(marks[-1], block), sequence.dimension, marks)
+    p_min = np.full(sequence.dimension, np.inf)
+    p_max = np.full(sequence.dimension, -np.inf)
+
+    def take(p: np.ndarray) -> None:
+        np.minimum(p_min, p.min(axis=0), out=p_min)
+        np.maximum(p_max, p.max(axis=0), out=p_max)
+
+    walk = _prefix_walk(sequence.blocks(marks[-1]), marks, take)
+    return ((mark, p_min, p_max) for mark in walk)
 
 
-def _block_hulls(blocks: Iterator[np.ndarray], dim: int,
-                 marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(mark, p_min, p_max) for each mark, from blocks of points 1..marks[-1].
-    The two rows are updated in place once the next row is drawn."""
-    p_min = np.full(dim, np.inf)
-    p_max = np.full(dim, -np.inf)
-    next_mark = 0
+def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
+                 take: Callable[[np.ndarray], None]) -> Iterator[int]:
+    """Feed the blocks of points 1..marks[-1] to take, cut at the
+    nondecreasing marks, and yield each mark once take has had the points
+    up to it.  No cut outlives its call to take, and each block is freed
+    before the next is generated, so one block is held at a time."""
     seen = 0
-    for p in blocks:
+    at = 0
+    for block in blocks:
         start = 0
-        while start < len(p):
-            stop = min(len(p), marks[next_mark] - seen)
-            seg = p[start:stop]
-            np.minimum(p_min, seg.min(axis=0), out=p_min)
-            np.maximum(p_max, seg.max(axis=0), out=p_max)
-            del seg  # a live view would keep this block alive into the next
+        while start < len(block):
+            stop = min(len(block), marks[at] - seen)
+            take(block[start:stop])
             start = stop
-            while next_mark < len(marks) and marks[next_mark] == seen + start:
-                yield marks[next_mark], p_min, p_max
-                next_mark += 1
-        seen += len(p)
-        del p  # so the next block is generated with this one freed
+            while at < len(marks) and marks[at] == seen + start:
+                yield marks[at]
+                at += 1
+        seen += len(block)
+        del block
 
 
 def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray, np.ndarray]]
-               ) -> tuple[float, list[tuple[int, float]]]:
-    """Largest sampled Jacobian entry at each hull row (mark, p_min, p_max)
-    (see the module docstring).  The last row is the whole run's: its value
-    is the estimate, and the rows before it are the trace."""
+               ) -> list[tuple[int, float]]:
+    """Largest sampled Jacobian entry at each (mark, p_min, p_max) hull row."""
     width = box.hi - box.lo
     trace: list[tuple[int, float]] = []
     for mark, p_min, p_max in hulls:
         q = _scale_into_box(np.stack([p_min, p_max]), box, width)
         trace.append((mark, float(_jacobian_diag_into(net, q, np.empty_like(q)).max())))
-    return trace.pop()[1], trace
+    return trace
 
 
 def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
-                pending: list[int]) -> tuple[float, list[tuple[int, float]]]:
-    """Largest Frobenius norm of a sampled Jacobian, overall and at each
-    pending prefix; it needs every point, so each block is evaluated, one
-    tile of rows at a time (see the module docstring)."""
-    trace: list[tuple[int, float]] = []
-    next_mark = 0
-    best = 0.0
-    seen = 0
+                marks: list[int]) -> list[tuple[int, float]]:
+    """Largest Frobenius norm of a sampled Jacobian at each mark; it needs
+    every point, so each is evaluated, one tile of rows at a time (see the
+    module docstring)."""
     width = box.hi - box.lo
     rows = max(1, _TILE_VALUES // net.n_links)
     jacobian = np.empty((rows, net.n_links))
-    for q in blocks:
-        running = np.empty(len(q))
+    best = 0.0
+    # A cut's row sums stay alive until the next cut's are allocated: freed
+    # sooner, glibc's heap layout raised point-convergence's peak RSS by a
+    # net3 block (69 to 76 MiB) in 6 of 10 runs on a 2-core x86-64 VM
+    sums = None
+
+    def take(q: np.ndarray) -> None:
+        nonlocal best, sums
+        sums = np.empty(len(q))
         for start in range(0, len(q), rows):
             tile = _scale_into_box(q[start:start + rows], box, width)
             g = _jacobian_diag_into(net, tile, jacobian[:len(tile)])
-            np.einsum("ij,ij->i", g, g, out=running[start:start + len(tile)])
-        del tile  # a live view would keep this block alive into the next
-        np.maximum.accumulate(running, out=running)
-        while next_mark < len(pending) and pending[next_mark] <= seen + len(running):
-            at = pending[next_mark]
-            next_mark += 1
-            trace.append((at, math.sqrt(max(best, float(running[at - seen - 1])))))
-        best = max(best, float(running[-1]))
-        seen += len(running)
-        del q  # so the next block is generated with this one freed
-    return math.sqrt(best), trace
+            np.einsum("ij,ij->i", g, g, out=sums[start:start + len(tile)])
+        best = max(best, float(sums.max()))
+
+    return [(mark, math.sqrt(best)) for mark in _prefix_walk(blocks, marks, take)]

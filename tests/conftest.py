@@ -31,16 +31,6 @@ EXPECTED_COUNTS = {
     "obcl": (262, 1, 0, 288, 1, 0),
 }
 
-# optimality gaps used for the interval method, one per fixture
-FIXTURE_GAPS = {
-    "three_node": 1e-2,
-    "eight_node": 1e-2,
-    "anytown": 1e-5,
-    "net2": 1e-5,
-    "net3": 2e-3,
-    "obcl": 8e-2,
-}
-
 
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:

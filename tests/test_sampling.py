@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from importlib import resources
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -38,6 +41,14 @@ from wdn_lipschitz.sampling import (
 )
 
 from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe
+
+
+def block_rows(rows: int | None):
+    """Sample blocks of rows points while active; rows None keeps the
+    default blocks."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return patch.object(sampling, "_block_rows", lambda dim: rows)
 
 
 def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
@@ -118,7 +129,8 @@ def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
     # block None is the default block (test_default_block_is_capped_by_bytes)
     rows = block or {289: 8192, 5002: 1677}[dim]
     count = whole * rows + int(extra * rows)
-    got = list(SampleSequence("halton", dim).blocks(count, block))
+    with block_rows(block):
+        got = list(SampleSequence("halton", dim).blocks(count))
     want = list(_reference_halton(dim, count, rows))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -171,16 +183,25 @@ class TestSobol:
         data = resources.files("wdn_lipschitz.data").joinpath(_DIRECTIONS_FILE).read_bytes()
         assert hashlib.sha256(data).hexdigest() == _DIRECTIONS_SHA256
 
+    def test_direction_matrix_is_cached_read_only(self):
+        # every Sobol trace of a dimension shares one matrix
+        v = _sobol_matrix(5)
+        assert _sobol_matrix(5) is v
+        with pytest.raises(ValueError):
+            v[0, 0] = 1
+
     def test_corrupt_table_detected(self, monkeypatch):
         from wdn_lipschitz import sampling
         monkeypatch.setattr(sampling, "_DIRECTIONS_SHA256", "0" * 64)
         sampling._direction_rows.cache_clear()
+        sampling._sobol_matrix.cache_clear()
         try:
             with pytest.raises(RuntimeError):
                 sampling._sobol_matrix(4)
         finally:
             monkeypatch.undo()
             sampling._direction_rows.cache_clear()
+            sampling._sobol_matrix.cache_clear()
 
 
 def _reference_sobol(dim: int, count: int, block: int):
@@ -215,7 +236,8 @@ def test_sobol_blocks_match_gray_code_loop(dim, block, count):
     rows = block or min(8192, 2 ** 23 // dim)
     if block is not None:
         count = min(count, 3 * block + 300)
-    got = list(SampleSequence("sobol", dim).blocks(count, block))
+    with block_rows(block):
+        got = list(SampleSequence("sobol", dim).blocks(count))
     want = list(_reference_sobol(dim, count, rows))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -265,20 +287,14 @@ class TestSequences:
     def test_block_size_does_not_change_points(self, kind):
         seq = SampleSequence(kind, 3, seed=5)
         whole = seq.points(257)
-        chunks = np.concatenate(list(seq.blocks(257, block=16)))
+        with block_rows(16):
+            chunks = np.concatenate(list(seq.blocks(257)))
         assert np.array_equal(whole, chunks)
 
     def test_default_block_is_capped_by_bytes(self):
         # 8192 points up to dimension 1024, then at most 2**23 values
         assert next(SampleSequence("random", 289).blocks(10_000)).shape == (8192, 289)
         assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (1677, 5002)
-
-    @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
-    def test_nonpositive_block_rejected(self, kind):
-        # a block of 0 rows would never advance through the sequence
-        for block in (0, -3):
-            with pytest.raises(ValueError):
-                SampleSequence(kind, 2).blocks(10, block)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -320,8 +336,9 @@ class TestKLower:
 
     def test_checkpoints_equal_independent_runs(self, three_node):
         _, net, box = three_node
-        _, trace = k_lower_trace(net, box, "halton", 300, mode="sqrt",
-                                 checkpoints=(7, 63, 300), block=64)
+        with block_rows(64):
+            _, trace = k_lower_trace(net, box, "halton", 300, mode="sqrt",
+                                     checkpoints=(7, 63, 300))
         for n, value in trace:
             est = k_lower(net, box, "halton", n, mode="sqrt")
             assert est.value == value
@@ -344,7 +361,8 @@ class TestKLower:
     def test_bitwise_determinism(self, valve_net):
         _, net, box = valve_net
         a = k_lower(net, box, "random", 4096, mode="max", seed=42)
-        b = k_lower(net, box, "random", 4096, mode="max", seed=42, block=128)
+        with block_rows(128):
+            b = k_lower(net, box, "random", 4096, mode="max", seed=42)
         assert a.value == b.value
 
     def test_random_seeds_stay_below_analytical(self, three_node):
@@ -481,13 +499,43 @@ def test_scale_into_box_needs_no_lower_clip(ends, data):
     assert np.array_equal(np.abs(q).view(np.uint64), np.abs(clipped).view(np.uint64))
 
 
-def _brute_force_max_trace(net, box, kind, seed, n, marks):
+def test_clip_at_hi_binds_when_the_width_overflows():
+    # The clip binds when hi - lo overflows to inf: then p*inf + lo is inf
+    # for every p > 0, and the clip maps each sample to hi.  Without it the
+    # estimate is inf, which raises BoundsError.
+    net = build_network(make_single_pipe(1e-300, 2.0))
+    box = box_from_intervals(net, {"P1": (-1e308, 1e308)})
+    with np.errstate(over="ignore"):
+        value = k_lower(net, box, "sobol", 100, mode="max").value
+    assert math.isfinite(value)
+    assert value <= k_network(net, box).value
+
+
+def _brute_force_trace(net, box, kind, seed, n, marks, mode):
     # every sampled point mapped into the box, its whole Jacobian row, then
-    # a row max and a prefix max: the definition the hull must reproduce
+    # a row max (or the root of the row's sum of squares) and a prefix max:
+    # the definition the hull and the tile walk must reproduce
     q = SampleSequence(kind, net.n_links, seed).points(n)
     q = np.clip(box.lo + q * (box.hi - box.lo), box.lo, box.hi)
-    running = np.maximum.accumulate(jacobian_diag_batch(net, q).max(axis=1))
+    g = jacobian_diag_batch(net, q)
+    rows = g.max(axis=1) if mode == "max" else np.sqrt(np.einsum("ij,ij->i", g, g))
+    running = np.maximum.accumulate(rows)
     return [float(running[m - 1]) for m in marks]
+
+
+def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data, mode):
+    # marks on every block edge, at 1 and n, and a few drawn between
+    n = block * whole + extra
+    edges = {block * k for k in range(1, whole + 1)}
+    others = data.draw(st.lists(st.integers(1, n), max_size=4))
+    marks = sorted(edges | set(others) | {1, n})
+    with block_rows(block):
+        est, trace = k_lower_trace(net, box, kind, n, mode=mode, seed=seed,
+                                   checkpoints=tuple(marks))
+    expected = _brute_force_trace(net, box, kind, seed, n, marks, mode)
+    assert [at for at, _ in trace] == marks
+    assert [v.hex() for _, v in trace] == [v.hex() for v in expected]
+    assert est.value.hex() == expected[-1].hex()
 
 
 # Networks from make_random_network have pipe and valve boxes that cross
@@ -506,16 +554,20 @@ def test_max_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra
         lo = box.lo.copy()
         lo[::step] = box.hi[::step]
         box = dataclasses.replace(box, lo=lo)
-    n = block * whole + extra
-    edges = {block * k for k in range(1, whole + 1)}
-    others = data.draw(st.lists(st.integers(1, n), max_size=4))
-    marks = sorted(edges | set(others) | {1, n})
-    est, trace = k_lower_trace(net, box, kind, n, mode="max", seed=seed, block=block,
-                               checkpoints=tuple(marks))
-    expected = _brute_force_max_trace(net, box, kind, seed, n, marks)
-    assert [at for at, _ in trace] == marks
-    assert [v.hex() for _, v in trace] == [v.hex() for v in expected]
-    assert est.value.hex() == expected[-1].hex()
+    _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data, "max")
+
+
+# the same walk over blocks cut at the marks; a sqrt trace also tiles each
+# cut, and tiles of a few values put tile edges inside the cuts
+@settings(max_examples=40, deadline=None)
+@given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
+       seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
+       extra=st.integers(0, 299), tile=st.integers(1, 200), data=st.data())
+def test_sqrt_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra, tile, data):
+    net, box = make_random_network(np.random.default_rng(net_seed))
+    with patch.object(sampling, "_TILE_VALUES", tile):
+        _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data,
+                                          "sqrt")
 
 
 # On a degenerate box every sample is the corner itself, so the point route
