@@ -96,17 +96,18 @@ def box_from_intervals(net: Network, table: dict[str, tuple[float, float]]) -> F
 
 
 def load_bounds(path: str | Path, net: Network) -> FlowBox:
-    """Read a bounds CSV and validate it against the network."""
-    with open(path, newline="") as fh:
-        return _read_bounds(fh, net)
+    """Read a UTF-8 bounds CSV and validate it against the network; a file
+    that cannot be read or decoded is a BoundsError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BoundsError(f"cannot read {path}: {exc}") from None
+    return loads_bounds(text, net)
 
 
 def loads_bounds(text: str, net: Network) -> FlowBox:
-    return _read_bounds(io.StringIO(text), net)
-
-
-def _read_bounds(fh, net: Network) -> FlowBox:
-    reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["link_id", "q_min", "q_max"]:
         raise BoundsError("bounds file must start with header 'link_id,q_min,q_max'")

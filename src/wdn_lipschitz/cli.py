@@ -8,11 +8,8 @@ Subcommands:
                  plus optional per-method timing medians
     convergence  sampled lower bound as a function of the sample count
 
-Exit codes: 0 success, 2 input-file (INP) error or command-line usage
-error, including a sample count past the sampler's limit and a Sobol
-sampler past its table's dimensions, 3 bounds-file error, 4
-modelling-assumption violation, 1 other failure, such as an output file
-that cannot be written.
+A package error exits with the code its class carries (errors.WdnError);
+an output file that cannot be written exits 1.  The README lists the codes.
 """
 
 from __future__ import annotations
@@ -27,8 +24,7 @@ from pathlib import Path
 
 from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
-from .errors import (AssumptionError, BoundsError, DimensionTooLarge, InpError,
-                     SampleCountTooLarge, WdnError)
+from .errors import BoundsError, InpError, WdnError
 from .inp import parse_inp
 from .network import Network, build_network
 from .report import AnalysisReport
@@ -36,14 +32,20 @@ from .report import AnalysisReport
 BENCHMARK_ORDER = ("three_node", "eight_node", "anytown", "net2", "net3", "obcl")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _int_at_least(lo: int, what: str):
+    """An argparse type: an integer >= lo, else a usage error naming what."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
 
 
 def _sample_counts(text: str) -> tuple[int, ...]:
@@ -56,18 +58,11 @@ def _sample_counts(text: str) -> tuple[int, ...]:
 
 def _read_network(inp_path: Path) -> tuple[str, Network]:
     try:
-        text = inp_path.read_text()
-    except OSError as exc:
+        text = inp_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InpError(f"cannot read {inp_path}: {exc}") from None
     desc = parse_inp(text)
     return inp_path.stem, build_network(desc)
-
-
-def _load_box(path: Path, net: Network) -> FlowBox:
-    try:
-        return load_bounds(path, net)
-    except OSError as exc:
-        raise BoundsError(f"cannot read {path}: {exc}") from None
 
 
 def _read_box(args, net: Network) -> tuple[FlowBox, str]:
@@ -76,7 +71,7 @@ def _read_box(args, net: Network) -> tuple[FlowBox, str]:
     if args.bounds is None:
         raise BoundsError("no bounds file given (use --bounds FILE or --default-bounds)")
     path = Path(args.bounds)
-    return _load_box(path, net), str(path)
+    return load_bounds(path, net), str(path)
 
 
 def _timed(fn, *fn_args, **fn_kwargs):
@@ -182,10 +177,11 @@ def cmd_benchmark(args) -> int:
     for name, inp_path, bounds_path in fixtures:
         try:
             _, net = _read_network(inp_path)
-            box = _load_box(bounds_path, net)
+            box = load_bounds(bounds_path, net)
             runs: dict[str, list[float]] = {}
             report = None
-            for _ in range(args.repeats):
+            # the results CSV reads the first run only; repeats feed the timings
+            for _ in range(args.repeats if args.timing_out else 1):
                 rep = AnalysisReport.for_network(name, net, {})
                 _run_methods(net, box, {"interval", "point"}, {"max", "sqrt"},
                              args.samples, args.sampler, args.seed, rep)
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="point method sampler (default %(default)s)")
 
     def seed_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_int_at_least(0, "nonnegative"), default=0,
                        help="seed for the random sampler (default %(default)s)")
 
     # options must be spelled in full: otherwise convergence would read a
@@ -308,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     point_options(p_bench)
     seed_option(p_bench)
     p_bench.add_argument("--repeats", type=_positive_int, default=5,
-                         help="timing repetitions, median reported (default %(default)s)")
+                         help="timing repetitions with --timing-out, median reported "
+                              "(default %(default)s)")
     p_bench.add_argument("--out", help="results CSV path (default: stdout)")
     p_bench.add_argument("--timing-out", help="per-method timing CSV path")
     p_bench.set_defaults(fn=cmd_benchmark)
@@ -334,19 +331,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AssumptionError as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return 4
-    except InpError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (SampleCountTooLarge, DimensionTooLarge) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except BoundsError as exc:
-        print(f"bounds error: {exc}", file=sys.stderr)
-        return 3
-    except (WdnError, OSError) as exc:
+    except WdnError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: input-file problems exit 2, bounds-file
-problems exit 3, modelling-assumption violations exit 4, and a sample count
-past what a sampler can index (SampleCountTooLarge) or a Sobol dimension
-past the direction-number table (DimensionTooLarge) exits 2 as a
-command-line usage error.
+Each class carries the CLI's exit code and stderr label for it; the README
+lists them under "Exit codes".
 """
 
 from __future__ import annotations
@@ -13,9 +10,15 @@ from __future__ import annotations
 class WdnError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    label = "error"
+
 
 class InpError(WdnError):
     """A problem with an INP input file."""
+
+    exit_code = 2
+    label = "input error"
 
 
 class MalformedSection(InpError):
@@ -51,6 +54,9 @@ class DuplicateId(InpError):
 class BoundsError(WdnError):
     """A problem with a flow-bounds file or bounds construction."""
 
+    exit_code = 3
+    label = "bounds error"
+
 
 class MissingLink(BoundsError):
     def __init__(self, link_id: str):
@@ -85,6 +91,9 @@ class AssumptionError(WdnError):
     """A modelling assumption (positive resistances, pump flow direction,
     exponent ranges, speeds/openness in (0,1]) is violated."""
 
+    exit_code = 4
+    label = "assumption violation"
+
 
 class ParameterOutOfRange(AssumptionError):
     def __init__(self, what: str):
@@ -104,6 +113,9 @@ class NonPositiveFlow(AssumptionError):
 
 
 class DimensionTooLarge(WdnError):
+    exit_code = 2
+    label = "usage error"
+
     def __init__(self, wanted: int, available: int):
         self.wanted = wanted
         self.available = available
@@ -117,6 +129,9 @@ class SampleCountTooLarge(WdnError, ValueError):
     """More points asked of a sequence than its index arithmetic covers:
     Sobol's 32-bit states index 1..2**32-1, Halton's int64 digits up to
     2**63-1."""
+
+    exit_code = 2
+    label = "usage error"
 
     def __init__(self, kind: str, wanted: int, available: int):
         self.kind = kind

@@ -35,6 +35,7 @@ description built directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -248,210 +249,164 @@ def _solve_shutoff_head(pts: list[tuple[float, float]]) -> float:
     return 0.5 * (lo + hi)
 
 
-def _strip(line: str) -> str:
-    cut = line.find(";")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+class _Row:
+    """One data row of a section: its tokens and where they came from."""
+
+    __slots__ = ("section", "line_no", "tokens")
+
+    def __init__(self, section: str, line_no: int, tokens: list[str]):
+        self.section = section
+        self.line_no = line_no
+        self.tokens = tokens
+
+    def error(self, reason: str) -> MalformedSection:
+        return MalformedSection(self.section, self.line_no, " ".join(self.tokens), reason)
+
+    def num(self, idx: int, what: str) -> float:
+        try:
+            value = float(self.tokens[idx])
+        except ValueError:
+            raise self.error(f"{what} is not a number") from None
+        if not math.isfinite(value):
+            raise self.error(f"{what} is not finite")
+        return value
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.warnings: list[str] = []
-        self.sections: dict[str, list[tuple[int, list[str]]]] = {}
-
-    def split_sections(self) -> None:
-        current: str | None = None
-        known_current = False
-        for line_no, raw in enumerate(self.text.splitlines(), start=1):
-            line = _strip(raw)
-            if not line:
-                continue
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise MalformedSection(line, line_no, raw, "unterminated section header")
-                name = line[1:-1].strip().upper()
-                current = name
-                known_current = name in SUPPORTED_SECTIONS
-                if known_current:
-                    self.sections.setdefault(name, [])
-                else:
-                    self.warnings.append(f"skipped unsupported section [{name}]")
-                continue
-            if current is None:
-                raise MalformedSection("(preamble)", line_no, raw, "data before any section header")
-            if known_current:
-                self.sections[current].append((line_no, line.split()))
-
-    def rows(self, name: str) -> list[tuple[int, list[str]]]:
-        return self.sections.get(name, [])
-
-
-def _num(section: str, line_no: int, tokens: list[str], idx: int, what: str) -> float:
-    try:
-        value = float(tokens[idx])
-    except ValueError:
-        raise MalformedSection(section, line_no, " ".join(tokens), f"{what} is not a number") from None
-    if not math.isfinite(value):
-        raise MalformedSection(section, line_no, " ".join(tokens), f"{what} is not finite")
-    return value
-
-
-def _arity(section: str, line_no: int, tokens: list[str], lo: int, hi: int) -> None:
-    if not lo <= len(tokens) <= hi:
-        raise MalformedSection(
-            section, line_no, " ".join(tokens),
-            f"expected {lo}..{hi} fields, got {len(tokens)}",
-        )
+def _split_sections(text: str, warnings: list[str]) -> dict[str, list[_Row]]:
+    """The rows of each supported section present, by upper-case name; each
+    skipped section adds a warning."""
+    sections: dict[str, list[_Row]] = {}
+    name = rows = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition(";")[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise MalformedSection(line, line_no, raw, "unterminated section header")
+            name = line[1:-1].strip().upper()
+            rows = sections.setdefault(name, []) if name in SUPPORTED_SECTIONS else None
+            if rows is None:
+                warnings.append(f"skipped unsupported section [{name}]")
+        elif name is None:
+            raise MalformedSection("(preamble)", line_no, raw, "data before any section header")
+        elif rows is not None:
+            rows.append(_Row(name, line_no, line.split()))
+    return sections
 
 
 def parse_inp(text: str) -> NetworkDescription:
     """Parse INP text into a validated NetworkDescription."""
-    parser = _Parser(text)
-    parser.split_sections()
-
-    if "JUNCTIONS" not in parser.sections:
+    warnings: list[str] = []
+    sections = _split_sections(text, warnings)
+    if "JUNCTIONS" not in sections:
         raise MissingRequiredSection("[JUNCTIONS]")
+
+    def rows(name: str, lo: int, hi: int) -> Iterator[_Row]:
+        for r in sections.get(name, ()):
+            if not lo <= len(r.tokens) <= hi:
+                raise r.error(f"expected {lo}..{hi} fields, got {len(r.tokens)}")
+            yield r
 
     flow_units = "GPM"
     headloss_model = "H-W"
-    for line_no, tokens in parser.rows("OPTIONS"):
-        if len(tokens) < 2:
+    for r in sections.get("OPTIONS", ()):
+        if len(r.tokens) < 2:
             continue
-        key = tokens[0].upper()
+        key, value = r.tokens[0].upper(), r.tokens[1].upper()
         if key == "UNITS":
-            flow_units = tokens[1].upper()
+            flow_units = value
         elif key == "HEADLOSS":
-            model = tokens[1].upper()
-            if model not in HEADLOSS_EXPONENT:
-                raise MalformedSection(
-                    "OPTIONS", line_no, " ".join(tokens),
-                    f"unsupported head-loss model {model!r}",
-                )
-            headloss_model = model
+            if value not in HEADLOSS_EXPONENT:
+                raise r.error(f"unsupported head-loss model {value!r}")
+            headloss_model = value
     mu = HEADLOSS_EXPONENT[headloss_model]
 
-    junctions = []
-    for line_no, tokens in parser.rows("JUNCTIONS"):
-        _arity("JUNCTIONS", line_no, tokens, 2, 3)
-        elevation = _num("JUNCTIONS", line_no, tokens, 1, "elevation")
-        demand = _num("JUNCTIONS", line_no, tokens, 2, "demand") if len(tokens) > 2 else 0.0
-        junctions.append(JunctionDesc(tokens[0], elevation, demand))
-
-    reservoirs = []
-    for line_no, tokens in parser.rows("RESERVOIRS"):
-        _arity("RESERVOIRS", line_no, tokens, 2, 2)
-        reservoirs.append(ReservoirDesc(tokens[0], _num("RESERVOIRS", line_no, tokens, 1, "head")))
+    junctions = [
+        JunctionDesc(r.tokens[0], r.num(1, "elevation"),
+                     r.num(2, "demand") if len(r.tokens) > 2 else 0.0)
+        for r in rows("JUNCTIONS", 2, 3)
+    ]
+    reservoirs = [ReservoirDesc(r.tokens[0], r.num(1, "head"))
+                  for r in rows("RESERVOIRS", 2, 2)]
 
     tanks = []
-    for line_no, tokens in parser.rows("TANKS"):
-        _arity("TANKS", line_no, tokens, 6, 7)
-        elevation = _num("TANKS", line_no, tokens, 1, "elevation")
-        init_level = _num("TANKS", line_no, tokens, 2, "initial level")
-        _num("TANKS", line_no, tokens, 3, "minimum level")
-        _num("TANKS", line_no, tokens, 4, "maximum level")
-        diameter = _num("TANKS", line_no, tokens, 5, "diameter")
+    for r in rows("TANKS", 6, 7):
+        elevation = r.num(1, "elevation")
+        init_level = r.num(2, "initial level")
+        r.num(3, "minimum level")
+        r.num(4, "maximum level")
+        diameter = r.num(5, "diameter")
         if diameter <= 0:
-            raise ParameterOutOfRange(f"tank {tokens[0]!r}: diameter must be > 0")
-        area = math.pi * diameter * diameter / 4.0
-        tanks.append(TankDesc(tokens[0], elevation, init_level, area))
+            raise ParameterOutOfRange(f"tank {r.tokens[0]!r}: diameter must be > 0")
+        tanks.append(TankDesc(r.tokens[0], elevation, init_level,
+                              math.pi * diameter * diameter / 4.0))
 
     resistance_fn = _RESISTANCE[headloss_model]
     pipes = []
-    for line_no, tokens in parser.rows("PIPES"):
-        _arity("PIPES", line_no, tokens, 6, 8)
-        length = _num("PIPES", line_no, tokens, 3, "length")
-        diameter = _num("PIPES", line_no, tokens, 4, "diameter")
-        roughness = _num("PIPES", line_no, tokens, 5, "roughness")
-        if len(tokens) > 6:
-            minor = _num("PIPES", line_no, tokens, 6, "minor loss")
-            if minor != 0.0:
-                parser.warnings.append(f"pipe {tokens[0]!r}: minor loss ignored")
-        if len(tokens) > 7 and tokens[7].upper() != "OPEN":
-            raise MalformedSection(
-                "PIPES", line_no, " ".join(tokens),
-                f"unsupported pipe status {tokens[7]!r}",
-            )
+    for r in rows("PIPES", 6, 8):
+        pipe_id = r.tokens[0]
+        length, diameter, roughness = (r.num(3, "length"), r.num(4, "diameter"),
+                                       r.num(5, "roughness"))
+        if len(r.tokens) > 6 and r.num(6, "minor loss") != 0.0:
+            warnings.append(f"pipe {pipe_id!r}: minor loss ignored")
+        if len(r.tokens) > 7 and r.tokens[7].upper() != "OPEN":
+            raise r.error(f"unsupported pipe status {r.tokens[7]!r}")
         if length <= 0 or diameter <= 0 or roughness <= 0:
             raise ParameterOutOfRange(
-                f"pipe {tokens[0]!r}: length, diameter and roughness must be > 0"
-            )
-        pipes.append(PipeDesc(tokens[0], tokens[1], tokens[2],
-                              resistance_fn(length, diameter, roughness), mu))
-
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for line_no, tokens in parser.rows("CURVES"):
-        _arity("CURVES", line_no, tokens, 3, 3)
-        q = _num("CURVES", line_no, tokens, 1, "flow")
-        h = _num("CURVES", line_no, tokens, 2, "head")
-        curves.setdefault(tokens[0], []).append((q, h))
-
-    pumps = []
-    for line_no, tokens in parser.rows("PUMPS"):
-        _arity("PUMPS", line_no, tokens, 5, 7)
-        curve_id: str | None = None
-        speed = 1.0
-        rest = tokens[3:]
-        i = 0
-        while i < len(rest):
-            key = rest[i].upper()
-            if key == "HEAD" and i + 1 < len(rest):
-                curve_id = rest[i + 1]
-            elif key == "SPEED" and i + 1 < len(rest):
-                try:
-                    speed = float(rest[i + 1])
-                except ValueError:
-                    raise MalformedSection(
-                        "PUMPS", line_no, " ".join(tokens), "speed is not a number"
-                    ) from None
-            else:
-                raise MalformedSection(
-                    "PUMPS", line_no, " ".join(tokens),
-                    f"unsupported pump property {rest[i]!r}",
-                )
-            i += 2
-        if curve_id is None:
-            raise MalformedSection("PUMPS", line_no, " ".join(tokens), "pump needs a HEAD curve")
-        if curve_id not in curves:
-            raise MalformedSection(
-                "PUMPS", line_no, " ".join(tokens), f"unknown curve {curve_id!r}"
+                f"pipe {pipe_id!r}: length, diameter and roughness must be > 0"
             )
         try:
-            h_s, r, nu = fit_pump_curve(curves[curve_id])
-        except ValueError as exc:
-            raise MalformedSection("PUMPS", line_no, " ".join(tokens), str(exc)) from None
-        pumps.append(PumpDesc(tokens[0], tokens[1], tokens[2], h_s, r, nu, speed))
+            resistance = resistance_fn(length, diameter, roughness)
+        except OverflowError:
+            raise ParameterOutOfRange(f"pipe {pipe_id!r}: resistance is not finite") from None
+        pipes.append(PipeDesc(pipe_id, r.tokens[1], r.tokens[2], resistance, mu))
+
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for r in rows("CURVES", 3, 3):
+        curves.setdefault(r.tokens[0], []).append((r.num(1, "flow"), r.num(2, "head")))
+
+    pumps = []
+    for r in rows("PUMPS", 5, 7):
+        curve_id: str | None = None
+        speed = 1.0
+        props = r.tokens[3:]
+        for i in range(0, len(props), 2):
+            key = props[i].upper()
+            if key == "HEAD" and i + 1 < len(props):
+                curve_id = props[i + 1]
+            elif key == "SPEED" and i + 1 < len(props):
+                try:
+                    speed = float(props[i + 1])
+                except ValueError:
+                    raise r.error("speed is not a number") from None
+            else:
+                raise r.error(f"unsupported pump property {props[i]!r}")
+        if curve_id is None:
+            raise r.error("pump needs a HEAD curve")
+        if curve_id not in curves:
+            raise r.error(f"unknown curve {curve_id!r}")
+        try:
+            h_s, coeff, nu = fit_pump_curve(curves[curve_id])
+        except (ValueError, ArithmeticError) as exc:
+            raise r.error(str(exc)) from None
+        pumps.append(PumpDesc(r.tokens[0], r.tokens[1], r.tokens[2], h_s, coeff, nu, speed))
 
     valves = []
-    for line_no, tokens in parser.rows("VALVES"):
-        _arity("VALVES", line_no, tokens, 6, 7)
-        _num("VALVES", line_no, tokens, 3, "diameter")
-        if tokens[4].upper() != "GPV":
-            raise MalformedSection(
-                "VALVES", line_no, " ".join(tokens),
-                f"unsupported valve type {tokens[4]!r} (only GPV)",
-            )
-        resistance = _num("VALVES", line_no, tokens, 5, "resistance")
-        openness = _num("VALVES", line_no, tokens, 6, "openness") if len(tokens) > 6 else 1.0
-        valves.append(ValveDesc(tokens[0], tokens[1], tokens[2], resistance, openness))
+    for r in rows("VALVES", 6, 7):
+        r.num(3, "diameter")
+        if r.tokens[4].upper() != "GPV":
+            raise r.error(f"unsupported valve type {r.tokens[4]!r} (only GPV)")
+        resistance = r.num(5, "resistance")
+        openness = r.num(6, "openness") if len(r.tokens) > 6 else 1.0
+        valves.append(ValveDesc(r.tokens[0], r.tokens[1], r.tokens[2], resistance, openness))
 
-    for line_no, tokens in parser.rows("COORDINATES"):
-        _arity("COORDINATES", line_no, tokens, 3, 3)
-        _num("COORDINATES", line_no, tokens, 1, "x")
-        _num("COORDINATES", line_no, tokens, 2, "y")
+    for r in rows("COORDINATES", 3, 3):
+        r.num(1, "x")
+        r.num(2, "y")
 
-    desc = NetworkDescription(
-        flow_units=flow_units,
-        headloss_exponent=mu,
-        junctions=junctions,
-        reservoirs=reservoirs,
-        tanks=tanks,
-        pipes=pipes,
-        pumps=pumps,
-        valves=valves,
-        warnings=parser.warnings,
-    )
+    desc = NetworkDescription(flow_units, mu, junctions, reservoirs, tanks, pipes, pumps,
+                              valves, warnings)
     _validate(desc)
     return desc
 
@@ -484,6 +439,8 @@ def _validate(desc: NetworkDescription) -> None:
     for p in desc.pipes:
         if not p.resistance > 0:
             raise ParameterOutOfRange(f"pipe {p.id!r}: resistance must be > 0")
+        if not math.isfinite(p.resistance):
+            raise ParameterOutOfRange(f"pipe {p.id!r}: resistance is not finite")
         if p.exponent != mu:
             raise ParameterOutOfRange(f"pipe {p.id!r}: exponent differs from network value")
     for m in desc.pumps:
@@ -500,6 +457,8 @@ def _validate(desc: NetworkDescription) -> None:
     for v in desc.valves:
         if not v.resistance > 0:
             raise ParameterOutOfRange(f"valve {v.id!r}: resistance must be > 0")
+        if not math.isfinite(v.resistance):
+            raise ParameterOutOfRange(f"valve {v.id!r}: resistance is not finite")
         if not 0.0 < v.openness <= 1.0:
             raise ParameterOutOfRange(f"valve {v.id!r}: openness {v.openness} outside (0, 1]")
     for t in desc.tanks:

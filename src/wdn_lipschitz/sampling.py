@@ -415,6 +415,8 @@ class SampleSequence:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind == KIND_SOBOL and self.dimension > sobol_max_dimension():
             raise DimensionTooLarge(self.dimension, sobol_max_dimension())
 

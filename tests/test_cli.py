@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import json
+import random
 import re
 import shlex
 
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 import wdn_lipschitz
-from wdn_lipschitz import load_report_schema
+from wdn_lipschitz import cli, errors, load_report_schema
 from wdn_lipschitz.cli import build_parser, main
 
 from conftest import FIXTURE_DIR
@@ -220,6 +221,25 @@ def test_benchmark_timing_csv(tmp_path, capsys):
     assert all(float(r["median_s"]) >= 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("timing, calls", [(False, 1), (True, 3)])
+def test_benchmark_repeats_only_for_timings(tmp_path, capsys, monkeypatch, timing, calls):
+    seen = []
+    run_methods = cli._run_methods
+
+    def counting(*args):
+        seen.append(args)
+        run_methods(*args)
+
+    monkeypatch.setattr(cli, "_run_methods", counting)
+    argv = ["benchmark", str(FIXTURE_DIR), "--networks", "three_node", "--samples", "10",
+            "--repeats", "3"]
+    if timing:
+        argv += ["--timing-out", str(tmp_path / "timing.csv")]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(seen) == calls
+
+
 def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
     for name in ("three_node.inp", "three_node_bounds.csv", "net2.inp"):
         (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
@@ -401,3 +421,155 @@ def test_readme_library_names_are_exported():
     assert imported
     assert sorted(imported - set(wdn_lipschitz.__all__)) == []
     assert [name for name in wdn_lipschitz.__all__ if not hasattr(wdn_lipschitz, name)] == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((*ANALYZE, "--methods", "point", "--sampler", "random"), id="analyze"),
+    pytest.param((*BENCHMARK, "--networks", "three_node", "--sampler", "random",
+                  "--repeats", "1"), id="benchmark"),
+    pytest.param((*CONVERGENCE, "--samplers", "random"), id="convergence"),
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "argument --seed: '-1' is not a nonnegative integer" in captured.err
+
+
+def one_error_line(capsys, argv, code: int, prefix: str) -> str:
+    """Run argv, expect exit code with one stderr line that starts with prefix."""
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    return captured.err
+
+
+LATIN1 = "; d\xe9bit\n".encode("latin-1")
+
+
+def test_undecodable_inp_exits_2(tmp_path, capsys):
+    bad = tmp_path / "three_node.inp"
+    bad.write_bytes((FIXTURE_DIR / "three_node.inp").read_bytes() + LATIN1)
+    err = one_error_line(capsys, ("analyze", str(bad), "--default-bounds"), 2,
+                         f"input error: cannot read {bad}: ")
+    assert "'utf-8' codec can't decode" in err
+
+
+def test_undecodable_bounds_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bounds.csv"
+    bad.write_bytes((FIXTURE_DIR / "three_node_bounds.csv").read_bytes() + LATIN1)
+    err = one_error_line(capsys, (*ANALYZE[:2], "--bounds", str(bad)), 3,
+                         f"bounds error: cannot read {bad}: ")
+    assert "'utf-8' codec can't decode" in err
+
+
+def test_benchmark_undecodable_bounds_is_an_error_row(tmp_path, capsys):
+    for name in ("three_node.inp", "net2.inp", "net2_bounds.csv"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    bad = tmp_path / "three_node_bounds.csv"
+    bad.write_bytes((FIXTURE_DIR / "three_node_bounds.csv").read_bytes() + LATIN1)
+    code, out = run(capsys, "benchmark", str(tmp_path), "--samples", "10")
+    assert code == 0
+    rows = {row["network"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert rows["net2"]["status"] == "ok"
+    assert rows["three_node"]["status"].startswith(
+        f"error: BoundsError: cannot read {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("old, new, code, message", [
+    pytest.param("10.0  0.02", "1e-70  0.02", 4,
+                 "assumption violation: pipe 'P1': resistance is not finite\n",
+                 id="pipe-diameter-1e-70"),
+    pytest.param("PC1  0.0  393.7008\nPC1  600.0  334.9546362472089\n"
+                 "PC1  1000.0  173.1199667037966", "PC1  1e-320  100", 2,
+                 "input error: PUMPS line 22: float division by zero: 'PU1 R1 J1 HEAD PC1'\n",
+                 id="curve-flow-1e-320"),
+])
+def test_extreme_inp_numbers_are_typed_errors(tmp_path, capsys, old, new, code, message):
+    text = (FIXTURE_DIR / "three_node.inp").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.inp"
+    bad.write_text(text.replace(old, new))
+    err = one_error_line(capsys, ("analyze", str(bad), "--default-bounds"), code, "")
+    assert err == message
+
+
+def readme_exit_codes() -> list[tuple[int, str, list[str]]]:
+    """(code, label, error names) for each row of the README exit-code table."""
+    text = (FIXTURE_DIR.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (\d) \| ?(?:`([^`]+)`)? \| (.*) \|$", text, flags=re.M)
+    return [(int(code), label, re.findall(r"`(\w+)`", names)) for code, label, names in rows]
+
+
+def test_error_classes_carry_the_readme_exit_codes():
+    table = readme_exit_codes()
+    assert [code for code, _, _ in table] == [0, 2, 2, 3, 4, 1]
+    listed = {}
+    for code, label, names in table:
+        for name in names:
+            listed[name] = (code, label)
+    assert listed.pop("OSError") == (1, "error")
+    for name, (code, label) in listed.items():
+        cls = getattr(errors, name)
+        assert (cls.exit_code, cls.label) == (code, label), name
+    # every error class takes its code from the nearest class the table lists
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, errors.WdnError):
+            nearest = next(c for c in cls.__mro__ if c.__name__ in listed)
+            assert (cls.exit_code, cls.label) == listed[nearest.__name__], cls
+
+
+FUZZ_VALUES = ("0", "-0", "-1", "1e-70", "1e-320", "1e300", "1e308", "inf", "nan", "x",
+               "HEAD", "SPEED", "GPV", "OPEN", "[PIPES]", "[X", ";", "\udcff", "")
+
+
+def _mutate(rng: random.Random, lines: list[str], sep: str | None) -> list[str]:
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(sep) or [""]
+        op = rng.random()
+        if op < 0.7:
+            fields[rng.randrange(len(fields))] = rng.choice(FUZZ_VALUES)
+        elif op < 0.8:
+            del fields[rng.randrange(len(fields))]
+        elif op < 0.9:
+            fields.append(rng.choice(FUZZ_VALUES))
+        else:
+            lines.insert(rng.randrange(len(lines)), lines[i])
+            continue
+        lines[i] = (sep or " ").join(fields)
+    return lines
+
+
+def test_mutated_inputs_exit_with_a_typed_error(tmp_path, capsys):
+    # seeded token mutations of fixture INP and bounds files: whatever the
+    # input, analyze exits 0 or with a documented code and one stderr line
+    rng = random.Random(20240613)
+    sources = [((FIXTURE_DIR / f"{n}.inp").read_text().splitlines(),
+                (FIXTURE_DIR / f"{n}_bounds.csv").read_text().splitlines())
+               for n in ("three_node", "eight_node", "anytown", "net2")]
+    inp, bounds = tmp_path / "net.inp", tmp_path / "bounds.csv"
+    codes = set()
+    for case in range(1500):
+        inp_lines, bounds_lines = sources[case % len(sources)]
+        which = rng.random()
+        if which < 0.6:
+            inp_lines = _mutate(rng, inp_lines, None)
+        if which > 0.4:
+            bounds_lines = _mutate(rng, bounds_lines, ",")
+        inp.write_bytes("\n".join(inp_lines).encode("utf-8", "surrogateescape"))
+        bounds.write_bytes("\n".join(bounds_lines).encode("utf-8", "surrogateescape"))
+        code = main(["analyze", str(inp), "--bounds", str(bounds),
+                     "--methods", "interval,point", "--samples", "64"])
+        err = capsys.readouterr().err
+        context = f"case {case}: exit {code}, stderr {err!r}"
+        assert code in (0, 2, 3, 4), context
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), context
+        codes.add(code)
+    assert codes == {0, 2, 3, 4}

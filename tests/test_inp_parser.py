@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 from mpmath import mp, mpf, power
 
-from wdn_lipschitz import parse_inp
+from wdn_lipschitz import build_network, parse_inp
 from wdn_lipschitz.errors import (
     DuplicateId,
     MalformedSection,
@@ -222,3 +223,31 @@ def test_warnings_do_not_affect_equality():
     noisy = parse_inp(MINIMAL + "\n[PATTERNS]\nx 1\n")
     assert noisy == desc
     assert noisy.warnings != desc.warnings
+
+
+@pytest.mark.parametrize("model", ["H-W", "D-W", "C-M"])
+def test_pipe_resistance_past_the_float_range_is_out_of_range(model):
+    # d**-4.871 (or -5, -5.33) overflows at d = 1e-70
+    bad = MINIMAL.replace("P1  J1  T1  1000  12  100", "P1  J1  T1  1000  1e-70  100")
+    with pytest.raises(ParameterOutOfRange) as err:
+        parse_inp(bad + f"\n[OPTIONS]\nHEADLOSS  {model}\n")
+    assert str(err.value) == "pipe 'P1': resistance is not finite"
+
+
+@pytest.mark.parametrize("kind", ["pipes", "valves"])
+def test_built_description_with_infinite_resistance_is_rejected(kind):
+    desc = parse_inp(MINIMAL + "\n[VALVES]\nV1  J1  T1  12  GPV  0.004\n")
+    links = getattr(desc, kind)
+    links[0] = dataclasses.replace(links[0], resistance=math.inf)
+    with pytest.raises(ParameterOutOfRange) as err:
+        build_network(desc)
+    assert str(err.value) == f"{kind[:-1]} {links[0].id!r}: resistance is not finite"
+
+
+def test_curve_fit_arithmetic_error_is_malformed():
+    # the one-point convention divides by q_d**2, which underflows to 0 here
+    bad = MINIMAL[: MINIMAL.index("[CURVES]")] + "[CURVES]\nC1  1e-320  100\n"
+    with pytest.raises(MalformedSection) as err:
+        parse_inp(bad)
+    assert str(err.value) == ("PUMPS line 15: float division by zero: "
+                              "'PU1 R1 J1 HEAD C1'")

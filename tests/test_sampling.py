@@ -296,6 +296,11 @@ class TestSequences:
         assert next(SampleSequence("random", 289).blocks(10_000)).shape == (8192, 289)
         assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (1677, 5002)
 
+    @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
+    def test_negative_seed_rejected_at_construction(self, kind):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SampleSequence(kind, 3, seed=-1)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SampleSequence("sobolev", 2)
