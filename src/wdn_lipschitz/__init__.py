@@ -50,6 +50,7 @@ from .errors import (
     SampleCountTooLarge,
     UnknownLink,
     UnknownNodeRef,
+    UsageError,
     WdnError,
 )
 from .estimates import LipschitzEstimate
@@ -97,6 +98,7 @@ __all__ = [
     "TripletMatrix",
     "UnknownLink",
     "UnknownNodeRef",
+    "UsageError",
     "WdnError",
     "box_from_intervals",
     "build_dae",

@@ -3,8 +3,9 @@
 Each component of the hydraulic nonlinearity depends on one flow only, so
 its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
-corner c, where c_i is the endpoint of larger magnitude, and one pass,
-corner_derivatives, serves both routes below:
+corner c, where c_i is the endpoint of larger magnitude.  One pass,
+corner_derivatives, serves all three max-mode routes: K and the interval
+brackets below at c, and the max point trace at its sample hull's corner:
 
     pipes   mu * R_i * c_i**(mu-1)
     pumps   nu_i * r_i * c_i**(nu_i-1) * s_i**(2-nu_i)
@@ -50,13 +51,12 @@ def link_derivative(net: Network, pos: int, magnitude: float) -> float:
             * math.pow(magnitude, net.mu - 1.0))
 
 
-def corner_derivatives(net: Network, box: FlowBox) -> list[float]:
-    """Each link's |J_ii| at the box corner: its supremum over the box.
-
-    A value past the float range raises BoundsError: the box is too wide.
-    """
+def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
+    """Each link's |J_ii| at its flow magnitude; at FlowBox.corner_magnitudes,
+    its supremum over the box.  A value past the float range raises
+    BoundsError: the box is too wide."""
     values = []
-    for link, m in zip(net.links, box.corner_magnitudes()):
+    for link, m in zip(net.links, magnitudes):
         try:
             value = link_derivative(net, link.flow_pos, m)
         except OverflowError:
@@ -70,7 +70,7 @@ def corner_derivatives(net: Network, box: FlowBox) -> list[float]:
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     """Exact Lipschitz (and one-sided Lipschitz) constant over the box, with
     the constant of each link class in ``per_class``."""
-    values = corner_derivatives(net, box)
+    values = corner_derivatives(net, box.corner_magnitudes())
     pumps_end = net.n_pipes + net.n_pumps
     per_class = {
         "pipes": max(values[:net.n_pipes], default=0.0),
@@ -136,7 +136,7 @@ def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[flo
     # count; the 200-bit mpmath property test in tests/test_bnb.py
     # (test_corner_enclosures_contain_exact_derivative) checks it, and
     # random draws stayed within 2.7 ulps.
-    values = corner_derivatives(net, box)
+    values = corner_derivatives(net, box.corner_magnitudes())
     return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
 
 

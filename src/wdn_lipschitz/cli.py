@@ -24,12 +24,13 @@ from pathlib import Path
 
 from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
-from .errors import BoundsError, InpError, WdnError
+from .errors import BoundsError, InpError, UsageError, WdnError
 from .inp import parse_inp
 from .network import Network, build_network
 from .report import AnalysisReport
 
 BENCHMARK_ORDER = ("three_node", "eight_node", "anytown", "net2", "net3", "obcl")
+METHODS = ("analytical", "osl", "interval", "point")
 
 
 def _int_at_least(lo: int, what: str):
@@ -48,9 +49,25 @@ def _int_at_least(lo: int, what: str):
 _positive_int = _int_at_least(1, "positive")
 
 
+def _names(text: str) -> list[str]:
+    """Comma list of names, in order, blanks dropped."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _names_from(allowed: tuple[str, ...], what: str):
+    """An argparse type: a comma list of names from allowed."""
+    def parse(text: str) -> list[str]:
+        unknown = [name for name in _names(text) if name not in allowed]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {unknown[0]!r} (choose from {','.join(allowed)})")
+        return _names(text)
+    return parse
+
+
 def _sample_counts(text: str) -> tuple[int, ...]:
     """Comma list of positive integers, sorted with duplicates dropped."""
-    counts = sorted({_positive_int(tok) for tok in text.split(",") if tok.strip()})
+    counts = sorted({_positive_int(tok) for tok in _names(text)})
     if not counts:
         raise argparse.ArgumentTypeError("no sample counts given")
     return tuple(counts)
@@ -108,12 +125,8 @@ def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
 def cmd_analyze(args) -> int:
     name, net = _read_network(Path(args.inp))
     box, bounds_src = _read_box(args, net)
-    methods = {m.strip() for m in args.methods.split(",") if m.strip()}
-    unknown = methods - {"analytical", "osl", "interval", "point"}
-    if unknown:
-        raise InpError(f"unknown methods: {sorted(unknown)}")
     modes = {"max", "sqrt"} if args.mode == "both" else {args.mode}
-    if "point" in methods:
+    if "point" in args.methods:
         sampling.check_sample_count(args.sampler, args.samples)
 
     config = {
@@ -125,7 +138,8 @@ def cmd_analyze(args) -> int:
     }
     report = AnalysisReport.for_network(name, net, config)
     report.warnings = list(net.desc.warnings)
-    _run_methods(net, box, methods, modes, args.samples, args.sampler, args.seed, report)
+    _run_methods(net, box, set(args.methods), modes, args.samples, args.sampler, args.seed,
+                 report)
 
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
@@ -152,7 +166,7 @@ def _discover_fixtures(fixture_dir: Path, wanted: list[str] | None) -> list[tupl
     if wanted is not None:
         missing = [n for n in wanted if n not in found]
         if missing:
-            raise InpError(f"networks not found in {fixture_dir}: {missing}")
+            raise UsageError(f"networks not found in {fixture_dir}: {missing}")
         ordered = [n for n in ordered if n in wanted]
     return [(n, found[n][0], found[n][1]) for n in ordered]
 
@@ -160,11 +174,8 @@ def _discover_fixtures(fixture_dir: Path, wanted: list[str] | None) -> list[tupl
 def cmd_benchmark(args) -> int:
     fixture_dir = Path(args.fixture_dir)
     if not fixture_dir.is_dir():
-        raise InpError(f"{fixture_dir} is not a directory")
-    wanted = None
-    if args.networks:
-        wanted = [n.strip() for n in args.networks.split(",") if n.strip()]
-    fixtures = _discover_fixtures(fixture_dir, wanted)
+        raise UsageError(f"{fixture_dir} is not a directory")
+    fixtures = _discover_fixtures(fixture_dir, args.networks or None)
     # every network would fail on it, so it is a usage error, not an error row
     sampling.check_sample_count(args.sampler, args.samples)
 
@@ -229,28 +240,24 @@ def cmd_benchmark(args) -> int:
 def cmd_convergence(args) -> int:
     _, net = _read_network(Path(args.inp))
     box, _ = _read_box(args, net)
-    samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
-    for s in samplers:
-        if s not in sampling.SAMPLER_KINDS:
-            raise InpError(f"unknown sampler {s!r}")
     # build every sequence first, so one that cannot serve this network
     # (Sobol above its table's dimensions or its point count) fails before
     # any row is written
-    sequences = [sampling.SampleSequence(s, net.n_links, args.seed) for s in samplers]
-    for s in samplers:
-        sampling.check_sample_count(s, args.n_grid[-1])
+    for kind in args.samplers:
+        sampling.SampleSequence(kind, net.n_links, args.seed)
+        sampling.check_sample_count(kind, args.n_grid[-1])
 
     out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "sampler", "mode", "estimate"])
-        for sequence in sequences:
+        for kind in args.samplers:
             _, trace = sampling.k_lower_trace(
-                net, box, sequence, args.n_grid[-1], mode=args.mode,
+                net, box, kind, args.n_grid[-1], mode=args.mode, seed=args.seed,
                 checkpoints=args.n_grid,
             )
             for n, estimate in trace:
-                writer.writerow([n, sequence.kind, args.mode, repr(estimate)])
+                writer.writerow([n, kind, args.mode, repr(estimate)])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -288,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_options(p_analyze)
     point_options(p_analyze)
     seed_option(p_analyze)
-    p_analyze.add_argument("--methods", default="analytical",
+    p_analyze.add_argument("--methods", type=_names_from(METHODS, "method"),
+                           default="analytical",
                            help="comma list of analytical,osl,interval,point "
                                 "(analytical always runs; default %(default)s)")
     p_analyze.add_argument("--mode", choices=["max", "sqrt", "both"], default="both",
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run the fixture benchmark",
                              allow_abbrev=False)
     p_bench.add_argument("fixture_dir", help="directory of <name>.inp and <name>_bounds.csv")
-    p_bench.add_argument("--networks", help="comma list of fixture names to run")
+    p_bench.add_argument("--networks", type=_names, help="comma list of fixture names to run")
     point_options(p_bench)
     seed_option(p_bench)
     p_bench.add_argument("--repeats", type=_positive_int, default=5,
@@ -315,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("inp", help="EPANET-style INP file")
     bounds_options(p_conv)
     seed_option(p_conv)
-    p_conv.add_argument("--samplers", default="random,halton,sobol",
+    p_conv.add_argument("--samplers", type=_names_from(sampling.SAMPLER_KINDS, "sampler"),
+                        default="random,halton,sobol",
                         help="comma list of samplers (default %(default)s)")
     p_conv.add_argument("--n-grid", type=_sample_counts, default="10,100,1000,10000,100000",
                         help="comma list of sample counts (default %(default)s)")

@@ -96,8 +96,7 @@ class AssumptionError(WdnError):
 
 
 class ParameterOutOfRange(AssumptionError):
-    def __init__(self, what: str):
-        super().__init__(what)
+    """A parameter outside the range the model assumes."""
 
 
 class PumpNonpositiveLower(AssumptionError):
@@ -112,10 +111,15 @@ class NonPositiveFlow(AssumptionError):
         super().__init__(f"pump {link_id!r}: flow must be > 0, got {q}")
 
 
-class DimensionTooLarge(WdnError):
+class UsageError(WdnError):
+    """A request the package cannot serve as asked: a command-line choice
+    or a sample count or dimension past a sequence's limits."""
+
     exit_code = 2
     label = "usage error"
 
+
+class DimensionTooLarge(UsageError):
     def __init__(self, wanted: int, available: int):
         self.wanted = wanted
         self.available = available
@@ -125,13 +129,10 @@ class DimensionTooLarge(WdnError):
         )
 
 
-class SampleCountTooLarge(WdnError, ValueError):
+class SampleCountTooLarge(UsageError, ValueError):
     """More points asked of a sequence than its index arithmetic covers:
     Sobol's 32-bit states index 1..2**32-1, Halton's int64 digits up to
     2**63-1."""
-
-    exit_code = 2
-    label = "usage error"
 
     def __init__(self, kind: str, wanted: int, available: int):
         self.kind = kind

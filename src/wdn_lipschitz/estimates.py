@@ -38,9 +38,5 @@ class LipschitzEstimate:
             "effort": self.effort,
         }
         if self.per_class is not None:
-            doc["per_class"] = {
-                "pipes": self.per_class["pipes"],
-                "pumps": self.per_class["pumps"],
-                "valves": self.per_class["valves"],
-            }
+            doc["per_class"] = {k: self.per_class[k] for k in ("pipes", "pumps", "valves")}
         return doc

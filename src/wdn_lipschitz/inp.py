@@ -131,14 +131,8 @@ class NetworkDescription:
 
     def component_counts(self) -> tuple[int, int, int, int, int, int]:
         """(junctions, reservoirs, tanks, pipes, pumps, valves)."""
-        return (
-            len(self.junctions),
-            len(self.reservoirs),
-            len(self.tanks),
-            len(self.pipes),
-            len(self.pumps),
-            len(self.valves),
-        )
+        return tuple(map(len, (self.junctions, self.reservoirs, self.tanks,
+                               self.pipes, self.pumps, self.valves)))
 
 
 def hazen_williams_resistance(length: float, diameter: float, roughness: float) -> float:
@@ -192,8 +186,6 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
             "curve without a zero-flow point must have exactly three points"
         )
 
-    if any(h >= h_s for _, h in rest):
-        raise ValueError("curve heads must lie below the shutoff head")
     if len(rest) == 1:
         q1, h1 = rest[0]
         return h_s, (h_s - h1) / (q1 * q1), 2.0
@@ -217,7 +209,9 @@ def _solve_shutoff_head(pts: list[tuple[float, float]]) -> float:
     The exponent inferred from points (1,2) must match the one from (2,3):
     phi(H) = log((H-h1)/(H-h2))/log(q1/q2) - log((H-h2)/(H-h3))/log(q2/q3).
     phi -> +inf as H -> h1+ and -> a finite/zero limit from one side as
-    H -> inf, so a sign change brackets the root.
+    H -> inf, so a sign change brackets the root.  Only a strict one counts:
+    once H passes about 1e16 times the head spread, both ratios round to 1
+    and phi(H) is exactly 0 whether or not a root exists.
     """
     (q1, h1), (q2, h2), (q3, h3) = pts
 
@@ -231,7 +225,7 @@ def _solve_shutoff_head(pts: list[tuple[float, float]]) -> float:
     f_lo = phi(lo)
     f_hi = phi(hi)
     for _ in range(200):
-        if f_lo * f_hi <= 0.0:
+        if f_lo * f_hi < 0.0:
             break
         hi = lo + 2.0 * (hi - lo)
         f_hi = phi(hi)

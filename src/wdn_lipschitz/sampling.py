@@ -44,17 +44,18 @@ A sample p maps into the flow box as ``p*w + lo``, then a clip at hi, with
 
 A ``max`` trace evaluates no Jacobian on sample points.  At each
 checkpoint n it reads the hull of points 1..n, the per-coordinate minimum
-and maximum of the unit samples, maps those two rows into the box and takes
-their largest Jacobian entry.  Each step of the map is nondecreasing in p,
-so a coordinate's smallest and largest flow are the images of its hull
-entries, and every Jacobian entry is nondecreasing in ``|q_i|``.  So the
-hull gives the maximum over all sampled points bit for bit wherever numpy's
-``pow`` is monotone, and never more than that, since each hull entry is a
-sampled flow.  A random hull is reduced from the sample blocks, so the
-trace holds one block.  Halton and Sobol hulls are taken in closed form in
-O(d log n), with the bits of the generated points (for Halton up to a
-bound on n, below): they generate no points, and their cost does not
-depend on n.
+and maximum of the unit samples, maps those two rows into the box and
+evaluates the closed form at each link's larger magnitude, by the corner
+pass that gives K (analytical.corner_derivatives).  Each step of the map
+is nondecreasing in p, so a coordinate's smallest and largest flow are the
+images of its hull entries, and every entry is nondecreasing in ``|q_i|``.
+So, with libm's ``pow`` monotone, the hull gives the largest derivative
+over all sampled points, and never more than K, since each hull flow is a
+sampled flow inside the box.  A random hull is reduced from the sample
+blocks, so the trace holds one block.  Halton and Sobol hulls are taken in
+closed form in O(d log n), with the bits of the generated points (for
+Halton up to a bound on n, below): they generate no points, and their cost
+does not depend on n.
 
 * Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
   [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
@@ -93,6 +94,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .analytical import corner_derivatives
 from .bounds import FlowBox
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
 from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
@@ -135,7 +137,9 @@ def _first_primes(count: int) -> list[int]:
     return np.flatnonzero(sieve)[:count].tolist()
 
 
-def _load_direction_table() -> list[tuple[int, int, list[int]]]:
+@lru_cache(maxsize=None)
+def _direction_rows() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The (s, a, m) rows of the shipped table, checked against its SHA-256."""
     data = resources.files("wdn_lipschitz.data").joinpath(_DIRECTIONS_FILE).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != _DIRECTIONS_SHA256:
@@ -143,22 +147,16 @@ def _load_direction_table() -> list[tuple[int, int, list[int]]]:
             f"direction-number table checksum mismatch: {digest} != {_DIRECTIONS_SHA256}"
         )
     rows = []
-    lines = data.decode("ascii").splitlines()
-    for line in lines[1:]:
+    for line in data.decode("ascii").splitlines()[1:]:
         fields = line.split()
         if not fields:
             continue
         s, a = int(fields[1]), int(fields[2])
-        m = [int(tok) for tok in fields[3:]]
+        m = tuple(int(tok) for tok in fields[3:])
         if len(m) != s:
             raise RuntimeError("corrupt direction-number row")
         rows.append((s, a, m))
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _direction_rows() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    return tuple((s, a, tuple(m)) for s, a, m in _load_direction_table())
+    return tuple(rows)
 
 
 def sobol_max_dimension() -> int:
@@ -443,7 +441,7 @@ def check_sample_count(kind: str, count: int) -> None:
         raise SampleCountTooLarge(kind, count, limit)
 
 
-def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
+def k_lower(net: Network, box: FlowBox, sampler: str, n: int,
             mode: str = MODE_MAX, seed: int = 0) -> LipschitzEstimate:
     """Best objective value over n sampled flow points (an under-estimate)."""
     return k_lower_trace(net, box, sampler, n, mode=mode, seed=seed)[0]
@@ -452,7 +450,7 @@ def k_lower(net: Network, box: FlowBox, sampler: str | SampleSequence, n: int,
 def k_lower_trace(
     net: Network,
     box: FlowBox,
-    sampler: str | SampleSequence,
+    sampler: str,
     n: int,
     mode: str = MODE_MAX,
     seed: int = 0,
@@ -460,28 +458,26 @@ def k_lower_trace(
 ) -> tuple[LipschitzEstimate, list[tuple[int, float]]]:
     """k_lower plus the running estimate at each requested prefix length.
 
-    A checkpoint at m equals an independent run with n=m because the
-    estimate is a prefix maximum of a deterministic sequence.  An estimate
-    past the float range raises BoundsError: the box is too wide.  More
-    points than the sequence can index raise SampleCountTooLarge.  A max
-    trace over Halton or Sobol points takes its hull in closed form, so its
-    cost does not depend on n.
+    sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
+    link; seed seeds the random kind.  A checkpoint at m equals an
+    independent run with n=m because the estimate is a prefix maximum of a
+    deterministic sequence.  An estimate past the float range raises
+    BoundsError: the box is too wide.  More points than the sequence can
+    index raise SampleCountTooLarge.  A max trace over Halton or Sobol
+    points takes its hull in closed form, so its cost does not depend on n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(sampler, str):
-        sampler = SampleSequence(sampler, net.n_links, seed)
-    elif sampler.dimension != net.n_links:
-        raise ValueError("sampler dimension does not match the network")
-    check_sample_count(sampler.kind, n)
+    sequence = SampleSequence(sampler, net.n_links, seed)
+    check_sample_count(sampler, n)
 
     marks = [*sorted(c for c in checkpoints if 1 <= c <= n), n]
     if mode == MODE_MAX:
-        trace = _max_trace(net, box, _prefix_hulls(sampler, marks))
+        trace = _max_trace(net, box, _prefix_hulls(sequence, marks))
     else:
-        trace = _sqrt_trace(net, box, sampler.blocks(n), marks)
+        trace = _sqrt_trace(net, box, sequence.blocks(n), marks)
     # the last mark is n: its value is the estimate, the rest are checkpoints
     value = trace.pop()[1]
     # the trace is nondecreasing, so a finite last value makes all finite
@@ -547,12 +543,14 @@ def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
 
 def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray, np.ndarray]]
                ) -> list[tuple[int, float]]:
-    """Largest sampled Jacobian entry at each (mark, p_min, p_max) hull row."""
+    """Largest sampled Jacobian entry at each (mark, p_min, p_max) hull: the
+    closed form at the corner of the sampled hull, each link at its larger
+    magnitude, evaluated by the corner pass that gives K."""
     width = box.hi - box.lo
     trace: list[tuple[int, float]] = []
     for mark, p_min, p_max in hulls:
         q = _scale_into_box(np.stack([p_min, p_max]), box, width)
-        trace.append((mark, float(_jacobian_diag_into(net, q, np.empty_like(q)).max())))
+        trace.append((mark, max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))))
     return trace
 
 

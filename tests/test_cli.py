@@ -308,10 +308,10 @@ def test_convergence_single_n(capsys):
 
 
 def test_convergence_unknown_sampler_exits_2(capsys):
-    code, _ = run(capsys, "convergence", str(FIXTURE_DIR / "three_node.inp"),
-                  "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
-                  "--samplers", "latin")
-    assert code == 2
+    err = usage_error(capsys, "convergence", str(FIXTURE_DIR / "three_node.inp"),
+                      "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
+                      "--samplers", "latin")
+    assert "argument --samplers: unknown sampler 'latin' (choose from random,halton,sobol)" in err
 
 
 def test_convergence_sobol_too_large_writes_nothing(tmp_path, capsys):
@@ -345,9 +345,35 @@ def usage_error(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:")
-    return err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    return captured.err
+
+
+# a name list is checked as it is parsed, before any file is read
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("analyze", "missing.inp", "--methods", "point,foo"),
+                 "argument --methods: unknown method 'foo' "
+                 "(choose from analytical,osl,interval,point)", id="--methods"),
+    pytest.param(("convergence", "missing.inp", "--samplers", "sobol,latin"),
+                 "argument --samplers: unknown sampler 'latin' "
+                 "(choose from random,halton,sobol)", id="--samplers"),
+])
+def test_unknown_name_in_a_list_option_is_usage_error(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param((*BENCHMARK, "--networks", "three_node,atlantis"),
+                 f"usage error: networks not found in {FIXTURE_DIR}: ['atlantis']\n",
+                 id="--networks"),
+    pytest.param(("benchmark", str(FIXTURE_DIR / "three_node.inp")),
+                 f"usage error: {FIXTURE_DIR / 'three_node.inp'} is not a directory\n",
+                 id="not-a-directory"),
+])
+def test_benchmark_selection_mistake_is_usage_error(capsys, argv, message):
+    assert one_error_line(capsys, argv, 2, "usage error: ") == message
 
 
 @pytest.mark.parametrize("command, flag, value", [

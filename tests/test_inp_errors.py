@@ -154,7 +154,8 @@ CASES = [
     ("range-pump-exponent", CURVE, "C1 0 200\nC1 1 199\nC1 2 100\n", ParameterOutOfRange,
      "pump 'PU1': curve exponent 6.643856189774726 outside [1, 3]"),
     ("range-pump-exponent-three-points", CURVE, "C1 100 200\nC1 200 100\nC1 300 99\n",
-     ParameterOutOfRange, "pump 'PU1': curve exponent 0.0 outside [1, 3]"),
+     MalformedSection, "PUMPS line 10: curve is not consistent with a power-law head "
+     "model: 'PU1 R1 J1 HEAD C1'"),
     ("range-pump-speed", PUMP, "PU1 R1 J1 HEAD C1 SPEED 1.5", ParameterOutOfRange,
      "pump 'PU1': speed 1.5 outside (0, 1]"),
     ("range-pump-speed-inf", PUMP, "PU1 R1 J1 HEAD C1 SPEED inf", ParameterOutOfRange,
