@@ -5,11 +5,9 @@ its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
 corner c, where c_i is the endpoint of larger magnitude.  One pass,
 corner_derivatives, serves all three max-mode routes: K and the interval
-brackets below at c, and the max point trace at its sample hull's corner:
-
-    pipes   mu * R_i * c_i**(mu-1)
-    pumps   nu_i * r_i * c_i**(nu_i-1) * s_i**(2-nu_i)
-    valves  mu * o_i * R_i * c_i**(mu-1)
+brackets below at c, and the max point trace at its sample hull's corner.
+It reads the network's derivative table (network.py) and evaluates each
+link's coef_i * pow(c_i, expo_i) * post_i with libm, with no branch on class.
 
 The sharp constant K is the largest of these, overall and per class (an
 empty class contributes 0); k_network returns both.  The one-sided constant
@@ -37,28 +35,15 @@ from .estimates import (METHOD_ANALYTICAL, METHOD_INTERVAL_UPPER, MODE_MAX, MODE
 from .network import Network
 
 
-def link_derivative(net: Network, pos: int, magnitude: float) -> float:
-    """|df/dq| of the link at stacked flow position ``pos``, at ``magnitude``."""
-    if pos < net.n_pipes:
-        return net.mu * float(net.pipe_resistance[pos]) * math.pow(magnitude, net.mu - 1.0)
-    pos -= net.n_pipes
-    if pos < net.n_pumps:
-        nu = float(net.pump_exponent[pos])
-        return (nu * float(net.pump_coeff[pos]) * math.pow(magnitude, nu - 1.0)
-                * math.pow(float(net.pump_speed[pos]), 2.0 - nu))
-    pos -= net.n_pumps
-    return (net.mu * float(net.valve_openness[pos]) * float(net.valve_resistance[pos])
-            * math.pow(magnitude, net.mu - 1.0))
-
-
 def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
     """Each link's |J_ii| at its flow magnitude; at FlowBox.corner_magnitudes,
     its supremum over the box.  A value past the float range raises
     BoundsError: the box is too wide."""
     values = []
-    for link, m in zip(net.links, magnitudes):
+    for link, m, coef, expo, post in zip(net.links, magnitudes, net.deriv_coef.tolist(),
+                                         net.deriv_expo.tolist(), net.deriv_post.tolist()):
         try:
-            value = link_derivative(net, link.flow_pos, m)
+            value = coef * math.pow(m, expo) * post
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
@@ -127,12 +112,12 @@ def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[flo
     Each upper bounds its entry over the whole box; each lower is below the
     entry's value at the corner, so it is attained inside the box.
     """
-    # Where the 4-ulp widening comes from: the longest chain in
-    # link_derivative is the pump's nu * r * pow(m, nu-1) * pow(s, 2-nu).
+    # Where the 4-ulp widening comes from: the longest chain is the pump's
+    # (nu * r) * pow(m, nu-1) * pow(s, 2-nu), the table's coef, pow and post.
     # Its exponents are exact (Sterbenz: mu, nu in [1, 3]), each libm pow is
     # within 1 ulp and each of the 3 multiplies within half an ulp, so the
     # errors add to at most 2 + 1.5 = 3.5 ulps.  Pipes and valves have fewer
-    # operations.  This adds ulps of different intermediates, a first-order
+    # inexact operations.  This adds ulps of different intermediates, a first-order
     # count; the 200-bit mpmath property test in tests/test_bnb.py
     # (test_corner_enclosures_contain_exact_derivative) checks it, and
     # random draws stayed within 2.7 ulps.

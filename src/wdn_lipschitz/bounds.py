@@ -53,19 +53,6 @@ class FlowBox:
     def __len__(self) -> int:
         return len(self.link_ids)
 
-    def interval(self, link_id: str) -> tuple[float, float]:
-        i = self.link_ids.index(link_id)
-        return float(self.lo[i]), float(self.hi[i])
-
-    def contains(self, q: np.ndarray) -> bool:
-        """Membership is per-coordinate interval containment (the box is a
-        product of intervals, hence convex)."""
-        q = np.asarray(q, dtype=float)
-        return bool(np.all(q >= self.lo) and np.all(q <= self.hi))
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def corner_magnitudes(self) -> list[float]:
         """Per-link max(|q_min|, |q_max|): the endpoint of largest magnitude."""
         return np.maximum(np.abs(self.lo), np.abs(self.hi)).tolist()

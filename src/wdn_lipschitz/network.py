@@ -17,6 +17,13 @@ negative value):
     valve  f = o * R * q * |q|**(mu-1)
 
 Each component depends on its own flow only, so the Jacobian is diagonal.
+Network holds its entries as one per-link table, |df/dq| = coef * |q|**expo
+* post, which the closed forms (analytical.py) and the batched Jacobian here
+both read with no branch on link class:
+
+    pipe   (mu*R) * |q|**(mu-1) * 1
+    pump   (nu*r) * |q|**(nu-1) * s**(2-nu)
+    valve  ((mu*o)*R) * |q|**(mu-1) * 1
 """
 
 from __future__ import annotations
@@ -85,6 +92,18 @@ class Network:
         self.valve_resistance = np.array([v.resistance for v in desc.valves], dtype=float)
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
 
+        # the derivative table of the module docstring, in stacked flow
+        # order; the pump post is libm's, for the numpy evaluator too
+        mu = self.mu
+        self.deriv_coef = np.concatenate([mu * self.pipe_resistance,
+                                          self.pump_exponent * self.pump_coeff,
+                                          mu * self.valve_openness * self.valve_resistance])
+        self.deriv_expo = np.concatenate([np.full(self.n_pipes, mu - 1.0),
+                                          self.pump_exponent - 1.0,
+                                          np.full(self.n_valves, mu - 1.0)])
+        posts = [math.pow(m.speed, 2.0 - m.curve_exponent) for m in desc.pumps]
+        self.deriv_post = np.array([1.0] * self.n_pipes + posts + [1.0] * self.n_valves)
+
 
 def build_network(desc: NetworkDescription) -> Network:
     """Resolve a description into an indexed Network (declaration order).
@@ -144,7 +163,8 @@ def eval_jacobian_diag(net: Network, q: np.ndarray) -> np.ndarray:
 
 
 def jacobian_diag_batch(net: Network, q: np.ndarray) -> np.ndarray:
-    """Vectorised Jacobian diagonal over rows of q (shape (m, n_links))."""
+    """Vectorised Jacobian diagonal over rows of q (shape (m, n_links)); rows
+    are unchecked, as in _jacobian_diag_into."""
     q = np.asarray(q, dtype=float)
     return _jacobian_diag_into(net, q, np.empty_like(q))
 
@@ -152,29 +172,16 @@ def jacobian_diag_batch(net: Network, q: np.ndarray) -> np.ndarray:
 def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """jacobian_diag_batch written into out (the shape of q), with no temporaries.
 
-    Each class fills its own slice of out with its factors grouped as
-    below.  A product commutes exactly, so multiplying the power in place
-    by the leading factor gives every entry the bits of the expression:
-
-        pipe   (mu*R) * |q|**(mu-1)
-        pump   ((nu*r) * q**(nu-1)) * s**(2-nu)
-        valve  ((mu*o)*R) * |q|**(mu-1)
+    Every entry is (coef * |q|**expo) * post from the derivative table; a
+    product commutes exactly, so multiplying the power in place gives it the
+    bits of that expression.  Rows are unchecked and |q| is read for every
+    link, so a pump flow <= 0 gets the value at |q| (eval_jacobian_diag
+    raises NonPositiveFlow for it).
     """
-    n_p, n_m = net.n_pipes, net.n_pumps
-    pipes = out[:, :n_p]
-    np.abs(q[:, :n_p], out=pipes)
-    np.power(pipes, net.mu - 1.0, out=pipes)
-    pipes *= net.mu * net.pipe_resistance
-    if n_m:
-        pumps = out[:, n_p:n_p + n_m]
-        np.power(q[:, n_p:n_p + n_m], net.pump_exponent - 1.0, out=pumps)
-        pumps *= net.pump_exponent * net.pump_coeff
-        pumps *= net.pump_speed ** (2.0 - net.pump_exponent)
-    if net.n_valves:
-        valves = out[:, n_p + n_m:]
-        np.abs(q[:, n_p + n_m:], out=valves)
-        np.power(valves, net.mu - 1.0, out=valves)
-        valves *= net.mu * net.valve_openness * net.valve_resistance
+    np.abs(q, out=out)
+    np.power(out, net.deriv_expo, out=out)
+    out *= net.deriv_coef
+    out *= net.deriv_post
     return out
 
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, power
 
 from wdn_lipschitz import (
@@ -15,6 +17,7 @@ from wdn_lipschitz import (
     k_network,
     k_upper_sqrt,
 )
+from wdn_lipschitz.analytical import corner_derivatives
 from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.inp import (
     JunctionDesc,
@@ -27,6 +30,7 @@ from conftest import (
     make_random_network,
     make_single_pipe,
     make_valve_network,
+    reference_link_derivative,
 )
 
 mp.dps = 50
@@ -201,6 +205,29 @@ class TestKNetwork:
         assert math.isfinite(k_network(net, box).value)
         with pytest.raises(BoundsError, match="overflows"):
             k_upper_sqrt(net, box)
+
+
+class TestDerivativeTable:
+    """corner_derivatives reads one per-link table with no branch on link
+    class; the per-class formula is the reference, and every value keeps
+    its bits."""
+
+    @staticmethod
+    def assert_matches_reference(net, magnitudes):
+        expected = [reference_link_derivative(net, pos, m).hex()
+                    for pos, m in enumerate(magnitudes)]
+        assert [v.hex() for v in corner_derivatives(net, magnitudes)] == expected
+
+    def test_fixtures(self, fixtures):
+        for _, net, box in fixtures.values():
+            self.assert_matches_reference(net, box.corner_magnitudes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 1.0))
+    def test_random_networks(self, seed, t):
+        net, box = make_random_network(np.random.default_rng(seed))
+        self.assert_matches_reference(net, box.corner_magnitudes())
+        self.assert_matches_reference(net, np.abs(box.lo + t * (box.hi - box.lo)).tolist())
 
 
 class TestOsl:

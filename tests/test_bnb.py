@@ -136,12 +136,40 @@ class TestDirectedRounding:
                 assume(is_normal(lo) and is_normal(hi) and is_normal(float(value)))
                 assert mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_numpy_jacobian_at_corner_within_enclosures(self, seed):
+        # point_sqrt <= interval_sqrt also rests on numpy's pow: at the box
+        # corner each jacobian_diag_batch entry (pumps with speed != 1
+        # included) lies in its libm enclosure and within 4 ulps of the
+        # 200-bit value
+        net, box = make_random_network(np.random.default_rng(seed))
+        corner = np.where(np.abs(box.lo) > np.abs(box.hi), box.lo, box.hi)
+        entries = jacobian_diag_batch(net, corner[None, :])[0].tolist()
+        lowers, uppers = corner_enclosures(net, box)
+        with mpmath.workprec(200):
+            mu, n_p, n_m = mpmath.mpf(net.mu), net.n_pipes, net.n_pumps
+            for pos, (entry, lo, hi) in enumerate(zip(entries, lowers, uppers)):
+                assert lo <= entry <= hi
+                q = abs(mpmath.mpf(corner[pos]))
+                if pos < n_p:
+                    exact = mu * mpmath.mpf(net.pipe_resistance[pos]) * q ** (mu - 1)
+                elif pos < n_p + n_m:
+                    nu = mpmath.mpf(net.pump_exponent[pos - n_p])
+                    exact = (nu * mpmath.mpf(net.pump_coeff[pos - n_p]) * q ** (nu - 1)
+                             * mpmath.mpf(net.pump_speed[pos - n_p]) ** (2 - nu))
+                else:
+                    v = pos - n_p - n_m
+                    exact = (mu * mpmath.mpf(net.valve_openness[v])
+                             * mpmath.mpf(net.valve_resistance[v]) * q ** (mu - 1))
+                assert mpmath.mpf(ulp_down(entry, 4)) <= exact <= mpmath.mpf(ulp_up(entry, 4))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_subbox_uppers_nest(self, seed):
         rng = np.random.default_rng(seed)
         net, outer = make_random_network(rng)
-        ends = outer.lo + rng.uniform(0, 1, (2, net.n_links)) * outer.widths()
+        ends = outer.lo + rng.uniform(0, 1, (2, net.n_links)) * (outer.hi - outer.lo)
         inner = FlowBox(outer.link_ids, outer.kinds,
                         np.clip(ends.min(axis=0), outer.lo, outer.hi),
                         np.clip(ends.max(axis=0), outer.lo, outer.hi))

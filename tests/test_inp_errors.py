@@ -156,6 +156,12 @@ CASES = [
     ("range-pump-exponent-three-points", CURVE, "C1 100 200\nC1 200 100\nC1 300 99\n",
      MalformedSection, "PUMPS line 10: curve is not consistent with a power-law head "
      "model: 'PU1 R1 J1 HEAD C1'"),
+    # a spurious shutoff-head root from rounding noise: the fit (9.0e15,
+    # 9.0e15, 0.0) predicts 50 for every head
+    ("curve-spurious-shutoff-root", CURVE, "C1 150.85766543276267 45.49378046709595\n"
+     "C1 323.839526505514 43.351708865456665\nC1 650.9379636951234 42.093590613710134\n",
+     MalformedSection, "PUMPS line 10: curve is not consistent with a power-law head "
+     "model: 'PU1 R1 J1 HEAD C1'"),
     ("range-pump-speed", PUMP, "PU1 R1 J1 HEAD C1 SPEED 1.5", ParameterOutOfRange,
      "pump 'PU1': speed 1.5 outside (0, 1]"),
     ("range-pump-speed-inf", PUMP, "PU1 R1 J1 HEAD C1 SPEED inf", ParameterOutOfRange,

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, power
 
 from wdn_lipschitz import build_network, parse_inp
@@ -153,6 +155,35 @@ def test_pump_curve_fit_three_positive_points():
     assert fit_hs == pytest.approx(h_s, rel=1e-6)
     assert fit_r == pytest.approx(r, rel=1e-4)
     assert fit_nu == pytest.approx(nu, rel=1e-5)
+
+
+def assert_fit_reproduces_or_rejects(pts):
+    # a three-point fit with a root-solved shutoff head is either returned
+    # and reproduces every head within 1e-6 of the spread, or rejected
+    try:
+        h_s, r, nu = fit_pump_curve(pts)
+    except ValueError:
+        return
+    tol = 1e-6 * (pts[0][1] - pts[-1][1])
+    assert all(abs(h_s - r * math.pow(q, nu) - h) <= tol for q, h in pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_s=st.floats(1.0, 1e4), nu=st.floats(1.0, 3.0), fill=st.floats(0.05, 0.999),
+       q_max=st.floats(1e-2, 1e5),
+       ts=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3, unique=True))
+def test_power_law_curve_fit_reproduces_or_rejects(h_s, nu, fill, q_max, ts):
+    r = fill * h_s / q_max ** nu
+    pts = [(t * q_max, h_s - r * (t * q_max) ** nu) for t in sorted(ts)]
+    assume(pts[0][1] > pts[1][1] > pts[2][1])
+    assert_fit_reproduces_or_rejects(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qs=st.lists(st.floats(1e-3, 1e5), min_size=3, max_size=3, unique=True),
+       hs=st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3, unique=True))
+def test_decreasing_curve_fit_reproduces_or_rejects(qs, hs):
+    assert_fit_reproduces_or_rejects(list(zip(sorted(qs), sorted(hs, reverse=True))))
 
 
 def test_pump_curve_single_point_convention():

@@ -26,7 +26,7 @@ from wdn_lipschitz.bounds import FlowBox, box_from_intervals
 from wdn_lipschitz.errors import DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz import sampling
-from wdn_lipschitz.analytical import link_derivative
+from wdn_lipschitz.analytical import corner_derivatives
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
@@ -519,8 +519,7 @@ def _brute_force_trace(net, box, kind, seed, n, marks, mode):
     q = SampleSequence(kind, net.n_links, seed).points(n)
     q = np.clip(box.lo + q * (box.hi - box.lo), box.lo, box.hi)
     if mode == "max":
-        rows = [max(link_derivative(net, i, abs(x)) for i, x in enumerate(point))
-                for point in q.tolist()]
+        rows = [max(corner_derivatives(net, [abs(x) for x in point])) for point in q.tolist()]
     else:
         g = jacobian_diag_batch(net, q)
         rows = np.sqrt(np.einsum("ij,ij->i", g, g))
