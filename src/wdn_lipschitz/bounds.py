@@ -1,7 +1,8 @@
 """The box domain of attainable flows, one closed interval per link.
 
 Bounds files are CSV with header ``link_id,q_min,q_max`` and one row per
-link.  Values are written with shortest round-trip decimal form, so a
+link.  Values are written with shortest round-trip decimal form and ids
+are quoted where CSV needs it (an INP id may hold ',' or '"'), so a
 save/load cycle is bit-exact.  Pump intervals must have a strictly positive
 lower endpoint; pipe and valve intervals may cross zero.
 """
@@ -120,10 +121,11 @@ def loads_bounds(text: str, net: Network) -> FlowBox:
 
 def save_bounds(box: FlowBox, path: str | Path) -> None:
     """Write the box as CSV; floats use repr so load_bounds is the inverse."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("link_id,q_min,q_max\n")
-        for link_id, lo, hi in zip(box.link_ids, box.lo, box.hi):
-            fh.write(f"{link_id},{float(lo)!r},{float(hi)!r}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["link_id", "q_min", "q_max"])
+        writer.writerows([link_id, repr(float(lo)), repr(float(hi))]
+                         for link_id, lo, hi in zip(box.link_ids, box.lo, box.hi))
 
 
 def pump_max_flow(shutoff_head: float, coeff: float, exponent: float,
@@ -140,11 +142,8 @@ def default_box(net: Network, floor: float = PUMP_FLOW_FLOOR) -> FlowBox:
     """
     if net.n_pumps == 0:
         raise NoPumps()
-    per_pump = [
-        pump_max_flow(float(net.pump_shutoff[i]), float(net.pump_coeff[i]),
-                      float(net.pump_exponent[i]), float(net.pump_speed[i]))
-        for i in range(net.n_pumps)
-    ]
+    per_pump = [pump_max_flow(m.shutoff_head, m.curve_coeff, m.curve_exponent, m.speed)
+                for m in net.desc.pumps]
     cap = max(per_pump)
     table: dict[str, tuple[float, float]] = {}
     for link in net.links:

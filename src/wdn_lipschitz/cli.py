@@ -97,6 +97,14 @@ def _timed(fn, *fn_args, **fn_kwargs):
     return value, time.perf_counter() - t0
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
                  samples: int, sampler: str, seed: int, report: AnalysisReport) -> None:
     est, sec = _timed(analytical.k_network, net, box)
@@ -221,11 +229,7 @@ def cmd_benchmark(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    text = buffer.getvalue()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(buffer.getvalue(), args.out)
 
     if args.timing_out:
         with open(args.timing_out, "w", newline="\n") as fh:
@@ -242,25 +246,22 @@ def cmd_convergence(args) -> int:
     box, _ = _read_box(args, net)
     # build every sequence first, so one that cannot serve this network
     # (Sobol above its table's dimensions or its point count) fails before
-    # any row is written
+    # any trace runs; the CSV is written only once every trace has run, so
+    # one that fails leaves stdout empty and an existing --out file as it was
     for kind in args.samplers:
         sampling.SampleSequence(kind, net.n_links, args.seed)
         sampling.check_sample_count(kind, args.n_grid[-1])
 
-    out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "sampler", "mode", "estimate"])
-        for kind in args.samplers:
-            _, trace = sampling.k_lower_trace(
-                net, box, kind, args.n_grid[-1], mode=args.mode, seed=args.seed,
-                checkpoints=args.n_grid,
-            )
-            for n, estimate in trace:
-                writer.writerow([n, kind, args.mode, repr(estimate)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["n", "sampler", "mode", "estimate"])
+    for kind in args.samplers:
+        _, trace = sampling.k_lower_trace(
+            net, box, kind, args.n_grid[-1], mode=args.mode, seed=args.seed,
+            checkpoints=args.n_grid,
+        )
+        writer.writerows([n, kind, args.mode, repr(estimate)] for n, estimate in trace)
+    _emit(buffer.getvalue(), args.out)
     return 0
 
 

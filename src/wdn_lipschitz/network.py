@@ -10,20 +10,21 @@ positions as they are.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
-negative value):
+negative value).  Each component depends on its own flow only, so the
+Jacobian is diagonal.  Network holds f and its derivative as one per-link
+table, whose columns Network.__init__ builds per link class:
 
-    pipe   f = R * q * |q|**(mu-1)
-    pump   f = -s**2 * h_s + r * q**nu * s**(2-nu)        (q > 0 required)
-    valve  f = o * R * q * |q|**(mu-1)
+    f     = f_offset + f_coef * q * |q|**deriv_expo * deriv_post
+    df/dq = deriv_coef * |q|**deriv_expo * deriv_post
 
-Each component depends on its own flow only, so the Jacobian is diagonal.
-Network holds its entries as one per-link table, |df/dq| = coef * |q|**expo
-* post, which the closed forms (analytical.py) and the batched Jacobian here
-both read with no branch on link class:
+           f_offset    f_coef   deriv_coef   deriv_expo   deriv_post
+    pipe   0           R        mu*R         mu-1         1
+    pump   -s*s*h_s    r        nu*r         nu-1         s**(2-nu)
+    valve  0           o*R      (mu*o)*R     mu-1         1
 
-    pipe   (mu*R) * |q|**(mu-1) * 1
-    pump   (nu*r) * |q|**(nu-1) * s**(2-nu)
-    valve  ((mu*o)*R) * |q|**(mu-1) * 1
+A pump flow must be > 0, so its q * |q|**(nu-1) is q**nu.  eval_f, the
+batched Jacobian here and the closed forms (analytical.py) read the table
+with no branch on link class.
 """
 
 from __future__ import annotations
@@ -82,27 +83,28 @@ class Network:
         self.in_links = {n: tuple(ls) for n, ls in in_links.items()}
         self.out_links = {n: tuple(ls) for n, ls in out_links.items()}
 
-        self.pipe_resistance = np.array([p.resistance for p in desc.pipes], dtype=float)
-        self.pump_shutoff = np.array([m.shutoff_head for m in desc.pumps], dtype=float)
-        self.pump_coeff = np.array([m.curve_coeff for m in desc.pumps], dtype=float)
-        self.pump_exponent = np.array([m.curve_exponent for m in desc.pumps], dtype=float)
-        self.pump_speed = np.array([m.speed for m in desc.pumps], dtype=float)
         self.pump_ids = tuple(m.id for m in desc.pumps)
-        self.valve_openness = np.array([v.openness for v in desc.valves], dtype=float)
-        self.valve_resistance = np.array([v.resistance for v in desc.valves], dtype=float)
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
 
-        # the derivative table of the module docstring, in stacked flow
-        # order; the pump post is libm's, for the numpy evaluator too
+        # the table of the module docstring, in stacked flow order; the pump
+        # post is libm's, for the numpy evaluators too
         mu = self.mu
-        self.deriv_coef = np.concatenate([mu * self.pipe_resistance,
-                                          self.pump_exponent * self.pump_coeff,
-                                          mu * self.valve_openness * self.valve_resistance])
-        self.deriv_expo = np.concatenate([np.full(self.n_pipes, mu - 1.0),
-                                          self.pump_exponent - 1.0,
-                                          np.full(self.n_valves, mu - 1.0)])
-        posts = [math.pow(m.speed, 2.0 - m.curve_exponent) for m in desc.pumps]
-        self.deriv_post = np.array([1.0] * self.n_pipes + posts + [1.0] * self.n_valves)
+        pipes, pumps, valves = desc.pipes, desc.pumps, desc.valves
+        self.f_offset = np.array([0.0] * self.n_pipes
+                                 + [-m.speed * m.speed * m.shutoff_head for m in pumps]
+                                 + [0.0] * self.n_valves, dtype=float)
+        self.f_coef = np.array([p.resistance for p in pipes] + [m.curve_coeff for m in pumps]
+                               + [v.openness * v.resistance for v in valves], dtype=float)
+        self.deriv_coef = np.array([mu * p.resistance for p in pipes]
+                                   + [m.curve_exponent * m.curve_coeff for m in pumps]
+                                   + [mu * v.openness * v.resistance for v in valves],
+                                   dtype=float)
+        self.deriv_expo = np.array([mu - 1.0] * self.n_pipes
+                                   + [m.curve_exponent - 1.0 for m in pumps]
+                                   + [mu - 1.0] * self.n_valves)
+        self.deriv_post = np.array([1.0] * self.n_pipes
+                                   + [math.pow(m.speed, 2.0 - m.curve_exponent) for m in pumps]
+                                   + [1.0] * self.n_valves)
 
 
 def build_network(desc: NetworkDescription) -> Network:
@@ -138,22 +140,16 @@ def eval_f(net: Network, q: np.ndarray) -> np.ndarray:
 
 
 def eval_f_batch(net: Network, q: np.ndarray) -> np.ndarray:
-    """Vectorised eval_f over rows of q (shape (m, n_links))."""
+    """Vectorised eval_f over rows of q (shape (m, n_links)), in whole-array
+    steps over the table.  Rows are unchecked, as in _jacobian_diag_into, so
+    a pump flow <= 0 gets q * |q|**(nu-1) in place of q**nu."""
     q = np.asarray(q, dtype=float)
-    n_p, n_m = net.n_pipes, net.n_pumps
-    out = np.empty_like(q)
-    v = q[:, :n_p]
-    out[:, :n_p] = net.pipe_resistance * v * np.abs(v) ** (net.mu - 1.0)
-    if n_m:
-        qm = q[:, n_p:n_p + n_m]
-        s = net.pump_speed
-        out[:, n_p:n_p + n_m] = (-s * s * net.pump_shutoff
-                                 + net.pump_coeff * qm ** net.pump_exponent
-                                 * s ** (2.0 - net.pump_exponent))
-    if net.n_valves:
-        qv = q[:, n_p + n_m:]
-        out[:, n_p + n_m:] = (net.valve_openness * net.valve_resistance
-                              * qv * np.abs(qv) ** (net.mu - 1.0))
+    out = np.abs(q)
+    np.power(out, net.deriv_expo, out=out)
+    out *= q
+    out *= net.f_coef
+    out *= net.deriv_post
+    out += net.f_offset
     return out
 
 

@@ -57,18 +57,19 @@ def three_node(fixtures):
 
 def reference_link_derivative(net, pos: int, magnitude: float) -> float:
     """|df/dq| of the link at stacked flow position ``pos``, at ``magnitude``,
-    written per link class from the network's per-class arrays: the reference
+    written per link class from the network's description: the reference
     that the derivative table (Network.deriv_*) must reproduce bit for bit."""
+    desc = net.desc
     if pos < net.n_pipes:
-        return net.mu * float(net.pipe_resistance[pos]) * math.pow(magnitude, net.mu - 1.0)
+        return net.mu * desc.pipes[pos].resistance * math.pow(magnitude, net.mu - 1.0)
     pos -= net.n_pipes
     if pos < net.n_pumps:
-        nu = float(net.pump_exponent[pos])
-        return (nu * float(net.pump_coeff[pos]) * math.pow(magnitude, nu - 1.0)
-                * math.pow(float(net.pump_speed[pos]), 2.0 - nu))
-    pos -= net.n_pumps
-    return (net.mu * float(net.valve_openness[pos]) * float(net.valve_resistance[pos])
-            * math.pow(magnitude, net.mu - 1.0))
+        m = desc.pumps[pos]
+        nu = m.curve_exponent
+        return (nu * m.curve_coeff * math.pow(magnitude, nu - 1.0)
+                * math.pow(m.speed, 2.0 - nu))
+    v = desc.valves[pos - net.n_pumps]
+    return net.mu * v.openness * v.resistance * math.pow(magnitude, net.mu - 1.0)
 
 
 def make_single_pipe(resistance: float = 1.0, mu: float = 2.0) -> NetworkDescription:

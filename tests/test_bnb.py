@@ -148,20 +148,21 @@ class TestDirectedRounding:
         entries = jacobian_diag_batch(net, corner[None, :])[0].tolist()
         lowers, uppers = corner_enclosures(net, box)
         with mpmath.workprec(200):
-            mu, n_p, n_m = mpmath.mpf(net.mu), net.n_pipes, net.n_pumps
+            mu, desc, n_p, n_m = mpmath.mpf(net.mu), net.desc, net.n_pipes, net.n_pumps
             for pos, (entry, lo, hi) in enumerate(zip(entries, lowers, uppers)):
                 assert lo <= entry <= hi
                 q = abs(mpmath.mpf(corner[pos]))
                 if pos < n_p:
-                    exact = mu * mpmath.mpf(net.pipe_resistance[pos]) * q ** (mu - 1)
+                    exact = mu * mpmath.mpf(desc.pipes[pos].resistance) * q ** (mu - 1)
                 elif pos < n_p + n_m:
-                    nu = mpmath.mpf(net.pump_exponent[pos - n_p])
-                    exact = (nu * mpmath.mpf(net.pump_coeff[pos - n_p]) * q ** (nu - 1)
-                             * mpmath.mpf(net.pump_speed[pos - n_p]) ** (2 - nu))
+                    m = desc.pumps[pos - n_p]
+                    nu = mpmath.mpf(m.curve_exponent)
+                    exact = (nu * mpmath.mpf(m.curve_coeff) * q ** (nu - 1)
+                             * mpmath.mpf(m.speed) ** (2 - nu))
                 else:
-                    v = pos - n_p - n_m
-                    exact = (mu * mpmath.mpf(net.valve_openness[v])
-                             * mpmath.mpf(net.valve_resistance[v]) * q ** (mu - 1))
+                    v = desc.valves[pos - n_p - n_m]
+                    exact = (mu * mpmath.mpf(v.openness) * mpmath.mpf(v.resistance)
+                             * q ** (mu - 1))
                 assert mpmath.mpf(ulp_down(entry, 4)) <= exact <= mpmath.mpf(ulp_up(entry, 4))
 
     @settings(max_examples=100, deadline=None)

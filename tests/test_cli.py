@@ -335,6 +335,28 @@ def test_convergence_sobol_too_large_writes_nothing(tmp_path, capsys):
                             "dimensions of the shipped direction-number table\n")
 
 
+@pytest.mark.parametrize("pipe, argv, to_file", [
+    # the Sobol trace succeeds and the random one overflows after it
+    pytest.param("3e159", ("--samplers", "sobol,random", "--n-grid", "1,10", "--seed", "4"),
+                 False, id="stdout"),
+    pytest.param("1e200", ("--samplers", "halton,random"), True, id="out-file"),
+])
+def test_convergence_failing_trace_writes_nothing(tmp_path, capsys, pipe, argv, to_file):
+    (tmp_path / "wide.csv").write_text(f"link_id,q_min,q_max\nP1,-{pipe},{pipe}\n"
+                                       "PU1,1.0,922.5\n")
+    out = tmp_path / "trace.csv"
+    out.write_text("kept\n")
+    code = main(["convergence", str(FIXTURE_DIR / "three_node.inp"),
+                 "--bounds", str(tmp_path / "wide.csv"), "--mode", "sqrt", *argv,
+                 *(["--out", str(out)] if to_file else [])])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("bounds error: sqrt-mode point estimate overflows a float: "
+                            "the box is too wide\n")
+    assert out.read_text() == "kept\n"
+
+
 ANALYZE = ("analyze", str(FIXTURE_DIR / "three_node.inp"),
            "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"))
 CONVERGENCE = ("convergence", *ANALYZE[1:])
@@ -437,10 +459,22 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
-def test_readme_library_names_are_exported():
+def readme_library_block() -> str:
+    """The ``python`` block under the README's "Library entry points"."""
     text = (FIXTURE_DIR.parent / "README.md").read_text()
     section = text.split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    return re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    # the example opens its fixtures by paths relative to the repo root
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    exec(compile(readme_library_block(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.50253")
+
+
+def test_readme_library_names_are_exported():
+    block = readme_library_block()
     imported = {alias.name for node in ast.walk(ast.parse(block))
                 if isinstance(node, ast.ImportFrom) and node.module == "wdn_lipschitz"
                 for alias in node.names}

@@ -12,6 +12,7 @@ from wdn_lipschitz import (
     eval_f_batch,
     load_bounds,
     loads_bounds,
+    parse_inp,
     pump_max_flow,
     save_bounds,
 )
@@ -110,6 +111,24 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(again.hi, box.hi)
     save_bounds(again, tmp_path / "b2.csv")
     assert (tmp_path / "b2.csv").read_bytes() == path.read_bytes()
+
+
+def test_save_load_round_trip_quotes_csv_ids(tmp_path):
+    # ',' and '"' are legal in an INP token; a plain id stays unquoted
+    net = build_network(parse_inp(
+        "[JUNCTIONS]\nJ1 0 0\nJ,2 0 0\n[RESERVOIRS]\nR1 100\n[PIPES]\n"
+        'P,1 J1 J,2 100 10 100\n"P" J,2 J1 100 10 100\nP1 J1 J,2 100 10 100\n'
+        '[PUMPS]\nPU"1 R1 J1 HEAD C1\n[CURVES]\nC1 100 50\n'))
+    box = default_box(net)
+    path = tmp_path / "b.csv"
+    save_bounds(box, path)
+    assert path.read_text().splitlines() == [
+        "link_id,q_min,q_max", '"P,1",-200.0,200.0', '"""P""",-200.0,200.0',
+        "P1,-200.0,200.0", '"PU""1",1e-06,200.0']
+    again = load_bounds(path, net)
+    assert again.link_ids == ("P,1", '"P"', "P1", 'PU"1')
+    assert np.array_equal(again.lo, box.lo)
+    assert np.array_equal(again.hi, box.hi)
 
 
 class TestPumpMaxFlow:

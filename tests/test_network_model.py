@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, power
 
 from wdn_lipschitz import (
@@ -32,7 +34,7 @@ from wdn_lipschitz.inp import (
     ValveDesc,
 )
 
-from conftest import make_single_pipe, make_single_pump, sample_interior
+from conftest import make_random_network, make_single_pipe, make_single_pump, sample_interior
 
 mp.dps = 50
 
@@ -65,21 +67,22 @@ def pipe_and_valve(resistance: float, openness: float, mu: float) -> NetworkDesc
     return desc
 
 
-def reference_f(desc: NetworkDescription, q: np.ndarray) -> list[float]:
-    """The head-loss laws entry by entry in scalar math.pow: the oracle for
-    eval_f_batch."""
+def reference_f(desc: NetworkDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The head-loss laws entry by entry in scalar math.pow, the oracle for
+    eval_f_batch, and each entry's term scale |offset| + |power term|."""
     mu = desc.headloss_exponent
     n_p, n_m = len(desc.pipes), len(desc.pumps)
     pipes, pumps, valves = q[:n_p], q[n_p:n_p + n_m], q[n_p + n_m:]
-    out = [p.resistance * x * math.pow(abs(x), p.exponent - 1.0)
-           for p, x in zip(desc.pipes, pipes)]
-    out += [-m.speed * m.speed * m.shutoff_head
-            + m.curve_coeff * math.pow(x, m.curve_exponent)
-            * math.pow(m.speed, 2.0 - m.curve_exponent)
-            for m, x in zip(desc.pumps, pumps)]
-    out += [v.openness * (v.resistance * x * math.pow(abs(x), mu - 1.0))
-            for v, x in zip(desc.valves, valves)]
-    return out
+    terms = [(0.0, p.resistance * x * math.pow(abs(x), p.exponent - 1.0))
+             for p, x in zip(desc.pipes, pipes)]
+    terms += [(-m.speed * m.speed * m.shutoff_head,
+               m.curve_coeff * math.pow(x, m.curve_exponent)
+               * math.pow(m.speed, 2.0 - m.curve_exponent))
+              for m, x in zip(desc.pumps, pumps)]
+    terms += [(0.0, v.openness * (v.resistance * x * math.pow(abs(x), mu - 1.0)))
+              for v, x in zip(desc.valves, valves)]
+    offset, power_term = np.array(terms).T
+    return offset + power_term, np.abs(offset) + np.abs(power_term)
 
 
 class TestScalarOps:
@@ -198,31 +201,35 @@ class TestEvalF:
         assert f[0] == 0.0
         assert f[1] == pytest.approx(0.0, abs=1e-9)
 
-    def test_matches_scalar_ops_everywhere(self, valve_net):
-        desc, net, box = valve_net
-        rng = np.random.default_rng(11)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=None)
+    def test_matches_scalar_ops_everywhere(self, valve_net, seed):
+        # seed None is valve_net; make_random_network covers every exponent,
+        # valves and pump speeds other than 1
+        if seed is None:
+            _, net, box = valve_net
+            rng = np.random.default_rng(11)
+        else:
+            rng = np.random.default_rng(seed)
+            net, box = make_random_network(rng)
         q = sample_interior(box, 50, rng)
         batch = eval_f_batch(net, q)
         for row in range(q.shape[0]):
-            expected = reference_f(desc, q[row])
-            assert batch[row] == pytest.approx(expected, rel=1e-12)
+            expected, scale = reference_f(net.desc, q[row])
+            assert np.all(np.abs(batch[row] - expected) <= 2e-15 * scale)
+        # pipes and valves are exactly odd in q
+        pipe_valve = [l.flow_pos for l in net.links if l.kind != "pump"]
+        mirrored = q.copy()
+        mirrored[:, pipe_valve] *= -1.0
+        assert np.array_equal(eval_f_batch(net, mirrored)[:, pipe_valve],
+                              -batch[:, pipe_valve])
 
     def test_pump_positivity_enforced(self, valve_net):
         _, net, _ = valve_net
         q = np.array([0.0, 0.0, 5.0, -1.0, 3.0, 3.0])
         with pytest.raises(NonPositiveFlow):
             eval_f(net, q)
-
-    def test_oddness_of_pipe_and_valve_components(self, valve_net):
-        _, net, box = valve_net
-        rng = np.random.default_rng(3)
-        q = sample_interior(box, 20, rng)
-        mirrored = q.copy()
-        pipe_valve = [l.flow_pos for l in net.links if l.kind != "pump"]
-        mirrored[:, pipe_valve] *= -1.0
-        f = eval_f_batch(net, q)
-        g = eval_f_batch(net, mirrored)
-        assert np.allclose(g[:, pipe_valve], -f[:, pipe_valve], rtol=1e-12, atol=0)
 
 
 class TestJacobian:
