@@ -1,7 +1,14 @@
 """Point-based under-approximation of Lipschitz constants.
 
 SampleSequence(kind, dimension, seed) yields deterministic points in the
-half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
+half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``).
+A random or Sobol block is one tile of at most 2**16 values (512 KiB):
+its cost is per value, so a trace generates, reduces or scales, and
+evaluates each block while it is still in a core's cache.  A Halton
+block costs a few numpy calls per base whatever its rows, so it is as
+large as memory allows, at most 8192 points and 2**23 values (64 MiB).
+Every value depends only on its index (PCG64 draws one double per value
+however the draws are cut), so block size never changes a point:
 
 * ``random``: numpy's PCG64 generator with an explicit seed;
 * ``halton``: coordinate k of point j is the radical inverse of j+1 in the
@@ -30,7 +37,8 @@ half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``):
   state, which steps to the next run by one XOR,
   v[6] ^ v[7 + trailing zeros of r+1].  States are uint32 and
   float(uint32) * 2**-32 is exact, so every value has the bits of the
-  per-point loop.  A few runs at a time go through a small uint32 scratch.
+  per-point loop.  Each run is XORed into one uint32 array of the block's
+  rows, and the block is scaled from it once.
 
 The table file is integrity-checked against a pinned SHA-256 before use.
 Sobol indexes at most 2**32 - 1 points and Halton at most 2**63 - 1 (int64
@@ -52,10 +60,10 @@ images of its hull entries, and every entry is nondecreasing in ``|q_i|``.
 So, with libm's ``pow`` monotone, the hull gives the largest derivative
 over all sampled points, and never more than K, since each hull flow is a
 sampled flow inside the box.  A random hull is reduced from the sample
-blocks, so the trace holds one block.  Halton and Sobol hulls are taken in
-closed form in O(d log n), with the bits of the generated points (for
-Halton up to a bound on n, below): they generate no points, and their cost
-does not depend on n.
+blocks, so the trace holds one tile-sized block.  Halton and Sobol hulls
+are taken in closed form in O(d log n), with the bits of the generated
+points (for Halton up to a bound on n, below): they generate no points,
+and their cost does not depend on n.
 
 * Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
   [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
@@ -78,8 +86,9 @@ A ``sqrt`` trace needs each point's sum of squares.  It walks the points
 in tiles of at most 2**16 values (512 KiB): it scales a tile in place,
 writes its Jacobian into one tile-sized buffer and its row sums into a
 vector for the points between two checkpoints or block edges, and keeps
-the largest sum.  So it holds one sample block plus one tile, and each
-tile's passes stay in cache.
+the largest sum.  A random or Sobol block is one tile, so the walk takes
+each block whole and the trace holds two tiles; a Halton trace holds one
+block of up to 64 MiB plus one tile.  Each tile's passes stay in cache.
 """
 
 from __future__ import annotations
@@ -111,13 +120,12 @@ _SOBOL_BITS = 32
 # the most points each sequence can index: Sobol's states are _SOBOL_BITS
 # wide, and Halton takes its digits from int64 indices
 _MAX_COUNT = {KIND_SOBOL: 2 ** _SOBOL_BITS - 1, KIND_HALTON: 2 ** 63 - 1}
-# Sobol states are built by aligned runs of 2**7 indices, a few runs at a
-# time in a uint32 scratch of at most this many values (or one run)
+# Sobol states are built by aligned runs of 2**7 indices
 _SOBOL_RUN_BITS = 7
 _SOBOL_RUN = 1 << _SOBOL_RUN_BITS
-_SOBOL_SCRATCH_VALUES = 2 ** 16
-# a sqrt trace evaluates a block in tiles of at most this many values
-# (512 KiB of float64), so its Jacobian stays in a core's cache
+# a tile: at most this many values (512 KiB of float64), so that its passes
+# stay in a core's cache.  A random or Sobol block is one tile, and a sqrt
+# trace evaluates any block one tile at a time.
 _TILE_VALUES = 2 ** 16
 # Halton folds this many bases link-major, then copies them into the block
 # transposed, so the block is written C-contiguous
@@ -206,35 +214,28 @@ def _sobol_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
         np.bitwise_xor(table[h - 1::-1], v[k], out=table[h:2 * h])
     # from the first state of run r to that of run r+1, r+1 with k trailing zeros
     steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
-    runs = max(1, _SOBOL_SCRATCH_VALUES // table.size)
-    scratch = np.empty((runs * _SOBOL_RUN, dim), dtype=np.uint32)
+    states = np.empty((min(rows, count), dim), dtype=np.uint32)
     for done in range(0, count, rows):
-        yield _sobol_block(v, table, steps, scratch, done + 1, min(rows, count - done))
+        yield _sobol_block(v, table, steps, states, done + 1, min(rows, count - done))
 
 
 def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
-                 scratch: np.ndarray, first: int, size: int) -> np.ndarray:
+                 states: np.ndarray, first: int, size: int) -> np.ndarray:
     """Sobol points first..first+size-1, C-contiguous.
 
     The states of a run are table XOR the state of the run's first index
-    (see the module docstring).  They are XORed into scratch run by run,
-    and scratch is scaled into the block whenever the next run might not
-    fit.
+    (see the module docstring).  Each run is XORed into states, which has
+    room for the block, and the block is scaled from it once.
     """
-    out = np.empty((size, v.shape[1]))
     run, lead = divmod(first, _SOBOL_RUN)
     base = _sobol_state(v, first - lead)
-    written = held = 0
+    written = 0
     while True:
-        take = min(_SOBOL_RUN - lead, size - written - held)
-        np.bitwise_xor(table[lead:lead + take], base, out=scratch[held:held + take])
-        held += take
-        if written + held == size or held + _SOBOL_RUN > len(scratch):
-            np.multiply(scratch[:held], 0.5 ** _SOBOL_BITS, out=out[written:written + held])
-            written += held
-            held = 0
-            if written == size:
-                return out
+        take = min(_SOBOL_RUN - lead, size - written)
+        np.bitwise_xor(table[lead:lead + take], base, out=states[written:written + take])
+        written += take
+        if written == size:
+            return states[:size] * 0.5 ** _SOBOL_BITS
         run += 1
         lead = 0
         base ^= steps[(run & -run).bit_length() - 1]
@@ -394,10 +395,21 @@ def _random_blocks(dim: int, count: int, rows: int, seed: int) -> Iterator[np.nd
         yield rng.random((min(rows, count - done), dim))
 
 
-def _block_rows(dim: int) -> int:
-    """Points per sample block: at most 8192 and 2**23 float64 values
-    (64 MiB), so memory stays flat however many links the network has."""
-    return max(1, min(8192, 2 ** 23 // dim))
+def _block_rows(kind: str, dim: int) -> int:
+    """Points per sample block of this kind in dim dimensions.
+
+    A random or Sobol block is one tile (_TILE_VALUES values, 512 KiB),
+    because its cost is per value: a trace generates, reduces or scales,
+    evaluates and sums each block while it is still in a core's cache, and
+    no block is a fresh mapping that the kernel must zero.  A Halton
+    block's cost is a few numpy calls per base, so it is as large as memory
+    allows, at most 8192 points and 2**23 values (64 MiB): at tile size, a
+    289-link block would make 289 base passes for 226 points.  Either way
+    memory stays flat however many links the network has.
+    """
+    if kind == KIND_HALTON:
+        return max(1, min(8192, 2 ** 23 // dim))
+    return max(1, _TILE_VALUES // dim)
 
 
 @dataclass(frozen=True)
@@ -422,7 +434,7 @@ class SampleSequence:
         if count < 0:
             raise ValueError("count must be >= 0")
         check_sample_count(self.kind, count)
-        rows = _block_rows(self.dimension)
+        rows = _block_rows(self.kind, self.dimension)
         if self.kind == KIND_SOBOL:
             return _sobol_blocks(self.dimension, count, rows)
         if self.kind == KIND_HALTON:
@@ -430,7 +442,15 @@ class SampleSequence:
         return _random_blocks(self.dimension, count, rows, self.seed)
 
     def points(self, count: int) -> np.ndarray:
-        return np.concatenate([np.empty((0, self.dimension)), *self.blocks(count)])
+        """Points 1..count as one (count, dimension) array, filled block by
+        block, so only the output and one block are held."""
+        blocks = self.blocks(count)   # checks count before the allocation
+        out = np.empty((count, self.dimension))
+        done = 0
+        for block in blocks:
+            out[done:done + len(block)] = block
+            done += len(block)
+        return out
 
 
 def check_sample_count(kind: str, count: int) -> None:

@@ -22,7 +22,7 @@ from wdn_lipschitz import (
     k_network,
     k_upper_sqrt,
 )
-from wdn_lipschitz.bounds import FlowBox, box_from_intervals
+from wdn_lipschitz.bounds import FlowBox, box_from_intervals, default_box
 from wdn_lipschitz.errors import DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz import sampling
@@ -40,7 +40,7 @@ from wdn_lipschitz.sampling import (
     sobol_max_dimension,
 )
 
-from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe
+from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe, synthetic_network
 
 
 def block_rows(rows: int | None):
@@ -48,7 +48,7 @@ def block_rows(rows: int | None):
     default blocks."""
     if rows is None:
         return contextlib.nullcontext()
-    return patch.object(sampling, "_block_rows", lambda dim: rows)
+    return patch.object(sampling, "_block_rows", lambda kind, dim: rows)
 
 
 def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
@@ -233,7 +233,7 @@ def _reference_sobol(dim: int, count: int, block: int):
 @example(dim=1111, block=None, count=7550 + 131)
 def test_sobol_blocks_match_gray_code_loop(dim, block, count):
     # block None is the default block (test_default_block_is_capped_by_bytes)
-    rows = block or min(8192, 2 ** 23 // dim)
+    rows = block or max(1, 2 ** 16 // dim)
     if block is not None:
         count = min(count, 3 * block + 300)
     with block_rows(block):
@@ -292,9 +292,16 @@ class TestSequences:
         assert np.array_equal(whole, chunks)
 
     def test_default_block_is_capped_by_bytes(self):
-        # 8192 points up to dimension 1024, then at most 2**23 values
-        assert next(SampleSequence("random", 289).blocks(10_000)).shape == (8192, 289)
-        assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (1677, 5002)
+        # a random or Sobol block is one tile, at most 2**16 values
+        assert next(SampleSequence("random", 289).blocks(10_000)).shape == (226, 289)
+        assert next(SampleSequence("random", 5002).blocks(10_000)).shape == (13, 5002)
+        assert next(SampleSequence("sobol", 289).blocks(10_000)).shape == (226, 289)
+        assert next(SampleSequence("sobol", 1111).blocks(10_000)).shape == (58, 1111)
+        assert next(SampleSequence("random", 2 ** 17).blocks(3)).shape == (1, 2 ** 17)
+        # a Halton block: 8192 points up to dimension 1024, then at most
+        # 2**23 values
+        assert next(SampleSequence("halton", 289).blocks(10_000)).shape == (8192, 289)
+        assert next(SampleSequence("halton", 5002).blocks(10_000)).shape == (1677, 5002)
 
     @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
     def test_negative_seed_rejected_at_construction(self, kind):
@@ -447,13 +454,16 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
-    # numpy reports its buffers to tracemalloc.  A random max trace holds
-    # one sample block and the two hull rows (1.04 to 1.21 blocks; 2.0 to
-    # 2.2 while a segment view kept the previous block alive).  A Halton or
-    # Sobol max trace takes its hull in closed form and holds a few rows of
-    # n_links values (22 to 28 float64 rows; Sobol's largest buffers are its
-    # 32 uint32 rows of direction numbers and one gathered copy of them), so
-    # a single block-sized buffer fails its bound.  A sqrt trace holds one
+    # numpy reports its buffers to tracemalloc.  The block bound is in
+    # Halton's 8192-point blocks; random and Sobol blocks are one tile, and
+    # test_random_trace_memory_is_flat_in_links bounds them by tiles.  A
+    # random max trace holds one sample block and the two hull rows (1.04
+    # to 1.21 blocks of 8192 points; 2.0 to 2.2 while a segment view kept
+    # the previous block alive).  A Halton or Sobol max trace takes its
+    # hull in closed form and holds a few rows of n_links values (22 to 28
+    # float64 rows; Sobol's largest buffers are its 32 uint32 rows of
+    # direction numbers and one gathered copy of them), so a single
+    # block-sized buffer fails its bound.  A sqrt trace holds one
     # sample block, one Jacobian tile and a row-sum vector (1.04 to 1.24
     # blocks; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0 before the
     # in-place pass).  One more block-sized buffer fails the bound.
@@ -465,6 +475,60 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     tracemalloc.start()
     try:
         k_lower_trace(net, box, kind, 20_000, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+# obcl's 289 links give random and Sobol blocks of 226 points; Halton
+# blocks are 8192 points at any dimension up to 1024, so Halton runs on
+# three_node's 2 links, where 8,200 one-point blocks stay quick
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+def test_traces_do_not_depend_on_block_size(fixtures, kind, mode):
+    _, net, box = fixtures["three_node" if kind == "halton" else "obcl"]
+    default = sampling._block_rows(kind, net.n_links)
+    n = default + 8 if kind == "halton" else 2 * default + 5
+    # on and next to the first edges of 7-point blocks and every default edge
+    edges = [7, 14, 21, default, 2 * default]
+    marks = tuple(sorted({m for e in edges for m in (e - 1, e, e + 1) if 1 <= m < n} | {1}))
+    traces = []
+    for rows in (1, 7, None):
+        with block_rows(rows):
+            est, trace = k_lower_trace(net, box, kind, n, mode=mode, seed=3,
+                                       checkpoints=marks)
+        assert [at for at, _ in trace] == list(marks)
+        traces.append([v.hex() for _, v in trace] + [est.value.hex()])
+    assert traces[0] == traces[1] == traces[2]
+
+
+@pytest.fixture(scope="module")
+def scale_network():
+    """perfbench's 5,002-link scale network and its default flow box."""
+    net = synthetic_network((4000, 2, 3, 5000, 2, 0), 5000)
+    return net, default_box(net)
+
+
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+def test_random_trace_memory_is_flat_in_links(scale_network, mode):
+    # A random block is one tile of at most 2**16 values (512 KiB); on
+    # 5,002 links that is 13 points, where a block of up to 2**23 values
+    # was 1,677 points (64 MiB).  A max trace holds that block, its two hull
+    # rows and the corner pass's rows of n_links values at a checkpoint: at
+    # most 48 rows, as in test_trace_memory_stays_within_a_few_blocks (25
+    # rows measured).  A sqrt trace holds the block, one Jacobian tile, the
+    # block's row sums and the width row: two tiles and at most 8 rows
+    # (1.2 rows measured).  Neither bound grows with the point count or
+    # the block count, and one more tile-sized buffer fails the sqrt bound.
+    net, box = scale_network
+    assert net.n_links == 5002
+    tile_bytes = sampling._TILE_VALUES * 8
+    row_bytes = net.n_links * 8
+    bound = tile_bytes + 48 * row_bytes if mode == "max" else 2 * tile_bytes + 8 * row_bytes
+    tracemalloc.start()
+    try:
+        k_lower_trace(net, box, "random", 3000, mode=mode, checkpoints=(1, 13, 14, 1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
