@@ -471,3 +471,5 @@ def _validate(desc: NetworkDescription) -> None:
     for t in desc.tanks:
         if not t.cross_section_area > 0:
             raise ParameterOutOfRange(f"tank {t.id!r}: cross-section area must be > 0")
+        if not math.isfinite(t.cross_section_area):
+            raise ParameterOutOfRange(f"tank {t.id!r}: cross-section area is not finite")

@@ -82,13 +82,12 @@ and their cost does not depend on n.
   n = 1e11.  Past that it is the fold of the index with the largest exact
   radical inverse, still a sampled point.
 
-A ``sqrt`` trace needs each point's sum of squares.  It walks the points
-in tiles of at most 2**16 values (512 KiB): it scales a tile in place,
-writes its Jacobian into one tile-sized buffer and its row sums into a
-vector for the points between two checkpoints or block edges, and keeps
-the largest sum.  A random or Sobol block is one tile, so the walk takes
-each block whole and the trace holds two tiles; a Halton trace holds one
-block of up to 64 MiB plus one tile.  Each tile's passes stay in cache.
+A ``sqrt`` trace needs each point's sum of squares.  The sample walk cuts
+every block at checkpoints, block ends and tile edges, so it hands each
+consumer at most one tile of 2**16 values (512 KiB).  The trace scales a
+cut in place and writes its Jacobian and row sums into two tile buffers
+allocated once, so it holds one block plus two fixed tile buffers, and
+each cut's passes stay in cache.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ _MAX_COUNT = {KIND_SOBOL: 2 ** _SOBOL_BITS - 1, KIND_HALTON: 2 ** 63 - 1}
 _SOBOL_RUN_BITS = 7
 _SOBOL_RUN = 1 << _SOBOL_RUN_BITS
 # a tile: at most this many values (512 KiB of float64), so that its passes
-# stay in a core's cache.  A random or Sobol block is one tile, and a sqrt
-# trace evaluates any block one tile at a time.
+# stay in a core's cache.  A random or Sobol block is one tile, and the
+# sample walk cuts any block into cuts of at most one tile.
 _TILE_VALUES = 2 ** 16
 # Halton folds this many bases link-major, then copies them into the block
 # transposed, so the block is written C-contiguous
@@ -396,19 +395,19 @@ def _random_blocks(dim: int, count: int, rows: int, seed: int) -> Iterator[np.nd
 
 
 def _block_rows(kind: str, dim: int) -> int:
-    """Points per sample block of this kind in dim dimensions.
-
-    A random or Sobol block is one tile (_TILE_VALUES values, 512 KiB),
-    because its cost is per value: a trace generates, reduces or scales,
-    evaluates and sums each block while it is still in a core's cache, and
-    no block is a fresh mapping that the kernel must zero.  A Halton
-    block's cost is a few numpy calls per base, so it is as large as memory
-    allows, at most 8192 points and 2**23 values (64 MiB): at tile size, a
-    289-link block would make 289 base passes for 226 points.  Either way
-    memory stays flat however many links the network has.
-    """
+    """Points per sample block of this kind in dim dimensions (see the
+    module docstring): one tile for random and Sobol, whose cost is per
+    value; for Halton, whose cost is a few numpy calls per base, at most
+    8192 points and 2**23 values (at tile size a 289-link block would make
+    289 base passes for 226 points).  Memory stays flat in the links."""
     if kind == KIND_HALTON:
         return max(1, min(8192, 2 ** 23 // dim))
+    return _tile_rows(dim)
+
+
+def _tile_rows(dim: int) -> int:
+    """Points per tile in dim dimensions: at most _TILE_VALUES values, and
+    at least one point."""
     return max(1, _TILE_VALUES // dim)
 
 
@@ -543,15 +542,17 @@ def _prefix_hulls(sequence: SampleSequence,
 def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
                  take: Callable[[np.ndarray], None]) -> Iterator[int]:
     """Feed the blocks of points 1..marks[-1] to take, cut at the
-    nondecreasing marks, and yield each mark once take has had the points
+    nondecreasing marks, at block ends and at tile edges, so that each cut
+    is at most one tile, and yield each mark once take has had the points
     up to it.  No cut outlives its call to take, and each block is freed
     before the next is generated, so one block is held at a time."""
     seen = 0
     at = 0
     for block in blocks:
+        rows = _tile_rows(block.shape[1])
         start = 0
         while start < len(block):
-            stop = min(len(block), marks[at] - seen)
+            stop = min(len(block), start + rows, marks[at] - seen)
             take(block[start:stop])
             start = stop
             while at < len(marks) and marks[at] == seen + start:
@@ -577,24 +578,18 @@ def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray
 def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
                 marks: list[int]) -> list[tuple[int, float]]:
     """Largest Frobenius norm of a sampled Jacobian at each mark; it needs
-    every point, so each is evaluated, one tile of rows at a time (see the
-    module docstring)."""
+    every point, so each cut of the walk, at most one tile, is scaled in
+    place and evaluated into two buffers of one tile (see the module
+    docstring)."""
     width = box.hi - box.lo
-    rows = max(1, _TILE_VALUES // net.n_links)
+    rows = _tile_rows(net.n_links)
     jacobian = np.empty((rows, net.n_links))
+    sums = np.empty(rows)
     best = 0.0
-    # A cut's row sums stay alive until the next cut's are allocated: freed
-    # sooner, glibc's heap layout raised point-convergence's peak RSS by a
-    # net3 block (69 to 76 MiB) in 6 of 10 runs on a 2-core x86-64 VM
-    sums = None
 
     def take(q: np.ndarray) -> None:
-        nonlocal best, sums
-        sums = np.empty(len(q))
-        for start in range(0, len(q), rows):
-            tile = _scale_into_box(q[start:start + rows], box, width)
-            g = _jacobian_diag_into(net, tile, jacobian[:len(tile)])
-            np.einsum("ij,ij->i", g, g, out=sums[start:start + len(tile)])
-        best = max(best, float(sums.max()))
+        nonlocal best
+        g = _jacobian_diag_into(net, _scale_into_box(q, box, width), jacobian[:len(q)])
+        best = max(best, float(np.einsum("ij,ij->i", g, g, out=sums[:len(q)]).max()))
 
     return [(mark, math.sqrt(best)) for mark in _prefix_walk(blocks, marks, take)]

@@ -165,6 +165,21 @@ class TestDirectedRounding:
                              * q ** (mu - 1))
                 assert mpmath.mpf(ulp_down(entry, 4)) <= exact <= mpmath.mpf(ulp_up(entry, 4))
 
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(min_value=5e-324, allow_infinity=False),
+           y=st.one_of(st.floats(min_value=0.0, max_value=2.0),
+                       st.floats(min_value=-1.0, max_value=1.0)))
+    def test_libm_pow_within_one_ulp(self, x, y):
+        # the certificate's other premise: libm's pow, which the corner pass
+        # calls, is within 1 ulp of the exact power.  y in [0, 2] covers the
+        # derivative exponents mu - 1 and nu - 1, y in [-1, 1] the pump post
+        # exponent 2 - nu; x is any positive float with a normal result
+        with mpmath.workprec(200):
+            exact = mpmath.power(mpmath.mpf(x), mpmath.mpf(y))
+            assume(is_normal(exact))
+            value = math.pow(x, y)
+            assert abs(mpmath.mpf(value) - exact) <= math.ulp(value)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_subbox_uppers_nest(self, seed):

@@ -141,6 +141,8 @@ CASES = [
      "tank 'T1': diameter must be > 0"),
     ("range-tank-area", TANK, "T1 150 10 0 30 1e-200", ParameterOutOfRange,
      "tank 'T1': cross-section area must be > 0"),
+    ("range-tank-area-inf", TANK, "T1 150 10 0 30 1e200", ParameterOutOfRange,
+     "tank 'T1': cross-section area is not finite"),
     ("range-pipe-length", PIPE, "P1 J1 T1 0 12 100", ParameterOutOfRange,
      "pipe 'P1': length, diameter and roughness must be > 0"),
     ("range-pipe-roughness", PIPE, "P1 J1 T1 1000 12 -5", ParameterOutOfRange,

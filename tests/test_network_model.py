@@ -186,6 +186,12 @@ class TestBuildNetworkValidation:
         with pytest.raises(ParameterOutOfRange):
             build_network(make_single_pipe(mu=5.0))
 
+    def test_infinite_tank_area_rejected(self):
+        # an infinite area drops every flow coupling from the tank's DAE row
+        # and leaves its head unchanged by tank_step
+        with pytest.raises(ParameterOutOfRange, match="cross-section area is not finite"):
+            build_network(make_tank_chain(area=math.inf))
+
 
 class TestEvalF:
     def test_pair_network_composition(self):

@@ -464,9 +464,10 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # float64 rows; Sobol's largest buffers are its 32 uint32 rows of
     # direction numbers and one gathered copy of them), so a single
     # block-sized buffer fails its bound.  A sqrt trace holds one
-    # sample block, one Jacobian tile and a row-sum vector (1.04 to 1.24
-    # blocks; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0 before the
-    # in-place pass).  One more block-sized buffer fails the bound.
+    # sample block and two tile buffers, for the Jacobian and the row sums,
+    # allocated once (a Halton trace 1.09 blocks, 1.24 while it also builds
+    # its digit tables; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
+    # before the in-place pass).  One more block-sized buffer fails the bound.
     _, net, box = fixtures["obcl"]
     row_bytes = net.n_links * 8
     closed_form = mode == "max" and kind != "random"
@@ -517,10 +518,11 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
     # was 1,677 points (64 MiB).  A max trace holds that block, its two hull
     # rows and the corner pass's rows of n_links values at a checkpoint: at
     # most 48 rows, as in test_trace_memory_stays_within_a_few_blocks (25
-    # rows measured).  A sqrt trace holds the block, one Jacobian tile, the
-    # block's row sums and the width row: two tiles and at most 8 rows
-    # (1.2 rows measured).  Neither bound grows with the point count or
-    # the block count, and one more tile-sized buffer fails the sqrt bound.
+    # rows measured).  A sqrt trace holds the block, the Jacobian tile
+    # buffer, the row-sum buffer of one tile's 13 points and the width row:
+    # two tiles and at most 8 rows (1.2 rows measured).  Neither bound
+    # grows with the point count or the block count, and one more
+    # tile-sized buffer fails the sqrt bound.
     net, box = scale_network
     assert net.n_links == 5002
     tile_bytes = sampling._TILE_VALUES * 8
@@ -533,6 +535,45 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_sobol_sqrt_trace_memory_in_tiles(fixtures):
+    # A Sobol sqrt trace on obcl's 289 links holds one block of 226 points
+    # (one tile) and its uint32 states (half a tile), the Jacobian tile
+    # buffer, the 128-state run table, the run steps and a few rows: 2.97
+    # tiles measured, with the direction matrix cached beforehand.  One
+    # more tile-sized buffer fails the bound.
+    _, net, box = fixtures["obcl"]
+    tile_bytes = sampling._TILE_VALUES * 8
+    row_bytes = net.n_links * 8
+    _sobol_matrix(net.n_links)  # cached per dimension, once per process
+    tracemalloc.start()
+    try:
+        k_lower_trace(net, box, "sobol", 20_000, mode="sqrt", checkpoints=(1, 226, 227, 10_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * tile_bytes + 16 * row_bytes
+
+
+# obcl's 289 links: a tile is 226 points, a random or Sobol block is one
+# tile and a Halton block 8,192 points.  Marks fall inside blocks, on and
+# next to a block edge, and far apart, so that one cut between two marks
+# would span many tiles and a block edge.
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_walk_cuts_are_at_most_one_tile(kind):
+    dim = 289
+    rows = sampling._tile_rows(dim)
+    assert rows == 226
+    block = sampling._block_rows(kind, dim)
+    n = block + 3 * rows + 17
+    marks = sorted({1, 100, block - 1, block, block + 1, block + rows + 50, n})
+    sequence = SampleSequence(kind, dim, seed=2)
+    cuts = []
+    walk = sampling._prefix_walk(sequence.blocks(n), marks, lambda p: cuts.append(p.copy()))
+    assert [(mark, sum(map(len, cuts))) for mark in walk] == [(m, m) for m in marks]
+    assert all(1 <= len(cut) <= rows for cut in cuts)
+    assert np.array_equal(np.concatenate(cuts), sequence.points(n))
 
 
 # endpoints up to 1e300, so that a width hi - lo stays finite; signed
