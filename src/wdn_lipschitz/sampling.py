@@ -7,10 +7,14 @@ its cost is per value, so a trace generates, reduces or scales, and
 evaluates each block while it is still in a core's cache.  A Halton
 block costs a few numpy calls per base whatever its rows, so it is as
 large as memory allows, at most 8192 points and 2**23 values (64 MiB).
-Every value depends only on its index (PCG64 draws one double per value
-however the draws are cut), so block size never changes a point:
+Every value depends only on its index, so block size never changes a
+point, and a block can start at any index (see segments, below):
 
-* ``random``: numpy's PCG64 generator with an explicit seed;
+* ``random``: numpy's PCG64 generator with an explicit seed.  PCG64 draws
+  exactly one 64-bit value per double however the draws are cut, so value
+  k of the stream is draw k, and the blocks from point first start at
+  PCG64(seed) advanced (jumped ahead, in O(log n)) by
+  (first - 1) * dimension draws.  Segments rest on this;
 * ``halton``: coordinate k of point j is the radical inverse of j+1 in the
   k-th prime base (Halton 1960), its digits folded low first: ``f /= b``,
   then ``r += digit * f``.  A block is built from runs of consecutive
@@ -85,20 +89,48 @@ and their cost does not depend on n.
 A ``sqrt`` trace needs each point's sum of squares.  The sample walk cuts
 every block at checkpoints, block ends and tile edges, so it hands each
 consumer at most one tile of 2**16 values (512 KiB).  The trace scales a
-cut in place and writes its Jacobian and row sums into two tile buffers
-allocated once, so it holds one block plus two fixed tile buffers, and
-each cut's passes stay in cache.
+cut and evaluates its Jacobian in place, and writes its row sums into one
+vector of a tile's rows allocated once, so it holds one block plus that
+vector, and each cut's passes stay in cache.
+
+A trace that walks random or Sobol sample blocks (a random ``max``
+trace, and a random or Sobol ``sqrt`` trace) splits points 1..n into
+contiguous segments, one per CPU the process may run on
+(os.sched_getaffinity, or os.cpu_count where that is missing); there is
+no option for it.  Each segment holds at least four tiles of points, so
+a shorter trace is one segment, and starts no thread.  The first segment
+is walked on the calling thread, its values read as they come, and each
+other one on a thread of its own (numpy releases the GIL in its
+generators and array passes).  A segment builds its blocks from its
+first index and walks them with the marks inside it and its own end as
+checkpoints; the segments then join in index order, exactly: the
+largest row sum for ``sqrt``, and the elementwise minimum and maximum of
+the random hulls for ``max``.  So every trace has the same bits for any
+segment count, and hence on any machine.  The sample count is checked
+once for all n before any thread starts; an error in a segment is
+raised, unchanged, once every segment thread has been joined, and no
+thread outlives the trace.  Memory is per segment: one block plus a
+row-sum vector or two hull rows each.  A segment on a thread keeps its
+value at each checkpoint until the join, so a trace whose kept values
+(a number per checkpoint for ``sqrt``, two hull rows for ``max``) would
+pass one tile walks one segment.  A Halton trace walks one segment: its
+blocks cost a few numpy calls per base, which hold the GIL, and two
+segments were not reliably faster than one on two CPUs.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -112,6 +144,8 @@ KIND_RANDOM = "random"
 KIND_HALTON = "halton"
 KIND_SOBOL = "sobol"
 SAMPLER_KINDS = (KIND_RANDOM, KIND_HALTON, KIND_SOBOL)
+
+_T = TypeVar("_T")
 
 _DIRECTIONS_FILE = "joe_kuo_6_1111.txt"
 _DIRECTIONS_SHA256 = "2afb7368f5ad2b6ab11ad628f3c44c2fa68914bb2fe2c3987b5164c3a782501c"
@@ -204,7 +238,7 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
     return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
 
 
-def _sobol_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
+def _sobol_blocks(dim: int, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
     v = _sobol_matrix(dim)
     # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
     table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
@@ -215,7 +249,7 @@ def _sobol_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
     steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
     states = np.empty((min(rows, count), dim), dtype=np.uint32)
     for done in range(0, count, rows):
-        yield _sobol_block(v, table, steps, states, done + 1, min(rows, count - done))
+        yield _sobol_block(v, table, steps, states, first + done, min(rows, count - done))
 
 
 def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
@@ -240,11 +274,11 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
         base ^= steps[(run & -run).bit_length() - 1]
 
 
-def _halton_blocks(dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
+def _halton_blocks(dim: int, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
     bases = _first_primes(dim)
     chunk = np.empty((_HALTON_CHUNK, min(rows, count)))
     for done in range(0, count, rows):
-        yield _halton_block(bases, done + 1, min(rows, count - done), chunk)
+        yield _halton_block(bases, first + done, min(rows, count - done), chunk)
 
 
 def _halton_block(bases: list[int], first: int, size: int, chunk: np.ndarray) -> np.ndarray:
@@ -338,9 +372,10 @@ def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
         high //= base
 
 
-def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(mark, p_min, p_max) for each mark: the per-coordinate hull of Sobol
-    points 1..mark, from one state per aligned dyadic block of indices."""
+def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(mark, hull) for each mark: the per-coordinate hull of Sobol points
+    1..mark (see _prefix_hulls), from one state per aligned dyadic block of
+    indices."""
     v = _sobol_matrix(dim)
     low = np.full(dim, 2 ** _SOBOL_BITS - 1, dtype=np.uint32)
     high = np.zeros(dim, dtype=np.uint32)
@@ -358,12 +393,13 @@ def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray, 
             np.minimum(low, state & kept, out=low)
             np.maximum(high, state | ~kept, out=high)
             first += 1 << k
-        yield mark, low * 0.5 ** _SOBOL_BITS, high * 0.5 ** _SOBOL_BITS
+        yield mark, np.stack([low, high]) * 0.5 ** _SOBOL_BITS
 
 
-def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(mark, p_min, p_max) for each mark: the per-coordinate hull of Halton
-    points 1..mark, from the two indices that attain it in each base."""
+def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(mark, hull) for each mark: the per-coordinate hull of Halton points
+    1..mark (see _prefix_hulls), from the two indices that attain it in
+    each base."""
     bases = np.array(_first_primes(dim))
     for mark in marks:
         # the smallest radical inverse is at the largest power of the base
@@ -384,12 +420,14 @@ def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray,
             rest -= step
             live &= power <= rest // bases
             np.multiply(power, bases, out=power, where=live)
-        p, _ = _fold(np.stack([low, high]), bases)
-        yield mark, p[0], p[1]
+        yield mark, _fold(np.stack([low, high]), bases)[0]
 
 
-def _random_blocks(dim: int, count: int, rows: int, seed: int) -> Iterator[np.ndarray]:
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _random_blocks(dim: int, first: int, count: int, rows: int,
+                   seed: int) -> Iterator[np.ndarray]:
+    # one draw per value, so point first starts (first - 1) * dim draws into
+    # the stream (see the module docstring)
+    rng = np.random.Generator(np.random.PCG64(seed).advance((first - 1) * dim))
     for done in range(0, count, rows):
         yield rng.random((min(rows, count - done), dim))
 
@@ -433,12 +471,16 @@ class SampleSequence:
         if count < 0:
             raise ValueError("count must be >= 0")
         check_sample_count(self.kind, count)
-        rows = _block_rows(self.kind, self.dimension)
+        return self._blocks(1, count, _block_rows(self.kind, self.dimension))
+
+    def _blocks(self, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
+        """Points first..first+count-1 in blocks of at most rows points;
+        the caller has checked that the sequence indexes them."""
         if self.kind == KIND_SOBOL:
-            return _sobol_blocks(self.dimension, count, rows)
+            return _sobol_blocks(self.dimension, first, count, rows)
         if self.kind == KIND_HALTON:
-            return _halton_blocks(self.dimension, count, rows)
-        return _random_blocks(self.dimension, count, rows, self.seed)
+            return _halton_blocks(self.dimension, first, count, rows)
+        return _random_blocks(self.dimension, first, count, rows, self.seed)
 
     def points(self, count: int) -> np.ndarray:
         """Points 1..count as one (count, dimension) array, filled block by
@@ -484,6 +526,9 @@ def k_lower_trace(
     BoundsError: the box is too wide.  More points than the sequence can
     index raise SampleCountTooLarge.  A max trace over Halton or Sobol
     points takes its hull in closed form, so its cost does not depend on n.
+    Any other trace walks its points in segments, one per CPU, on threads
+    that are joined before it returns or raises; its values do not depend
+    on the segment count (see the module docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -496,7 +541,7 @@ def k_lower_trace(
     if mode == MODE_MAX:
         trace = _max_trace(net, box, _prefix_hulls(sequence, marks))
     else:
-        trace = _sqrt_trace(net, box, sequence.blocks(n), marks)
+        trace = _sqrt_trace(net, box, sequence, marks)
     # the last mark is n: its value is the estimate, the rest are checkpoints
     value = trace.pop()[1]
     # the trace is nondecreasing, so a finite last value makes all finite
@@ -519,33 +564,124 @@ def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarra
 
 
 def _prefix_hulls(sequence: SampleSequence,
-                  marks: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(mark, p_min, p_max) for each mark of the nondecreasing marks: the
-    per-coordinate hull of points 1..mark.  Halton and Sobol hulls are in
-    closed form.  Random ones are reduced from the sample blocks, and their
-    two rows are updated in place once the next row is drawn."""
+                  marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(mark, hull) for each mark of the nondecreasing marks: the
+    per-coordinate hull of points 1..mark, a new array of two rows, the
+    minimum and the maximum.  Halton and Sobol hulls are in closed form.
+    Random ones are reduced from the sample blocks by segment: a segment's
+    two rows are updated in place once the next row is drawn and stacked
+    at each mark, and the hulls of segments join by elementwise min and
+    max."""
     if sequence.kind == KIND_SOBOL:
         return _sobol_hulls(sequence.dimension, marks)
     if sequence.kind == KIND_HALTON:
         return _halton_hulls(sequence.dimension, marks)
-    p_min = np.full(sequence.dimension, np.inf)
-    p_max = np.full(sequence.dimension, -np.inf)
 
-    def take(p: np.ndarray) -> None:
-        np.minimum(p_min, p.min(axis=0), out=p_min)
-        np.maximum(p_max, p.max(axis=0), out=p_max)
+    def walk(blocks: Iterator[np.ndarray], cuts: list[int]
+             ) -> Iterator[np.ndarray]:
+        p_min = np.full(sequence.dimension, np.inf)
+        p_max = np.full(sequence.dimension, -np.inf)
 
-    walk = _prefix_walk(sequence.blocks(marks[-1]), marks, take)
-    return ((mark, p_min, p_max) for mark in walk)
+        def take(p: np.ndarray) -> None:
+            np.minimum(p_min, p.min(axis=0), out=p_min)
+            np.maximum(p_max, p.max(axis=0), out=p_max)
+
+        for _ in _prefix_walk(blocks, cuts, take):
+            yield np.stack([p_min, p_max])
+
+    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack([np.minimum(a[0], b[0]), np.maximum(a[1], b[1])])
+
+    return _segment_walk(sequence, marks, 2 * sequence.dimension, walk, join)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _segment_count(kind: str, n: int, dim: int, held: int) -> int:
+    """Segments for a walk over points 1..n of this kind in dim dimensions,
+    whose segments on threads keep held float64 values until the join: one
+    per CPU, each of at least four tiles' points, and one for Halton or
+    for more than a tile held (see the module docstring)."""
+    if kind == KIND_HALTON or held > _TILE_VALUES:
+        return 1
+    return max(1, min(_cpu_count(), n // (4 * _tile_rows(dim))))
+
+
+def _segment_walk(sequence: SampleSequence, marks: list[int], size: int,
+                  walk: Callable[[Iterator[np.ndarray], list[int]], Iterator[_T]],
+                  join: Callable[[_T, _T], _T]) -> Iterator[tuple[int, _T]]:
+    """(mark, value) for each mark of the nondecreasing marks, the value of
+    points 1..mark.  The caller closes it, so its threads are joined even
+    if the caller stops early.
+
+    walk(blocks, cuts) yields one value per cut, the value of the blocks'
+    points up to it, and each value holds size float64 values.  Points
+    1..marks[-1] split into _segment_count contiguous segments, each walked
+    over its own blocks with the marks inside it, and its end unless it is
+    the last, as cuts.  The first is walked lazily on this thread, and each
+    other one on a thread of its own, which keeps its values until the
+    join.  Values join in index order, so join must be exact and
+    associative for any segment count to give the same values.
+    """
+    n = marks[-1]
+    count = _segment_count(sequence.kind, n, sequence.dimension, len(marks) * size)
+    rows = _block_rows(sequence.kind, sequence.dimension)
+    edges = [n * s // count for s in range(count + 1)]
+    cuts = [[m - lo for m in marks if lo < m <= hi] + ([hi - lo] if hi < n else [])
+            for lo, hi in zip(edges, edges[1:])]
+
+    def values(s: int) -> Iterator[_T]:
+        return walk(sequence._blocks(edges[s] + 1, edges[s + 1] - edges[s], rows), cuts[s])
+
+    kept: list = [None] * count
+
+    def keep(s: int) -> None:
+        try:
+            kept[s] = list(values(s))
+        except BaseException as error:
+            kept[s] = error
+
+    threads = []
+    try:
+        for s in range(1, count):
+            # a copy of this context, so that numpy's error state holds there
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(keep, s))
+            thread.start()
+            threads.append(thread)
+        carry = None
+        for s in range(count):
+            if s == 1:
+                for thread in threads:
+                    thread.join()
+            got = values(0) if s == 0 else kept[s]
+            if isinstance(got, BaseException):
+                raise got
+            marked = len(cuts[s]) - (s < count - 1)
+            for i, value in enumerate(got):
+                if s:
+                    value = join(carry, value)
+                if i < marked:
+                    yield edges[s] + cuts[s][i], value
+            carry = value
+    finally:
+        for thread in threads:
+            thread.join()
 
 
 def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
                  take: Callable[[np.ndarray], None]) -> Iterator[int]:
-    """Feed the blocks of points 1..marks[-1] to take, cut at the
-    nondecreasing marks, at block ends and at tile edges, so that each cut
-    is at most one tile, and yield each mark once take has had the points
-    up to it.  No cut outlives its call to take, and each block is freed
-    before the next is generated, so one block is held at a time."""
+    """Feed the blocks' points, numbered from 1 up to marks[-1], to take,
+    cut at the nondecreasing marks, at block ends and at tile edges, so
+    that each cut is at most one tile, and yield each mark once take has
+    had the points up to it.  No cut outlives its call to take, and each
+    block is freed before the next is generated, so one block is held at a
+    time."""
     seen = 0
     at = 0
     for block in blocks:
@@ -562,34 +698,40 @@ def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
         del block
 
 
-def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray, np.ndarray]]
+def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray]]
                ) -> list[tuple[int, float]]:
-    """Largest sampled Jacobian entry at each (mark, p_min, p_max) hull: the
-    closed form at the corner of the sampled hull, each link at its larger
-    magnitude, evaluated by the corner pass that gives K."""
+    """Largest sampled Jacobian entry at each (mark, hull) of _prefix_hulls,
+    a generator that this closes: the closed form at the corner of the
+    sampled hull, each link at its larger magnitude, evaluated by the
+    corner pass that gives K.  Each hull is scaled into the box in place."""
     width = box.hi - box.lo
     trace: list[tuple[int, float]] = []
-    for mark, p_min, p_max in hulls:
-        q = _scale_into_box(np.stack([p_min, p_max]), box, width)
-        trace.append((mark, max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))))
+    with contextlib.closing(hulls):
+        for mark, hull in hulls:
+            q = _scale_into_box(hull, box, width)
+            trace.append((mark, max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))))
     return trace
 
 
-def _sqrt_trace(net: Network, box: FlowBox, blocks: Iterator[np.ndarray],
+def _sqrt_trace(net: Network, box: FlowBox, sequence: SampleSequence,
                 marks: list[int]) -> list[tuple[int, float]]:
     """Largest Frobenius norm of a sampled Jacobian at each mark; it needs
-    every point, so each cut of the walk, at most one tile, is scaled in
-    place and evaluated into two buffers of one tile (see the module
-    docstring)."""
+    every point, so each cut of the walk, at most one tile, is scaled and
+    evaluated in place, and its row sums go to one buffer per segment (see
+    the module docstring).  Segments join by max, before the root."""
     width = box.hi - box.lo
-    rows = _tile_rows(net.n_links)
-    jacobian = np.empty((rows, net.n_links))
-    sums = np.empty(rows)
-    best = 0.0
 
-    def take(q: np.ndarray) -> None:
-        nonlocal best
-        g = _jacobian_diag_into(net, _scale_into_box(q, box, width), jacobian[:len(q)])
-        best = max(best, float(np.einsum("ij,ij->i", g, g, out=sums[:len(q)]).max()))
+    def walk(blocks: Iterator[np.ndarray], cuts: list[int]) -> Iterator[float]:
+        sums = np.empty(_tile_rows(net.n_links))
+        best = 0.0
 
-    return [(mark, math.sqrt(best)) for mark in _prefix_walk(blocks, marks, take)]
+        def take(q: np.ndarray) -> None:
+            nonlocal best
+            g = _jacobian_diag_into(net, _scale_into_box(q, box, width), q)
+            best = max(best, float(np.einsum("ij,ij->i", g, g, out=sums[:len(q)]).max()))
+
+        for _ in _prefix_walk(blocks, cuts, take):
+            yield best
+
+    with contextlib.closing(_segment_walk(sequence, marks, 1, walk, max)) as bests:
+        return [(mark, math.sqrt(best)) for mark, best in bests]

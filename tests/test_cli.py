@@ -125,6 +125,22 @@ def test_overflowing_bounds_exit_3(capsys, tmp_path, rows, methods):
     assert "Traceback" not in err
 
 
+def test_overflowing_point_trace_on_segments_exits_3(capsys, tmp_path, monkeypatch):
+    # on three_node's 2 links 400,000 points make three segments of at least
+    # four tiles; the overflow is found after every segment is joined
+    monkeypatch.setattr(wdn_lipschitz.sampling, "_cpu_count", lambda: 3)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("link_id,q_min,q_max\nP1,1,1e200\nPU1,1,1e120\n")
+    code = main(["analyze", str(FIXTURE_DIR / "three_node.inp"), "--bounds", str(wide),
+                 "--methods", "point", "--mode", "sqrt", "--sampler", "random",
+                 "--samples", "400000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("bounds error: sqrt-mode point estimate overflows a float: "
+                            "the box is too wide\n")
+
+
 def test_assumption_violation_exits_4(capsys, tmp_path):
     bad = tmp_path / "pump_zero.csv"
     bad.write_text("link_id,q_min,q_max\nP1,0,900\nPU1,0,900\n")

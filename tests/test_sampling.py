@@ -4,7 +4,13 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from importlib import resources
 from unittest.mock import patch
 
@@ -23,7 +29,7 @@ from wdn_lipschitz import (
     k_upper_sqrt,
 )
 from wdn_lipschitz.bounds import FlowBox, box_from_intervals, default_box
-from wdn_lipschitz.errors import DimensionTooLarge, SampleCountTooLarge
+from wdn_lipschitz.errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz import sampling
 from wdn_lipschitz.analytical import corner_derivatives
@@ -49,6 +55,36 @@ def block_rows(rows: int | None):
     if rows is None:
         return contextlib.nullcontext()
     return patch.object(sampling, "_block_rows", lambda kind, dim: rows)
+
+
+def cpu_count(cpus: int):
+    """Traces split their points as on a machine of cpus CPUs while active."""
+    return patch.object(sampling, "_cpu_count", lambda: cpus)
+
+
+@contextlib.contextmanager
+def segment_spy():
+    """While active, records each segment a trace walks: its first index,
+    the thread it runs on and numpy's error state there."""
+    walked = []
+    blocks = SampleSequence._blocks
+
+    def spy(self, first, count, rows):
+        walked.append((first, threading.current_thread(), np.geterr()))
+        return blocks(self, first, count, rows)
+
+    with patch.object(SampleSequence, "_blocks", spy):
+        yield walked
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The peak bytes tracemalloc sees, from every thread, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
@@ -454,32 +490,32 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
-    # numpy reports its buffers to tracemalloc.  The block bound is in
-    # Halton's 8192-point blocks; random and Sobol blocks are one tile, and
-    # test_random_trace_memory_is_flat_in_links bounds them by tiles.  A
-    # random max trace holds one sample block and the two hull rows (1.04
-    # to 1.21 blocks of 8192 points; 2.0 to 2.2 while a segment view kept
-    # the previous block alive).  A Halton or Sobol max trace takes its
-    # hull in closed form and holds a few rows of n_links values (22 to 28
-    # float64 rows; Sobol's largest buffers are its 32 uint32 rows of
-    # direction numbers and one gathered copy of them), so a single
-    # block-sized buffer fails its bound.  A sqrt trace holds one
-    # sample block and two tile buffers, for the Jacobian and the row sums,
-    # allocated once (a Halton trace 1.09 blocks, 1.24 while it also builds
-    # its digit tables; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
-    # before the in-place pass).  One more block-sized buffer fails the bound.
+    # numpy reports its buffers to tracemalloc, from every thread.  The
+    # block bound is in Halton's 8192-point blocks, per segment, times the
+    # segments the trace walks; a Halton trace walks one.  Random and Sobol
+    # blocks are one tile, and test_random_trace_memory_is_flat_in_links
+    # bounds them by tiles.  A random max trace holds one sample block and
+    # the two hull rows per segment.  A Halton or Sobol max trace takes its
+    # hull in closed form on one thread and holds a few rows of n_links
+    # values (22 to 28 float64 rows; Sobol's largest buffers are its 32
+    # uint32 rows of direction numbers and one gathered copy of them), so a
+    # single block-sized buffer fails its bound.  A sqrt trace holds one
+    # sample block and one row-sum vector per segment, and evaluates in
+    # place (a Halton trace 1.06 blocks, 1.21 while it also builds its
+    # digit tables; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
+    # before the in-place pass).  One more block-sized buffer per segment
+    # fails the bound.  The trace runs as on one, two and three CPUs.
     _, net, box = fixtures["obcl"]
     row_bytes = net.n_links * 8
     closed_form = mode == "max" and kind != "random"
-    bound = 48 * row_bytes if closed_form else 1.5 * 8192 * row_bytes
     sobol_max_dimension()  # the direction table is parsed once per process
-    tracemalloc.start()
-    try:
-        k_lower_trace(net, box, kind, 20_000, mode=mode)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    for cpus in (1, 2, 3):
+        with cpu_count(cpus), segment_spy() as walked:
+            peak = traced_peak(k_lower_trace, net, box, kind, 20_000, mode=mode)
+        segments = len(walked)
+        assert segments == (0 if closed_form else 1 if kind == "halton" else cpus)
+        per_segment = 48 * row_bytes if closed_form else 1.5 * 8192 * row_bytes
+        assert peak <= max(1, segments) * per_segment
 
 
 # obcl's 289 links give random and Sobol blocks of 226 points; Halton
@@ -515,45 +551,74 @@ def scale_network():
 def test_random_trace_memory_is_flat_in_links(scale_network, mode):
     # A random block is one tile of at most 2**16 values (512 KiB); on
     # 5,002 links that is 13 points, where a block of up to 2**23 values
-    # was 1,677 points (64 MiB).  A max trace holds that block, its two hull
-    # rows and the corner pass's rows of n_links values at a checkpoint: at
-    # most 48 rows, as in test_trace_memory_stays_within_a_few_blocks (25
-    # rows measured).  A sqrt trace holds the block, the Jacobian tile
-    # buffer, the row-sum buffer of one tile's 13 points and the width row:
-    # two tiles and at most 8 rows (1.2 rows measured).  Neither bound
-    # grows with the point count or the block count, and one more
-    # tile-sized buffer fails the sqrt bound.
+    # was 1,677 points (64 MiB).  The bound is per segment, times the
+    # segments the trace walks.  A max trace holds per segment that block,
+    # its two hull rows and a hull per checkpoint, and then the corner
+    # pass's rows of n_links values: at most 48 rows per segment, as in
+    # test_trace_memory_stays_within_a_few_blocks (25 rows on one segment,
+    # 6 to 8 per segment on two or three).  A sqrt segment holds the block,
+    # evaluated in place, and the row-sum buffer of one tile's 13 points;
+    # the width row is shared: one tile and at most 8 rows per segment (0.4
+    # to 1.1 rows measured).  Neither bound grows with the point count or
+    # the block count, and one more tile-sized buffer per segment fails the
+    # sqrt bound.  The trace runs as on one, two and three CPUs.
     net, box = scale_network
     assert net.n_links == 5002
     tile_bytes = sampling._TILE_VALUES * 8
     row_bytes = net.n_links * 8
-    bound = tile_bytes + 48 * row_bytes if mode == "max" else 2 * tile_bytes + 8 * row_bytes
-    tracemalloc.start()
-    try:
-        k_lower_trace(net, box, "random", 3000, mode=mode, checkpoints=(1, 13, 14, 1000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    per_segment = tile_bytes + (48 if mode == "max" else 8) * row_bytes
+    for cpus in (1, 2, 3):
+        with cpu_count(cpus), segment_spy() as walked:
+            peak = traced_peak(k_lower_trace, net, box, "random", 3000, mode=mode,
+                               checkpoints=(1, 13, 14, 1000))
+        assert len(walked) == cpus
+        assert peak <= len(walked) * per_segment
+
+
+# obcl's 289 links: a random max trace keeps, on each segment's thread, a
+# hull of 2 x 289 values per checkpoint until the join, so 112 checkpoints
+# and n (65,314 values, within a tile) keep it on three segments, and 113
+# put it on one.  A segment holds its block (one tile), its two hull rows
+# and a hull per checkpoint that the calling thread reads as it comes;
+# the threads keep at most one tile of hulls between them.  Bound: one
+# tile and 16 rows per segment, plus that tile (measured: 3.70 to 3.74
+# tiles on three segments, 1.14 on one, 1.33 to 1.42 with 1,000
+# checkpoints, whose trace and cuts are a few Python numbers each).  A hull kept per checkpoint on
+# the first segment, or one more tile-sized buffer per segment, fails it.
+@pytest.mark.parametrize("checkpoints, segments", [(112, 3), (113, 1), (1000, 1)])
+def test_random_max_trace_memory_does_not_grow_with_checkpoints(fixtures, checkpoints,
+                                                                segments):
+    _, net, box = fixtures["obcl"]
+    tile_bytes = sampling._TILE_VALUES * 8
+    row_bytes = net.n_links * 8
+    n = 20_000
+    marks = tuple(range(1, n, n // checkpoints))[:checkpoints]
+    k_lower_trace(net, box, "random", 1)  # the corner pass's per-link tables
+    with cpu_count(3), segment_spy() as walked:
+        peak = traced_peak(k_lower_trace, net, box, "random", n, checkpoints=marks)
+    assert len(walked) == segments
+    assert peak <= segments * (tile_bytes + 16 * row_bytes) + tile_bytes
 
 
 def test_sobol_sqrt_trace_memory_in_tiles(fixtures):
-    # A Sobol sqrt trace on obcl's 289 links holds one block of 226 points
-    # (one tile) and its uint32 states (half a tile), the Jacobian tile
-    # buffer, the 128-state run table, the run steps and a few rows: 2.97
-    # tiles measured, with the direction matrix cached beforehand.  One
-    # more tile-sized buffer fails the bound.
+    # A segment of a Sobol sqrt trace on obcl's 289 links holds one block
+    # of 226 points (one tile), evaluated in place, and its uint32 states
+    # (half a tile), the 128-state run table, the run steps and a few rows:
+    # 1.97 to 2.00 tiles per segment measured, with the direction matrix
+    # cached beforehand (2.97 on one segment with a Jacobian tile buffer).
+    # The bound is per segment, times the segments the trace walks; one
+    # more tile-sized buffer per segment fails it.  The trace runs as on
+    # one, two and three CPUs.
     _, net, box = fixtures["obcl"]
     tile_bytes = sampling._TILE_VALUES * 8
     row_bytes = net.n_links * 8
     _sobol_matrix(net.n_links)  # cached per dimension, once per process
-    tracemalloc.start()
-    try:
-        k_lower_trace(net, box, "sobol", 20_000, mode="sqrt", checkpoints=(1, 226, 227, 10_000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * tile_bytes + 16 * row_bytes
+    for cpus in (1, 2, 3):
+        with cpu_count(cpus), segment_spy() as walked:
+            peak = traced_peak(k_lower_trace, net, box, "sobol", 20_000, mode="sqrt",
+                               checkpoints=(1, 226, 227, 10_000))
+        assert len(walked) == cpus
+        assert peak <= len(walked) * (2 * tile_bytes + 16 * row_bytes)
 
 
 # obcl's 289 links: a tile is 226 points, a random or Sobol block is one
@@ -574,6 +639,194 @@ def test_walk_cuts_are_at_most_one_tile(kind):
     assert [(mark, sum(map(len, cuts))) for mark in walk] == [(m, m) for m in marks]
     assert all(1 <= len(cut) <= rows for cut in cuts)
     assert np.array_equal(np.concatenate(cuts), sequence.points(n))
+
+
+# Each segment builds its blocks from its first index, so block i of a
+# segment must hold rows first..first+count-1 of the sequence.  Random
+# blocks rest on PCG64 drawing one 64-bit value per double, so that index
+# first is (first - 1) * dim draws into numpy's own stream.
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(SAMPLER_KINDS), dim=st.integers(1, 40),
+       first=st.integers(1, 3000), count=st.integers(1, 300), rows=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(kind="random", dim=1, first=1, count=1, rows=1, seed=0)
+@example(kind="random", dim=7, first=2, count=300, rows=7, seed=2 ** 64 - 1)
+def test_blocks_from_any_first_index_match_the_stream(kind, dim, first, count, rows, seed):
+    sequence = SampleSequence(kind, dim, seed)
+    got = list(sequence._blocks(first, count, rows))
+    assert [len(block) for block in got] == [min(rows, count - done)
+                                             for done in range(0, count, rows)]
+    if kind == "random":
+        stream = np.random.Generator(np.random.PCG64(seed)).random((first + count - 1, dim))
+    else:
+        stream = sequence.points(first + count - 1)
+    assert np.array_equal(np.concatenate(got).view(np.uint64),
+                          stream[first - 1:].view(np.uint64))
+
+
+# obcl's 289 links: a tile is 226 points, so 4,523 points (a multiple of
+# none of 2, 3 and 5) make up to five segments of at least four tiles.
+# Marks fall on and next to every segment edge of every count, and the
+# middle edge and n are marked twice.  Halton traces walk one segment.
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
+    _, net, box = fixtures["obcl"]
+    n = 4523
+    edges = {n * s // k for k in (2, 3, 5) for s in range(1, k)}
+    marks = tuple(sorted([*{m for e in edges for m in (e - 1, e, e + 1)}, 1, n // 2, n]))
+    closed_form = mode == "max" and kind != "random"
+    traces = []
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2, 3, 5):
+        # more segments than this machine may have cores, switching threads
+        # often, and the shared per-process tables built while they run
+        sampling._fold_digits.cache_clear()
+        sampling._sobol_matrix.cache_clear()
+        sys.setswitchinterval(1e-5)
+        try:
+            with cpu_count(cpus), segment_spy() as walked:
+                est, trace = k_lower_trace(net, box, kind, n, mode=mode, seed=3,
+                                           checkpoints=marks)
+        finally:
+            sys.setswitchinterval(interval)
+        segments = 0 if closed_form else 1 if kind == "halton" else cpus
+        assert sorted(first for first, _, _ in walked) == [n * s // segments + 1
+                                                           for s in range(segments)]
+        assert len({thread for _, thread, _ in walked}) == segments
+        assert [thread for first, thread, _ in walked if first == 1] == (
+            [threading.current_thread()] if segments else [])
+        assert [at for at, _ in trace] == list(marks)
+        traces.append([v.hex() for _, v in trace] + [est.value.hex()])
+    assert all(trace == traces[0] for trace in traces)
+
+
+def test_segment_count_rule():
+    # one segment per CPU, each of at least four tiles' points, while the
+    # values kept on threads fit in a tile; Halton walks one
+    count = sampling._segment_count
+    tile = sampling._TILE_VALUES
+    with cpu_count(2):
+        for kind in ("random", "sobol"):
+            assert count(kind, 1000, 289, 1) == 1      # a certify-sized trace
+            assert count(kind, 1807, 289, 1) == 1
+            assert count(kind, 1808, 289, 1) == 2
+            assert count(kind, 10 ** 9, 289, tile) == 2
+            assert count(kind, 10 ** 9, 289, tile + 1) == 1
+            assert count(kind, 7, 2 ** 20, 1) == 1      # a tile is one point
+            assert count(kind, 8, 2 ** 20, 1) == 2
+        assert count("halton", 10 ** 9, 289, 1) == 1
+    with cpu_count(1):
+        assert count("random", 10 ** 9, 289, 1) == 1
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+class TestSegmentThreads:
+    def test_one_segment_starts_no_thread(self, fixtures):
+        _, net, box = fixtures["obcl"]
+        with cpu_count(2), patch.object(threading, "Thread", no_thread):
+            for kind in SAMPLER_KINDS:
+                for mode in ("max", "sqrt"):
+                    k_lower_trace(net, box, kind, 1000, mode=mode, checkpoints=(10, 100))
+
+    @pytest.mark.parametrize("kind", ["halton", "sobol"])
+    def test_sample_count_is_checked_before_any_thread(self, fixtures, kind):
+        _, net, box = fixtures["obcl"]
+        too_many = sampling._MAX_COUNT[kind] + 1
+        before = threading.active_count()
+        with cpu_count(3), patch.object(threading, "Thread", no_thread):
+            with pytest.raises(SampleCountTooLarge):
+                k_lower_trace(net, box, kind, too_many, mode="sqrt")
+        assert threading.active_count() == before
+
+    # a random sqrt trace of three segments on obcl, of 904 or 905 points,
+    # four or five blocks each; a failing segment raises at its second block
+    @pytest.mark.parametrize("failing", [{0}, {1}, {2}, {1, 2}, {0, 1, 2}])
+    def test_segment_error_surfaces_after_every_thread_is_joined(self, fixtures, failing):
+        _, net, box = fixtures["obcl"]
+        n = 2714
+        firsts = [n * s // 3 + 1 for s in range(3)]
+        blocks = SampleSequence._blocks
+        finished = set()
+
+        def some_fail(self, first, count, rows):
+            for i, block in enumerate(blocks(self, first, count, rows)):
+                if i == 1 and firsts.index(first) in failing:
+                    raise ValueError(f"segment {firsts.index(first)} failed")
+                yield block
+            finished.add(firsts.index(first))
+
+        before = threading.active_count()
+        with cpu_count(3), patch.object(SampleSequence, "_blocks", some_fail):
+            with pytest.raises(ValueError, match=f"^segment {min(failing)} failed$"):
+                k_lower_trace(net, box, "random", n, mode="sqrt")
+        assert threading.active_count() == before
+        assert finished == {0, 1, 2} - failing
+
+    def test_success_leaves_no_thread(self, fixtures):
+        _, net, box = fixtures["obcl"]
+        before = threading.active_count()
+        with cpu_count(3):
+            for mode in ("max", "sqrt"):
+                k_lower_trace(net, box, "random", 4000, mode=mode, checkpoints=(1, 2000))
+        assert threading.active_count() == before
+
+    def test_package_import_loads_no_executor(self):
+        # segments run on plain threads; concurrent.futures costs a few ms
+        # to import, and the package loads nothing that imports it
+        code = ("import sys, wdn_lipschitz.cli; "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_a_caller_that_stops_early_leaves_no_thread(self, fixtures):
+        # the corner pass fails at the first checkpoint, while the other
+        # segments, slowed down, still run, and the trace closes the walk
+        _, net, box = fixtures["obcl"]
+        blocks = SampleSequence._blocks
+
+        def slow(self, first, count, rows):
+            if first > 1:
+                time.sleep(0.2)
+            return blocks(self, first, count, rows)
+
+        before = threading.active_count()
+        with cpu_count(3), patch.object(SampleSequence, "_blocks", slow), \
+                segment_spy() as walked, \
+                patch.object(sampling, "corner_derivatives", side_effect=ValueError("stop")):
+            with pytest.raises(ValueError, match="^stop$"):
+                k_lower_trace(net, box, "random", 20_000, checkpoints=(1,))
+            assert threading.active_count() == before
+        assert len(walked) == 3
+
+    def test_segments_run_in_the_callers_numpy_error_state(self, fixtures):
+        # numpy keeps its error state per context, and a thread starts in an
+        # empty one unless it is handed a copy
+        _, net, box = fixtures["obcl"]
+        with cpu_count(3), segment_spy() as walked, np.errstate(over="ignore", invalid="raise"):
+            k_lower_trace(net, box, "random", 4000, mode="sqrt")
+        assert len({thread for _, thread, _ in walked}) == 3
+        assert all(state["over"] == "ignore" and state["invalid"] == "raise"
+                   for _, _, state in walked)
+
+    # three_node's 2 links: a tile is 32,768 points, so 400,000 points make
+    # three segments, and nearly every sample of the wide pipe overflows
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_overflow_on_segments_raises_bounds_error(self, three_node, cpus):
+        _, net, _ = three_node
+        box = box_from_intervals(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
+        before = threading.active_count()
+        with cpu_count(cpus), segment_spy() as walked, np.errstate(over="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundsError, match="^sqrt-mode point estimate overflows a "
+                                                  "float: the box is too wide$"):
+                k_lower_trace(net, box, "random", 400_000, mode="sqrt", seed=4)
+        assert threading.active_count() == before
+        assert len(walked) == cpus
 
 
 # endpoints up to 1e300, so that a width hi - lo stays finite; signed
@@ -649,32 +902,36 @@ def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra,
 
 # Networks from make_random_network have pipe and valve boxes that cross
 # zero and pump boxes near zero flow; "some" and "all" collapse links to
-# their upper bound, where every sample is the same flow.
+# their upper bound, where every sample is the same flow.  Tiles of a few
+# values put tile edges inside the cuts, and make a random trace walk up
+# to three segments.
 @settings(max_examples=80, deadline=None)
 @given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
        seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
        extra=st.integers(0, 299), collapse=st.sampled_from(("none", "some", "all")),
-       data=st.data())
+       tile=st.integers(1, 200), data=st.data())
 def test_max_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra,
-                                       collapse, data):
+                                       collapse, tile, data):
     net, box = make_random_network(np.random.default_rng(net_seed))
     if collapse != "none":
         step = 2 if collapse == "some" else 1
         lo = box.lo.copy()
         lo[::step] = box.hi[::step]
         box = dataclasses.replace(box, lo=lo)
-    _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data, "max")
+    with cpu_count(3), patch.object(sampling, "_TILE_VALUES", tile):
+        _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data,
+                                          "max")
 
 
-# the same walk over blocks cut at the marks; a sqrt trace also tiles each
-# cut, and tiles of a few values put tile edges inside the cuts
+# the same walk over blocks cut at the marks and at tile edges, on up to
+# three segments
 @settings(max_examples=40, deadline=None)
 @given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
        seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
        extra=st.integers(0, 299), tile=st.integers(1, 200), data=st.data())
 def test_sqrt_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra, tile, data):
     net, box = make_random_network(np.random.default_rng(net_seed))
-    with patch.object(sampling, "_TILE_VALUES", tile):
+    with cpu_count(3), patch.object(sampling, "_TILE_VALUES", tile):
         _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data,
                                           "sqrt")
 
@@ -755,8 +1012,8 @@ def _hulls_of_points(kind, dim, marks):
 def _assert_hulls_match_points(kind, dim, marks):
     hulls = _sobol_hulls if kind == "sobol" else _halton_hulls
     got = list(hulls(dim, marks))
-    assert [mark for mark, _, _ in got] == marks
-    for (_, p_min, p_max), (q_min, q_max) in zip(got, _hulls_of_points(kind, dim, marks),
+    assert [mark for mark, _ in got] == marks
+    for (_, (p_min, p_max)), (q_min, q_max) in zip(got, _hulls_of_points(kind, dim, marks),
                                                  strict=True):
         assert np.array_equal(p_min, q_min) and np.array_equal(p_max, q_max)
 
