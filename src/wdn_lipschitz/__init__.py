@@ -17,12 +17,10 @@ from .analytical import (
 )
 from .bounds import (
     FlowBox,
-    box_from_intervals,
     default_box,
     load_bounds,
     loads_bounds,
     pump_max_flow,
-    save_bounds,
 )
 from .dae import (
     DaeLayout,
@@ -100,7 +98,6 @@ __all__ = [
     "UnknownNodeRef",
     "UsageError",
     "WdnError",
-    "box_from_intervals",
     "build_dae",
     "build_network",
     "dae_residual",
@@ -123,6 +120,5 @@ __all__ = [
     "loads_bounds",
     "parse_inp",
     "pump_max_flow",
-    "save_bounds",
     "tank_step",
 ]

@@ -1,10 +1,10 @@
 """The box domain of attainable flows, one closed interval per link.
 
 Bounds files are CSV with header ``link_id,q_min,q_max`` and one row per
-link.  Values are written with shortest round-trip decimal form and ids
-are quoted where CSV needs it (an INP id may hold ',' or '"'), so a
-save/load cycle is bit-exact.  Pump intervals must have a strictly positive
-lower endpoint; pipe and valve intervals may cross zero.
+link.  A value in shortest round-trip decimal form (``repr``) loads bit
+for bit, and an id holding ',' or '"' (legal in an INP id) is quoted as
+CSV quotes it.  Pump intervals must have a strictly positive lower
+endpoint; pipe and valve intervals may cross zero.
 """
 
 from __future__ import annotations
@@ -74,20 +74,12 @@ def _box_from_mapping(net: Network, table: dict[str, tuple[float, float]]) -> Fl
     )
 
 
-def box_from_intervals(net: Network, table: dict[str, tuple[float, float]]) -> FlowBox:
-    """Build a FlowBox from {link_id: (q_min, q_max)}; every link required."""
-    known = set(net.link_ids)
-    for link_id in table:
-        if link_id not in known:
-            raise UnknownLink(link_id)
-    return _box_from_mapping(net, table)
-
-
 def load_bounds(path: str | Path, net: Network) -> FlowBox:
-    """Read a UTF-8 bounds CSV and validate it against the network; a file
-    that cannot be read or decoded is a BoundsError."""
+    """Read a UTF-8 bounds CSV (a leading byte-order mark is dropped) and
+    validate it against the network; a file that cannot be read or decoded
+    is a BoundsError."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise BoundsError(f"cannot read {path}: {exc}") from None
@@ -117,15 +109,6 @@ def loads_bounds(text: str, net: Network) -> FlowBox:
             raise BoundsError(f"non-numeric bounds for link {link_id!r}") from None
         table[link_id] = (lo, hi)
     return _box_from_mapping(net, table)
-
-
-def save_bounds(box: FlowBox, path: str | Path) -> None:
-    """Write the box as CSV; floats use repr so load_bounds is the inverse."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["link_id", "q_min", "q_max"])
-        writer.writerows([link_id, repr(float(lo)), repr(float(hi))]
-                         for link_id, lo, hi in zip(box.link_ids, box.lo, box.hi))
 
 
 def pump_max_flow(shutoff_head: float, coeff: float, exponent: float,

@@ -5,7 +5,6 @@ Subcommands:
     analyze      one network: analytical constant, optional certified
                  interval upper bounds and sampled lower bounds
     benchmark    a directory of fixture networks: one CSV row per network
-                 plus optional per-method timing medians
     convergence  sampled lower bound as a function of the sample count
 
 A package error exits with the code its class carries (errors.WdnError);
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -75,7 +73,7 @@ def _sample_counts(text: str) -> tuple[int, ...]:
 
 def _read_network(inp_path: Path) -> tuple[str, Network]:
     try:
-        text = inp_path.read_text(encoding="utf-8")
+        text = inp_path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InpError(f"cannot read {inp_path}: {exc}") from None
     desc = parse_inp(text)
@@ -192,52 +190,26 @@ def cmd_benchmark(args) -> int:
     fields = ["network", "junctions", "reservoirs", "tanks", "pipes", "pumps",
               "valves", *estimate_cols, "status"]
     rows = []
-    timing_rows = []
     for name, inp_path, bounds_path in fixtures:
         try:
             _, net = _read_network(inp_path)
             box = load_bounds(bounds_path, net)
-            runs: dict[str, list[float]] = {}
-            report = None
-            # the results CSV reads the first run only; repeats feed the timings
-            for _ in range(args.repeats if args.timing_out else 1):
-                rep = AnalysisReport.for_network(name, net, {})
-                _run_methods(net, box, {"interval", "point"}, {"max", "sqrt"},
-                             args.samples, args.sampler, args.seed, rep)
-                for key, sec in rep.timings_s.items():
-                    runs.setdefault(key, []).append(sec)
-                if report is None:
-                    report = rep
+            report = AnalysisReport.for_network(name, net, {})
+            _run_methods(net, box, {"interval", "point"}, {"max", "sqrt"},
+                         args.samples, args.sampler, args.seed, report)
             row = report.to_csv_row(estimate_cols)
             row["status"] = "ok"
-            rows.append(row)
-            for key, secs in runs.items():
-                timing_rows.append({
-                    "network": name,
-                    "method": key,
-                    "median_s": repr(statistics.median(secs)),
-                    "runs": str(len(secs)),
-                })
         except WdnError as exc:
             row = {f: "" for f in fields}
             row["network"] = name
             row["status"] = f"error: {type(exc).__name__}: {exc}"
-            rows.append(row)
+        rows.append(row)
 
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _emit(buffer.getvalue(), args.out)
-
-    if args.timing_out:
-        with open(args.timing_out, "w", newline="\n") as fh:
-            tw = csv.DictWriter(fh, fieldnames=["network", "method", "median_s", "runs"],
-                                lineterminator="\n")
-            tw.writeheader()
-            for row in timing_rows:
-                tw.writerow(row)
     return 0
 
 
@@ -312,11 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--networks", type=_names, help="comma list of fixture names to run")
     point_options(p_bench)
     seed_option(p_bench)
-    p_bench.add_argument("--repeats", type=_positive_int, default=5,
-                         help="timing repetitions with --timing-out, median reported "
-                              "(default %(default)s)")
     p_bench.add_argument("--out", help="results CSV path (default: stdout)")
-    p_bench.add_argument("--timing-out", help="per-method timing CSV path")
     p_bench.set_defaults(fn=cmd_benchmark)
 
     p_conv = sub.add_parser("convergence", help="sampled estimate vs sample count",

@@ -1,7 +1,7 @@
 """Point-based under-approximation of Lipschitz constants.
 
 SampleSequence(kind, dimension, seed) yields deterministic points in the
-half-open unit cube [0,1)^d, in blocks or as one array (``points(n)``).
+half-open unit cube [0,1)^d, in blocks (``blocks(n)``).
 A random or Sobol block is one tile of at most 2**16 values (512 KiB):
 its cost is per value, so a trace generates, reduces or scales, and
 evaluates each block while it is still in a core's cache.  A Halton
@@ -468,6 +468,7 @@ class SampleSequence:
             raise DimensionTooLarge(self.dimension, sobol_max_dimension())
 
     def blocks(self, count: int) -> Iterator[np.ndarray]:
+        """Points 1..count as (rows, dimension) arrays, in index order."""
         if count < 0:
             raise ValueError("count must be >= 0")
         check_sample_count(self.kind, count)
@@ -481,17 +482,6 @@ class SampleSequence:
         if self.kind == KIND_HALTON:
             return _halton_blocks(self.dimension, first, count, rows)
         return _random_blocks(self.dimension, first, count, rows, self.seed)
-
-    def points(self, count: int) -> np.ndarray:
-        """Points 1..count as one (count, dimension) array, filled block by
-        block, so only the output and one block are held."""
-        blocks = self.blocks(count)   # checks count before the allocation
-        out = np.empty((count, self.dimension))
-        done = 0
-        for block in blocks:
-            out[done:done + len(block)] = block
-            done += len(block)
-        return out
 
 
 def check_sample_count(kind: str, count: int) -> None:

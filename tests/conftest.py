@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import csv
 import importlib.util
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wdn_lipschitz import build_network, load_bounds, parse_inp
-from wdn_lipschitz.bounds import box_from_intervals, pump_max_flow
+from wdn_lipschitz import build_network, load_bounds, loads_bounds, parse_inp
+from wdn_lipschitz.bounds import pump_max_flow
 from wdn_lipschitz.inp import (
     JunctionDesc,
     NetworkDescription,
@@ -53,6 +55,22 @@ def fixtures():
 @pytest.fixture(scope="session")
 def three_node(fixtures):
     return fixtures["three_node"]
+
+
+def bounds_csv(table: dict[str, tuple[float, float]]) -> str:
+    """A bounds file's text for {link_id: (q_min, q_max)}: values in repr
+    form, ids quoted as CSV quotes them."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["link_id", "q_min", "q_max"])
+    writer.writerows([link_id, repr(float(lo)), repr(float(hi))]
+                     for link_id, (lo, hi) in table.items())
+    return buffer.getvalue()
+
+
+def make_box(net, table: dict[str, tuple[float, float]]):
+    """The FlowBox for {link_id: (q_min, q_max)}, through the bounds loader."""
+    return loads_bounds(bounds_csv(table), net)
 
 
 def reference_link_derivative(net, pos: int, magnitude: float) -> float:
@@ -128,7 +146,7 @@ def valve_net():
         "PU1": (5.0, 900.0), "PU2": (1.0, 450.0),
         "V1": (-300.0, 240.0), "V2": (-120.0, 400.0),
     }
-    return desc, net, box_from_intervals(net, table)
+    return desc, net, make_box(net, table)
 
 
 def make_random_network(rng: np.random.Generator):
@@ -181,7 +199,7 @@ def make_random_network(rng: np.random.Generator):
         lo = float(rng.uniform(1e-6, 0.2 * q_cap))
         hi = float(rng.uniform(0.5, 0.95) * q_cap)
         table[m.id] = (min(lo, hi * 0.5), hi)
-    return net, box_from_intervals(net, table)
+    return net, make_box(net, table)
 
 
 def make_tank_network(rng: np.random.Generator):

@@ -226,8 +226,8 @@ def test_criterion_8_substitute_coverage_documented(fixtures, capsys):
     # Full-scale reference values for the five larger networks and absolute
     # timings are not reproducible here (their flow bounds and hardware are
     # unpublished); the shipped placeholder bounds are exercised by the
-    # property-based criteria 2 and 3 instead, and timings are reported as
-    # medians rather than asserted.
+    # property-based criteria 2 and 3 instead, and timings are reported
+    # (analyze's timings_s) rather than asserted.
     for name in FIXTURE_NAMES:
         assert (FIXTURE_DIR / f"{name}.inp").exists()
         assert (FIXTURE_DIR / f"{name}_bounds.csv").exists()

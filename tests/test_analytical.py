@@ -18,7 +18,6 @@ from wdn_lipschitz import (
     k_upper_sqrt,
 )
 from wdn_lipschitz.analytical import corner_derivatives
-from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.inp import (
     JunctionDesc,
     NetworkDescription,
@@ -27,6 +26,7 @@ from wdn_lipschitz.inp import (
 )
 
 from conftest import (
+    make_box,
     make_random_network,
     make_single_pipe,
     make_valve_network,
@@ -42,7 +42,7 @@ PUMP_SHORTCUT_CASE = 0.86287657322763241  # 2.59 * 3.746e-6 * 922.5**1.59 * 0.4*
 
 def single_pipe_box(resistance, mu, lo, hi):
     net = build_network(make_single_pipe(resistance, mu))
-    return net, box_from_intervals(net, {"P1": (lo, hi)})
+    return net, make_box(net, {"P1": (lo, hi)})
 
 
 def pump_only_net(pumps: list[PumpDesc]):
@@ -74,7 +74,7 @@ class TestKPipes:
 
     def test_empty_class_contributes_zero(self):
         net = pump_only_net([PumpDesc("PU1", "R1", "J1", 16.0, 1.0, 2.0, 1.0)])
-        box = box_from_intervals(net, {"PU1": (1.0, 4.0)})
+        box = make_box(net, {"PU1": (1.0, 4.0)})
         assert k_network(net, box).per_class["pipes"] == 0.0
         assert k_network(net, box).per_class["valves"] == 0.0
 
@@ -83,13 +83,13 @@ class TestKPumps:
     def test_linear_pump_is_speed_times_coeff(self):
         net = pump_only_net([PumpDesc("PU1", "R1", "J1", 100.0, 2.0, 1.0, 0.5)])
         for hi in (3.0, 300.0):
-            box = box_from_intervals(net, {"PU1": (1.0, hi)})
+            box = make_box(net, {"PU1": (1.0, hi)})
             assert k_network(net, box).per_class["pumps"] == pytest.approx(1.0)
 
     def test_quadratic_pump_ignores_speed(self):
         for s in (0.3, 1.0):
             net = pump_only_net([PumpDesc("PU1", "R1", "J1", 100.0, 0.5, 2.0, s)])
-            box = box_from_intervals(net, {"PU1": (1.0, 10.0)})
+            box = make_box(net, {"PU1": (1.0, 10.0)})
             assert k_network(net, box).per_class["pumps"] == pytest.approx(10.0)
 
     def test_three_node_value(self, three_node):
@@ -106,7 +106,7 @@ class TestKValves:
         net = build_network(desc)
         table = {l.link_id: (1.0, 250.0) for l in net.links}
         table["V1"] = (-30.0, 44.0)
-        box = box_from_intervals(net, table)
+        box = make_box(net, table)
         pipe_net, pipe_box = single_pipe_box(4.0e-5, mu, -30.0, 44.0)
         got = k_network(net, box).per_class["valves"]
         v2 = 1.852 * 1.0 * 8.0e-5 * math.pow(250.0, 0.852)
@@ -118,7 +118,7 @@ class TestKValves:
         desc = make_single_pipe(1.0, 2.0)
         desc.valves.append(ValveDesc("V1", "J1", "J2", 1.0, 0.5))
         net = build_network(desc)
-        box = box_from_intervals(net, {"P1": (0.0, 0.0), "V1": (0.0, 3.0)})
+        box = make_box(net, {"P1": (0.0, 0.0), "V1": (0.0, 3.0)})
         assert k_network(net, box).per_class["valves"] == pytest.approx(3.0)
 
     def test_oracle_value(self):
@@ -128,7 +128,7 @@ class TestKValves:
         desc = make_single_pipe(1.0, 1.852)
         desc.valves.append(ValveDesc("V1", "J1", "J2", 2.0, 0.37))
         net = build_network(desc)
-        box = box_from_intervals(net, {"P1": (0.0, 0.0), "V1": (-4.0, 2.0)})
+        box = make_box(net, {"P1": (0.0, 0.0), "V1": (-4.0, 2.0)})
         assert k_network(net, box).per_class["valves"] == pytest.approx(K_VALVE_CASE, rel=1e-13)
 
 
@@ -159,7 +159,7 @@ class TestKNetwork:
             valves=[replace(v, resistance=c * v.resistance) for v in desc.valves],
         )
         scaled = build_network(scaled_desc)
-        scaled_box = box_from_intervals(
+        scaled_box = make_box(
             scaled, {lid: (float(lo), float(hi))
                      for lid, lo, hi in zip(box.link_ids, box.lo, box.hi)})
         assert k_network(scaled, scaled_box).value == pytest.approx(c * base, rel=1e-12)
@@ -174,7 +174,7 @@ class TestKNetwork:
             hi[i] += float(rng.uniform(0, 2) * (1 + abs(hi[i])))
             if net.links[i].kind != "pump" and rng.random() < 0.5:
                 lo[i] -= float(rng.uniform(0, 2) * (1 + abs(lo[i])))
-            bigger = box_from_intervals(
+            bigger = make_box(
                 net, {l.link_id: (float(lo[k]), float(hi[k]))
                       for k, l in enumerate(net.links)})
             assert k_network(net, bigger).value >= base
@@ -188,7 +188,7 @@ class TestKNetwork:
             valves=[replace(v, resistance=5 * v.resistance) for v in desc.valves],
         )
         net2 = build_network(tweaked)
-        box2 = box_from_intervals(
+        box2 = make_box(
             net2, {lid: (float(lo), float(hi))
                    for lid, lo, hi in zip(box.link_ids, box.lo, box.hi)})
         assert k_network(net2, box2).per_class["pipes"] == base
@@ -197,11 +197,11 @@ class TestKNetwork:
     def test_overflowing_box_is_a_bounds_error(self, three_node):
         _, net, _ = three_node
         # the pump's pow overflows in the corner pass
-        box = box_from_intervals(net, {"P1": (1.0, 1e300), "PU1": (1.0, 1e300)})
+        box = make_box(net, {"P1": (1.0, 1e300), "PU1": (1.0, 1e300)})
         with pytest.raises(BoundsError, match="'PU1'.*overflows"):
             k_network(net, box)
         # every corner value is finite, but the sum of their squares is not
-        box = box_from_intervals(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
+        box = make_box(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
         assert math.isfinite(k_network(net, box).value)
         with pytest.raises(BoundsError, match="overflows"):
             k_upper_sqrt(net, box)
@@ -254,13 +254,13 @@ class TestPumpShortcut:
     def test_exponent_two_ignores_speed(self):
         net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 0.5, 2.0, 0.2),
                              PumpDesc("B", "R1", "J1", 1e4, 0.5, 2.0, 0.9)])
-        box = box_from_intervals(net, {"A": (1.0, 100.0), "B": (1.0, 100.0)})
+        box = make_box(net, {"A": (1.0, 100.0), "B": (1.0, 100.0)})
         assert k_network(net, box).per_class["pumps"] == pytest.approx(100.0)
 
     def test_low_exponent_uses_max_speed(self):
         net = pump_only_net([PumpDesc("A", "R1", "J1", 1e4, 1.0, 1.5, 0.4),
                              PumpDesc("B", "R1", "J1", 1e4, 1.0, 1.5, 1.0)])
-        box = box_from_intervals(net, {"A": (1.0, 9.0), "B": (1.0, 9.0)})
+        box = make_box(net, {"A": (1.0, 9.0), "B": (1.0, 9.0)})
         assert k_network(net, box).per_class["pumps"] == pytest.approx(
             1.5 * math.pow(9.0, 0.5) * 1.0)
 
@@ -273,7 +273,7 @@ class TestPumpShortcut:
             PumpDesc("A", "R1", "J1", 393.7008, 3.746e-6, 2.59, 0.4),
             PumpDesc("B", "R1", "J1", 393.7008, 3.746e-6, 2.59, 1.0),
         ])
-        box = box_from_intervals(net, {"A": (1.0, 922.5), "B": (1.0, 922.5)})
+        box = make_box(net, {"A": (1.0, 922.5), "B": (1.0, 922.5)})
         assert k_network(net, box).per_class["pumps"] == pytest.approx(
             PUMP_SHORTCUT_CASE, rel=1e-13)
 

@@ -25,10 +25,10 @@ from wdn_lipschitz.analytical import (
     ulp_down,
     ulp_up,
 )
-from wdn_lipschitz.bounds import FlowBox, box_from_intervals
+from wdn_lipschitz.bounds import FlowBox
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 
-from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe
+from conftest import FIXTURE_NAMES, make_box, make_random_network, make_single_pipe
 
 # frozen oracle for the pump entry bound on [100, 922.5]
 PUMP_JAC_HI_AT_9225 = 0.50253240652737913   # 2.59 * 3.746e-6 * 922.5**1.59
@@ -47,7 +47,7 @@ FIXTURE_UPPERS = {
 
 def single_pipe(resistance: float, mu: float, lo: float, hi: float):
     net = build_network(make_single_pipe(resistance, mu))
-    return net, box_from_intervals(net, {"P1": (lo, hi)})
+    return net, make_box(net, {"P1": (lo, hi)})
 
 
 # exponents at and next to the ends of the admissible range [1, 3]
@@ -122,8 +122,8 @@ class TestDirectedRounding:
             valves=[ValveDesc("V1", "J2", "J1", coeff, openness)],
         )
         net = build_network(desc)
-        box = box_from_intervals(net, {"P1": (-q_pipe, q_pipe / 2), "M1": (q_pump, q_pump),
-                                       "V1": (-q_valve / 2, q_valve)})
+        box = make_box(net, {"P1": (-q_pipe, q_pipe / 2), "M1": (q_pump, q_pump),
+                             "V1": (-q_valve / 2, q_valve)})
         lowers, uppers = corner_enclosures(net, box)
         with mpmath.workprec(200):
             mu_, nu_, r = mpmath.mpf(mu), mpmath.mpf(nu), mpmath.mpf(coeff)
@@ -251,7 +251,7 @@ class TestCornerEnclosures:
 
     def test_pump_entry_bounds_oracle(self, three_node):
         _, net, _ = three_node
-        box = box_from_intervals(net, {"P1": (0.0, 0.0), "PU1": (100.0, 922.5)})
+        box = make_box(net, {"P1": (0.0, 0.0), "PU1": (100.0, 922.5)})
         lo, hi = corner_enclosures(net, box)
         assert hi[1] == pytest.approx(PUMP_JAC_HI_AT_9225, rel=1e-12)
         assert lo[1] <= PUMP_JAC_HI_AT_9225 <= hi[1]
@@ -319,7 +319,7 @@ class TestUpperEstimates:
 
     def test_single_link_modes_agree(self):
         net = build_network(make_single_pipe(2.0, 1.852))
-        box = box_from_intervals(net, {"P1": (-10.0, 8.0)})
+        box = make_box(net, {"P1": (-10.0, 8.0)})
         k = k_network(net, box).value
         um = k_upper_max(net, box, 1e-9)
         us = k_upper_sqrt(net, box, 1e-9)
@@ -337,7 +337,7 @@ class TestUpperEstimates:
             pumps=[], valves=[],
         )
         net = build_network(desc)
-        box = box_from_intervals(net, {"A": (-1.0, 1.0), "B": (0.0, 1.0)})
+        box = make_box(net, {"A": (-1.0, 1.0), "B": (0.0, 1.0)})
         # derivative ranges peak at 2*1.5*1 = 3 and 2*2*1 = 4
         us = k_upper_sqrt(net, box, 1e-9)
         um = k_upper_max(net, box, 1e-9)
@@ -358,7 +358,7 @@ class TestUpperEstimates:
 
     def test_unit_pipe_toy(self):
         net = build_network(make_single_pipe(1.0, 2.0))
-        box = box_from_intervals(net, {"P1": (-1.0, 1.0)})
+        box = make_box(net, {"P1": (-1.0, 1.0)})
         est = k_upper_max(net, box, 1e-6)
         assert est.value == pytest.approx(2.0, abs=1e-6)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import io
@@ -180,10 +181,27 @@ def test_analyze_out_file(tmp_path, capsys):
     jsonschema.validate(json.loads(out_path.read_text()), load_report_schema())
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export and older Notepad start a file with one
+    def analyze(inp, bounds) -> dict:
+        code, out = run(capsys, "analyze", str(inp), "--bounds", str(bounds),
+                        "--methods", "analytical,interval,point", "--samples", "200",
+                        "--format", "json")
+        assert code == 0
+        return json.loads(out)["estimates"]
+
+    copies = []
+    for name in ("three_node.inp", "three_node_bounds.csv"):
+        copy = tmp_path / name
+        copy.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / name).read_bytes())
+        copies.append(copy)
+    assert analyze(*copies) == analyze(FIXTURE_DIR / "three_node.inp",
+                                       FIXTURE_DIR / "three_node_bounds.csv")
+
+
 def test_benchmark_single_network_matches_analyze(capsys):
     code, out = run(capsys, "benchmark", str(FIXTURE_DIR),
-                    "--networks", "three_node", "--samples", "500",
-                    "--repeats", "1")
+                    "--networks", "three_node", "--samples", "500")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
@@ -200,7 +218,7 @@ def test_benchmark_single_network_matches_analyze(capsys):
 
 def test_benchmark_full_run_holds_orderings(capsys):
     code, out = run(capsys, "benchmark", str(FIXTURE_DIR),
-                    "--samples", "300", "--repeats", "1")
+                    "--samples", "300")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["network"] for r in rows] == [
@@ -215,30 +233,14 @@ def test_benchmark_full_run_holds_orderings(capsys):
 
 def test_benchmark_is_byte_deterministic(capsys):
     args = ("benchmark", str(FIXTURE_DIR), "--networks", "three_node,net2",
-            "--samples", "200", "--repeats", "1", "--sampler", "random",
-            "--seed", "7")
+            "--samples", "200", "--sampler", "random", "--seed", "7")
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_benchmark_timing_csv(tmp_path, capsys):
-    timing = tmp_path / "timing.csv"
-    code, _ = run(capsys, "benchmark", str(FIXTURE_DIR),
-                  "--networks", "three_node", "--samples", "100",
-                  "--repeats", "3", "--timing-out", str(timing))
-    assert code == 0
-    rows = list(csv.DictReader(timing.open()))
-    methods = {r["method"] for r in rows}
-    assert {"analytical", "point_max", "point_sqrt",
-            "interval_max", "interval_sqrt"} <= methods
-    assert all(r["runs"] == "3" for r in rows)
-    assert all(float(r["median_s"]) >= 0.0 for r in rows)
-
-
-@pytest.mark.parametrize("timing, calls", [(False, 1), (True, 3)])
-def test_benchmark_repeats_only_for_timings(tmp_path, capsys, monkeypatch, timing, calls):
+def test_benchmark_runs_methods_once_per_network(capsys, monkeypatch):
     seen = []
     run_methods = cli._run_methods
 
@@ -247,13 +249,17 @@ def test_benchmark_repeats_only_for_timings(tmp_path, capsys, monkeypatch, timin
         run_methods(*args)
 
     monkeypatch.setattr(cli, "_run_methods", counting)
-    argv = ["benchmark", str(FIXTURE_DIR), "--networks", "three_node", "--samples", "10",
-            "--repeats", "3"]
-    if timing:
-        argv += ["--timing-out", str(tmp_path / "timing.csv")]
-    code, _ = run(capsys, *argv)
+    code, _ = run(capsys, "benchmark", str(FIXTURE_DIR), "--networks", "three_node,net2",
+                  "--samples", "10")
     assert code == 0
-    assert len(seen) == calls
+    assert len(seen) == 2
+
+
+def test_committed_fixture_results_are_the_benchmark_output(tmp_path, capsys):
+    out_path = tmp_path / "fixtures.csv"
+    code, _ = run(capsys, "benchmark", str(FIXTURE_DIR), "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (FIXTURE_DIR.parent / "results" / "fixtures.csv").read_bytes()
 
 
 def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
@@ -261,7 +267,7 @@ def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
         (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
     out_path = tmp_path / "results.csv"
     code, _ = run(capsys, "benchmark", str(tmp_path), "--samples", "10",
-                  "--repeats", "1", "--out", str(out_path))
+                  "--out", str(out_path))
     assert code == 0
     rows = {row["network"]: row for row in csv.DictReader(io.StringIO(out_path.read_text()))}
     assert list(rows) == ["three_node", "net2"]
@@ -278,10 +284,7 @@ def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
                   "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
                   "--n-grid", "10", "--out"), id="convergence--out"),
     pytest.param(("benchmark", str(FIXTURE_DIR), "--networks", "three_node",
-                  "--samples", "10", "--repeats", "1", "--out"), id="benchmark--out"),
-    pytest.param(("benchmark", str(FIXTURE_DIR), "--networks", "three_node",
-                  "--samples", "10", "--repeats", "1", "--timing-out"),
-                 id="benchmark--timing-out"),
+                  "--samples", "10", "--out"), id="benchmark--out"),
 ])
 def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
     target = tmp_path / "no_such_dir" / "out"
@@ -418,7 +421,6 @@ def test_benchmark_selection_mistake_is_usage_error(capsys, argv, message):
     pytest.param(ANALYZE, "--samples", "0", id="--samples-0"),
     pytest.param(CONVERGENCE, "--n-grid", "10,abc", id="--n-grid-10,abc"),
     pytest.param(CONVERGENCE, "--n-grid", "0,10", id="--n-grid-0,10"),
-    pytest.param(BENCHMARK, "--repeats", "0", id="--repeats-0"),
 ])
 def test_bad_numeric_option_is_usage_error(capsys, command, flag, value):
     err = usage_error(capsys, *command, flag, value)
@@ -431,8 +433,8 @@ def test_bad_numeric_option_is_usage_error(capsys, command, flag, value):
     pytest.param((*CONVERGENCE, "--samplers", "random,sobol", "--n-grid", "10,5000000000"),
                  id="convergence"),
     pytest.param((*ANALYZE, "--methods", "point", "--samples", "5000000000"), id="analyze"),
-    pytest.param((*BENCHMARK, "--networks", "three_node", "--samples", "5000000000",
-                  "--repeats", "1"), id="benchmark"),
+    pytest.param((*BENCHMARK, "--networks", "three_node", "--samples", "5000000000"),
+                 id="benchmark"),
 ])
 def test_sobol_count_past_its_states_is_usage_error(capsys, argv):
     code = main(list(argv))
@@ -475,6 +477,16 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
+def test_readme_and_parser_name_the_same_options():
+    readme = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                            (FIXTURE_DIR.parent / "README.md").read_text()))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in subparsers.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert readme == options - {"--help"}
+
+
 def readme_library_block() -> str:
     """The ``python`` block under the README's "Library entry points"."""
     text = (FIXTURE_DIR.parent / "README.md").read_text()
@@ -501,8 +513,8 @@ def test_readme_library_names_are_exported():
 
 @pytest.mark.parametrize("argv", [
     pytest.param((*ANALYZE, "--methods", "point", "--sampler", "random"), id="analyze"),
-    pytest.param((*BENCHMARK, "--networks", "three_node", "--sampler", "random",
-                  "--repeats", "1"), id="benchmark"),
+    pytest.param((*BENCHMARK, "--networks", "three_node", "--sampler", "random"),
+                 id="benchmark"),
     pytest.param((*CONVERGENCE, "--samplers", "random"), id="convergence"),
 ])
 def test_negative_seed_is_usage_error(capsys, argv):

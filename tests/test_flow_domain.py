@@ -14,9 +14,7 @@ from wdn_lipschitz import (
     loads_bounds,
     parse_inp,
     pump_max_flow,
-    save_bounds,
 )
-from wdn_lipschitz.bounds import box_from_intervals
 from wdn_lipschitz.errors import (
     BoundsError,
     DuplicateLink,
@@ -27,7 +25,7 @@ from wdn_lipschitz.errors import (
     UnknownLink,
 )
 
-from conftest import make_single_pipe, make_single_pump, make_valve_network
+from conftest import bounds_csv, make_box, make_single_pipe, make_single_pump, make_valve_network
 
 mp.dps = 50
 
@@ -93,24 +91,31 @@ def test_nonfinite_bound_rejected(three_node):
         loads_bounds(bounds_text(["P1,0,inf", "PU1,1,900"]), net)
 
 
+def loaded_table(box) -> dict[str, tuple[float, float]]:
+    return {link_id: (float(lo), float(hi))
+            for link_id, lo, hi in zip(box.link_ids, box.lo, box.hi)}
+
+
 def test_save_load_round_trip_is_bit_exact(tmp_path):
+    # repr form: shortest round-trip decimals, subnormals and all
     net = build_network(make_valve_network())
-    awkward = {
-        "P1": (-math.pi * 100, 1e17 / 3),
-        "P2": (0.1, 0.30000000000000004),
-        "PU1": (5e-324, 1.0000000000000002),
-        "PU2": (1e-6, 922.5),
-        "V1": (-1.0, 1.0),
-        "V2": (-2.2250738585072014e-308, 0.0),
-    }
-    box = box_from_intervals(net, awkward)
+    text = bounds_text([
+        "P1,-314.1592653589793,3.3333333333333332e+16",
+        "P2,0.1,0.30000000000000004",
+        "PU1,5e-324,1.0000000000000002",
+        "PU2,1e-06,922.5",
+        "V1,-1.0,1.0",
+        "V2,-2.2250738585072014e-308,0.0",
+    ])
     path = tmp_path / "b.csv"
-    save_bounds(box, path)
-    again = load_bounds(path, net)
-    assert np.array_equal(again.lo, box.lo)
-    assert np.array_equal(again.hi, box.hi)
-    save_bounds(again, tmp_path / "b2.csv")
-    assert (tmp_path / "b2.csv").read_bytes() == path.read_bytes()
+    path.write_text(text)
+    box = load_bounds(path, net)
+    assert box.link_ids == ("P1", "P2", "PU1", "PU2", "V1", "V2")
+    assert [x.hex() for x in box.lo.tolist()] == [x.hex() for x in (
+        -math.pi * 100, 0.1, 5e-324, 1e-6, -1.0, -2.2250738585072014e-308)]
+    assert [x.hex() for x in box.hi.tolist()] == [x.hex() for x in (
+        1e17 / 3, 0.30000000000000004, 1.0000000000000002, 922.5, 1.0, 0.0)]
+    assert bounds_csv(loaded_table(box)) == text
 
 
 def test_save_load_round_trip_quotes_csv_ids(tmp_path):
@@ -119,16 +124,16 @@ def test_save_load_round_trip_quotes_csv_ids(tmp_path):
         "[JUNCTIONS]\nJ1 0 0\nJ,2 0 0\n[RESERVOIRS]\nR1 100\n[PIPES]\n"
         'P,1 J1 J,2 100 10 100\n"P" J,2 J1 100 10 100\nP1 J1 J,2 100 10 100\n'
         '[PUMPS]\nPU"1 R1 J1 HEAD C1\n[CURVES]\nC1 100 50\n'))
-    box = default_box(net)
+    text = bounds_text(['"P,1",-200.0,200.0', '"""P""",-200.0,200.0',
+                        "P1,-200.0,200.0", '"PU""1",1e-06,200.0'])
     path = tmp_path / "b.csv"
-    save_bounds(box, path)
-    assert path.read_text().splitlines() == [
-        "link_id,q_min,q_max", '"P,1",-200.0,200.0', '"""P""",-200.0,200.0',
-        "P1,-200.0,200.0", '"PU""1",1e-06,200.0']
-    again = load_bounds(path, net)
-    assert again.link_ids == ("P,1", '"P"', "P1", 'PU"1')
-    assert np.array_equal(again.lo, box.lo)
-    assert np.array_equal(again.hi, box.hi)
+    path.write_text(text)
+    box = load_bounds(path, net)
+    assert box.link_ids == ("P,1", '"P"', "P1", 'PU"1')
+    default = default_box(net)
+    assert box.lo.tobytes() == default.lo.tobytes()
+    assert box.hi.tobytes() == default.hi.tobytes()
+    assert bounds_csv(loaded_table(box)) == text
 
 
 class TestPumpMaxFlow:
@@ -185,6 +190,6 @@ class TestDefaultBox:
 
 def test_single_pipe_box_widths():
     net = build_network(make_single_pipe())
-    box = box_from_intervals(net, {"P1": (-3.0, 7.0)})
+    box = make_box(net, {"P1": (-3.0, 7.0)})
     assert box.hi[0] - box.lo[0] == 10.0
     assert len(box) == 1

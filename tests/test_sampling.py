@@ -28,7 +28,7 @@ from wdn_lipschitz import (
     k_network,
     k_upper_sqrt,
 )
-from wdn_lipschitz.bounds import FlowBox, box_from_intervals, default_box
+from wdn_lipschitz.bounds import FlowBox, default_box
 from wdn_lipschitz.errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz import sampling
@@ -46,7 +46,13 @@ from wdn_lipschitz.sampling import (
     sobol_max_dimension,
 )
 
-from conftest import FIXTURE_NAMES, make_random_network, make_single_pipe, synthetic_network
+from conftest import (
+    FIXTURE_NAMES,
+    make_box,
+    make_random_network,
+    make_single_pipe,
+    synthetic_network,
+)
 
 
 def block_rows(rows: int | None):
@@ -55,6 +61,11 @@ def block_rows(rows: int | None):
     if rows is None:
         return contextlib.nullcontext()
     return patch.object(sampling, "_block_rows", lambda kind, dim: rows)
+
+
+def all_points(seq: SampleSequence, count: int) -> np.ndarray:
+    """Points 1..count of seq as one (count, dimension) array."""
+    return np.concatenate(list(seq.blocks(count)))
 
 
 def cpu_count(cpus: int):
@@ -106,19 +117,19 @@ def star_discrepancy_on_grid(points: np.ndarray, cells: int = 64) -> float:
 
 class TestHalton:
     def test_first_three_points_in_2d(self):
-        pts = SampleSequence("halton", 2).points(3)
+        pts = all_points(SampleSequence("halton", 2), 3)
         expected = np.array([[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9]])
         assert pts == pytest.approx(expected, rel=1e-15)
 
     def test_dyadic_indices_in_1d(self):
         # 0-based index 2**m - 1 is the radical inverse of 2**m: exactly 2**-(m+1)
-        pts = SampleSequence("halton", 1).points(64).ravel()
+        pts = all_points(SampleSequence("halton", 1), 64).ravel()
         for m in range(1, 6):
             assert pts[2**m - 1] == 2.0 ** -(m + 1)
 
     def test_lower_grid_discrepancy_than_random(self):
-        h = star_discrepancy_on_grid(SampleSequence("halton", 2).points(1024))
-        r = star_discrepancy_on_grid(SampleSequence("random", 2, 12345).points(1024))
+        h = star_discrepancy_on_grid(all_points(SampleSequence("halton", 2), 1024))
+        r = star_discrepancy_on_grid(all_points(SampleSequence("random", 2, 12345), 1024))
         assert h < r
 
 
@@ -176,31 +187,31 @@ def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
 
 class TestSobol:
     def test_first_three_points_in_1d(self):
-        assert SampleSequence("sobol", 1).points(3).ravel().tolist() == [0.5, 0.75, 0.25]
+        assert all_points(SampleSequence("sobol", 1), 3).ravel().tolist() == [0.5, 0.75, 0.25]
 
     def test_first_point_is_centre_in_any_dimension(self):
         for d in (1, 2, 7, 40):
-            assert np.all(SampleSequence("sobol", d).points(1)[0] == 0.5)
+            assert np.all(all_points(SampleSequence("sobol", d), 1)[0] == 0.5)
 
     def test_aligned_prefixes_are_dyadic_permutations(self):
         # the 2**k - 1 points after the skipped origin fill {1..2**k-1}/2**k
         for d in (1, 3, 5):
             for k in (3, 5, 7):
-                pts = SampleSequence("sobol", d).points(2**k - 1) * 2**k
+                pts = all_points(SampleSequence("sobol", d), 2**k - 1) * 2**k
                 for col in range(d):
                     ints = np.sort(pts[:, col])
                     assert np.array_equal(ints, np.arange(1, 2**k)), (d, k)
 
     def test_matches_published_direction_numbers(self):
         # dimension 3 uses s=2, a=1, m=(1,3): second point must be (0.75, 0.25, 0.25)
-        pts = SampleSequence("sobol", 3).points(2)
+        pts = all_points(SampleSequence("sobol", 3), 2)
         assert pts[1].tolist() == [0.75, 0.25, 0.25]
 
     def test_dimension_limit(self):
         limit = sobol_max_dimension()
         assert limit >= 1000
         with pytest.raises(DimensionTooLarge):
-            SampleSequence("sobol", limit + 1).points(4)
+            SampleSequence("sobol", limit + 1)
 
     def test_point_count_limit(self, three_node):
         # a typed ValueError on every route: the closed-form hull would
@@ -299,30 +310,30 @@ class TestHaltonTables:
 
 class TestRandom:
     def test_seed_determinism(self):
-        assert np.array_equal(SampleSequence("random", 4, 9).points(100),
-                              SampleSequence("random", 4, 9).points(100))
+        assert np.array_equal(all_points(SampleSequence("random", 4, 9), 100),
+                              all_points(SampleSequence("random", 4, 9), 100))
 
     def test_seeds_differ(self):
-        a = SampleSequence("random", 4, 1).points(1)
-        b = SampleSequence("random", 4, 2).points(1)
+        a = all_points(SampleSequence("random", 4, 1), 1)
+        b = all_points(SampleSequence("random", 4, 2), 1)
         assert not np.array_equal(a, b)
 
     def test_coordinate_mean_near_half(self):
-        pts = SampleSequence("random", 3, 0).points(100_000)
+        pts = all_points(SampleSequence("random", 3, 0), 100_000)
         assert np.abs(pts.mean(axis=0) - 0.5).max() < 0.01
 
 
 class TestSequences:
     @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
     def test_points_live_in_half_open_cube(self, kind):
-        pts = SampleSequence(kind, 5, seed=3).points(2000)
+        pts = all_points(SampleSequence(kind, 5, seed=3), 2000)
         assert pts.shape == (2000, 5)
         assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
     @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
     def test_block_size_does_not_change_points(self, kind):
         seq = SampleSequence(kind, 3, seed=5)
-        whole = seq.points(257)
+        whole = all_points(seq, 257)
         with block_rows(16):
             chunks = np.concatenate(list(seq.blocks(257)))
         assert np.array_equal(whole, chunks)
@@ -353,7 +364,7 @@ class TestKLower:
     def test_pipe_toy_hand_value(self):
         # R=1, mu=2, q in [0,1]; first three Sobol points are 0.5, 0.75, 0.25
         net = build_network(make_single_pipe(1.0, 2.0))
-        box = box_from_intervals(net, {"P1": (0.0, 1.0)})
+        box = make_box(net, {"P1": (0.0, 1.0)})
         est = k_lower(net, box, "sobol", 3, mode="max")
         assert est.value == 1.5
         assert est.method == "point_lower"
@@ -400,7 +411,7 @@ class TestKLower:
 
     def test_single_link_modes_coincide(self):
         net = build_network(make_single_pipe(2.5, 1.852))
-        box = box_from_intervals(net, {"P1": (-6.0, 3.0)})
+        box = make_box(net, {"P1": (-6.0, 3.0)})
         for n in (1, 5, 100):
             a = k_lower(net, box, "sobol", n, mode="max")
             b = k_lower(net, box, "sobol", n, mode="sqrt")
@@ -638,7 +649,7 @@ def test_walk_cuts_are_at_most_one_tile(kind):
     walk = sampling._prefix_walk(sequence.blocks(n), marks, lambda p: cuts.append(p.copy()))
     assert [(mark, sum(map(len, cuts))) for mark in walk] == [(m, m) for m in marks]
     assert all(1 <= len(cut) <= rows for cut in cuts)
-    assert np.array_equal(np.concatenate(cuts), sequence.points(n))
+    assert np.array_equal(np.concatenate(cuts), all_points(sequence, n))
 
 
 # Each segment builds its blocks from its first index, so block i of a
@@ -659,7 +670,7 @@ def test_blocks_from_any_first_index_match_the_stream(kind, dim, first, count, r
     if kind == "random":
         stream = np.random.Generator(np.random.PCG64(seed)).random((first + count - 1, dim))
     else:
-        stream = sequence.points(first + count - 1)
+        stream = all_points(sequence, first + count - 1)
     assert np.array_equal(np.concatenate(got).view(np.uint64),
                           stream[first - 1:].view(np.uint64))
 
@@ -817,7 +828,7 @@ class TestSegmentThreads:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_overflow_on_segments_raises_bounds_error(self, three_node, cpus):
         _, net, _ = three_node
-        box = box_from_intervals(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
+        box = make_box(net, {"P1": (1.0, 1e200), "PU1": (1.0, 1e120)})
         before = threading.active_count()
         with cpu_count(cpus), segment_spy() as walked, np.errstate(over="ignore"), \
                 warnings.catch_warnings():
@@ -862,7 +873,7 @@ def test_clip_at_hi_binds_when_the_width_overflows():
     # for every p > 0, and the clip maps each sample to hi.  Without it the
     # estimate is inf, which raises BoundsError.
     net = build_network(make_single_pipe(1e-300, 2.0))
-    box = box_from_intervals(net, {"P1": (-1e308, 1e308)})
+    box = make_box(net, {"P1": (-1e308, 1e308)})
     with np.errstate(over="ignore"):
         value = k_lower(net, box, "sobol", 100, mode="max").value
     assert math.isfinite(value)
@@ -874,7 +885,7 @@ def _brute_force_trace(net, box, kind, seed, n, marks, mode):
     # closed-form derivative over its links (or the root of the sum of
     # squares of its numpy Jacobian row) and a prefix max: the definition
     # the hull and the tile walk must reproduce
-    q = SampleSequence(kind, net.n_links, seed).points(n)
+    q = all_points(SampleSequence(kind, net.n_links, seed), n)
     q = np.clip(box.lo + q * (box.hi - box.lo), box.lo, box.hi)
     if mode == "max":
         rows = [max(corner_derivatives(net, [abs(x) for x in point])) for point in q.tolist()]
@@ -984,8 +995,8 @@ def test_point_stays_below_interval_on_degenerate_boxes(mu, nu, r_pipe, r_pump, 
         valves=[ValveDesc("V1", "J2", "J1", r_valve, openness)],
     )
     net = build_network(desc)
-    box = box_from_intervals(net, {"P1": (q_pipe, q_pipe), "M1": (q_pump, q_pump),
-                                   "V1": (q_valve, q_valve)})
+    box = make_box(net, {"P1": (q_pipe, q_pipe), "M1": (q_pump, q_pump),
+                         "V1": (q_valve, q_valve)})
     point_max = k_lower(net, box, "sobol", 1, mode="max").value
     point_sqrt = k_lower(net, box, "sobol", 1, mode="sqrt").value
     assert point_max == k_network(net, box).value
