@@ -117,11 +117,12 @@ def pump_max_flow(shutoff_head: float, coeff: float, exponent: float,
     return speed * math.pow(shutoff_head / coeff, 1.0 / exponent)
 
 
-def default_box(net: Network, floor: float = PUMP_FLOW_FLOOR) -> FlowBox:
+def default_box(net: Network) -> FlowBox:
     """Symmetric pipe/valve bounds capped by the largest pump maximum flow.
 
-    Each pump gets [floor, its own maximum flow]; pipes and valves get
-    [-Q, Q] where Q is the largest pump maximum flow in the network.
+    Each pump gets [PUMP_FLOW_FLOOR, its own maximum flow]; pipes and
+    valves get [-Q, Q] where Q is the largest pump maximum flow in the
+    network.
     """
     if net.n_pumps == 0:
         raise NoPumps()
@@ -131,7 +132,7 @@ def default_box(net: Network, floor: float = PUMP_FLOW_FLOOR) -> FlowBox:
     table: dict[str, tuple[float, float]] = {}
     for link in net.links:
         if link.kind == PUMP:
-            table[link.link_id] = (floor, per_pump[link.flow_pos - net.n_pipes])
+            table[link.link_id] = (PUMP_FLOW_FLOOR, per_pump[link.flow_pos - net.n_pipes])
         else:
             table[link.link_id] = (-cap, cap)
     return _box_from_mapping(net, table)

@@ -12,10 +12,11 @@ The square system  E z+ = A z + B_f f(z) + B_l l  is laid out as:
     l = (junction demands, reservoir heads).
 
 Both index sets are the network's stacked ones (network.py): head column
-c is the node at Network.node_pos c, and energy row i, flow column v + i
-and B_f column i belong to the link at flow_pos i.  So the pipe rows and
-the pump+valve rows are one block of n_links rows, and v and u are one
-block of n_links columns.
+c is stacked head position c, and energy row i, flow column v + i and B_f
+column i belong to the link at flow_pos i.  So the pipe rows and the
+pump+valve rows are one block of n_links rows, and v and u are one block
+of n_links columns.  The energy, tank and junction rows come from one
+pass over the links, each at its from_pos and to_pos.
 
 Sign conventions per row block:
 
@@ -24,7 +25,7 @@ Sign conventions per row block:
                     the pump/valve block couples junction and reservoir
                     heads only, so a tank endpoint contributes nothing)
     tank:           h+ = h + (dt/A) * (inflow - outflow), over every link
-                    at the tank, as in network.tank_step
+                    at the tank, the balance network.tank_step sums
                     (continuous mode: dh/dt = (1/A)(...), no carry-over)
     junction:       0 = -(inflow - outflow) + d
     reservoir:      0 = -x2 + h_R
@@ -168,51 +169,41 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
     z_off = {"x1": 0, "x2": n_j, "x3": n_j + n_r, "v": n_heads, "u": n_heads + n_p}
     row_off = {"pipes": 0, "pumps_valves": n_p, "tanks": n_p + n_mv,
                "junctions": n_p + n_mv + n_t, "reservoirs": n_p + n_mv + n_t + n_j}
-    v = z_off["v"]
+    x3, v = z_off["x3"], z_off["v"]
+    tank_rows, junction_rows = row_off["tanks"], row_off["junctions"]
+    # flow coefficient of each tank row: dt/A, or 1/A in continuous mode
+    tank_factor = [(1.0 if dt is None else dt) / float(area) for area in net.tank_area]
 
     e_entries: list[tuple[int, int, float]] = []
     a_entries: list[tuple[int, int, float]] = []
     f_entries: list[tuple[int, int, float]] = []
-    l_entries: list[tuple[int, int, float]] = []
 
-    # energy row flow_pos: 0 = -h_from + h_to + f; pump and valve rows skip
-    # tank heads
     for link in net.links:
-        for node_id, sign in ((link.from_node, -1.0), (link.to_node, 1.0)):
-            col = net.node_pos[node_id]
-            if link.kind == PIPE or col < z_off["x3"]:
-                a_entries.append((link.flow_pos, col, sign))
+        col = v + link.flow_pos
+        for pos, sign in ((link.from_pos, -1.0), (link.to_pos, 1.0)):
+            # energy row flow_pos: 0 = -h_from + h_to + f; pump and valve
+            # rows skip tank heads
+            if link.kind == PIPE or pos < x3:
+                a_entries.append((link.flow_pos, pos, sign))
+            # mass balance: + inflow - outflow in a tank row, negated in a
+            # junction row (0 = -(in - out) + d)
+            if pos >= x3:
+                a_entries.append((tank_rows + pos - x3, col, sign * tank_factor[pos - x3]))
+            elif pos < n_j:
+                a_entries.append((junction_rows + pos, col, -sign))
         f_entries.append((link.flow_pos, link.flow_pos, 1.0))
 
-    # tank rows
-    for i, tank_id in enumerate(net.tank_ids):
-        row = row_off["tanks"] + i
-        col = z_off["x3"] + i
-        e_entries.append((row, col, 1.0))
+    # tank rows: h+ on the left, and the carried-over h in discrete mode
+    for i in range(n_t):
+        e_entries.append((tank_rows + i, x3 + i, 1.0))
         if mode == DISCRETE:
-            a_entries.append((row, col, 1.0))
-            factor = dt / float(net.tank_area[i])
-        else:
-            factor = 1.0 / float(net.tank_area[i])
-        for link in net.in_links[tank_id]:
-            a_entries.append((row, v + link.flow_pos, factor))
-        for link in net.out_links[tank_id]:
-            a_entries.append((row, v + link.flow_pos, -factor))
+            a_entries.append((tank_rows + i, x3 + i, 1.0))
 
-    # junction mass-balance rows: 0 = -(in - out) + d
-    for i, junction_id in enumerate(net.junction_ids):
-        row = row_off["junctions"] + i
-        for link in net.in_links[junction_id]:
-            a_entries.append((row, v + link.flow_pos, -1.0))
-        for link in net.out_links[junction_id]:
-            a_entries.append((row, v + link.flow_pos, 1.0))
-        l_entries.append((row, i, 1.0))
-
-    # reservoir rows: 0 = -x2 + h_R
+    # reservoir rows: 0 = -x2 + h_R; B_l adds each junction's demand and
+    # each reservoir's head to its own row
     for i in range(n_r):
-        row = row_off["reservoirs"] + i
-        a_entries.append((row, z_off["x2"] + i, -1.0))
-        l_entries.append((row, n_j + i, 1.0))
+        a_entries.append((row_off["reservoirs"] + i, z_off["x2"] + i, -1.0))
+    l_entries = [(junction_rows + i, i, 1.0) for i in range(n_j + n_r)]
 
     layout = DaeLayout(
         sizes={"n_j": n_j, "n_r": n_r, "n_t": n_t, "n_p": n_p, "n_mv": n_mv},

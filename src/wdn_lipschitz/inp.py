@@ -380,15 +380,14 @@ def parse_inp(text: str) -> NetworkDescription:
         props = r.tokens[3:]
         for i in range(0, len(props), 2):
             key = props[i].upper()
-            if key == "HEAD" and i + 1 < len(props):
-                curve_id = props[i + 1]
-            elif key == "SPEED" and i + 1 < len(props):
-                try:
-                    speed = float(props[i + 1])
-                except ValueError:
-                    raise r.error("speed is not a number") from None
-            else:
+            if key not in ("HEAD", "SPEED"):
                 raise r.error(f"unsupported pump property {props[i]!r}")
+            if i + 1 == len(props):
+                raise r.error(f"pump property {props[i]!r} has no value")
+            if key == "HEAD":
+                curve_id = props[i + 1]
+            else:
+                speed = r.num(4 + i, "speed")
         if curve_id is None:
             raise r.error("pump needs a HEAD curve")
         if curve_id not in curves:

@@ -5,8 +5,10 @@ index.  Flows are stacked as pipes, then pumps, then valves, each class in
 declaration order; a link's position is its LinkRef.flow_pos, and the
 functions here take flows as one stacked array q of shape (n_links,).
 Heads are stacked as junctions, then reservoirs, then tanks; a node's
-position is Network.node_pos[node_id].  The DAE (dae.py) uses both
-positions as they are.
+position is Network.node_pos[node_id], and a link's two ends are its
+LinkRef.from_pos and to_pos.  The mass balances (tank_step,
+junction_residual) and the DAE rows (dae.py) read those two positions in
+one pass over the links.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
@@ -47,8 +49,8 @@ class LinkRef:
     kind: str
     flow_pos: int       # position in the stacked flow vector
     link_id: str
-    from_node: str
-    to_node: str
+    from_pos: int       # stacked head position of the node the flow leaves
+    to_pos: int         # stacked head position of the node the flow enters
 
 
 class Network:
@@ -60,28 +62,18 @@ class Network:
         (self.n_junctions, self.n_reservoirs, self.n_tanks,
          self.n_pipes, self.n_pumps, self.n_valves) = desc.component_counts()
 
-        self.junction_ids = tuple(j.id for j in desc.junctions)
-        self.reservoir_ids = tuple(r.id for r in desc.reservoirs)
-        self.tank_ids = tuple(t.id for t in desc.tanks)
         # position in the stacked head vector; tanks are the positions
         # >= n_junctions + n_reservoirs
-        self.node_pos = {node_id: i for i, node_id in
-                         enumerate(self.junction_ids + self.reservoir_ids + self.tank_ids)}
+        self.node_pos = {node.id: i for i, node in
+                         enumerate(desc.junctions + desc.reservoirs + desc.tanks)}
 
         stacked = ([(PIPE, p) for p in desc.pipes] + [(PUMP, m) for m in desc.pumps]
                    + [(VALVE, v) for v in desc.valves])
-        self.links = tuple(LinkRef(kind, pos, link.id, link.from_node, link.to_node)
-                           for pos, (kind, link) in enumerate(stacked))
+        pos = self.node_pos
+        self.links = tuple(LinkRef(kind, i, link.id, pos[link.from_node], pos[link.to_node])
+                           for i, (kind, link) in enumerate(stacked))
         self.link_ids = tuple(l.link_id for l in self.links)
         self.n_links = len(self.links)
-
-        in_links: dict[str, list[LinkRef]] = {n: [] for n in self.node_pos}
-        out_links: dict[str, list[LinkRef]] = {n: [] for n in self.node_pos}
-        for link in self.links:
-            out_links[link.from_node].append(link)
-            in_links[link.to_node].append(link)
-        self.in_links = {n: tuple(ls) for n, ls in in_links.items()}
-        self.out_links = {n: tuple(ls) for n, ls in out_links.items()}
 
         self.pump_ids = tuple(m.id for m in desc.pumps)
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
@@ -181,10 +173,15 @@ def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _net_inflow(net: Network, q: np.ndarray, node_id: str) -> float:
-    """Inflow minus outflow at a node, summed exactly by math.fsum."""
-    return math.fsum([q[l.flow_pos] for l in net.in_links[node_id]]
-                     + [-q[l.flow_pos] for l in net.out_links[node_id]])
+def _net_inflows(net: Network, q: np.ndarray) -> list[float]:
+    """Inflow minus outflow at every node, in stacked head order: one pass
+    over the links collects each node's signed flows, and math.fsum sums
+    each node's exactly."""
+    signed: list[list[float]] = [[] for _ in net.node_pos]
+    for link, flow in zip(net.links, q.tolist()):
+        signed[link.from_pos].append(-flow)
+        signed[link.to_pos].append(flow)
+    return [math.fsum(flows) for flows in signed]
 
 
 def tank_step(net: Network, tank_heads: np.ndarray, q: np.ndarray,
@@ -195,11 +192,8 @@ def tank_step(net: Network, tank_heads: np.ndarray, q: np.ndarray,
     tank_heads = np.asarray(tank_heads, dtype=float)
     if tank_heads.shape != (net.n_tanks,):
         raise ValueError("tank head vector length mismatch")
-    q = _as_flows(net, q)
-    out = tank_heads.copy()
-    for i, tank_id in enumerate(net.tank_ids):
-        out[i] += dt / net.tank_area[i] * _net_inflow(net, q, tank_id)
-    return out
+    inflow = _net_inflows(net, _as_flows(net, q))[net.n_junctions + net.n_reservoirs:]
+    return tank_heads + dt / net.tank_area * np.array(inflow)
 
 
 def junction_residual(net: Network, q: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -207,8 +201,5 @@ def junction_residual(net: Network, q: np.ndarray, demand: np.ndarray) -> np.nda
     demand = np.asarray(demand, dtype=float)
     if demand.shape != (net.n_junctions,):
         raise ValueError("demand vector length mismatch")
-    q = _as_flows(net, q)
-    out = np.empty(net.n_junctions)
-    for i, junction_id in enumerate(net.junction_ids):
-        out[i] = _net_inflow(net, q, junction_id) - demand[i]
-    return out
+    inflow = _net_inflows(net, _as_flows(net, q))[:net.n_junctions]
+    return np.array(inflow) - demand

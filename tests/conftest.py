@@ -240,14 +240,19 @@ def make_tank_network(rng: np.random.Generator):
     ))
 
 
-def synthetic_network(counts: tuple[int, ...], seed: int):
-    """A network from scripts/gen_fixtures.py's generator (perfbench's scale
-    network is counts (4000, 2, 3, 5000, 2, 0) at seed 5000)."""
+def gen_fixtures():
+    """scripts/gen_fixtures.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "gen_fixtures", ROOT / "scripts" / "gen_fixtures.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    inp_text, _ = gen.synthetic("synthetic", counts, seed)
+    return gen
+
+
+def synthetic_network(counts: tuple[int, ...], seed: int):
+    """A network from scripts/gen_fixtures.py's generator (perfbench's scale
+    network is counts (4000, 2, 3, 5000, 2, 0) at seed 5000)."""
+    inp_text, _ = gen_fixtures().synthetic("synthetic", counts, seed)
     return build_network(parse_inp(inp_text))
 
 

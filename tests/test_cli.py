@@ -158,6 +158,28 @@ def test_parameter_out_of_range_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("speed, code, message", [
+    ("nan", 2, "input error: PUMPS line 22: speed is not finite: "
+               "'PU1 R1 J1 HEAD PC1 SPEED nan'\n"),
+    ("inf", 2, "input error: PUMPS line 22: speed is not finite: "
+               "'PU1 R1 J1 HEAD PC1 SPEED inf'\n"),
+    ("1e400", 2, "input error: PUMPS line 22: speed is not finite: "
+                 "'PU1 R1 J1 HEAD PC1 SPEED 1e400'\n"),
+    ("0", 4, "assumption violation: pump 'PU1': speed 0.0 outside (0, 1]\n"),
+    ("0.5x", 2, "input error: PUMPS line 22: speed is not a number: "
+                "'PU1 R1 J1 HEAD PC1 SPEED 0.5x'\n"),
+], ids=["nan", "inf", "1e400", "zero", "not-a-number"])
+def test_pump_speed_exit_codes(tmp_path, capsys, speed, code, message):
+    # a speed that is no finite number is malformed (2); a finite one out
+    # of (0, 1] breaks an assumption (4)
+    bad = tmp_path / "speed.inp"
+    text = (FIXTURE_DIR / "three_node.inp").read_text()
+    bad.write_text(text.replace("HEAD PC1", f"HEAD PC1 SPEED {speed}"))
+    assert main(["analyze", str(bad), "--default-bounds"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_default_bounds_without_pumps_exits_3(capsys):
     code, _ = run(capsys, "analyze", str(FIXTURE_DIR / "net2.inp"),
                   "--default-bounds")

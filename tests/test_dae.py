@@ -364,24 +364,109 @@ def test_reversed_pipe_swaps_neighbor_sets():
     from conftest import make_single_pipe
     desc = make_single_pipe()
     net = build_network(desc)
-    assert [l.link_id for l in net.out_links["J1"]] == ["P1"]
-    assert [l.link_id for l in net.in_links["J2"]] == ["P1"]
+    j1, j2 = net.node_pos["J1"], net.node_pos["J2"]
+    assert (net.links[0].from_pos, net.links[0].to_pos) == (j1, j2)
+    assert junction_residual(net, [3.0], [0.0, 0.0]).tolist() == [-3.0, 3.0]
     desc.pipes[0] = type(desc.pipes[0])("P1", "J2", "J1", 1.0, 2.0)
     flipped = build_network(desc)
-    assert [l.link_id for l in flipped.in_links["J1"]] == ["P1"]
-    assert [l.link_id for l in flipped.out_links["J2"]] == ["P1"]
-    assert flipped.in_links["J2"] == ()
+    assert (flipped.links[0].from_pos, flipped.links[0].to_pos) == (j2, j1)
+    assert junction_residual(flipped, [3.0], [0.0, 0.0]).tolist() == [3.0, -3.0]
 
 
-def test_isolated_junction_has_empty_neighbor_sets():
-    from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc
-    desc = NetworkDescription(
+def isolated_junction_network():
+    """J1 -> J2 through P1, and a junction LONELY that no link touches."""
+    return build_network(NetworkDescription(
         flow_units="GPM", headloss_exponent=2.0,
         junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0),
                    JunctionDesc("LONELY", 0.0)],
         reservoirs=[], tanks=[],
         pipes=[PipeDesc("P1", "J1", "J2", 1.0, 2.0)], pumps=[], valves=[],
-    )
-    net = build_network(desc)
-    assert net.in_links["LONELY"] == ()
-    assert net.out_links["LONELY"] == ()
+    ))
+
+
+def test_isolated_junction_has_empty_neighbor_sets():
+    net = isolated_junction_network()
+    lonely = net.node_pos["LONELY"]
+    assert all(lonely not in (l.from_pos, l.to_pos) for l in net.links)
+    assert junction_residual(net, [5.0], [0.0, 0.0, 2.5])[lonely] == -2.5
+    dae = build_dae(net, "continuous")
+    row = dae.a_z.to_dense()[dae.layout.row_offsets["junctions"] + lonely]
+    assert not row.any()
+
+
+def self_loop_network():
+    """A pipe whose two ends are one junction, beside a pipe into a tank."""
+    return build_network(NetworkDescription(
+        flow_units="GPM", headloss_exponent=2.0,
+        junctions=[JunctionDesc("J1", 0.0, 4.0), JunctionDesc("J2", 0.0)],
+        reservoirs=[], tanks=[TankDesc("T1", 10.0, 5.0, 300.0)],
+        pipes=[PipeDesc("LOOP", "J1", "J1", 1.0, 2.0),
+               PipeDesc("P1", "J1", "J2", 1.0, 2.0),
+               PipeDesc("P2", "J2", "T1", 1.0, 2.0)],
+        pumps=[], valves=[],
+    ))
+
+
+def reference_net_inflow(net, q: np.ndarray, node_id: str) -> float:
+    """Inflow minus outflow at one node, found by node id in net.desc alone:
+    every stacked flow entering it and every one leaving it, negated, summed
+    exactly by math.fsum."""
+    desc = net.desc
+    links = desc.pipes + desc.pumps + desc.valves
+    return math.fsum([float(q[k]) for k, l in enumerate(links) if l.to_node == node_id]
+                     + [-float(q[k]) for k, l in enumerate(links) if l.from_node == node_id])
+
+
+def reference_incidence(net, node_id: str) -> np.ndarray:
+    """Per stacked flow: +1 if it enters the node, -1 if it leaves, 0 for
+    neither or both, by node id in net.desc alone."""
+    desc = net.desc
+    return np.array([float(l.to_node == node_id) - float(l.from_node == node_id)
+                     for l in desc.pipes + desc.pumps + desc.valves])
+
+
+def assert_views_match_reference(net, rng: np.random.Generator):
+    desc = net.desc
+    q = rng.uniform(-500.0, 500.0, net.n_links)
+    demand = rng.uniform(-50.0, 50.0, net.n_junctions)
+    heads = rng.uniform(0.0, 200.0, net.n_tanks)
+    dt = 60.0
+
+    expected = [reference_net_inflow(net, q, j.id) - demand[i]
+                for i, j in enumerate(desc.junctions)]
+    assert junction_residual(net, q, demand).tobytes() == np.array(expected).tobytes()
+    expected = [heads[i] + dt / t.cross_section_area * reference_net_inflow(net, q, t.id)
+                for i, t in enumerate(desc.tanks)]
+    assert tank_step(net, heads, q, dt).tobytes() == np.array(expected, dtype=float).tobytes()
+
+    dae = build_dae(net, "discrete", dt)
+    a = dae.a_z.to_dense()
+    v = dae.layout.z_offsets["v"]
+    junctions = dae.layout.row_offsets["junctions"]
+    for i, j in enumerate(desc.junctions):
+        assert np.array_equal(a[junctions + i, v:], -reference_incidence(net, j.id))
+    tanks = dae.layout.row_offsets["tanks"]
+    for i, t in enumerate(desc.tanks):
+        expected_row = dt / t.cross_section_area * reference_incidence(net, t.id)
+        assert np.array_equal(a[tanks + i, v:], expected_row)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_views_match_id_reference_on_fixtures(fixtures, name):
+    assert_views_match_reference(fixtures[name][1], np.random.default_rng(7))
+
+
+def test_views_match_id_reference_on_tank_networks():
+    for seed in range(50):
+        net = make_tank_network(np.random.default_rng(seed))
+        assert_views_match_reference(net, np.random.default_rng(1000 + seed))
+
+
+def test_views_match_id_reference_on_self_loop_and_isolated_junction():
+    for net in (self_loop_network(), isolated_junction_network()):
+        assert_views_match_reference(net, np.random.default_rng(3))
+    net = self_loop_network()
+    loop = net.link_ids.index("LOOP")
+    assert net.links[loop].from_pos == net.links[loop].to_pos == net.node_pos["J1"]
+    dae = build_dae(net, "continuous")
+    assert not dae.a_z.to_dense()[:, dae.layout.z_offsets["v"] + loop].any()

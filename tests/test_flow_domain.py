@@ -15,6 +15,7 @@ from wdn_lipschitz import (
     parse_inp,
     pump_max_flow,
 )
+from wdn_lipschitz.bounds import PUMP_FLOW_FLOOR
 from wdn_lipschitz.errors import (
     BoundsError,
     DuplicateLink,
@@ -182,10 +183,13 @@ class TestDefaultBox:
         with pytest.raises(NoPumps):
             default_box(net)
 
-    def test_custom_floor(self, three_node):
-        _, net, _ = three_node
-        box = default_box(net, floor=0.5)
-        assert box.lo[net.link_ids.index("PU1")] == 0.5
+    def test_custom_floor(self, fixtures):
+        # every pump's lower bound is the one constant floor
+        for _, net, _ in fixtures.values():
+            if net.n_pumps:
+                box = default_box(net)
+                pumps = slice(net.n_pipes, net.n_pipes + net.n_pumps)
+                assert box.lo[pumps].tolist() == [PUMP_FLOW_FLOOR] * net.n_pumps
 
 
 def test_single_pipe_box_widths():

@@ -109,10 +109,14 @@ CASES = [
      "PIPES line 8: unsupported pipe status 'Closed': 'P1 J1 T1 1000 12 100 0 Closed'"),
     ("pump-speed", PUMP, "PU1 R1 J1 HEAD C1 SPEED fast", MalformedSection,
      "PUMPS line 10: speed is not a number: 'PU1 R1 J1 HEAD C1 SPEED fast'"),
+    ("pump-speed-inf", PUMP, "PU1 R1 J1 HEAD C1 SPEED inf", MalformedSection,
+     "PUMPS line 10: speed is not finite: 'PU1 R1 J1 HEAD C1 SPEED inf'"),
     ("pump-property", PUMP, "PU1 R1 J1 POWER 50", MalformedSection,
      "PUMPS line 10: unsupported pump property 'POWER': 'PU1 R1 J1 POWER 50'"),
     ("pump-property-without-value", PUMP, "PU1 R1 J1 HEAD C1 SPEED", MalformedSection,
-     "PUMPS line 10: unsupported pump property 'SPEED': 'PU1 R1 J1 HEAD C1 SPEED'"),
+     "PUMPS line 10: pump property 'SPEED' has no value: 'PU1 R1 J1 HEAD C1 SPEED'"),
+    ("pump-head-without-value", PUMP, "PU1 R1 J1 HEAD C1 HEAD", MalformedSection,
+     "PUMPS line 10: pump property 'HEAD' has no value: 'PU1 R1 J1 HEAD C1 HEAD'"),
     ("pump-without-head", PUMP, "PU1 R1 J1 SPEED 0.5", MalformedSection,
      "PUMPS line 10: pump needs a HEAD curve: 'PU1 R1 J1 SPEED 0.5'"),
     ("pump-unknown-curve", PUMP, "PU1 R1 J1 HEAD C9", MalformedSection,
@@ -166,8 +170,6 @@ CASES = [
      "model: 'PU1 R1 J1 HEAD C1'"),
     ("range-pump-speed", PUMP, "PU1 R1 J1 HEAD C1 SPEED 1.5", ParameterOutOfRange,
      "pump 'PU1': speed 1.5 outside (0, 1]"),
-    ("range-pump-speed-inf", PUMP, "PU1 R1 J1 HEAD C1 SPEED inf", ParameterOutOfRange,
-     "pump 'PU1': speed inf outside (0, 1]"),
     ("range-valve-resistance", VALVE, "V1 J1 T1 12 GPV 0 0.5", ParameterOutOfRange,
      "valve 'V1': resistance must be > 0"),
     ("range-valve-openness", VALVE, "V1 J1 T1 12 GPV 0.004 1.5", ParameterOutOfRange,

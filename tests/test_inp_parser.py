@@ -22,7 +22,7 @@ from wdn_lipschitz.inp import (
     hazen_williams_resistance,
 )
 
-from conftest import EXPECTED_COUNTS, FIXTURE_DIR, FIXTURE_NAMES
+from conftest import EXPECTED_COUNTS, FIXTURE_DIR, FIXTURE_NAMES, gen_fixtures
 
 mp.dps = 50
 
@@ -82,6 +82,18 @@ def test_fixture_corpus_parses_with_expected_counts():
     for name in FIXTURE_NAMES:
         desc = parse_inp((FIXTURE_DIR / f"{name}.inp").read_text())
         assert desc.component_counts() == EXPECTED_COUNTS[name], name
+
+
+def test_fixtures_regenerate_byte_for_byte():
+    # the committed fixtures are exactly what scripts/gen_fixtures.py writes
+    gen = gen_fixtures()
+    texts = {"three_node": gen.three_node()}
+    texts.update({name: gen.synthetic(name, counts, seed)
+                  for name, (counts, seed) in gen.SYNTHETIC.items()})
+    assert sorted(texts) == sorted(FIXTURE_NAMES)
+    for name, (inp_text, bounds_text) in texts.items():
+        assert (FIXTURE_DIR / f"{name}.inp").read_bytes() == inp_text.encode(), name
+        assert (FIXTURE_DIR / f"{name}_bounds.csv").read_bytes() == bounds_text.encode(), name
 
 
 def test_comment_insertion_is_invisible():
