@@ -26,6 +26,7 @@ from .errors import (
     PumpNonpositiveLower,
     UnknownLink,
 )
+from .inp import _plain_float
 from .network import PUMP, Network
 
 PUMP_FLOW_FLOOR = 1e-6
@@ -104,7 +105,7 @@ def loads_bounds(text: str, net: Network) -> FlowBox:
         if link_id not in known:
             raise UnknownLink(link_id)
         try:
-            lo, hi = float(row[1]), float(row[2])
+            lo, hi = _plain_float(row[1]), _plain_float(row[2])
         except ValueError:
             raise BoundsError(f"non-numeric bounds for link {link_id!r}") from None
         table[link_id] = (lo, hi)
@@ -130,9 +131,9 @@ def default_box(net: Network) -> FlowBox:
                 for m in net.desc.pumps]
     cap = max(per_pump)
     table: dict[str, tuple[float, float]] = {}
-    for link in net.links:
+    for i, link in enumerate(net.links):
         if link.kind == PUMP:
-            table[link.link_id] = (PUMP_FLOW_FLOOR, per_pump[link.flow_pos - net.n_pipes])
+            table[link.link_id] = (PUMP_FLOW_FLOOR, per_pump[i - net.n_pipes])
         else:
             table[link.link_id] = (-cap, cap)
     return _box_from_mapping(net, table)

@@ -13,9 +13,9 @@ The square system  E z+ = A z + B_f f(z) + B_l l  is laid out as:
 
 Both index sets are the network's stacked ones (network.py): head column
 c is stacked head position c, and energy row i, flow column v + i and B_f
-column i belong to the link at flow_pos i.  So the pipe rows and the
-pump+valve rows are one block of n_links rows, and v and u are one block
-of n_links columns.  The energy, tank and junction rows come from one
+column i belong to net.links[i].  So the pipe rows and the pump+valve rows
+are one block of n_links rows, and v and u are one block of n_links
+columns.  The energy, tank and junction rows come from one
 pass over the links, each at its from_pos and to_pos.
 
 Sign conventions per row block:
@@ -30,14 +30,17 @@ Sign conventions per row block:
     junction:       0 = -(inflow - outflow) + d
     reservoir:      0 = -x2 + h_R
 
-Matrices are stored as deterministic, row-major-sorted triplets so that
-serialized systems are byte-stable.
+Each matrix is a TripletMatrix: read-only numpy arrays of rows, columns and
+values, one entry per nonzero cell, sorted row-major, merged by one sort-and-sum,
+so the MatrixMarket export is byte-stable.  The package has no reader for it.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,38 +51,42 @@ DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripletMatrix:
+    """One entry per nonzero cell, sorted row-major, as read-only arrays."""
     n_rows: int
     n_cols: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    values: tuple[float, ...]
+    rows: np.ndarray        # int64
+    cols: np.ndarray        # int64
+    values: np.ndarray      # float64
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int,
                      entries: list[tuple[int, int, float]]) -> "TripletMatrix":
-        merged: dict[tuple[int, int], float] = {}
-        for r, c, val in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-            merged[(r, c)] = merged.get((r, c), 0.0) + float(val)
-        keys = sorted(k for k, val in merged.items() if val != 0.0)
-        return cls(
-            n_rows, n_cols,
-            tuple(k[0] for k in keys),
-            tuple(k[1] for k in keys),
-            tuple(merged[k] for k in keys),
-        )
+        """Sum repeated cells in entry order, from 0.0, and drop zero cells."""
+        rows, cols, values = np.fromiter(chain.from_iterable(entries), float).reshape(-1, 3).T
+        outside = np.flatnonzero(~((0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols)))
+        if outside.size:
+            r, c, _ = entries[outside[0]]
+            raise ValueError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        cells, inverse = np.unique(rows * n_cols + cols, return_inverse=True)
+        sums = np.zeros(cells.size)
+        with np.errstate(over="ignore", invalid="ignore"):   # as Python floats add
+            np.add.at(sums, inverse, values)
+        keep = sums != 0.0
+        arrays = (*np.divmod(cells[keep], n_cols), sums[keep])
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(n_rows, n_cols, *arrays)
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        for r, c, val in zip(self.rows, self.cols, self.values):
-            out[r, c] = val
+        out[self.rows, self.cols] = self.values
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -87,33 +94,15 @@ class TripletMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_cols,):
             raise ValueError(f"expected a vector of {self.n_cols}, got shape {x.shape}")
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
-        return np.bincount(rows, weights=np.asarray(self.values) * x[cols],
+        return np.bincount(self.rows, weights=self.values * x[self.cols],
                            minlength=self.n_rows)
 
     def write_matrix_market(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write("%%MatrixMarket matrix coordinate real general\n")
             fh.write(f"{self.n_rows} {self.n_cols} {self.nnz}\n")
-            for r, c, val in zip(self.rows, self.cols, self.values):
+            for r, c, val in zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()):
                 fh.write(f"{r + 1} {c + 1} {val!r}\n")
-
-
-def read_matrix_market(path: str | Path) -> TripletMatrix:
-    with open(path) as fh:
-        header = fh.readline()
-        if "coordinate" not in header:
-            raise ValueError("not a coordinate MatrixMarket file")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        n_rows, n_cols, nnz = (int(tok) for tok in line.split())
-        entries = []
-        for _ in range(nnz):
-            r, c, val = fh.readline().split()
-            entries.append((int(r) - 1, int(c) - 1, float(val)))
-    return TripletMatrix.from_entries(n_rows, n_cols, entries)
 
 
 @dataclass(frozen=True)
@@ -127,15 +116,6 @@ class DaeLayout:
     @property
     def dim(self) -> int:
         return sum(self.sizes.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": dict(self.sizes),
-            "z_offsets": dict(self.z_offsets),
-            "row_offsets": dict(self.row_offsets),
-            "time_mode": self.time_mode,
-            "dt": self.dt,
-        }
 
 
 @dataclass(frozen=True)
@@ -178,20 +158,20 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
     a_entries: list[tuple[int, int, float]] = []
     f_entries: list[tuple[int, int, float]] = []
 
-    for link in net.links:
-        col = v + link.flow_pos
+    for i, link in enumerate(net.links):
+        col = v + i
         for pos, sign in ((link.from_pos, -1.0), (link.to_pos, 1.0)):
-            # energy row flow_pos: 0 = -h_from + h_to + f; pump and valve
-            # rows skip tank heads
+            # energy row i: 0 = -h_from + h_to + f; pump and valve rows
+            # skip tank heads
             if link.kind == PIPE or pos < x3:
-                a_entries.append((link.flow_pos, pos, sign))
+                a_entries.append((i, pos, sign))
             # mass balance: + inflow - outflow in a tank row, negated in a
             # junction row (0 = -(in - out) + d)
             if pos >= x3:
                 a_entries.append((tank_rows + pos - x3, col, sign * tank_factor[pos - x3]))
             elif pos < n_j:
                 a_entries.append((junction_rows + pos, col, -sign))
-        f_entries.append((link.flow_pos, link.flow_pos, 1.0))
+        f_entries.append((i, i, 1.0))
 
     # tank rows: h+ on the left, and the carried-over h in discrete mode
     for i in range(n_t):
@@ -230,8 +210,6 @@ def dae_residual(dae: DaeSystem, z: np.ndarray, z_next: np.ndarray,
 
 def export_dae(dae: DaeSystem, directory: str | Path) -> list[Path]:
     """Write e_z/a_z/b_f/b_l as MatrixMarket files plus layout.json."""
-    import json
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -242,7 +220,7 @@ def export_dae(dae: DaeSystem, directory: str | Path) -> list[Path]:
         written.append(path)
     layout_path = directory / "layout.json"
     with open(layout_path, "w", newline="\n") as fh:
-        json.dump(dae.layout.to_dict(), fh, indent=2)
+        json.dump(asdict(dae.layout), fh, indent=2)
         fh.write("\n")
     written.append(layout_path)
     return written

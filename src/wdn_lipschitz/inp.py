@@ -256,6 +256,14 @@ def _solve_shutoff_head(pts: list[tuple[float, float]]) -> float:
     return 0.5 * (lo + hi)
 
 
+def _plain_float(token: str) -> float:
+    """float(token) for an ASCII token with no '_': float() alone also reads
+    PEP 515 underscores and any Unicode decimal digit.  Raises ValueError."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a plain number: {token!r}")
+    return float(token)
+
+
 class _Row:
     """One data row of a section: its tokens and where they came from."""
 
@@ -271,7 +279,7 @@ class _Row:
 
     def num(self, idx: int, what: str) -> float:
         try:
-            value = float(self.tokens[idx])
+            value = _plain_float(self.tokens[idx])
         except ValueError:
             raise self.error(f"{what} is not a number") from None
         if not math.isfinite(value):
@@ -344,6 +352,8 @@ def parse_inp(text: str) -> NetworkDescription:
         r.num(3, "minimum level")
         r.num(4, "maximum level")
         diameter = r.num(5, "diameter")
+        if len(r.tokens) > 6:
+            r.num(6, "minimum volume")
         if diameter <= 0:
             raise ParameterOutOfRange(f"tank {r.tokens[0]!r}: diameter must be > 0")
         tanks.append(TankDesc(r.tokens[0], elevation, init_level,

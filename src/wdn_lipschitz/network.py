@@ -2,8 +2,8 @@
 
 Every view of the model uses one stacked flow index and one stacked head
 index.  Flows are stacked as pipes, then pumps, then valves, each class in
-declaration order; a link's position is its LinkRef.flow_pos, and the
-functions here take flows as one stacked array q of shape (n_links,).
+declaration order; a link's position is its index in Network.links, and
+the functions here take flows as one stacked array q of shape (n_links,).
 Heads are stacked as junctions, then reservoirs, then tanks; a node's
 position is Network.node_pos[node_id], and a link's two ends are its
 LinkRef.from_pos and to_pos.  The mass balances (tank_step,
@@ -47,7 +47,6 @@ VALVE = "valve"
 @dataclass(frozen=True)
 class LinkRef:
     kind: str
-    flow_pos: int       # position in the stacked flow vector
     link_id: str
     from_pos: int       # stacked head position of the node the flow leaves
     to_pos: int         # stacked head position of the node the flow enters
@@ -70,8 +69,8 @@ class Network:
         stacked = ([(PIPE, p) for p in desc.pipes] + [(PUMP, m) for m in desc.pumps]
                    + [(VALVE, v) for v in desc.valves])
         pos = self.node_pos
-        self.links = tuple(LinkRef(kind, i, link.id, pos[link.from_node], pos[link.to_node])
-                           for i, (kind, link) in enumerate(stacked))
+        self.links = tuple(LinkRef(kind, link.id, pos[link.from_node], pos[link.to_node])
+                           for kind, link in stacked)
         self.link_ids = tuple(l.link_id for l in self.links)
         self.n_links = len(self.links)
 

@@ -512,13 +512,15 @@ def k_lower_trace(
     sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
     link; seed seeds the random kind.  A checkpoint at m equals an
     independent run with n=m because the estimate is a prefix maximum of a
-    deterministic sequence.  An estimate past the float range raises
-    BoundsError: the box is too wide.  More points than the sequence can
-    index raise SampleCountTooLarge.  A max trace over Halton or Sobol
-    points takes its hull in closed form, so its cost does not depend on n.
-    Any other trace walks its points in segments, one per CPU, on threads
-    that are joined before it returns or raises; its values do not depend
-    on the segment count (see the module docstring).
+    deterministic sequence.  A flow range hi - lo or an estimate past the
+    float range raises BoundsError: the box is too wide.  Numpy's overflow
+    warnings are off while the trace runs, so only that error reports it.
+    More points than the sequence can index raise SampleCountTooLarge.  A
+    max trace over Halton or Sobol points takes its hull in closed form, so
+    its cost does not depend on n.  Any other trace walks its points in
+    segments, one per CPU, on threads that are joined before it returns or
+    raises; its values do not depend on the segment count (see the module
+    docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -528,10 +530,17 @@ def k_lower_trace(
     check_sample_count(sampler, n)
 
     marks = [*sorted(c for c in checkpoints if 1 <= c <= n), n]
-    if mode == MODE_MAX:
-        trace = _max_trace(net, box, _prefix_hulls(sequence, marks))
-    else:
-        trace = _sqrt_trace(net, box, sequence, marks)
+    # segment threads run in a copy of this context, so they inherit the
+    # error state
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(box.hi - box.lo))
+        if wide.size:
+            raise BoundsError(f"link {box.link_ids[wide[0]]!r}: q_max - q_min overflows "
+                              "a float: the box is too wide")
+        if mode == MODE_MAX:
+            trace = _max_trace(net, box, _prefix_hulls(sequence, marks))
+        else:
+            trace = _sqrt_trace(net, box, sequence, marks)
     # the last mark is n: its value is the estimate, the rest are checkpoints
     value = trace.pop()[1]
     # the trace is nondecreasing, so a finite last value makes all finite
@@ -545,8 +554,7 @@ def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarra
     # rounding drift.  No lower clip is needed: p >= 0 and w >= 0 give
     # fl(p*w) >= 0, and rounding is monotone, so fl(lo + p*w) >= fl(lo) = lo.
     # A lower clip could only change the sign of a zero flow, and every
-    # Jacobian entry reads |q|.  (A width that overflowed to inf times p = 0
-    # is NaN, with or without the lower clip.)
+    # Jacobian entry reads |q|.
     np.multiply(q, width, out=q)
     np.add(q, box.lo, out=q)
     np.minimum(q, box.hi, out=q)

@@ -285,14 +285,13 @@ class TestDerivativeSupremumIdentity:
     def test_grid_maximum_matches(self, valve_net):
         _, net, box = valve_net
         grid_best = {"pipes": 0.0, "pumps": 0.0, "valves": 0.0}
-        for link in net.links:
-            pos = link.flow_pos
+        for pos, link in enumerate(net.links):
             qs = np.linspace(box.lo[pos], box.hi[pos], 10_001)
             if link.kind == "pump":
                 qs = qs[qs > 0]
             col = np.zeros((len(qs), net.n_links))
             col[:, pos] = qs
-            col[:, [l.flow_pos for l in net.links if l.kind == "pump"]] += 1e-9
+            col[:, [i for i, l in enumerate(net.links) if l.kind == "pump"]] += 1e-9
             col[:, pos] = qs
             g = jacobian_diag_batch(net, col)[:, pos]
             key = {"pipe": "pipes", "pump": "pumps", "valve": "valves"}[link.kind]

@@ -8,6 +8,7 @@ import json
 import random
 import re
 import shlex
+import warnings
 
 import jsonschema
 import pytest
@@ -17,6 +18,7 @@ from wdn_lipschitz import cli, errors, load_report_schema
 from wdn_lipschitz.cli import build_parser, main
 
 from conftest import FIXTURE_DIR
+from test_sampling import cpu_count
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -140,6 +142,56 @@ def test_overflowing_point_trace_on_segments_exits_3(capsys, tmp_path, monkeypat
     assert captured.out == ""
     assert captured.err == ("bounds error: sqrt-mode point estimate overflows a float: "
                             "the box is too wide\n")
+
+
+WIDTH_OVERFLOWS = ("bounds error: link 'P1': q_max - q_min overflows a float: "
+                   "the box is too wide\n")
+SQRT_OVERFLOWS = "bounds error: sqrt-mode point estimate overflows a float: the box is too wide\n"
+
+
+@pytest.mark.parametrize("argv, rows, cpus, message", [
+    # hi - lo overflows: the clip at hi would report a flow no sample drew
+    (["analyze", "--methods", "point", "--mode", "max", "--sampler", "sobol",
+      "--samples", "10"], "P1,-1.5e308,1.5e308\nPU1,1,922.5", 1, WIDTH_OVERFLOWS),
+    (["convergence", "--mode", "sqrt", "--samplers", "halton"],
+     "P1,-1.5e308,1.5e308\nPU1,1,922.5", 1, WIDTH_OVERFLOWS),
+    # the pump's |q|**(nu-1) overflows in numpy's power
+    (["convergence", "--mode", "sqrt", "--samplers", "random", "--n-grid", "10,100"],
+     "P1,1,1e100\nPU1,1,1e300", 1, SQRT_OVERFLOWS),
+    # 300,000 points on three_node's 2 links make two segments of at least
+    # four tiles, the second on its own thread
+    (["convergence", "--mode", "sqrt", "--samplers", "random", "--n-grid", "300000"],
+     "P1,1,1e100\nPU1,1,1e300", 2, SQRT_OVERFLOWS),
+], ids=["width-max", "width-convergence", "power", "power-on-segments"])
+def test_too_wide_box_is_one_stderr_line(tmp_path, capsys, argv, rows, cpus, message):
+    # a numpy warning would have printed two more lines; as an error it
+    # escapes main
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"link_id,q_min,q_max\n{rows}\n")
+    out = tmp_path / "trace.csv"
+    argv = [argv[0], str(FIXTURE_DIR / "three_node.inp"), "--bounds", str(wide), *argv[1:]]
+    if argv[0] == "convergence":
+        argv += ["--out", str(out)]
+    with cpu_count(cpus), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q_max", ["9_22.5", "\uff19\uff12\uff12.5"],
+                         ids=["underscore", "fullwidth-digits"])
+def test_bounds_number_is_plain_ascii(tmp_path, capsys, q_max):
+    # float() reads both as 922.5
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(f"link_id,q_min,q_max\nP1,0.0,922.5\nPU1,1.0,{q_max}\n",
+                      encoding="utf-8")
+    code = main(["analyze", str(FIXTURE_DIR / "three_node.inp"), "--bounds", str(bounds)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert (captured.out, captured.err) == ("", "bounds error: non-numeric bounds for link 'PU1'\n")
 
 
 def test_assumption_violation_exits_4(capsys, tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from wdn_lipschitz import (
     junction_residual,
     tank_step,
 )
-from wdn_lipschitz.dae import TripletMatrix, read_matrix_market
+from wdn_lipschitz.dae import TripletMatrix
 from wdn_lipschitz.inp import (
     JunctionDesc,
     NetworkDescription,
@@ -336,10 +337,8 @@ def test_matrix_market_round_trip(tmp_path, three_node):
     paths = export_dae(dae, tmp_path)
     assert sorted(p.name for p in paths) == [
         "a_z.mtx", "b_f.mtx", "b_l.mtx", "e_z.mtx", "layout.json"]
-    again = read_matrix_market(tmp_path / "a_z.mtx")
-    assert again == dae.a_z
     layout = json.loads((tmp_path / "layout.json").read_text())
-    assert layout == dae.layout.to_dict()
+    assert layout == asdict(dae.layout)
 
 
 def test_export_is_byte_stable(tmp_path, fixtures):
@@ -356,8 +355,71 @@ def test_triplets_merge_and_reject_out_of_range():
     m = TripletMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 0.0)])
     assert m.nnz == 1
     assert m.to_dense()[0, 0] == 3.0
+    # repeated cells sum in entry order
+    assert TripletMatrix.from_entries(1, 1, [(0, 0, 1e16), (0, 0, 1.0), (0, 0, -1e16)]).nnz == 0
+    assert TripletMatrix.from_entries(1, 1, [(0, 0, 1e16), (0, 0, -1e16), (0, 0, 1.0)]
+                                      ).values.tolist() == [1.0]
     with pytest.raises(ValueError):
         TripletMatrix.from_entries(2, 2, [(2, 0, 1.0)])
+
+
+def dict_merge(entries):
+    """The per-entry dict merge from_entries replaced: (rows, cols, values)."""
+    merged: dict[tuple[int, int], float] = {}
+    for r, c, val in entries:
+        merged[(r, c)] = merged.get((r, c), 0.0) + float(val)
+    keys = sorted(k for k, val in merged.items() if val != 0.0)
+    return [k[0] for k in keys], [k[1] for k in keys], [merged[k] for k in keys]
+
+
+@st.composite
+def triplet_entries(draw):
+    """A shape (possibly 0 rows or 0 columns) and in-range entries with
+    repeated cells, exact +x/-x pairs, -0.0, order-dependent sums and
+    sums that overflow."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if n_rows == 0 or n_cols == 0:
+        return n_rows, n_cols, []
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16]),
+                      st.floats())
+    entries = draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                      st.integers(0, n_cols - 1), value), max_size=24))
+    if entries:
+        entries += [(r, c, -v) for r, c, v in draw(st.lists(st.sampled_from(entries),
+                                                             max_size=6))]
+    return n_rows, n_cols, draw(st.permutations(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=triplet_entries())
+def test_triplet_merge_is_the_dict_merge_bit_for_bit(drawn):
+    n_rows, n_cols, entries = drawn
+    m = TripletMatrix.from_entries(n_rows, n_cols, entries)
+    rows, cols, values = dict_merge(entries)
+    assert m.rows.tolist() == rows
+    assert m.cols.tolist() == cols
+    assert m.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+    for array, dtype in ((m.rows, np.int64), (m.cols, np.int64), (m.values, np.float64)):
+        assert array.dtype == dtype
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=triplet_entries(), data=st.data())
+def test_triplet_error_names_the_first_entry_out_of_range(drawn, data):
+    n_rows, n_cols, entries = drawn
+    bad = [(data.draw(st.sampled_from([-1, 0, n_rows])), data.draw(st.sampled_from([-1, n_cols])),
+            1.0), (n_rows + 7, 0, 1.0)]
+    first = data.draw(st.integers(0, len(entries)))
+    second = data.draw(st.integers(first + 1, len(entries) + 1))
+    entries = list(entries)
+    entries.insert(first, bad[0])
+    entries.insert(second, bad[1])
+    r, c, _ = bad[0]
+    with pytest.raises(ValueError, match=rf"^entry \({r},{c}\) outside {n_rows}x{n_cols}$"):
+        TripletMatrix.from_entries(n_rows, n_cols, entries)
 
 
 def test_reversed_pipe_swaps_neighbor_sets():

@@ -79,10 +79,17 @@ CASES = [
      "TANKS line 6: minimum level is not finite: 'T1 150 10 1e999 30 40'"),
     ("num-tank-maximum", TANK, "T1 150 10 0 x 40", MalformedSection,
      "TANKS line 6: maximum level is not a number: 'T1 150 10 0 x 40'"),
+    ("num-tank-minimum-volume", TANK, "T1 150 10 0 30 40 abc", MalformedSection,
+     "TANKS line 6: minimum volume is not a number: 'T1 150 10 0 30 40 abc'"),
     ("num-tank-diameter", TANK, "T1 150 10 0 30 -inf", MalformedSection,
      "TANKS line 6: diameter is not finite: 'T1 150 10 0 30 -inf'"),
     ("num-pipe-length", PIPE, "P1 J1 T1 1,000 12 100", MalformedSection,
      "PIPES line 8: length is not a number: 'P1 J1 T1 1,000 12 100'"),
+    ("num-pipe-length-underscore", PIPE, "P1 J1 T1 1_0 12 100", MalformedSection,
+     "PIPES line 8: length is not a number: 'P1 J1 T1 1_0 12 100'"),
+    ("num-pipe-length-fullwidth", PIPE, "P1 J1 T1 \uff19\uff12\uff12.5 12 100",
+     MalformedSection,
+     "PIPES line 8: length is not a number: 'P1 J1 T1 \uff19\uff12\uff12.5 12 100'"),
     ("num-pipe-diameter", PIPE, "P1 J1 T1 1000 NaN 100", MalformedSection,
      "PIPES line 8: diameter is not finite: 'P1 J1 T1 1000 NaN 100'"),
     ("num-pipe-roughness", PIPE, "P1 J1 T1 1000 12 C", MalformedSection,

@@ -225,7 +225,7 @@ class TestEvalF:
             expected, scale = reference_f(net.desc, q[row])
             assert np.all(np.abs(batch[row] - expected) <= 2e-15 * scale)
         # pipes and valves are exactly odd in q
-        pipe_valve = [l.flow_pos for l in net.links if l.kind != "pump"]
+        pipe_valve = [i for i, l in enumerate(net.links) if l.kind != "pump"]
         mirrored = q.copy()
         mirrored[:, pipe_valve] *= -1.0
         assert np.array_equal(eval_f_batch(net, mirrored)[:, pipe_valve],

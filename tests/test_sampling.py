@@ -868,16 +868,20 @@ def test_scale_into_box_needs_no_lower_clip(ends, data):
     assert np.array_equal(np.abs(q).view(np.uint64), np.abs(clipped).view(np.uint64))
 
 
-def test_clip_at_hi_binds_when_the_width_overflows():
-    # The clip binds when hi - lo overflows to inf: then p*inf + lo is inf
-    # for every p > 0, and the clip maps each sample to hi.  Without it the
-    # estimate is inf, which raises BoundsError.
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+@pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
+def test_overflowing_width_is_a_bounds_error(kind, mode):
+    # hi - lo = inf would scale every sample p > 0 to inf, which the clip
+    # maps to hi: a flow that no sample drew.  The trace refuses the box
+    # first, and numpy does not warn.
     net = build_network(make_single_pipe(1e-300, 2.0))
     box = make_box(net, {"P1": (-1e308, 1e308)})
-    with np.errstate(over="ignore"):
-        value = k_lower(net, box, "sobol", 100, mode="max").value
-    assert math.isfinite(value)
-    assert value <= k_network(net, box).value
+    assert math.isfinite(k_network(net, box).value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoundsError, match="^link 'P1': q_max - q_min overflows a float: "
+                                              "the box is too wide$"):
+            k_lower(net, box, kind, 100, mode=mode)
 
 
 def _brute_force_trace(net, box, kind, seed, n, marks, mode):
