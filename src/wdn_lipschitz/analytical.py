@@ -129,7 +129,8 @@ def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
     """Bracket lower <= sup_box F <= upper for the max or sqrt objective."""
     lowers, uppers = corner_enclosures(net, box)
     if mode == MODE_MAX:
-        lower, upper = max(lowers), max(uppers)
+        # a network with no links has an empty max, 0, as in k_network
+        lower, upper = max(lowers, default=0.0), max(uppers, default=0.0)
     elif mode == MODE_SQRT:
         try:
             squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)

@@ -64,10 +64,10 @@ images of its hull entries, and every entry is nondecreasing in ``|q_i|``.
 So, with libm's ``pow`` monotone, the hull gives the largest derivative
 over all sampled points, and never more than K, since each hull flow is a
 sampled flow inside the box.  A random hull is reduced from the sample
-blocks, so the trace holds one tile-sized block.  Halton and Sobol hulls
-are taken in closed form in O(d log n), with the bits of the generated
-points (for Halton up to a bound on n, below): they generate no points,
-and their cost does not depend on n.
+blocks, one tile-sized block at a time, by segment (below).  Halton and
+Sobol hulls are taken in closed form in O(d log n), with the bits of the
+generated points (for Halton up to a bound on n, below): they generate
+no points, and their cost does not depend on n.
 
 * Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
   [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
@@ -99,29 +99,32 @@ contiguous segments, one per CPU the process may run on
 (os.sched_getaffinity, or os.cpu_count where that is missing); there is
 no option for it.  Each segment holds at least four tiles of points, so
 a shorter trace is one segment, and starts no thread.  The first segment
-is walked on the calling thread, its values read as they come, and each
-other one on a thread of its own (numpy releases the GIL in its
-generators and array passes).  A segment builds its blocks from its
-first index and walks them with the marks inside it and its own end as
-checkpoints; the segments then join in index order, exactly: the
-largest row sum for ``sqrt``, and the elementwise minimum and maximum of
-the random hulls for ``max``.  So every trace has the same bits for any
-segment count, and hence on any machine.  The sample count is checked
-once for all n before any thread starts; an error in a segment is
-raised, unchanged, once every segment thread has been joined, and no
-thread outlives the trace.  Memory is per segment: one block plus a
-row-sum vector or two hull rows each.  A segment on a thread keeps its
-value at each checkpoint until the join, so a trace whose kept values
-(a number per checkpoint for ``sqrt``, two hull rows for ``max``) would
-pass one tile walks one segment.  A Halton trace walks one segment: its
-blocks cost a few numpy calls per base, which hold the GIL, and two
-segments were not reliably faster than one on two CPUs.
+is walked on the calling thread and each other one on a thread of its
+own (numpy releases the GIL in its generators and array passes).  A
+segment builds its blocks from its first index, walks them with the
+marks inside it and its own end as cuts, and keeps one float per cut:
+its largest row sum for ``sqrt``, the corner pass at its own hull for
+``max``.  Once every thread is joined, the segments join in index order
+by max.  For ``max`` that is the value of the joined hull: scaling is
+monotone and max(|min X|, |max X|) = max |X|, so the joined hull's
+corner magnitude is, per link, the larger of the segments', and each
+entry, nondecreasing in ``|q_i|`` (libm's ``pow`` monotone, the premise
+of ``point_max <= K``), has g_i(max(a, b)) = max(g_i(a), g_i(b)).  So
+every trace has the same bits for any segment count, and hence on any
+machine.  The sample count is checked once for all n before any thread
+starts; once every segment thread is joined, the first error in index
+order is raised unchanged, and no thread outlives the trace (a ``max``
+trace names the link and flow where its first failing segment
+overflowed).  Memory is per segment: one block and a row-sum vector, or
+two hull rows and a corner pass, plus a float per cut.  A Halton trace
+walks one segment: its blocks cost a few numpy calls per base, which
+hold the GIL, and two segments were not reliably faster than one on two
+CPUs.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import contextvars
 import hashlib
 import math
@@ -130,22 +133,20 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .analytical import corner_derivatives
 from .bounds import FlowBox
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
-from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
+from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge, UsageError
 from .network import Network, _jacobian_diag_into
 
 KIND_RANDOM = "random"
 KIND_HALTON = "halton"
 KIND_SOBOL = "sobol"
 SAMPLER_KINDS = (KIND_RANDOM, KIND_HALTON, KIND_SOBOL)
-
-_T = TypeVar("_T")
 
 _DIRECTIONS_FILE = "joe_kuo_6_1111.txt"
 _DIRECTIONS_SHA256 = "2afb7368f5ad2b6ab11ad628f3c44c2fa68914bb2fe2c3987b5164c3a782501c"
@@ -373,9 +374,10 @@ def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
 
 
 def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(mark, hull) for each mark: the per-coordinate hull of Sobol points
-    1..mark (see _prefix_hulls), from one state per aligned dyadic block of
-    indices."""
+    """(mark, hull) for each mark of the nondecreasing marks: the
+    per-coordinate minimum and maximum of Sobol points 1..mark, a new array
+    of two rows, from one state per aligned dyadic block of indices (see
+    the module docstring)."""
     v = _sobol_matrix(dim)
     low = np.full(dim, 2 ** _SOBOL_BITS - 1, dtype=np.uint32)
     high = np.zeros(dim, dtype=np.uint32)
@@ -397,9 +399,10 @@ def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]
 
 
 def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(mark, hull) for each mark: the per-coordinate hull of Halton points
-    1..mark (see _prefix_hulls), from the two indices that attain it in
-    each base."""
+    """(mark, hull) for each mark of the nondecreasing marks: the
+    per-coordinate minimum and maximum of Halton points 1..mark, a new
+    array of two rows, from the two indices that attain them in each base
+    (see the module docstring)."""
     bases = np.array(_first_primes(dim))
     for mark in marks:
         # the smallest radical inverse is at the largest power of the base
@@ -461,7 +464,8 @@ class SampleSequence:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise UsageError(f"sequence dimension {self.dimension} is below 1: "
+                             "a network with no links has no flow to sample")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.kind == KIND_SOBOL and self.dimension > sobol_max_dimension():
@@ -538,7 +542,7 @@ def k_lower_trace(
             raise BoundsError(f"link {box.link_ids[wide[0]]!r}: q_max - q_min overflows "
                               "a float: the box is too wide")
         if mode == MODE_MAX:
-            trace = _max_trace(net, box, _prefix_hulls(sequence, marks))
+            trace = _max_trace(net, box, sequence, marks)
         else:
             trace = _sqrt_trace(net, box, sequence, marks)
     # the last mark is n: its value is the estimate, the rest are checkpoints
@@ -561,38 +565,6 @@ def _scale_into_box(q: np.ndarray, box: FlowBox, width: np.ndarray) -> np.ndarra
     return q
 
 
-def _prefix_hulls(sequence: SampleSequence,
-                  marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(mark, hull) for each mark of the nondecreasing marks: the
-    per-coordinate hull of points 1..mark, a new array of two rows, the
-    minimum and the maximum.  Halton and Sobol hulls are in closed form.
-    Random ones are reduced from the sample blocks by segment: a segment's
-    two rows are updated in place once the next row is drawn and stacked
-    at each mark, and the hulls of segments join by elementwise min and
-    max."""
-    if sequence.kind == KIND_SOBOL:
-        return _sobol_hulls(sequence.dimension, marks)
-    if sequence.kind == KIND_HALTON:
-        return _halton_hulls(sequence.dimension, marks)
-
-    def walk(blocks: Iterator[np.ndarray], cuts: list[int]
-             ) -> Iterator[np.ndarray]:
-        p_min = np.full(sequence.dimension, np.inf)
-        p_max = np.full(sequence.dimension, -np.inf)
-
-        def take(p: np.ndarray) -> None:
-            np.minimum(p_min, p.min(axis=0), out=p_min)
-            np.maximum(p_max, p.max(axis=0), out=p_max)
-
-        for _ in _prefix_walk(blocks, cuts, take):
-            yield np.stack([p_min, p_max])
-
-    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.stack([np.minimum(a[0], b[0]), np.maximum(a[1], b[1])])
-
-    return _segment_walk(sequence, marks, 2 * sequence.dimension, walk, join)
-
-
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -601,49 +573,43 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _segment_count(kind: str, n: int, dim: int, held: int) -> int:
-    """Segments for a walk over points 1..n of this kind in dim dimensions,
-    whose segments on threads keep held float64 values until the join: one
-    per CPU, each of at least four tiles' points, and one for Halton or
-    for more than a tile held (see the module docstring)."""
-    if kind == KIND_HALTON or held > _TILE_VALUES:
+def _segment_count(kind: str, n: int, dim: int) -> int:
+    """Segments for a walk over points 1..n of this kind in dim dimensions:
+    one per CPU, each of at least four tiles' points, and one for Halton
+    (see the module docstring)."""
+    if kind == KIND_HALTON:
         return 1
     return max(1, min(_cpu_count(), n // (4 * _tile_rows(dim))))
 
 
-def _segment_walk(sequence: SampleSequence, marks: list[int], size: int,
-                  walk: Callable[[Iterator[np.ndarray], list[int]], Iterator[_T]],
-                  join: Callable[[_T, _T], _T]) -> Iterator[tuple[int, _T]]:
+def _segment_walk(sequence: SampleSequence, marks: list[int],
+                  walk: Callable[[Iterator[np.ndarray], list[int]], Iterator[float]]
+                  ) -> list[tuple[int, float]]:
     """(mark, value) for each mark of the nondecreasing marks, the value of
-    points 1..mark.  The caller closes it, so its threads are joined even
-    if the caller stops early.
+    points 1..mark.
 
-    walk(blocks, cuts) yields one value per cut, the value of the blocks'
-    points up to it, and each value holds size float64 values.  Points
-    1..marks[-1] split into _segment_count contiguous segments, each walked
-    over its own blocks with the marks inside it, and its end unless it is
-    the last, as cuts.  The first is walked lazily on this thread, and each
-    other one on a thread of its own, which keeps its values until the
-    join.  Values join in index order, so join must be exact and
-    associative for any segment count to give the same values.
+    walk(blocks, cuts) yields one float per cut, the value of the blocks'
+    points up to it.  Points 1..marks[-1] split into _segment_count
+    contiguous segments, each walked over its own blocks with the marks
+    inside it, and its end unless it is the last, as cuts.  The first is
+    walked on this thread and each other one on a thread of its own.  Once
+    every thread is joined, the first error in index order is raised, or
+    the values join in index order by max.
     """
     n = marks[-1]
-    count = _segment_count(sequence.kind, n, sequence.dimension, len(marks) * size)
+    count = _segment_count(sequence.kind, n, sequence.dimension)
     rows = _block_rows(sequence.kind, sequence.dimension)
     edges = [n * s // count for s in range(count + 1)]
-    cuts = [[m - lo for m in marks if lo < m <= hi] + ([hi - lo] if hi < n else [])
-            for lo, hi in zip(edges, edges[1:])]
-
-    def values(s: int) -> Iterator[_T]:
-        return walk(sequence._blocks(edges[s] + 1, edges[s + 1] - edges[s], rows), cuts[s])
-
-    kept: list = [None] * count
+    inside = [[m for m in marks if lo < m <= hi] for lo, hi in zip(edges, edges[1:])]
+    got: list = [None] * count
 
     def keep(s: int) -> None:
+        lo, hi = edges[s], edges[s + 1]
         try:
-            kept[s] = list(values(s))
+            cuts = [m - lo for m in inside[s]] + ([hi - lo] if hi < n else [])
+            got[s] = list(walk(sequence._blocks(lo + 1, hi - lo, rows), cuts))
         except BaseException as error:
-            kept[s] = error
+            got[s] = error
 
     threads = []
     try:
@@ -652,24 +618,20 @@ def _segment_walk(sequence: SampleSequence, marks: list[int], size: int,
             thread = threading.Thread(target=contextvars.copy_context().run, args=(keep, s))
             thread.start()
             threads.append(thread)
-        carry = None
-        for s in range(count):
-            if s == 1:
-                for thread in threads:
-                    thread.join()
-            got = values(0) if s == 0 else kept[s]
-            if isinstance(got, BaseException):
-                raise got
-            marked = len(cuts[s]) - (s < count - 1)
-            for i, value in enumerate(got):
-                if s:
-                    value = join(carry, value)
-                if i < marked:
-                    yield edges[s] + cuts[s][i], value
-            carry = value
+        keep(0)
     finally:
         for thread in threads:
             thread.join()
+    trace: list[tuple[int, float]] = []
+    carry = -math.inf
+    for ms, values in zip(inside, got):
+        if isinstance(values, BaseException):
+            raise values
+        values = [max(carry, value) for value in values]
+        carry = values[-1]
+        # zip stops before a segment's own end, which is no mark
+        trace += zip(ms, values)
+    return trace
 
 
 def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
@@ -696,19 +658,35 @@ def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
         del block
 
 
-def _max_trace(net: Network, box: FlowBox, hulls: Iterator[tuple[int, np.ndarray]]
-               ) -> list[tuple[int, float]]:
-    """Largest sampled Jacobian entry at each (mark, hull) of _prefix_hulls,
-    a generator that this closes: the closed form at the corner of the
-    sampled hull, each link at its larger magnitude, evaluated by the
-    corner pass that gives K.  Each hull is scaled into the box in place."""
+def _max_trace(net: Network, box: FlowBox, sequence: SampleSequence,
+               marks: list[int]) -> list[tuple[int, float]]:
+    """Largest sampled Jacobian entry at each mark: the corner pass that
+    gives K, at the corner of the hull of points 1..mark, a new array of two
+    rows scaled into the box in place.  Halton and Sobol hulls are in closed
+    form; random ones are reduced by segment, each evaluated at its own
+    cuts (see the module docstring)."""
     width = box.hi - box.lo
-    trace: list[tuple[int, float]] = []
-    with contextlib.closing(hulls):
-        for mark, hull in hulls:
-            q = _scale_into_box(hull, box, width)
-            trace.append((mark, max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))))
-    return trace
+
+    def corner(hull: np.ndarray) -> float:
+        q = _scale_into_box(hull, box, width)
+        return max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))
+
+    if sequence.kind != KIND_RANDOM:
+        hulls = _sobol_hulls if sequence.kind == KIND_SOBOL else _halton_hulls
+        return [(mark, corner(hull)) for mark, hull in hulls(sequence.dimension, marks)]
+
+    def walk(blocks: Iterator[np.ndarray], cuts: list[int]) -> Iterator[float]:
+        p_min = np.full(sequence.dimension, np.inf)
+        p_max = np.full(sequence.dimension, -np.inf)
+
+        def take(p: np.ndarray) -> None:
+            np.minimum(p_min, p.min(axis=0), out=p_min)
+            np.maximum(p_max, p.max(axis=0), out=p_max)
+
+        for _ in _prefix_walk(blocks, cuts, take):
+            yield corner(np.stack([p_min, p_max]))
+
+    return _segment_walk(sequence, marks, walk)
 
 
 def _sqrt_trace(net: Network, box: FlowBox, sequence: SampleSequence,
@@ -731,5 +709,4 @@ def _sqrt_trace(net: Network, box: FlowBox, sequence: SampleSequence,
         for _ in _prefix_walk(blocks, cuts, take):
             yield best
 
-    with contextlib.closing(_segment_walk(sequence, marks, 1, walk, max)) as bests:
-        return [(mark, math.sqrt(best)) for mark, best in bests]
+    return [(mark, math.sqrt(best)) for mark, best in _segment_walk(sequence, marks, walk)]

@@ -162,7 +162,12 @@ SQRT_OVERFLOWS = "bounds error: sqrt-mode point estimate overflows a float: the 
     # four tiles, the second on its own thread
     (["convergence", "--mode", "sqrt", "--samplers", "random", "--n-grid", "300000"],
      "P1,1,1e100\nPU1,1,1e300", 2, SQRT_OVERFLOWS),
-], ids=["width-max", "width-convergence", "power", "power-on-segments"])
+    # the pump's corner derivative overflows in the first segment, at the
+    # hull of its own points, on this thread
+    (["convergence", "--mode", "max", "--samplers", "random", "--n-grid", "300000"],
+     "P1,1,1e100\nPU1,1,1e300", 2,
+     "bounds error: link 'PU1': |df/dq| at flow 9.999867649817027e+299 overflows a float\n"),
+], ids=["width-max", "width-convergence", "power", "power-on-segments", "corner-on-segments"])
 def test_too_wide_box_is_one_stderr_line(tmp_path, capsys, argv, rows, cpus, message):
     # a numpy warning would have printed two more lines; as an error it
     # escapes main
@@ -348,6 +353,55 @@ def test_benchmark_missing_bounds_file_is_an_error_row(tmp_path, capsys):
     assert rows["three_node"]["status"] == "ok"
     missing = tmp_path / "net2_bounds.csv"
     assert rows["net2"]["status"].startswith(f"error: BoundsError: cannot read {missing}: ")
+
+
+NO_FLOW_TO_SAMPLE = ("sequence dimension 0 is below 1: a network with no links has no "
+                     "flow to sample")
+
+
+def write_linkless_network(directory) -> tuple[str, str]:
+    """A network of one junction and one reservoir, and its empty bounds."""
+    inp, bounds = directory / "linkless.inp", directory / "linkless_bounds.csv"
+    inp.write_text("[JUNCTIONS]\nJ1 10 1\n\n[RESERVOIRS]\nR1 50\n")
+    bounds.write_text("link_id,q_min,q_max\n")
+    return str(inp), str(bounds)
+
+
+def test_network_without_links_has_zero_constants(tmp_path, capsys):
+    inp, bounds = write_linkless_network(tmp_path)
+    code, out = run(capsys, "analyze", inp, "--bounds", bounds,
+                    "--methods", "analytical,osl,interval", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, load_report_schema())
+    estimates = report["estimates"]
+    assert estimates["analytical"]["value"] == estimates["osl"]["value"] == 0.0
+    assert estimates["interval_max"]["value"] == estimates["interval_max"]["gap"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--methods", "point"),
+    ("analyze", "--methods", "interval,point", "--mode", "max"),
+    ("convergence",),
+], ids=["analyze-point", "analyze-interval-point", "convergence"])
+def test_network_without_links_has_no_point_estimate(tmp_path, capsys, argv):
+    inp, bounds = write_linkless_network(tmp_path)
+    code = main([argv[0], inp, "--bounds", bounds, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"usage error: {NO_FLOW_TO_SAMPLE}\n")
+
+
+def test_benchmark_network_without_links_is_an_error_row(tmp_path, capsys):
+    for name in ("three_node.inp", "three_node_bounds.csv"):
+        (tmp_path / name).write_bytes((FIXTURE_DIR / name).read_bytes())
+    write_linkless_network(tmp_path)
+    code, out = run(capsys, "benchmark", str(tmp_path), "--samples", "10")
+    assert code == 0
+    rows = {row["network"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert list(rows) == ["three_node", "linkless"]
+    assert rows["three_node"]["status"] == "ok"
+    assert rows["linkless"]["status"] == f"error: UsageError: {NO_FLOW_TO_SAMPLE}"
 
 
 @pytest.mark.parametrize("argv", [

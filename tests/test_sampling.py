@@ -564,10 +564,10 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
     # 5,002 links that is 13 points, where a block of up to 2**23 values
     # was 1,677 points (64 MiB).  The bound is per segment, times the
     # segments the trace walks.  A max trace holds per segment that block,
-    # its two hull rows and a hull per checkpoint, and then the corner
-    # pass's rows of n_links values: at most 48 rows per segment, as in
+    # its two hull rows and the corner pass's rows of n_links values, which
+    # each segment runs at its own cuts: at most 48 rows per segment, as in
     # test_trace_memory_stays_within_a_few_blocks (25 rows on one segment,
-    # 6 to 8 per segment on two or three).  A sqrt segment holds the block,
+    # 14 to 22 per segment on two or three).  A sqrt segment holds the block,
     # evaluated in place, and the row-sum buffer of one tile's 13 points;
     # the width row is shared: one tile and at most 8 rows per segment (0.4
     # to 1.1 rows measured).  Neither bound grows with the point count or
@@ -586,17 +586,14 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
         assert peak <= len(walked) * per_segment
 
 
-# obcl's 289 links: a random max trace keeps, on each segment's thread, a
-# hull of 2 x 289 values per checkpoint until the join, so 112 checkpoints
-# and n (65,314 values, within a tile) keep it on three segments, and 113
-# put it on one.  A segment holds its block (one tile), its two hull rows
-# and a hull per checkpoint that the calling thread reads as it comes;
-# the threads keep at most one tile of hulls between them.  Bound: one
-# tile and 16 rows per segment, plus that tile (measured: 3.70 to 3.74
-# tiles on three segments, 1.14 on one, 1.33 to 1.42 with 1,000
-# checkpoints, whose trace and cuts are a few Python numbers each).  A hull kept per checkpoint on
-# the first segment, or one more tile-sized buffer per segment, fails it.
-@pytest.mark.parametrize("checkpoints, segments", [(112, 3), (113, 1), (1000, 1)])
+# obcl's 289 links: a random max trace segment keeps one float per cut,
+# so any checkpoint count walks three segments on three CPUs.  A segment
+# holds its block (one tile), its two hull rows and one corner pass at a
+# time; the trace and the cuts are a few Python numbers per checkpoint.
+# Bound: one tile and 16 rows per segment, plus one tile (measured: 3.2 to
+# 3.5 tiles with 112, 113 or 1,000 checkpoints).  A hull kept per
+# checkpoint, or one more tile-sized buffer per segment, fails it.
+@pytest.mark.parametrize("checkpoints, segments", [(112, 3), (113, 3), (1000, 3)])
 def test_random_max_trace_memory_does_not_grow_with_checkpoints(fixtures, checkpoints,
                                                                 segments):
     _, net, box = fixtures["obcl"]
@@ -713,22 +710,38 @@ def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
 
 
 def test_segment_count_rule():
-    # one segment per CPU, each of at least four tiles' points, while the
-    # values kept on threads fit in a tile; Halton walks one
+    # one segment per CPU, each of at least four tiles' points; Halton
+    # walks one
     count = sampling._segment_count
-    tile = sampling._TILE_VALUES
     with cpu_count(2):
         for kind in ("random", "sobol"):
-            assert count(kind, 1000, 289, 1) == 1      # a certify-sized trace
-            assert count(kind, 1807, 289, 1) == 1
-            assert count(kind, 1808, 289, 1) == 2
-            assert count(kind, 10 ** 9, 289, tile) == 2
-            assert count(kind, 10 ** 9, 289, tile + 1) == 1
-            assert count(kind, 7, 2 ** 20, 1) == 1      # a tile is one point
-            assert count(kind, 8, 2 ** 20, 1) == 2
-        assert count("halton", 10 ** 9, 289, 1) == 1
+            assert count(kind, 1000, 289) == 1      # a certify-sized trace
+            assert count(kind, 1807, 289) == 1
+            assert count(kind, 1808, 289) == 2
+            assert count(kind, 10 ** 9, 289) == 2
+            assert count(kind, 7, 2 ** 20) == 1      # a tile is one point
+            assert count(kind, 8, 2 ** 20) == 2
+        assert count("halton", 10 ** 9, 289) == 1
     with cpu_count(1):
-        assert count("random", 10 ** 9, 289, 1) == 1
+        assert count("random", 10 ** 9, 289) == 1
+    with cpu_count(5):
+        assert count("sobol", 10 ** 9, 289) == 5
+
+
+# a segment keeps one float per cut, so a trace with more checkpoints than
+# a tile has values still walks one segment per CPU
+def test_sqrt_trace_with_many_checkpoints_walks_every_cpu(fixtures):
+    _, net, box = fixtures["obcl"]
+    marks = tuple(range(1, sampling._TILE_VALUES + 2))
+    traces = []
+    for cpus in (1, 3):
+        with cpu_count(cpus), segment_spy() as walked:
+            est, trace = k_lower_trace(net, box, "sobol", 70_000, mode="sqrt",
+                                       checkpoints=marks)
+        assert len({thread for _, thread, _ in walked}) == len(walked) == cpus
+        assert [at for at, _ in trace] == list(marks)
+        traces.append([v.hex() for _, v in trace] + [est.value.hex()])
+    assert traces[0] == traces[1]
 
 
 def no_thread(*args, **kwargs):
@@ -794,8 +807,9 @@ class TestSegmentThreads:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_a_caller_that_stops_early_leaves_no_thread(self, fixtures):
-        # the corner pass fails at the first checkpoint, while the other
-        # segments, slowed down, still run, and the trace closes the walk
+        # the corner pass fails at the first cut of the first segment, on
+        # this thread, while the other segments, slowed down, still run;
+        # the trace joins them before it raises
         _, net, box = fixtures["obcl"]
         blocks = SampleSequence._blocks
 
