@@ -188,6 +188,14 @@ def synthetic(name: str, counts: tuple[int, ...], seed: int) -> tuple[str, str]:
     return "\n".join(inp), "\n".join(bounds)
 
 
+def non_pipes_at_tanks(net) -> list[str]:
+    """Ids of the pumps and valves with an end at a tank; the fixtures have
+    none, since only pipes meet tanks in them."""
+    at_tank = np.maximum(net.from_pos, net.to_pos) >= net.n_junctions + net.n_reservoirs
+    return [link_id for link_id, kind, hit in zip(net.link_ids, net.kinds, at_tank.tolist())
+            if hit and kind != "pipe"]
+
+
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
     all_networks = {"three_node": three_node()}
@@ -207,10 +215,7 @@ def main() -> None:
         assert desc.component_counts() == expected[name], (name, desc.component_counts())
         net = build_network(desc)
         box = load_bounds(bounds_path, net)
-        first_tank = net.n_junctions + net.n_reservoirs
-        for link in net.links:
-            if max(link.from_pos, link.to_pos) >= first_tank:
-                assert link.kind == "pipe", (name, link.link_id)
+        assert not non_pipes_at_tanks(net), (name, non_pipes_at_tanks(net))
         from wdn_lipschitz import k_network
         est = k_network(net, box)
         print(f"{name:>11}: counts={desc.component_counts()}  K={est.value:.6g}  "

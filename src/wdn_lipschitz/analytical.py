@@ -40,14 +40,14 @@ def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
     its supremum over the box.  A value past the float range raises
     BoundsError: the box is too wide."""
     values = []
-    for link, m, coef, expo, post in zip(net.links, magnitudes, net.deriv_coef.tolist(),
-                                         net.deriv_expo.tolist(), net.deriv_post.tolist()):
+    for link_id, m, coef, expo, post in zip(net.link_ids, magnitudes, net.deriv_coef.tolist(),
+                                            net.deriv_expo.tolist(), net.deriv_post.tolist()):
         try:
             value = coef * math.pow(m, expo) * post
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise BoundsError(f"link {link.link_id!r}: |df/dq| at flow {m!r} overflows a float")
+            raise BoundsError(f"link {link_id!r}: |df/dq| at flow {m!r} overflows a float")
         values.append(value)
     return values
 
@@ -136,7 +136,9 @@ def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
             squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
             squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
             lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
-            upper = sqrt_up(ulp_up(squares_hi))
+            # fsum rounds correctly, so a sum of exactly 0 (no links, as in
+            # max mode) needs no outward step
+            upper = sqrt_up(ulp_up(squares_hi)) if squares_hi else 0.0
         except OverflowError:   # fsum's partial sums, or Fraction(inf) in sqrt_up
             upper = math.inf
     else:

@@ -63,16 +63,11 @@ class FlowBox:
 def _box_from_mapping(net: Network, table: dict[str, tuple[float, float]]) -> FlowBox:
     lo = np.empty(net.n_links)
     hi = np.empty(net.n_links)
-    for i, link in enumerate(net.links):
-        if link.link_id not in table:
-            raise MissingLink(link.link_id)
-        lo[i], hi[i] = table[link.link_id]
-    return FlowBox(
-        link_ids=tuple(l.link_id for l in net.links),
-        kinds=tuple(l.kind for l in net.links),
-        lo=lo,
-        hi=hi,
-    )
+    for i, link_id in enumerate(net.link_ids):
+        if link_id not in table:
+            raise MissingLink(link_id)
+        lo[i], hi[i] = table[link_id]
+    return FlowBox(link_ids=net.link_ids, kinds=net.kinds, lo=lo, hi=hi)
 
 
 def load_bounds(path: str | Path, net: Network) -> FlowBox:
@@ -131,9 +126,9 @@ def default_box(net: Network) -> FlowBox:
                 for m in net.desc.pumps]
     cap = max(per_pump)
     table: dict[str, tuple[float, float]] = {}
-    for i, link in enumerate(net.links):
-        if link.kind == PUMP:
-            table[link.link_id] = (PUMP_FLOW_FLOOR, per_pump[i - net.n_pipes])
+    for i, (link_id, kind) in enumerate(zip(net.link_ids, net.kinds)):
+        if kind == PUMP:
+            table[link_id] = (PUMP_FLOW_FLOOR, per_pump[i - net.n_pipes])
         else:
-            table[link.link_id] = (-cap, cap)
+            table[link_id] = (-cap, cap)
     return _box_from_mapping(net, table)

@@ -13,10 +13,13 @@ The square system  E z+ = A z + B_f f(z) + B_l l  is laid out as:
 
 Both index sets are the network's stacked ones (network.py): head column
 c is stacked head position c, and energy row i, flow column v + i and B_f
-column i belong to net.links[i].  So the pipe rows and the pump+valve rows
-are one block of n_links rows, and v and u are one block of n_links
-columns.  The energy, tank and junction rows come from one
-pass over the links, each at its from_pos and to_pos.
+column i belong to stacked link i.  So the pipe rows and the pump+valve
+rows are one block of n_links rows, and v and u are one block of n_links
+columns.  The energy, tank and junction rows are one signed incidence,
+-1 at each link's from_pos and +1 at its to_pos, filtered and scaled per
+block in whole-array steps.  Every cell gets at most the two ends of one
+link, so entry order cannot change a sum, and a self-loop's two ends
+cancel exactly.
 
 Sign conventions per row block:
 
@@ -40,12 +43,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .network import PIPE, Network
+from .network import Network
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -61,19 +63,17 @@ class TripletMatrix:
     values: np.ndarray      # float64
 
     @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int,
-                     entries: list[tuple[int, int, float]]) -> "TripletMatrix":
+    def from_entries(cls, n_rows: int, n_cols: int, rows, cols, values) -> "TripletMatrix":
         """Sum repeated cells in entry order, from 0.0, and drop zero cells."""
-        rows, cols, values = np.fromiter(chain.from_iterable(entries), float).reshape(-1, 3).T
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         outside = np.flatnonzero(~((0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols)))
         if outside.size:
-            r, c, _ = entries[outside[0]]
-            raise ValueError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+            raise ValueError(f"entry ({rows[outside[0]]},{cols[outside[0]]}) "
+                             f"outside {n_rows}x{n_cols}")
         cells, inverse = np.unique(rows * n_cols + cols, return_inverse=True)
         sums = np.zeros(cells.size)
         with np.errstate(over="ignore", invalid="ignore"):   # as Python floats add
-            np.add.at(sums, inverse, values)
+            np.add.at(sums, inverse, np.asarray(values, dtype=float))
         keep = sums != 0.0
         arrays = (*np.divmod(cells[keep], n_cols), sums[keep])
         for array in arrays:
@@ -152,38 +152,30 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
     x3, v = z_off["x3"], z_off["v"]
     tank_rows, junction_rows = row_off["tanks"], row_off["junctions"]
     # flow coefficient of each tank row: dt/A, or 1/A in continuous mode
-    tank_factor = [(1.0 if dt is None else dt) / float(area) for area in net.tank_area]
+    tank_factor = (1.0 if dt is None else dt) / net.tank_area
 
-    e_entries: list[tuple[int, int, float]] = []
-    a_entries: list[tuple[int, int, float]] = []
-    f_entries: list[tuple[int, int, float]] = []
-
-    for i, link in enumerate(net.links):
-        col = v + i
-        for pos, sign in ((link.from_pos, -1.0), (link.to_pos, 1.0)):
-            # energy row i: 0 = -h_from + h_to + f; pump and valve rows
-            # skip tank heads
-            if link.kind == PIPE or pos < x3:
-                a_entries.append((i, pos, sign))
-            # mass balance: + inflow - outflow in a tank row, negated in a
-            # junction row (0 = -(in - out) + d)
-            if pos >= x3:
-                a_entries.append((tank_rows + pos - x3, col, sign * tank_factor[pos - x3]))
-            elif pos < n_j:
-                a_entries.append((junction_rows + pos, col, -sign))
-        f_entries.append((i, i, 1.0))
-
-    # tank rows: h+ on the left, and the carried-over h in discrete mode
-    for i in range(n_t):
-        e_entries.append((tank_rows + i, x3 + i, 1.0))
-        if mode == DISCRETE:
-            a_entries.append((tank_rows + i, x3 + i, 1.0))
-
-    # reservoir rows: 0 = -x2 + h_R; B_l adds each junction's demand and
-    # each reservoir's head to its own row
-    for i in range(n_r):
-        a_entries.append((row_off["reservoirs"] + i, z_off["x2"] + i, -1.0))
-    l_entries = [(junction_rows + i, i, 1.0) for i in range(n_j + n_r)]
+    # the signed incidence: -1 where a flow leaves a node, +1 where it enters
+    n = net.n_links
+    ends = np.concatenate([net.from_pos, net.to_pos])
+    link = np.concatenate([np.arange(n), np.arange(n)])
+    sign = np.repeat([-1.0, 1.0], n)
+    # energy row i: 0 = -h_from + h_to + f; pump and valve rows skip tank heads
+    energy = (link < n_p) | (ends < x3)
+    # mass balance: + inflow - outflow in a tank row, negated in a junction
+    # row (0 = -(in - out) + d)
+    tank, junction = ends >= x3, ends < n_j
+    tanks, reservoirs, loads = np.arange(n_t), np.arange(n_r), np.arange(n_j + n_r)
+    # tank rows: h+ on the left, and the carried-over h in discrete mode;
+    # reservoir rows: 0 = -x2 + h_R
+    carried = np.arange(n_t if mode == DISCRETE else 0)
+    a_blocks = [
+        (link[energy], ends[energy], sign[energy]),
+        (tank_rows + ends[tank] - x3, v + link[tank], sign[tank] * tank_factor[ends[tank] - x3]),
+        (junction_rows + ends[junction], v + link[junction], -sign[junction]),
+        (tank_rows + carried, x3 + carried, np.ones(carried.size)),
+        (row_off["reservoirs"] + reservoirs, z_off["x2"] + reservoirs, -np.ones(n_r)),
+    ]
+    a_columns = [np.concatenate(column) for column in zip(*a_blocks)]
 
     layout = DaeLayout(
         sizes={"n_j": n_j, "n_r": n_r, "n_t": n_t, "n_p": n_p, "n_mv": n_mv},
@@ -193,10 +185,12 @@ def build_dae(net: Network, mode: str = DISCRETE, dt: float | None = None) -> Da
         dt=dt,
     )
     return DaeSystem(
-        e_z=TripletMatrix.from_entries(dim, dim, e_entries),
-        a_z=TripletMatrix.from_entries(dim, dim, a_entries),
-        b_f=TripletMatrix.from_entries(dim, n_p + n_mv, f_entries),
-        b_l=TripletMatrix.from_entries(dim, n_j + n_r, l_entries),
+        e_z=TripletMatrix.from_entries(dim, dim, tank_rows + tanks, x3 + tanks, np.ones(n_t)),
+        a_z=TripletMatrix.from_entries(dim, dim, *a_columns),
+        b_f=TripletMatrix.from_entries(dim, n, np.arange(n), np.arange(n), np.ones(n)),
+        # B_l adds each junction's demand and each reservoir's head to its own row
+        b_l=TripletMatrix.from_entries(dim, n_j + n_r, junction_rows + loads, loads,
+                                       np.ones(n_j + n_r)),
         layout=layout,
     )
 

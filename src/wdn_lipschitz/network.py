@@ -2,13 +2,13 @@
 
 Every view of the model uses one stacked flow index and one stacked head
 index.  Flows are stacked as pipes, then pumps, then valves, each class in
-declaration order; a link's position is its index in Network.links, and
-the functions here take flows as one stacked array q of shape (n_links,).
-Heads are stacked as junctions, then reservoirs, then tanks; a node's
-position is Network.node_pos[node_id], and a link's two ends are its
-LinkRef.from_pos and to_pos.  The mass balances (tank_step,
-junction_residual) and the DAE rows (dae.py) read those two positions in
-one pass over the links.
+declaration order, and the functions here take flows as one stacked array
+q of shape (n_links,).  Heads are stacked as junctions, then reservoirs,
+then tanks; a node's position is Network.node_pos[node_id].  The link list
+is held as columns in stacked flow order: link_ids, kinds, and the
+read-only from_pos and to_pos, the head positions of each link's two ends.
+The mass balances (tank_step, junction_residual) and the DAE rows (dae.py)
+read those two position columns.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
@@ -32,7 +32,6 @@ with no branch on link class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +41,6 @@ from .inp import NetworkDescription, _validate
 PIPE = "pipe"
 PUMP = "pump"
 VALVE = "valve"
-
-
-@dataclass(frozen=True)
-class LinkRef:
-    kind: str
-    link_id: str
-    from_pos: int       # stacked head position of the node the flow leaves
-    to_pos: int         # stacked head position of the node the flow enters
 
 
 class Network:
@@ -66,15 +57,14 @@ class Network:
         self.node_pos = {node.id: i for i, node in
                          enumerate(desc.junctions + desc.reservoirs + desc.tanks)}
 
-        stacked = ([(PIPE, p) for p in desc.pipes] + [(PUMP, m) for m in desc.pumps]
-                   + [(VALVE, v) for v in desc.valves])
-        pos = self.node_pos
-        self.links = tuple(LinkRef(kind, link.id, pos[link.from_node], pos[link.to_node])
-                           for kind, link in stacked)
-        self.link_ids = tuple(l.link_id for l in self.links)
-        self.n_links = len(self.links)
-
-        self.pump_ids = tuple(m.id for m in desc.pumps)
+        stacked = desc.pipes + desc.pumps + desc.valves
+        self.link_ids = tuple(link.id for link in stacked)
+        self.kinds = (PIPE,) * self.n_pipes + (PUMP,) * self.n_pumps + (VALVE,) * self.n_valves
+        self.n_links = len(stacked)
+        # stacked head positions of the node each flow leaves and enters
+        self.from_pos = np.array([self.node_pos[l.from_node] for l in stacked], dtype=np.int64)
+        self.to_pos = np.array([self.node_pos[l.to_node] for l in stacked], dtype=np.int64)
+        self.from_pos.flags.writeable = self.to_pos.flags.writeable = False
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
 
         # the table of the module docstring, in stacked flow order; the pump
@@ -119,7 +109,8 @@ def _check_flows(net: Network, q) -> np.ndarray:
     q = _as_flows(net, q)
     if not np.all(np.isfinite(q)):
         raise ValueError("flow entries must be finite")
-    for pump_id, flow in zip(net.pump_ids, q[net.n_pipes:net.n_pipes + net.n_pumps]):
+    pumps = slice(net.n_pipes, net.n_pipes + net.n_pumps)
+    for pump_id, flow in zip(net.link_ids[pumps], q[pumps]):
         if flow <= 0.0:
             raise NonPositiveFlow(pump_id, float(flow))
     return q
@@ -174,12 +165,12 @@ def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndar
 
 def _net_inflows(net: Network, q: np.ndarray) -> list[float]:
     """Inflow minus outflow at every node, in stacked head order: one pass
-    over the links collects each node's signed flows, and math.fsum sums
-    each node's exactly."""
+    over the two position columns collects each node's signed flows, and
+    math.fsum sums each node's exactly."""
     signed: list[list[float]] = [[] for _ in net.node_pos]
-    for link, flow in zip(net.links, q.tolist()):
-        signed[link.from_pos].append(-flow)
-        signed[link.to_pos].append(flow)
+    for src, dst, flow in zip(net.from_pos.tolist(), net.to_pos.tolist(), q.tolist()):
+        signed[src].append(-flow)
+        signed[dst].append(flow)
     return [math.fsum(flows) for flows in signed]
 
 

@@ -164,8 +164,8 @@ def test_criterion_6_derivative_supremum_and_inequalities(fixtures, capsys):
             grid[:, i] = np.linspace(box.lo[i], box.hi[i], 100_000)
         derivs = np.abs(jacobian_diag_batch(net, grid))
         best = {"pipes": 0.0, "pumps": 0.0, "valves": 0.0}
-        for i, link in enumerate(net.links):
-            key = class_of[link.kind]
+        for i, kind in enumerate(net.kinds):
+            key = class_of[kind]
             best[key] = max(best[key], float(derivs[:, i].max()))
         for key, grid_value in best.items():
             closed = est.per_class[key]

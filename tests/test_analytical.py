@@ -104,7 +104,7 @@ class TestKValves:
         desc = make_valve_network()
         desc.valves[0] = ValveDesc("V1", "J1", "J2", 4.0e-5, 1.0)
         net = build_network(desc)
-        table = {l.link_id: (1.0, 250.0) for l in net.links}
+        table = {link_id: (1.0, 250.0) for link_id in net.link_ids}
         table["V1"] = (-30.0, 44.0)
         box = make_box(net, table)
         pipe_net, pipe_box = single_pipe_box(4.0e-5, mu, -30.0, 44.0)
@@ -172,11 +172,11 @@ class TestKNetwork:
             i = int(rng.integers(0, net.n_links))
             lo, hi = box.lo.copy(), box.hi.copy()
             hi[i] += float(rng.uniform(0, 2) * (1 + abs(hi[i])))
-            if net.links[i].kind != "pump" and rng.random() < 0.5:
+            if net.kinds[i] != "pump" and rng.random() < 0.5:
                 lo[i] -= float(rng.uniform(0, 2) * (1 + abs(lo[i])))
             bigger = make_box(
-                net, {l.link_id: (float(lo[k]), float(hi[k]))
-                      for k, l in enumerate(net.links)})
+                net, {link_id: (float(lo[k]), float(hi[k]))
+                      for k, link_id in enumerate(net.link_ids)})
             assert k_network(net, bigger).value >= base
 
     def test_class_independence(self, valve_net):
@@ -285,16 +285,16 @@ class TestDerivativeSupremumIdentity:
     def test_grid_maximum_matches(self, valve_net):
         _, net, box = valve_net
         grid_best = {"pipes": 0.0, "pumps": 0.0, "valves": 0.0}
-        for pos, link in enumerate(net.links):
+        for pos, kind in enumerate(net.kinds):
             qs = np.linspace(box.lo[pos], box.hi[pos], 10_001)
-            if link.kind == "pump":
+            if kind == "pump":
                 qs = qs[qs > 0]
             col = np.zeros((len(qs), net.n_links))
             col[:, pos] = qs
-            col[:, [i for i, l in enumerate(net.links) if l.kind == "pump"]] += 1e-9
+            col[:, [i for i, k in enumerate(net.kinds) if k == "pump"]] += 1e-9
             col[:, pos] = qs
             g = jacobian_diag_batch(net, col)[:, pos]
-            key = {"pipe": "pipes", "pump": "pumps", "valve": "valves"}[link.kind]
+            key = {"pipe": "pipes", "pump": "pumps", "valve": "valves"}[kind]
             grid_best[key] = max(grid_best[key], float(np.max(np.abs(g))))
         est = k_network(net, box)
         for key in grid_best:

@@ -377,6 +377,7 @@ def test_network_without_links_has_zero_constants(tmp_path, capsys):
     estimates = report["estimates"]
     assert estimates["analytical"]["value"] == estimates["osl"]["value"] == 0.0
     assert estimates["interval_max"]["value"] == estimates["interval_max"]["gap"] == 0.0
+    assert estimates["interval_sqrt"]["value"] == estimates["interval_sqrt"]["gap"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [

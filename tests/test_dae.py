@@ -352,15 +352,22 @@ def test_export_is_byte_stable(tmp_path, fixtures):
 
 
 def test_triplets_merge_and_reject_out_of_range():
-    m = TripletMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 0.0)])
+    m = TripletMatrix.from_entries(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 0.0])
     assert m.nnz == 1
     assert m.to_dense()[0, 0] == 3.0
     # repeated cells sum in entry order
-    assert TripletMatrix.from_entries(1, 1, [(0, 0, 1e16), (0, 0, 1.0), (0, 0, -1e16)]).nnz == 0
-    assert TripletMatrix.from_entries(1, 1, [(0, 0, 1e16), (0, 0, -1e16), (0, 0, 1.0)]
+    assert TripletMatrix.from_entries(1, 1, [0, 0, 0], [0, 0, 0], [1e16, 1.0, -1e16]).nnz == 0
+    assert TripletMatrix.from_entries(1, 1, [0, 0, 0], [0, 0, 0], [1e16, -1e16, 1.0]
                                       ).values.tolist() == [1.0]
     with pytest.raises(ValueError):
-        TripletMatrix.from_entries(2, 2, [(2, 0, 1.0)])
+        TripletMatrix.from_entries(2, 2, [2], [0], [1.0])
+
+
+def as_columns(entries):
+    """(row, col, value) entries as the three columns from_entries takes."""
+    return (np.array([r for r, _, _ in entries], dtype=np.int64),
+            np.array([c for _, c, _ in entries], dtype=np.int64),
+            np.array([val for _, _, val in entries], dtype=float))
 
 
 def dict_merge(entries):
@@ -394,7 +401,7 @@ def triplet_entries(draw):
 @given(drawn=triplet_entries())
 def test_triplet_merge_is_the_dict_merge_bit_for_bit(drawn):
     n_rows, n_cols, entries = drawn
-    m = TripletMatrix.from_entries(n_rows, n_cols, entries)
+    m = TripletMatrix.from_entries(n_rows, n_cols, *as_columns(entries))
     rows, cols, values = dict_merge(entries)
     assert m.rows.tolist() == rows
     assert m.cols.tolist() == cols
@@ -419,7 +426,7 @@ def test_triplet_error_names_the_first_entry_out_of_range(drawn, data):
     entries.insert(second, bad[1])
     r, c, _ = bad[0]
     with pytest.raises(ValueError, match=rf"^entry \({r},{c}\) outside {n_rows}x{n_cols}$"):
-        TripletMatrix.from_entries(n_rows, n_cols, entries)
+        TripletMatrix.from_entries(n_rows, n_cols, *as_columns(entries))
 
 
 def test_reversed_pipe_swaps_neighbor_sets():
@@ -427,11 +434,11 @@ def test_reversed_pipe_swaps_neighbor_sets():
     desc = make_single_pipe()
     net = build_network(desc)
     j1, j2 = net.node_pos["J1"], net.node_pos["J2"]
-    assert (net.links[0].from_pos, net.links[0].to_pos) == (j1, j2)
+    assert [net.from_pos[0], net.to_pos[0]] == [j1, j2]
     assert junction_residual(net, [3.0], [0.0, 0.0]).tolist() == [-3.0, 3.0]
     desc.pipes[0] = type(desc.pipes[0])("P1", "J2", "J1", 1.0, 2.0)
     flipped = build_network(desc)
-    assert (flipped.links[0].from_pos, flipped.links[0].to_pos) == (j2, j1)
+    assert [flipped.from_pos[0], flipped.to_pos[0]] == [j2, j1]
     assert junction_residual(flipped, [3.0], [0.0, 0.0]).tolist() == [3.0, -3.0]
 
 
@@ -449,7 +456,7 @@ def isolated_junction_network():
 def test_isolated_junction_has_empty_neighbor_sets():
     net = isolated_junction_network()
     lonely = net.node_pos["LONELY"]
-    assert all(lonely not in (l.from_pos, l.to_pos) for l in net.links)
+    assert lonely not in net.from_pos and lonely not in net.to_pos
     assert junction_residual(net, [5.0], [0.0, 0.0, 2.5])[lonely] == -2.5
     dae = build_dae(net, "continuous")
     row = dae.a_z.to_dense()[dae.layout.row_offsets["junctions"] + lonely]
@@ -487,6 +494,12 @@ def reference_incidence(net, node_id: str) -> np.ndarray:
                      for l in desc.pipes + desc.pumps + desc.valves])
 
 
+def reference_head_columns(net) -> dict[str, int]:
+    """Each node's head column, by node id in net.desc alone."""
+    desc = net.desc
+    return {node.id: c for c, node in enumerate(desc.junctions + desc.reservoirs + desc.tanks)}
+
+
 def assert_views_match_reference(net, rng: np.random.Generator):
     desc = net.desc
     q = rng.uniform(-500.0, 500.0, net.n_links)
@@ -501,16 +514,41 @@ def assert_views_match_reference(net, rng: np.random.Generator):
                 for i, t in enumerate(desc.tanks)]
     assert tank_step(net, heads, q, dt).tobytes() == np.array(expected, dtype=float).tobytes()
 
+    # every row of A, and E, rebuilt from node ids: z is (heads | flows)
     dae = build_dae(net, "discrete", dt)
-    a = dae.a_z.to_dense()
-    v = dae.layout.z_offsets["v"]
-    junctions = dae.layout.row_offsets["junctions"]
+    a, e = dae.a_z.to_dense(), dae.e_z.to_dense()
+    dim, v = dae.layout.dim, dae.layout.z_offsets["v"]
+    rows = dae.layout.row_offsets
+    column = reference_head_columns(net)
+    tank_ids = {t.id for t in desc.tanks}
+
+    def head_row(node_id: str, value: float) -> np.ndarray:
+        row = np.zeros(dim)
+        row[column[node_id]] = value
+        return row
+
+    # energy rows: -h_from + h_to, a self-loop's two ends cancel, and a pump
+    # or valve has no tank-head column
+    for k, link in enumerate(desc.pipes + desc.pumps + desc.valves):
+        expected_row = np.zeros(dim)
+        for node_id, sign in ((link.from_node, -1.0), (link.to_node, 1.0)):
+            if k < len(desc.pipes) or node_id not in tank_ids:
+                expected_row[column[node_id]] += sign
+        assert np.array_equal(a[k], expected_row), link.id
     for i, j in enumerate(desc.junctions):
-        assert np.array_equal(a[junctions + i, v:], -reference_incidence(net, j.id))
-    tanks = dae.layout.row_offsets["tanks"]
+        assert np.array_equal(a[rows["junctions"] + i, :v], np.zeros(v))
+        assert np.array_equal(a[rows["junctions"] + i, v:], -reference_incidence(net, j.id))
+    # tank rows: h+ in E, the carried-over h and dt/A times the incidence in A
+    expected_e = np.zeros((dim, dim))
     for i, t in enumerate(desc.tanks):
+        expected_e[rows["tanks"] + i] = head_row(t.id, 1.0)
+        assert np.array_equal(a[rows["tanks"] + i, :v], head_row(t.id, 1.0)[:v])
         expected_row = dt / t.cross_section_area * reference_incidence(net, t.id)
-        assert np.array_equal(a[tanks + i, v:], expected_row)
+        assert np.array_equal(a[rows["tanks"] + i, v:], expected_row)
+    assert np.array_equal(e, expected_e)
+    # reservoir rows: 0 = -x2 + h_R
+    for i, r in enumerate(desc.reservoirs):
+        assert np.array_equal(a[rows["reservoirs"] + i], head_row(r.id, -1.0))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -529,6 +567,6 @@ def test_views_match_id_reference_on_self_loop_and_isolated_junction():
         assert_views_match_reference(net, np.random.default_rng(3))
     net = self_loop_network()
     loop = net.link_ids.index("LOOP")
-    assert net.links[loop].from_pos == net.links[loop].to_pos == net.node_pos["J1"]
+    assert net.from_pos[loop] == net.to_pos[loop] == net.node_pos["J1"]
     dae = build_dae(net, "continuous")
     assert not dae.a_z.to_dense()[:, dae.layout.z_offsets["v"] + loop].any()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from wdn_lipschitz.inp import (
     hazen_williams_resistance,
 )
 
-from conftest import EXPECTED_COUNTS, FIXTURE_DIR, FIXTURE_NAMES, gen_fixtures
+from conftest import EXPECTED_COUNTS, FIXTURE_DIR, FIXTURE_NAMES, gen_fixtures, make_tank_network
 
 mp.dps = 50
 
@@ -94,6 +95,19 @@ def test_fixtures_regenerate_byte_for_byte():
     for name, (inp_text, bounds_text) in texts.items():
         assert (FIXTURE_DIR / f"{name}.inp").read_bytes() == inp_text.encode(), name
         assert (FIXTURE_DIR / f"{name}_bounds.csv").read_bytes() == bounds_text.encode(), name
+
+
+def test_fixture_check_flags_pumps_and_valves_at_tanks(fixtures, valve_net):
+    # scripts/gen_fixtures.py keeps every fixture's tanks on pipes only
+    gen = gen_fixtures()
+    for name in FIXTURE_NAMES:
+        assert gen.non_pipes_at_tanks(fixtures[name][1]) == [], name
+    # a pipe at a tank is allowed
+    assert gen.non_pipes_at_tanks(valve_net[1]) == []
+    # every pump and valve of a tank network has a tank at one end
+    net = make_tank_network(np.random.default_rng(0))
+    assert gen.non_pipes_at_tanks(net) == list(net.link_ids[net.n_pipes:])
+    assert net.n_pumps > 0
 
 
 def test_comment_insertion_is_invisible():

@@ -161,6 +161,20 @@ def test_three_node_network_counts(three_node):
     assert net.link_ids == ("P1", "PU1")
 
 
+def test_link_columns_follow_stacked_order(valve_net):
+    _, net, _ = valve_net
+    assert net.link_ids == ("P1", "P2", "PU1", "PU2", "V1", "V2")
+    assert net.kinds == ("pipe", "pipe", "pump", "pump", "valve", "valve")
+    # heads: J1 J2 J3 | R1 | T1
+    assert net.from_pos.tolist() == [0, 1, 3, 3, 0, 1]
+    assert net.to_pos.tolist() == [4, 0, 0, 1, 1, 2]
+    for column in (net.from_pos, net.to_pos):
+        assert column.dtype == np.int64
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
 class TestBuildNetworkValidation:
     """A description built directly gets parse_inp's checks."""
 
@@ -225,7 +239,7 @@ class TestEvalF:
             expected, scale = reference_f(net.desc, q[row])
             assert np.all(np.abs(batch[row] - expected) <= 2e-15 * scale)
         # pipes and valves are exactly odd in q
-        pipe_valve = [i for i, l in enumerate(net.links) if l.kind != "pump"]
+        pipe_valve = [i for i, kind in enumerate(net.kinds) if kind != "pump"]
         mirrored = q.copy()
         mirrored[:, pipe_valve] *= -1.0
         assert np.array_equal(eval_f_batch(net, mirrored)[:, pipe_valve],
