@@ -64,7 +64,7 @@ from .network import (
     tank_step,
 )
 from .report import AnalysisReport, load_report_schema
-from .sampling import SampleSequence, k_lower, k_lower_trace
+from .sampling import SampleSequence, k_lower_trace
 
 __version__ = "0.1.0"
 
@@ -110,7 +110,6 @@ __all__ = [
     "interval_bracket",
     "jacobian_diag_batch",
     "junction_residual",
-    "k_lower",
     "k_lower_trace",
     "k_network",
     "k_upper_max",

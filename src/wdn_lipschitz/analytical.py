@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import FlowBox
+from .bounds import FlowBox, check_box
 from .errors import BoundsError
 from .estimates import (METHOD_ANALYTICAL, METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT,
                         LipschitzEstimate)
@@ -55,6 +55,7 @@ def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
     """Exact Lipschitz (and one-sided Lipschitz) constant over the box, with
     the constant of each link class in ``per_class``."""
+    check_box(net, box)
     values = corner_derivatives(net, box.corner_magnitudes())
     pumps_end = net.n_pipes + net.n_pumps
     per_class = {
@@ -110,7 +111,8 @@ def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[flo
     """Certified (lowers, uppers) of each |J_ii| at the box corner.
 
     Each upper bounds its entry over the whole box; each lower is below the
-    entry's value at the corner, so it is attained inside the box.
+    entry's value at the corner, so it is attained inside the box.  A box
+    made for another network raises BoundsError (bounds.check_box).
     """
     # Where the 4-ulp widening comes from: the longest chain is the pump's
     # (nu * r) * pow(m, nu-1) * pow(s, 2-nu), the table's coef, pow and post.
@@ -121,6 +123,7 @@ def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[flo
     # count; the 200-bit mpmath property test in tests/test_bnb.py
     # (test_corner_enclosures_contain_exact_derivative) checks it, and
     # random draws stayed within 2.7 ulps.
+    check_box(net, box)
     values = corner_derivatives(net, box.corner_magnitudes())
     return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
 

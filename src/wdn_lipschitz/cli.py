@@ -119,12 +119,12 @@ def _run_methods(net: Network, box: FlowBox, methods: set[str], modes: set[str],
             report.add("interval_sqrt", est, sec)
     if "point" in methods:
         if "max" in modes:
-            est, sec = _timed(sampling.k_lower, net, box, sampler, samples,
-                              mode="max", seed=seed)
+            (est, _), sec = _timed(sampling.k_lower_trace, net, box, sampler, samples,
+                                   mode="max", seed=seed)
             report.add("point_max", est, sec)
         if "sqrt" in modes:
-            est, sec = _timed(sampling.k_lower, net, box, sampler, samples,
-                              mode="sqrt", seed=seed)
+            (est, _), sec = _timed(sampling.k_lower_trace, net, box, sampler, samples,
+                                   mode="sqrt", seed=seed)
             report.add("point_sqrt", est, sec)
 
 

@@ -26,10 +26,11 @@ root solve on three points) and then fit (r, nu) by least squares on
 Valves are general purpose valves written as ``id node1 node2 diameter GPV
 resistance [openness]``; openness defaults to 1.
 
-INP text is the package's only network input format.  Once every row is
-read, parse_inp rejects a duplicate id, a link to an undeclared node and a
-parameter out of range; build_network runs the same checks on a
-description built directly.
+INP text is the package's only network input format.  A NetworkDescription
+checks itself when it is made, by parse_inp, directly or through
+dataclasses.replace: it rejects a duplicate id, a link to an undeclared node
+and a parameter out of range.  It is frozen and holds its rows as tuples, so
+it stays as checked.
 """
 
 from __future__ import annotations
@@ -111,23 +112,30 @@ class ValveDesc:
     openness: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkDescription:
-    """Index-free description of a water distribution network.
+    """Index-free, read-only description of a water distribution network.
 
-    parse_inp returns one validated; build_network validates one built
-    directly.
+    Each row field and warnings may be given as any sequence; it is stored
+    as a tuple.  The description is checked once, here, however it is made
+    (parse_inp, directly, dataclasses.replace).
     """
 
     flow_units: str
     headloss_exponent: float
-    junctions: list[JunctionDesc]
-    reservoirs: list[ReservoirDesc]
-    tanks: list[TankDesc]
-    pipes: list[PipeDesc]
-    pumps: list[PumpDesc]
-    valves: list[ValveDesc]
-    warnings: list[str] = field(default_factory=list, compare=False)
+    junctions: tuple[JunctionDesc, ...]
+    reservoirs: tuple[ReservoirDesc, ...]
+    tanks: tuple[TankDesc, ...]
+    pipes: tuple[PipeDesc, ...]
+    pumps: tuple[PumpDesc, ...]
+    valves: tuple[ValveDesc, ...]
+    warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        for name in ("junctions", "reservoirs", "tanks", "pipes", "pumps", "valves",
+                     "warnings"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _validate(self)
 
     def component_counts(self) -> tuple[int, int, int, int, int, int]:
         """(junctions, reservoirs, tanks, pipes, pumps, valves)."""
@@ -311,7 +319,7 @@ def _split_sections(text: str, warnings: list[str]) -> dict[str, list[_Row]]:
 
 
 def parse_inp(text: str) -> NetworkDescription:
-    """Parse INP text into a validated NetworkDescription."""
+    """Parse INP text into a NetworkDescription, which checks itself."""
     warnings: list[str] = []
     sections = _split_sections(text, warnings)
     if "JUNCTIONS" not in sections:
@@ -421,10 +429,8 @@ def parse_inp(text: str) -> NetworkDescription:
         r.num(1, "x")
         r.num(2, "y")
 
-    desc = NetworkDescription(flow_units, mu, junctions, reservoirs, tanks, pipes, pumps,
+    return NetworkDescription(flow_units, mu, junctions, reservoirs, tanks, pipes, pumps,
                               valves, warnings)
-    _validate(desc)
-    return desc
 
 
 def _validate(desc: NetworkDescription) -> None:

@@ -8,7 +8,9 @@ then tanks; a node's position is Network.node_pos[node_id].  The link list
 is held as columns in stacked flow order: link_ids, kinds, and the
 read-only from_pos and to_pos, the head positions of each link's two ends.
 The mass balances (tank_step, junction_residual) and the DAE rows (dae.py)
-read those two position columns.
+read those two position columns.  The description checked itself when it
+was made and is frozen, so Network runs no check of its own; every array
+it holds is read-only, so the table stays the description's.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import NonPositiveFlow
-from .inp import NetworkDescription, _validate
+from .inp import NetworkDescription
 
 PIPE = "pipe"
 PUMP = "pump"
@@ -64,7 +66,6 @@ class Network:
         # stacked head positions of the node each flow leaves and enters
         self.from_pos = np.array([self.node_pos[l.from_node] for l in stacked], dtype=np.int64)
         self.to_pos = np.array([self.node_pos[l.to_node] for l in stacked], dtype=np.int64)
-        self.from_pos.flags.writeable = self.to_pos.flags.writeable = False
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
 
         # the table of the module docstring, in stacked flow order; the pump
@@ -86,14 +87,13 @@ class Network:
         self.deriv_post = np.array([1.0] * self.n_pipes
                                    + [math.pow(m.speed, 2.0 - m.curve_exponent) for m in pumps]
                                    + [1.0] * self.n_valves)
+        for column in (self.from_pos, self.to_pos, self.tank_area, self.f_offset,
+                       self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post):
+            column.flags.writeable = False
 
 
 def build_network(desc: NetworkDescription) -> Network:
-    """Resolve a description into an indexed Network (declaration order).
-
-    A description built directly, not by parse_inp, gets parse_inp's checks.
-    """
-    _validate(desc)
+    """Resolve a description into an indexed Network (declaration order)."""
     return Network(desc)
 
 

@@ -138,7 +138,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analytical import corner_derivatives
-from .bounds import FlowBox
+from .bounds import FlowBox, check_box
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
 from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge, UsageError
 from .network import Network, _jacobian_diag_into
@@ -496,12 +496,6 @@ def check_sample_count(kind: str, count: int) -> None:
         raise SampleCountTooLarge(kind, count, limit)
 
 
-def k_lower(net: Network, box: FlowBox, sampler: str, n: int,
-            mode: str = MODE_MAX, seed: int = 0) -> LipschitzEstimate:
-    """Best objective value over n sampled flow points (an under-estimate)."""
-    return k_lower_trace(net, box, sampler, n, mode=mode, seed=seed)[0]
-
-
 def k_lower_trace(
     net: Network,
     box: FlowBox,
@@ -511,7 +505,8 @@ def k_lower_trace(
     seed: int = 0,
     checkpoints: tuple[int, ...] = (),
 ) -> tuple[LipschitzEstimate, list[tuple[int, float]]]:
-    """k_lower plus the running estimate at each requested prefix length.
+    """Best objective value over n sampled flow points (an under-estimate),
+    and the running estimate at each requested prefix length.
 
     sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
     link; seed seeds the random kind.  A checkpoint at m equals an
@@ -524,8 +519,10 @@ def k_lower_trace(
     its cost does not depend on n.  Any other trace walks its points in
     segments, one per CPU, on threads that are joined before it returns or
     raises; its values do not depend on the segment count (see the module
-    docstring).
+    docstring).  A box made for another network raises BoundsError
+    (bounds.check_box).
     """
+    check_box(net, box)
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):

@@ -22,7 +22,6 @@ from wdn_lipschitz import (
     eval_f_batch,
     interval_bracket,
     jacobian_diag_batch,
-    k_lower,
     k_lower_trace,
     k_network,
     k_upper_max,
@@ -107,8 +106,8 @@ def test_criterion_3_bound_ordering(fixtures, capsys):
     for name in FIXTURE_NAMES:
         _, net, box = fixtures[name]
         k = k_network(net, box).value
-        point_max = k_lower(net, box, "sobol", 100_000, mode="max").value
-        point_sqrt = k_lower(net, box, "sobol", 100_000, mode="sqrt").value
+        point_max = k_lower_trace(net, box, "sobol", 100_000, mode="max")[0].value
+        point_sqrt = k_lower_trace(net, box, "sobol", 100_000, mode="sqrt")[0].value
         upper_max = k_upper_max(net, box).value
         upper_sqrt = k_upper_sqrt(net, box).value
         assert point_max <= k, name

@@ -102,7 +102,7 @@ class TestKValves:
         from wdn_lipschitz.inp import ValveDesc
         mu = 1.852
         desc = make_valve_network()
-        desc.valves[0] = ValveDesc("V1", "J1", "J2", 4.0e-5, 1.0)
+        desc = replace(desc, valves=[ValveDesc("V1", "J1", "J2", 4.0e-5, 1.0), desc.valves[1]])
         net = build_network(desc)
         table = {link_id: (1.0, 250.0) for link_id in net.link_ids}
         table["V1"] = (-30.0, 44.0)
@@ -115,8 +115,7 @@ class TestKValves:
 
     def test_half_open_hand_value(self):
         from wdn_lipschitz.inp import ValveDesc
-        desc = make_single_pipe(1.0, 2.0)
-        desc.valves.append(ValveDesc("V1", "J1", "J2", 1.0, 0.5))
+        desc = replace(make_single_pipe(1.0, 2.0), valves=[ValveDesc("V1", "J1", "J2", 1.0, 0.5)])
         net = build_network(desc)
         box = make_box(net, {"P1": (0.0, 0.0), "V1": (0.0, 3.0)})
         assert k_network(net, box).per_class["valves"] == pytest.approx(3.0)
@@ -125,8 +124,8 @@ class TestKValves:
         exact = mpf("1.852") * mpf("0.37") * 2 * power(4, mpf("0.852"))
         assert float(exact) == pytest.approx(K_VALVE_CASE, rel=1e-15)
         from wdn_lipschitz.inp import ValveDesc
-        desc = make_single_pipe(1.0, 1.852)
-        desc.valves.append(ValveDesc("V1", "J1", "J2", 2.0, 0.37))
+        desc = replace(make_single_pipe(1.0, 1.852),
+                       valves=[ValveDesc("V1", "J1", "J2", 2.0, 0.37)])
         net = build_network(desc)
         box = make_box(net, {"P1": (0.0, 0.0), "V1": (-4.0, 2.0)})
         assert k_network(net, box).per_class["valves"] == pytest.approx(K_VALVE_CASE, rel=1e-13)

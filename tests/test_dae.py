@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -436,8 +436,8 @@ def test_reversed_pipe_swaps_neighbor_sets():
     j1, j2 = net.node_pos["J1"], net.node_pos["J2"]
     assert [net.from_pos[0], net.to_pos[0]] == [j1, j2]
     assert junction_residual(net, [3.0], [0.0, 0.0]).tolist() == [-3.0, 3.0]
-    desc.pipes[0] = type(desc.pipes[0])("P1", "J2", "J1", 1.0, 2.0)
-    flipped = build_network(desc)
+    flipped = build_network(
+        replace(desc, pipes=[replace(desc.pipes[0], from_node="J2", to_node="J1")]))
     assert [flipped.from_pos[0], flipped.to_pos[0]] == [j2, j1]
     assert junction_residual(flipped, [3.0], [0.0, 0.0]).tolist() == [3.0, -3.0]
 

@@ -7,9 +7,15 @@ import pytest
 from mpmath import mp, mpf, power
 
 from wdn_lipschitz import (
+    FlowBox,
     build_network,
     default_box,
     eval_f_batch,
+    interval_bracket,
+    k_lower_trace,
+    k_network,
+    k_upper_max,
+    k_upper_sqrt,
     load_bounds,
     loads_bounds,
     parse_inp,
@@ -58,6 +64,14 @@ def test_missing_link(three_node):
     _, net, _ = three_node
     with pytest.raises(MissingLink):
         loads_bounds(bounds_text(["PU1,1,900"]), net)
+
+
+def test_missing_link_is_the_first_unseen_in_stacked_order(valve_net):
+    _, net, _ = valve_net
+    rows = ["V2,0,1", "PU2,1,2", "P1,0,1", "PU1,1,2"]
+    with pytest.raises(MissingLink) as err:
+        loads_bounds(bounds_text(rows), net)
+    assert str(err.value) == "no bounds given for link 'P2'"
 
 
 def test_duplicate_link(three_node):
@@ -197,3 +211,78 @@ def test_single_pipe_box_widths():
     box = make_box(net, {"P1": (-3.0, 7.0)})
     assert box.hi[0] - box.lo[0] == 10.0
     assert len(box) == 1
+
+
+def test_box_holds_read_only_copies(three_node):
+    _, net, box = three_node
+    for column in (box.lo, box.hi):
+        assert column.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            column[1] = -5.0
+    lo, hi = [0.0, 1.0], np.array([2.0, 3.0])
+    made = FlowBox(link_ids=list(net.link_ids), kinds=net.kinds, lo=lo, hi=hi)
+    hi[1] = 0.5
+    assert made.link_ids == net.link_ids
+    assert (made.lo.tolist(), made.hi.tolist()) == ([0.0, 1.0], [2.0, 3.0])
+    assert not made.hi.flags.writeable
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 2.0]])])
+def test_box_of_the_wrong_shape_is_rejected(three_node, lo, hi):
+    _, net, _ = three_node
+    with pytest.raises(BoundsError, match="^flow box field lengths disagree$"):
+        FlowBox(link_ids=net.link_ids, kinds=net.kinds, lo=lo, hi=hi)
+
+
+ENTRY_POINTS = {
+    "k_network": k_network,
+    "interval_max": lambda net, box: interval_bracket(net, box, "max"),
+    "interval_sqrt": lambda net, box: interval_bracket(net, box, "sqrt"),
+    "k_upper_max": k_upper_max,
+    "k_upper_sqrt": k_upper_sqrt,
+    "point_max": lambda net, box: k_lower_trace(net, box, "sobol", 10, mode="max"),
+    "point_sqrt": lambda net, box: k_lower_trace(net, box, "random", 10, mode="sqrt"),
+}
+
+
+# both fixtures start with pipe 'P1'; three_node's second link is its pump,
+# obcl's its second pipe
+SWAPPED = {
+    ("three_node", "obcl"): "the box has pipe 'P2', the network pump 'PU1'",
+    ("obcl", "three_node"): "the box has pump 'PU1', the network pipe 'P2'",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("net_name, box_name", sorted(SWAPPED))
+def test_box_of_another_fixture_is_rejected(fixtures, entry, net_name, box_name):
+    _, net, _ = fixtures[net_name]
+    _, _, box = fixtures[box_name]
+    with pytest.raises(BoundsError) as err:
+        ENTRY_POINTS[entry](net, box)
+    assert type(err.value) is BoundsError and err.value.exit_code == 3
+    assert str(err.value) == ("flow box does not fit the network at stacked link 1: "
+                              + SWAPPED[net_name, box_name])
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_box_of_the_right_length_with_other_links_is_rejected(three_node, entry):
+    _, net, box = three_node
+    renamed = FlowBox(link_ids=("P1", "PU9"), kinds=box.kinds, lo=box.lo, hi=box.hi)
+    with pytest.raises(BoundsError) as err:
+        ENTRY_POINTS[entry](net, renamed)
+    assert str(err.value) == ("flow box does not fit the network at stacked link 1: "
+                              "the box has pump 'PU9', the network pump 'PU1'")
+    retyped = FlowBox(link_ids=box.link_ids, kinds=("pipe", "pipe"), lo=box.lo, hi=box.hi)
+    with pytest.raises(BoundsError, match="^flow box does not fit the network at stacked link 1: "
+                                          "the box has pipe 'PU1', the network pump 'PU1'$"):
+        ENTRY_POINTS[entry](net, retyped)
+
+
+def test_box_with_fewer_links_names_the_first_missing(valve_net):
+    _, net, box = valve_net
+    short = FlowBox(link_ids=box.link_ids[:4], kinds=box.kinds[:4], lo=box.lo[:4],
+                    hi=box.hi[:4])
+    with pytest.raises(BoundsError, match="^flow box does not fit the network at stacked link 4: "
+                                          "the box has no link, the network valve 'V1'$"):
+        k_network(net, short)

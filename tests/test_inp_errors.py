@@ -3,6 +3,8 @@ raise site: a reworked parser must reject each input the same way."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from wdn_lipschitz import parse_inp
@@ -13,6 +15,7 @@ from wdn_lipschitz.errors import (
     ParameterOutOfRange,
     UnknownNodeRef,
 )
+from wdn_lipschitz.inp import PumpDesc, fit_pump_curve
 
 BASE = """[JUNCTIONS]
 J1 100 50
@@ -194,5 +197,27 @@ def test_error_type_and_message(old, new, exc_type, message):
     assert BASE.count(old) == 1
     with pytest.raises(Exception) as err:
         parse_inp(BASE.replace(old, new))
+    assert type(err.value) is exc_type
+    assert str(err.value) == message
+
+
+def declared_pump(old: str, new: str) -> PumpDesc:
+    """The pump that BASE with old replaced by new declares, built in code."""
+    curve = new if old == CURVE else CURVE
+    points = [tuple(map(float, line.split()[1:])) for line in curve.splitlines()]
+    tokens = (new if old == PUMP else PUMP).split()
+    speed = float(tokens[tokens.index("SPEED") + 1]) if "SPEED" in tokens else 1.0
+    return PumpDesc("PU1", "R1", "J1", *fit_pump_curve(points), speed)
+
+
+@pytest.mark.parametrize("old, new, exc_type, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in CASES
+                          if case[0].startswith("range-pump-")
+                          and case[3] is ParameterOutOfRange])
+def test_replaced_pump_fails_as_parse_inp_does(old, new, exc_type, message):
+    pump = declared_pump(old, new)
+    desc = parse_inp(BASE)
+    with pytest.raises(Exception) as err:
+        dataclasses.replace(desc, pumps=(pump,))
     assert type(err.value) is exc_type
     assert str(err.value) == message

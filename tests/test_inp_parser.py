@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, power
 
-from wdn_lipschitz import build_network, parse_inp
+from wdn_lipschitz import build_network, inp, parse_inp
 from wdn_lipschitz.errors import (
     DuplicateId,
     MalformedSection,
@@ -294,11 +294,42 @@ def test_pipe_resistance_past_the_float_range_is_out_of_range(model):
 @pytest.mark.parametrize("kind", ["pipes", "valves"])
 def test_built_description_with_infinite_resistance_is_rejected(kind):
     desc = parse_inp(MINIMAL + "\n[VALVES]\nV1  J1  T1  12  GPV  0.004\n")
-    links = getattr(desc, kind)
-    links[0] = dataclasses.replace(links[0], resistance=math.inf)
+    link = dataclasses.replace(getattr(desc, kind)[0], resistance=math.inf)
     with pytest.raises(ParameterOutOfRange) as err:
-        build_network(desc)
-    assert str(err.value) == f"{kind[:-1]} {links[0].id!r}: resistance is not finite"
+        dataclasses.replace(desc, **{kind: [link]})
+    assert str(err.value) == f"{kind[:-1]} {link.id!r}: resistance is not finite"
+
+
+def test_description_is_checked_once_where_it_is_made(monkeypatch):
+    checked = []
+    check = inp._validate
+
+    def spy(desc):
+        checked.append(desc)
+        check(desc)
+
+    monkeypatch.setattr(inp, "_validate", spy)
+    desc = parse_inp(MINIMAL)
+    assert len(checked) == 1 and checked[0] is desc
+    net = build_network(desc)
+    assert len(checked) == 1
+    dataclasses.replace(net.desc, flow_units="LPS")
+    assert len(checked) == 2
+
+
+def test_description_is_frozen_with_tuple_rows():
+    desc = parse_inp(MINIMAL + "\n[PATTERNS]\n1 1.0\n")
+    fields = ("junctions", "reservoirs", "tanks", "pipes", "pumps", "valves", "warnings")
+    for name in fields:
+        assert type(getattr(desc, name)) is tuple, name
+    assert desc.warnings == ("skipped unsupported section [PATTERNS]",)
+    for name in ("flow_units", "headloss_exponent", *fields):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(desc, name, getattr(desc, name))
+    net = build_network(desc)
+    with pytest.raises(TypeError):
+        net.desc.pumps[0] = dataclasses.replace(desc.pumps[0], curve_exponent=9.0, speed=7.0)
+    assert net.desc.pumps == desc.pumps
 
 
 def test_curve_fit_arithmetic_error_is_malformed():

@@ -62,9 +62,8 @@ def f_row(desc: NetworkDescription, q: list[float]) -> np.ndarray:
 
 def pipe_and_valve(resistance: float, openness: float, mu: float) -> NetworkDescription:
     """Pipe P1 and valve V1 between J1 and J2, both of the given resistance."""
-    desc = make_single_pipe(resistance, mu)
-    desc.valves.append(ValveDesc("V1", "J1", "J2", resistance, openness))
-    return desc
+    return dataclasses.replace(make_single_pipe(resistance, mu),
+                               valves=[ValveDesc("V1", "J1", "J2", resistance, openness)])
 
 
 def reference_f(desc: NetworkDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,14 +174,22 @@ def test_link_columns_follow_stacked_order(valve_net):
             column[0] = 0
 
 
+def test_table_columns_are_read_only(valve_net):
+    _, net, _ = valve_net
+    for name in ("f_offset", "f_coef", "deriv_coef", "deriv_expo", "deriv_post", "tank_area"):
+        column = getattr(net, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = -1.0
+
+
 class TestBuildNetworkValidation:
-    """A description built directly gets parse_inp's checks."""
+    """A description built directly gets parse_inp's checks where it is made."""
 
     def test_undeclared_endpoint_is_typed(self):
         pipe = PipeDesc("P1", "J1", "NOWHERE", 1.0, 2.0)
-        desc = dataclasses.replace(make_single_pipe(), pipes=[pipe])
         with pytest.raises(UnknownNodeRef) as err:
-            build_network(desc)
+            dataclasses.replace(make_single_pipe(), pipes=[pipe])
         assert (err.value.node_id, err.value.link_id) == ("NOWHERE", "P1")
 
     def test_duplicate_link_id_rejected(self):
@@ -266,8 +273,8 @@ class TestJacobian:
         assert d[0] == pytest.approx(6.0)
 
     def test_linear_pump_entry(self):
-        desc = make_benchmark_pair()
-        desc.pumps[0] = PumpDesc("PU1", "R1", "J1", 393.7008, 1.0, 1.0, 0.5)
+        desc = dataclasses.replace(
+            make_benchmark_pair(), pumps=[PumpDesc("PU1", "R1", "J1", 393.7008, 1.0, 1.0, 0.5)])
         net = build_network(desc)
         d = eval_jacobian_diag(net, np.array([1.0, 123.0]))
         assert d[1] == pytest.approx(0.5)  # nu=1 gives r*s

@@ -23,7 +23,6 @@ from wdn_lipschitz import (
     SampleSequence,
     build_network,
     jacobian_diag_batch,
-    k_lower,
     k_lower_trace,
     k_network,
     k_upper_sqrt,
@@ -365,7 +364,7 @@ class TestKLower:
         # R=1, mu=2, q in [0,1]; first three Sobol points are 0.5, 0.75, 0.25
         net = build_network(make_single_pipe(1.0, 2.0))
         box = make_box(net, {"P1": (0.0, 1.0)})
-        est = k_lower(net, box, "sobol", 3, mode="max")
+        est = k_lower_trace(net, box, "sobol", 3, mode="max")[0]
         assert est.value == 1.5
         assert est.method == "point_lower"
         assert est.effort == 3
@@ -375,14 +374,14 @@ class TestKLower:
             _, net, box = fixtures[name]
             k = k_network(net, box).value
             for n in (10, 500):
-                est = k_lower(net, box, "sobol", n, mode="max")
+                est = k_lower_trace(net, box, "sobol", n, mode="max")[0]
                 assert est.value <= k, name
 
     def test_sqrt_mode_below_interval_sqrt_upper(self, fixtures):
         for name in ("three_node", "eight_node", "net2"):
             _, net, box = fixtures[name]
             upper = k_upper_sqrt(net, box, 1e-2).value
-            est = k_lower(net, box, "sobol", 2000, mode="sqrt")
+            est = k_lower_trace(net, box, "sobol", 2000, mode="sqrt")[0]
             assert est.value <= upper, name
 
     def test_monotone_in_n(self, three_node):
@@ -399,45 +398,44 @@ class TestKLower:
             _, trace = k_lower_trace(net, box, "halton", 300, mode="sqrt",
                                      checkpoints=(7, 63, 300))
         for n, value in trace:
-            est = k_lower(net, box, "halton", n, mode="sqrt")
+            est = k_lower_trace(net, box, "halton", n, mode="sqrt")[0]
             assert est.value == value
 
     def test_sqrt_mode_dominates_max_mode(self, valve_net):
         _, net, box = valve_net
         for n in (11, 257):
-            lo_max = k_lower(net, box, "sobol", n, mode="max")
-            lo_sqrt = k_lower(net, box, "sobol", n, mode="sqrt")
+            lo_max = k_lower_trace(net, box, "sobol", n, mode="max")[0]
+            lo_sqrt = k_lower_trace(net, box, "sobol", n, mode="sqrt")[0]
             assert lo_sqrt.value >= lo_max.value
 
     def test_single_link_modes_coincide(self):
         net = build_network(make_single_pipe(2.5, 1.852))
         box = make_box(net, {"P1": (-6.0, 3.0)})
         for n in (1, 5, 100):
-            a = k_lower(net, box, "sobol", n, mode="max")
-            b = k_lower(net, box, "sobol", n, mode="sqrt")
+            a = k_lower_trace(net, box, "sobol", n, mode="max")[0]
+            b = k_lower_trace(net, box, "sobol", n, mode="sqrt")[0]
             assert a.value == b.value
 
     def test_bitwise_determinism(self, valve_net):
         _, net, box = valve_net
-        a = k_lower(net, box, "random", 4096, mode="max", seed=42)
+        a = k_lower_trace(net, box, "random", 4096, mode="max", seed=42)[0]
         with block_rows(128):
-            b = k_lower(net, box, "random", 4096, mode="max", seed=42)
+            b = k_lower_trace(net, box, "random", 4096, mode="max", seed=42)[0]
         assert a.value == b.value
 
     def test_random_seeds_stay_below_analytical(self, three_node):
         _, net, box = three_node
         k = k_network(net, box).value
-        values = {k_lower(net, box, "random", 1000, seed=s).value for s in (1, 2)}
+        values = {k_lower_trace(net, box, "random", 1000, seed=s)[0].value for s in (1, 2)}
         assert len(values) == 2
         assert all(v <= k for v in values)
 
     def test_rejects_nonpositive_n(self, three_node):
         _, net, box = three_node
         with pytest.raises(ValueError):
-            k_lower(net, box, "sobol", 0)
+            k_lower_trace(net, box, "sobol", 0)[0]
 
-    @pytest.mark.parametrize("estimate", [k_lower, k_lower_trace],
-                             ids=["k_lower", "k_lower_trace"])
+    @pytest.mark.parametrize("estimate", [k_lower_trace], ids=["k_lower_trace"])
     @pytest.mark.parametrize("n", [0, -3])
     def test_sample_count_checked_by_both_entry_points(self, three_node, estimate, n):
         _, net, box = three_node
@@ -895,7 +893,7 @@ def test_overflowing_width_is_a_bounds_error(kind, mode):
         warnings.simplefilter("error")
         with pytest.raises(BoundsError, match="^link 'P1': q_max - q_min overflows a float: "
                                               "the box is too wide$"):
-            k_lower(net, box, kind, 100, mode=mode)
+            k_lower_trace(net, box, kind, 100, mode=mode)[0]
 
 
 def _brute_force_trace(net, box, kind, seed, n, marks, mode):
@@ -1015,8 +1013,8 @@ def test_point_stays_below_interval_on_degenerate_boxes(mu, nu, r_pipe, r_pump, 
     net = build_network(desc)
     box = make_box(net, {"P1": (q_pipe, q_pipe), "M1": (q_pump, q_pump),
                          "V1": (q_valve, q_valve)})
-    point_max = k_lower(net, box, "sobol", 1, mode="max").value
-    point_sqrt = k_lower(net, box, "sobol", 1, mode="sqrt").value
+    point_max = k_lower_trace(net, box, "sobol", 1, mode="max")[0].value
+    point_sqrt = k_lower_trace(net, box, "sobol", 1, mode="sqrt")[0].value
     assert point_max == k_network(net, box).value
     assert point_sqrt <= k_upper_sqrt(net, box).value
 
