@@ -20,7 +20,6 @@ from .bounds import (
     default_box,
     load_bounds,
     loads_bounds,
-    pump_max_flow,
 )
 from .dae import (
     DaeLayout,
@@ -52,12 +51,11 @@ from .errors import (
     WdnError,
 )
 from .estimates import LipschitzEstimate
-from .inp import NetworkDescription, fit_pump_curve, parse_inp
+from .inp import NetworkDescription, parse_inp
 from .network import (
     Network,
     build_network,
     eval_f,
-    eval_f_batch,
     eval_jacobian_diag,
     jacobian_diag_batch,
     junction_residual,
@@ -103,10 +101,8 @@ __all__ = [
     "dae_residual",
     "default_box",
     "eval_f",
-    "eval_f_batch",
     "eval_jacobian_diag",
     "export_dae",
-    "fit_pump_curve",
     "interval_bracket",
     "jacobian_diag_batch",
     "junction_residual",
@@ -118,6 +114,5 @@ __all__ = [
     "load_report_schema",
     "loads_bounds",
     "parse_inp",
-    "pump_max_flow",
     "tank_step",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import analytical, sampling
 from .bounds import FlowBox, default_box, load_bounds
 from .errors import BoundsError, InpError, UsageError, WdnError
-from .inp import parse_inp
+from .inp import COMPONENTS, parse_inp
 from .network import Network, build_network
 from .report import AnalysisReport
 
@@ -187,8 +187,7 @@ def cmd_benchmark(args) -> int:
 
     estimate_cols = ("analytical", "point_max", "point_sqrt",
                      "interval_max", "interval_sqrt")
-    fields = ["network", "junctions", "reservoirs", "tanks", "pipes", "pumps",
-              "valves", *estimate_cols, "status"]
+    fields = ["network", *COMPONENTS, *estimate_cols, "status"]
     rows = []
     for name, inp_path, bounds_path in fixtures:
         try:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 METHOD_ANALYTICAL = "analytical"
 METHOD_INTERVAL_UPPER = "interval_upper"
@@ -19,7 +21,7 @@ class LipschitzEstimate:
     mode: str                       # max | sqrt
     gap: float | None = None        # present only for interval_upper
     effort: int = 0                 # boxes processed / samples used
-    per_class: dict[str, float] | None = None   # pipes/pumps/valves (analytical)
+    per_class: Mapping[str, float] | None = None   # pipes/pumps/valves (analytical), read-only
 
     def __post_init__(self):
         if self.value < 0:
@@ -28,6 +30,8 @@ class LipschitzEstimate:
             raise ValueError("gap must be present exactly for interval_upper estimates")
         if self.gap is not None and self.gap < 0:
             raise ValueError("gap must be nonnegative")
+        if self.per_class is not None:
+            object.__setattr__(self, "per_class", MappingProxyType(dict(self.per_class)))
 
     def to_dict(self) -> dict:
         doc: dict = {

@@ -47,17 +47,10 @@ from .errors import (
     UnknownNodeRef,
 )
 
-SUPPORTED_SECTIONS = (
-    "JUNCTIONS",
-    "RESERVOIRS",
-    "TANKS",
-    "PIPES",
-    "PUMPS",
-    "VALVES",
-    "CURVES",
-    "OPTIONS",
-    "COORDINATES",
-)
+# the description's row fields, in stacked order: the nodes as the heads
+# are stacked, then the links as the flows are
+COMPONENTS = ("junctions", "reservoirs", "tanks", "pipes", "pumps", "valves")
+SUPPORTED_SECTIONS = (*(name.upper() for name in COMPONENTS), "CURVES", "OPTIONS", "COORDINATES")
 
 HEADLOSS_EXPONENT = {"H-W": 1.852, "D-W": 2.0, "C-M": 2.0}
 
@@ -132,15 +125,13 @@ class NetworkDescription:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        for name in ("junctions", "reservoirs", "tanks", "pipes", "pumps", "valves",
-                     "warnings"):
+        for name in (*COMPONENTS, "warnings"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         _validate(self)
 
     def component_counts(self) -> tuple[int, int, int, int, int, int]:
-        """(junctions, reservoirs, tanks, pipes, pumps, valves)."""
-        return tuple(map(len, (self.junctions, self.reservoirs, self.tanks,
-                               self.pipes, self.pumps, self.valves)))
+        """The row count of each of COMPONENTS, in its order."""
+        return tuple(len(getattr(self, name)) for name in COMPONENTS)
 
 
 def hazen_williams_resistance(length: float, diameter: float, roughness: float) -> float:

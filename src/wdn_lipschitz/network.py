@@ -3,14 +3,16 @@
 Every view of the model uses one stacked flow index and one stacked head
 index.  Flows are stacked as pipes, then pumps, then valves, each class in
 declaration order, and the functions here take flows as one stacked array
-q of shape (n_links,).  Heads are stacked as junctions, then reservoirs,
+q of shape (n_links,); eval_f and the Jacobians also take rows of them, of
+shape (m, n_links).  Heads are stacked as junctions, then reservoirs,
 then tanks; a node's position is Network.node_pos[node_id].  The link list
 is held as columns in stacked flow order: link_ids, kinds, and the
 read-only from_pos and to_pos, the head positions of each link's two ends.
 The mass balances (tank_step, junction_residual) and the DAE rows (dae.py)
 read those two position columns.  The description checked itself when it
 was made and is frozen, so Network runs no check of its own; every array
-it holds is read-only, so the table stays the description's.
+and mapping it holds is read-only and no attribute can be rebound once it
+is built, so the table stays the description's.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
@@ -26,14 +28,16 @@ table, whose columns Network.__init__ builds per link class:
     pump   -s*s*h_s    r        nu*r         nu-1         s**(2-nu)
     valve  0           o*R      (mu*o)*R     mu-1         1
 
-A pump flow must be > 0, so its q * |q|**(nu-1) is q**nu.  eval_f, the
-batched Jacobian here and the closed forms (analytical.py) read the table
-with no branch on link class.
+A pump flow must be > 0, so its q * |q|**(nu-1) is q**nu.  eval_f and
+eval_jacobian_diag check every flow of every row in one vectorised pass;
+jacobian_diag_batch checks none.  They and the closed forms (analytical.py)
+read the table with no branch on link class.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,7 +50,10 @@ VALVE = "valve"
 
 
 class Network:
-    """Index-resolved, read-only view of a NetworkDescription."""
+    """Index-resolved, read-only view of a NetworkDescription: once built,
+    no attribute can be set or deleted."""
+
+    _built = False
 
     def __init__(self, desc: NetworkDescription):
         self.desc = desc
@@ -56,8 +63,8 @@ class Network:
 
         # position in the stacked head vector; tanks are the positions
         # >= n_junctions + n_reservoirs
-        self.node_pos = {node.id: i for i, node in
-                         enumerate(desc.junctions + desc.reservoirs + desc.tanks)}
+        self.node_pos = MappingProxyType({node.id: i for i, node in enumerate(
+            desc.junctions + desc.reservoirs + desc.tanks)})
 
         stacked = desc.pipes + desc.pumps + desc.valves
         self.link_ids = tuple(link.id for link in stacked)
@@ -90,6 +97,15 @@ class Network:
         for column in (self.from_pos, self.to_pos, self.tank_area, self.f_offset,
                        self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post):
             column.flags.writeable = False
+        self._built = True
+
+    def __setattr__(self, name, value):
+        if self._built:
+            raise AttributeError(f"a built Network is read-only: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a built Network is read-only: cannot delete {name!r}")
 
 
 def build_network(desc: NetworkDescription) -> Network:
@@ -97,35 +113,33 @@ def build_network(desc: NetworkDescription) -> Network:
     return Network(desc)
 
 
-def _as_flows(net: Network, q) -> np.ndarray:
+def _as_flows(net: Network, q, ndims=(1,)) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    if q.shape != (net.n_links,):
+    if q.ndim not in ndims or q.shape[-1] != net.n_links:
         raise ValueError(f"expected {net.n_links} flows, got shape {q.shape}")
     return q
 
 
 def _check_flows(net: Network, q) -> np.ndarray:
-    """q as stacked flows: one finite flow per link, every pump flow > 0."""
-    q = _as_flows(net, q)
+    """q as stacked flows, one vector or rows of them: every flow finite and
+    every pump flow > 0, else the first bad pump in row-major order raises."""
+    q = _as_flows(net, q, ndims=(1, 2))
     if not np.all(np.isfinite(q)):
         raise ValueError("flow entries must be finite")
-    pumps = slice(net.n_pipes, net.n_pipes + net.n_pumps)
-    for pump_id, flow in zip(net.link_ids[pumps], q[pumps]):
-        if flow <= 0.0:
-            raise NonPositiveFlow(pump_id, float(flow))
+    pumps = q[..., net.n_pipes:net.n_pipes + net.n_pumps]
+    bad = np.flatnonzero(pumps <= 0.0)
+    if bad.size:
+        pump_id = net.link_ids[net.n_pipes + bad[0] % net.n_pumps]
+        raise NonPositiveFlow(pump_id, float(pumps.flat[bad[0]]))
     return q
 
 
 def eval_f(net: Network, q: np.ndarray) -> np.ndarray:
-    """Stacked nonlinearity at stacked flows q: pipe losses, pump gains, valve losses."""
-    return eval_f_batch(net, _check_flows(net, q)[None, :])[0]
-
-
-def eval_f_batch(net: Network, q: np.ndarray) -> np.ndarray:
-    """Vectorised eval_f over rows of q (shape (m, n_links)), in whole-array
-    steps over the table.  Rows are unchecked, as in _jacobian_diag_into, so
-    a pump flow <= 0 gets q * |q|**(nu-1) in place of q**nu."""
-    q = np.asarray(q, dtype=float)
+    """Stacked nonlinearity at stacked flows q, of shape (n_links,) or
+    (m, n_links): pipe losses, pump gains, valve losses.  Every flow must be
+    finite, and the first pump flow <= 0 in row-major order raises
+    NonPositiveFlow; then the table is read in whole-array steps."""
+    q = _check_flows(net, q)
     out = np.abs(q)
     np.power(out, net.deriv_expo, out=out)
     out *= q
@@ -136,13 +150,15 @@ def eval_f_batch(net: Network, q: np.ndarray) -> np.ndarray:
 
 
 def eval_jacobian_diag(net: Network, q: np.ndarray) -> np.ndarray:
-    """Diagonal of the Jacobian of f at stacked flows q (all entries >= 0)."""
-    return jacobian_diag_batch(net, _check_flows(net, q)[None, :])[0]
+    """Diagonal of the Jacobian of f at stacked flows q, one vector or rows
+    of them, checked as in eval_f (all entries >= 0)."""
+    q = _check_flows(net, q)
+    return _jacobian_diag_into(net, q, np.empty_like(q))
 
 
 def jacobian_diag_batch(net: Network, q: np.ndarray) -> np.ndarray:
-    """Vectorised Jacobian diagonal over rows of q (shape (m, n_links)); rows
-    are unchecked, as in _jacobian_diag_into."""
+    """eval_jacobian_diag over rows of q (shape (m, n_links)) with no check,
+    so a pump flow <= 0 gets the value at |q| (see _jacobian_diag_into)."""
     q = np.asarray(q, dtype=float)
     return _jacobian_diag_into(net, q, np.empty_like(q))
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .estimates import LipschitzEstimate
+from .inp import COMPONENTS
 from .network import Network
 
 SCHEMA_VERSION = "wdn-lipschitz-report/2"
@@ -44,12 +45,11 @@ class AnalysisReport:
         self.timings_s[key] = max(0.0, seconds)
 
     def to_dict(self) -> dict:
-        names = ("junctions", "reservoirs", "tanks", "pipes", "pumps", "valves")
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "network": {
                 "name": self.network_name,
-                "counts": dict(zip(names, self.counts)),
+                "counts": dict(zip(COMPONENTS, self.counts)),
             },
             "config": self.config,
             "estimates": {key: self.estimates[key].to_dict()
@@ -58,7 +58,6 @@ class AnalysisReport:
                           for key in ESTIMATE_KEYS if key in self.timings_s},
             "warnings": list(self.warnings),
         }
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -66,10 +65,8 @@ class AnalysisReport:
     def to_table(self) -> str:
         lines = [
             f"network      {self.network_name}",
-            "components   {j} junctions, {r} reservoirs, {t} tanks, "
-            "{p} pipes, {m} pumps, {v} valves".format(
-                j=self.counts[0], r=self.counts[1], t=self.counts[2],
-                p=self.counts[3], m=self.counts[4], v=self.counts[5]),
+            "components   " + ", ".join(f"{count} {name}"
+                                        for name, count in zip(COMPONENTS, self.counts)),
             "",
             f"{'estimate':<14} {'mode':<5} {'value':>14} {'gap':>12} "
             f"{'effort':>9} {'time [s]':>9}",
@@ -98,15 +95,8 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
     def to_csv_row(self, keys: tuple[str, ...] = ESTIMATE_KEYS) -> dict[str, str]:
-        row = {
-            "network": self.network_name,
-            "junctions": str(self.counts[0]),
-            "reservoirs": str(self.counts[1]),
-            "tanks": str(self.counts[2]),
-            "pipes": str(self.counts[3]),
-            "pumps": str(self.counts[4]),
-            "valves": str(self.counts[5]),
-        }
+        row = {"network": self.network_name,
+               **{name: str(count) for name, count in zip(COMPONENTS, self.counts)}}
         for key in keys:
             row[key] = repr(self.estimates[key].value) if key in self.estimates else ""
         return row

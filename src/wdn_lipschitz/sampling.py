@@ -509,7 +509,7 @@ def k_lower_trace(
     and the running estimate at each requested prefix length.
 
     sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
-    link; seed seeds the random kind.  A checkpoint at m equals an
+    link; seed seeds the random kind.  A checkpoint m, in 1..n, equals an
     independent run with n=m because the estimate is a prefix maximum of a
     deterministic sequence.  A flow range hi - lo or an estimate past the
     float range raises BoundsError: the box is too wide.  Numpy's overflow
@@ -527,10 +527,12 @@ def k_lower_trace(
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
         raise ValueError(f"unknown mode {mode!r}")
+    if not all(1 <= c <= n for c in checkpoints):
+        raise ValueError(f"checkpoints must lie in 1..{n}")
     sequence = SampleSequence(sampler, net.n_links, seed)
     check_sample_count(sampler, n)
 
-    marks = [*sorted(c for c in checkpoints if 1 <= c <= n), n]
+    marks = [*sorted(checkpoints), n]
     # segment threads run in a copy of this context, so they inherit the
     # error state
     with np.errstate(over="ignore"):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from wdn_lipschitz import (
-    eval_f_batch,
+    eval_f,
     interval_bracket,
     jacobian_diag_batch,
     k_lower_trace,
@@ -176,7 +176,7 @@ def test_criterion_6_derivative_supremum_and_inequalities(fixtures, capsys):
         shape = (10_000, net.n_links)
         z1 = box.lo + rng.uniform(0, 1, shape) * (box.hi - box.lo)
         z2 = box.lo + rng.uniform(0, 1, shape) * (box.hi - box.lo)
-        df = eval_f_batch(net, z1) - eval_f_batch(net, z2)
+        df = eval_f(net, z1) - eval_f(net, z2)
         dz = z1 - z2
         k = est.value
         lhs = np.linalg.norm(df, axis=1)
@@ -205,12 +205,12 @@ def test_criterion_7_finite_difference_jacobian(fixtures, capsys):
         probe_shift = probe.copy()
         probe_shift[:, j] = box.lo[j] + 0.5 * (box.hi[j] - box.lo[j])
         others = [i for i in range(net.n_links) if i != j]
-        f_a = eval_f_batch(net, probe)
-        f_b = eval_f_batch(net, probe_shift)
+        f_a = eval_f(net, probe)
+        f_b = eval_f(net, probe_shift)
         assert np.array_equal(f_a[:, others], f_b[:, others]), name
 
         h = 6e-6 * np.maximum(np.abs(q), 1e-3 * (box.hi - box.lo))
-        fd = (eval_f_batch(net, q + h) - eval_f_batch(net, q - h)) / (2 * h)
+        fd = (eval_f(net, q + h) - eval_f(net, q - h)) / (2 * h)
         analytic = jacobian_diag_batch(net, q)
         rel = np.abs(fd - analytic) / np.abs(analytic)
         worst = max(worst, float(rel.max()))

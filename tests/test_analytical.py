@@ -12,7 +12,7 @@ from mpmath import mp, mpf, power
 from wdn_lipschitz import (
     BoundsError,
     build_network,
-    eval_f_batch,
+    eval_f,
     jacobian_diag_batch,
     k_network,
     k_upper_sqrt,
@@ -140,6 +140,14 @@ class TestKNetwork:
         assert est.value == est.per_class["pumps"]
         assert est.method == "analytical"
         assert est.gap is None
+
+    def test_per_class_is_read_only(self, three_node):
+        _, net, box = three_node
+        est = k_network(net, box)
+        doc = est.to_dict()
+        with pytest.raises(TypeError):
+            est.per_class["pumps"] = -1.0
+        assert est.to_dict() == doc
 
     def test_pipe_only_network(self):
         net, box = single_pipe_box(3.0, 2.0, -2.0, 1.0)
@@ -308,7 +316,7 @@ class TestDerivativeSupremumIdentity:
         t2 = rng.uniform(0, 1, (1000, net.n_links))
         z1 = box.lo + t1 * (box.hi - box.lo)
         z2 = box.lo + t2 * (box.hi - box.lo)
-        df = eval_f_batch(net, z1) - eval_f_batch(net, z2)
+        df = eval_f(net, z1) - eval_f(net, z2)
         dz = z1 - z2
         lhs = np.linalg.norm(df, axis=1)
         rhs = k * np.linalg.norm(dz, axis=1)
@@ -322,7 +330,7 @@ class TestDerivativeSupremumIdentity:
         t2 = rng.uniform(0, 1, (1000, net.n_links))
         z1 = box.lo + t1 * (box.hi - box.lo)
         z2 = box.lo + t2 * (box.hi - box.lo)
-        df = eval_f_batch(net, z1) - eval_f_batch(net, z2)
+        df = eval_f(net, z1) - eval_f(net, z2)
         dz = z1 - z2
         inner = np.einsum("ij,ij->i", df, dz)
         norms = np.einsum("ij,ij->i", dz, dz)

@@ -16,7 +16,6 @@ from wdn_lipschitz import (
     build_network,
     dae_residual,
     eval_f,
-    eval_f_batch,
     export_dae,
     junction_residual,
     tank_step,
@@ -198,7 +197,7 @@ def test_residual_vanishes_on_consistent_state(three_node):
 
     q_pipe = 300.0
     q_pump = q_pipe + demand          # junction mass balance
-    f_pipe, f_pump = eval_f_batch(net, np.array([[q_pipe, q_pump]]))[0]
+    f_pipe, f_pump = eval_f(net, np.array([[q_pipe, q_pump]]))[0]
     h_j = h_res - f_pump              # pump energy row
     h_t = h_j - f_pipe                # pipe energy row
     h_t_next = h_t + dt / desc.tanks[0].cross_section_area * q_pipe

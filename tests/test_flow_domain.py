@@ -10,7 +10,7 @@ from wdn_lipschitz import (
     FlowBox,
     build_network,
     default_box,
-    eval_f_batch,
+    eval_f,
     interval_bracket,
     k_lower_trace,
     k_network,
@@ -19,9 +19,8 @@ from wdn_lipschitz import (
     load_bounds,
     loads_bounds,
     parse_inp,
-    pump_max_flow,
 )
-from wdn_lipschitz.bounds import PUMP_FLOW_FLOOR
+from wdn_lipschitz.bounds import PUMP_FLOW_FLOOR, pump_max_flow
 from wdn_lipschitz.errors import (
     BoundsError,
     DuplicateLink,
@@ -165,7 +164,7 @@ class TestPumpMaxFlow:
     def test_headgain_vanishes_at_max_flow(self):
         q = pump_max_flow(393.7008, 3.746e-6, 2.59, 1.0)
         net = build_network(make_single_pump(393.7008, 3.746e-6, 2.59, 1.0))
-        assert eval_f_batch(net, np.array([[q]]))[0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert eval_f(net, np.array([[q]]))[0, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDefaultBox:

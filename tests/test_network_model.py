@@ -12,10 +12,10 @@ from mpmath import mp, mpf, power
 from wdn_lipschitz import (
     build_network,
     eval_f,
-    eval_f_batch,
     eval_jacobian_diag,
     jacobian_diag_batch,
     junction_residual,
+    k_network,
     tank_step,
 )
 from wdn_lipschitz.errors import (
@@ -56,8 +56,8 @@ VALVE_AT_MINUS4 = -9.6437695467513499   # o=0.37, R=2, mu=1.852, q=-4
 
 
 def f_row(desc: NetworkDescription, q: list[float]) -> np.ndarray:
-    """eval_f_batch on one row of stacked flows."""
-    return eval_f_batch(build_network(desc), np.array([q], dtype=float))[0]
+    """eval_f on one row of stacked flows."""
+    return eval_f(build_network(desc), np.array([q], dtype=float))[0]
 
 
 def pipe_and_valve(resistance: float, openness: float, mu: float) -> NetworkDescription:
@@ -68,7 +68,7 @@ def pipe_and_valve(resistance: float, openness: float, mu: float) -> NetworkDesc
 
 def reference_f(desc: NetworkDescription, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The head-loss laws entry by entry in scalar math.pow, the oracle for
-    eval_f_batch, and each entry's term scale |offset| + |power term|."""
+    eval_f, and each entry's term scale |offset| + |power term|."""
     mu = desc.headloss_exponent
     n_p, n_m = len(desc.pipes), len(desc.pumps)
     pipes, pumps, valves = q[:n_p], q[n_p:n_p + n_m], q[n_p + n_m:]
@@ -102,7 +102,7 @@ class TestScalarOps:
         for _ in range(200):
             r, mu, q = rng.lognormal(0, 2), rng.uniform(1, 3), rng.uniform(0.01, 1e4)
             net = build_network(make_single_pipe(float(r), float(mu)))
-            minus, plus = eval_f_batch(net, np.array([[-q], [q]]))[:, 0]
+            minus, plus = eval_f(net, np.array([[-q], [q]]))[:, 0]
             assert minus == -plus
 
     def test_pump_hand_value(self):
@@ -183,6 +183,22 @@ def test_table_columns_are_read_only(valve_net):
             column[0] = -1.0
 
 
+def test_built_network_cannot_be_rebound(three_node):
+    # a fresh network, so a guard that failed would not spoil the fixture's
+    desc, _, box = three_node
+    net = build_network(desc)
+    k = k_network(net, box).value
+    for name, value in (("deriv_coef", np.ones(net.n_links)), ("desc", desc),
+                        ("n_links", 0), ("unknown", 1)):
+        with pytest.raises(AttributeError, match=f"read-only: cannot set '{name}'"):
+            setattr(net, name, value)
+    with pytest.raises(AttributeError, match="read-only: cannot delete 'deriv_coef'"):
+        del net.deriv_coef
+    with pytest.raises(TypeError):
+        net.node_pos["extra"] = net.n_junctions
+    assert k_network(net, box).value == k
+
+
 class TestBuildNetworkValidation:
     """A description built directly gets parse_inp's checks where it is made."""
 
@@ -241,7 +257,7 @@ class TestEvalF:
             rng = np.random.default_rng(seed)
             net, box = make_random_network(rng)
         q = sample_interior(box, 50, rng)
-        batch = eval_f_batch(net, q)
+        batch = eval_f(net, q)
         for row in range(q.shape[0]):
             expected, scale = reference_f(net.desc, q[row])
             assert np.all(np.abs(batch[row] - expected) <= 2e-15 * scale)
@@ -249,14 +265,56 @@ class TestEvalF:
         pipe_valve = [i for i, kind in enumerate(net.kinds) if kind != "pump"]
         mirrored = q.copy()
         mirrored[:, pipe_valve] *= -1.0
-        assert np.array_equal(eval_f_batch(net, mirrored)[:, pipe_valve],
+        assert np.array_equal(eval_f(net, mirrored)[:, pipe_valve],
                               -batch[:, pipe_valve])
 
     def test_pump_positivity_enforced(self, valve_net):
         _, net, _ = valve_net
         q = np.array([0.0, 0.0, 5.0, -1.0, 3.0, 3.0])
-        with pytest.raises(NonPositiveFlow):
-            eval_f(net, q)
+        message = r"^pump 'PU2': flow must be > 0, got -1\.0$"
+        for evaluate in (eval_f, eval_jacobian_diag):
+            with pytest.raises(NonPositiveFlow, match=message):
+                evaluate(net, q)
+
+    def test_rows_match_one_point_calls(self, valve_net):
+        _, net, box = valve_net
+        q = sample_interior(box, 20, np.random.default_rng(3))
+        for evaluate in (eval_f, eval_jacobian_diag):
+            rows = evaluate(net, q)
+            assert rows.shape == q.shape
+            for i in range(q.shape[0]):
+                assert np.array_equal(rows[i], evaluate(net, q[i]))
+        assert np.array_equal(eval_jacobian_diag(net, q), jacobian_diag_batch(net, q))
+
+    def test_rows_name_the_first_bad_pump_in_row_major_order(self, valve_net):
+        # PU1 (column 2) fails in a later row than PU2 (column 3)
+        _, net, _ = valve_net
+        q = np.array([[1.0, 1.0, 5.0, 1.0, 3.0, 3.0],
+                      [1.0, 1.0, 5.0, -2.0, 3.0, 3.0],
+                      [1.0, 1.0, -1.0, 1.0, 3.0, 3.0]])
+        for evaluate in (eval_f, eval_jacobian_diag):
+            with pytest.raises(NonPositiveFlow) as err:
+                evaluate(net, q)
+            assert err.value.link_id == "PU2"
+            assert str(err.value) == "pump 'PU2': flow must be > 0, got -2.0"
+
+    @pytest.mark.parametrize("q, error, message", [
+        ([0.0, 0.0, 0.0, 0.0, 3.0, 3.0], NonPositiveFlow,
+         "pump 'PU1': flow must be > 0, got 0.0"),
+        ([0.0, math.nan, 5.0, -1.0, 3.0, 3.0], ValueError, "flow entries must be finite"),
+        ([[1.0, 1.0, 5.0, 1.0, 3.0, 3.0], [0.0, 0.0, math.inf, 1.0, 3.0, 3.0]], ValueError,
+         "flow entries must be finite"),
+        ([0.0] * 5, ValueError, "expected 6 flows, got shape (5,)"),
+        (1.0, ValueError, "expected 6 flows, got shape ()"),
+        ([[[0.0] * 6]], ValueError, "expected 6 flows, got shape (1, 1, 6)"),
+    ], ids=["pump-zero", "nan", "inf-in-rows", "short", "scalar", "3-d"])
+    def test_evaluators_reject_bad_flows(self, valve_net, q, error, message):
+        _, net, _ = valve_net
+        for evaluate in (eval_f, eval_jacobian_diag):
+            with pytest.raises(error) as err:
+                evaluate(net, np.array(q))
+            assert type(err.value) is error
+            assert str(err.value) == message
 
 
 class TestJacobian:
@@ -296,7 +354,7 @@ class TestJacobian:
             qp, qm = q.copy(), q.copy()
             qp[:, i] += h[:, i]
             qm[:, i] -= h[:, i]
-            fd[:, i] = (eval_f_batch(net, qp)[:, i] - eval_f_batch(net, qm)[:, i]) \
+            fd[:, i] = (eval_f(net, qp)[:, i] - eval_f(net, qm)[:, i]) \
                 / (2 * h[:, i])
         rel = np.abs(fd - analytic) / np.abs(analytic)
         assert rel.max() <= 1e-6
@@ -305,12 +363,12 @@ class TestJacobian:
         _, net, box = valve_net
         rng = np.random.default_rng(17)
         q = sample_interior(box, 30, rng)
-        f0 = eval_f_batch(net, q)
+        f0 = eval_f(net, q)
         for j in range(net.n_links):
             shifted = q.copy()
             room = (box.hi[j] - q[:, j]) * 0.5
             shifted[:, j] += room
-            f1 = eval_f_batch(net, shifted)
+            f1 = eval_f(net, shifted)
             others = [i for i in range(net.n_links) if i != j]
             assert np.array_equal(f1[:, others], f0[:, others])
 

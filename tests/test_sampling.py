@@ -434,6 +434,10 @@ class TestKLower:
         _, net, box = three_node
         with pytest.raises(ValueError):
             k_lower_trace(net, box, "sobol", 0)[0]
+        # a checkpoint outside 1..n is refused as well, not dropped
+        for checkpoints in ((0, 50), (50, 1000), (-3,)):
+            with pytest.raises(ValueError, match=r"checkpoints must lie in 1\.\.100"):
+                k_lower_trace(net, box, "sobol", 100, checkpoints=checkpoints)
 
     @pytest.mark.parametrize("estimate", [k_lower_trace], ids=["k_lower_trace"])
     @pytest.mark.parametrize("n", [0, -3])
