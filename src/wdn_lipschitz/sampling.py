@@ -5,10 +5,13 @@ half-open unit cube [0,1)^d, in blocks (``blocks(n)``).
 A random or Sobol block is one tile of at most 2**16 values (512 KiB):
 its cost is per value, so a trace generates, reduces or scales, and
 evaluates each block while it is still in a core's cache.  A Halton
-block costs a few numpy calls per base whatever its rows, so it is as
-large as memory allows, at most 8192 points and 2**23 values (64 MiB).
-Every value depends only on its index, so block size never changes a
-point, and a block can start at any index (see segments, below):
+block costs a few numpy calls per base up to its rows and a few per tile
+of the bases above them, so it is larger than a tile: at most 8192
+points and 2**21 values (16 MiB; 419 points at 5,002 dimensions).
+A trace's walk writes every block into one array, allocated once per
+walk; ``blocks(n)`` yields new arrays, which a caller may keep.  Every
+value depends only on its index, so block size never changes a point,
+and a block can start at any index (see segments, below):
 
 * ``random``: numpy's PCG64 generator with an explicit seed.  PCG64 draws
   exactly one 64-bit value per double however the draws are cut, so value
@@ -23,11 +26,17 @@ point, and a block can start at any index (see segments, below):
   rows) is a table built once per process, and each run of equal high
   part is a slice of that table plus the fold of the run's few high
   digits, added in the same order.  A base above the rows meets at most
-  two runs.  A base above the block's last index leaves every index j one
-  digit, j * (1/b), so all such bases take one multiply.  A digit that a
-  shorter index lacks adds +0.0, which is exact, so every value has the
-  bits of the plain digit loop.  Bases are folded 16 at a time and copied
-  transposed into the C-contiguous block;
+  two runs, the second from where its low digit wraps, so all such bases
+  are folded together by whole-array steps: the low digit of row r,
+  (first mod b) + r less b after the wrap, times fl(1/b), then, one level
+  at a time, each high digit of the row's run times the weight, divided
+  by b at each level.  A base above the block's last index leaves every
+  index j one digit, j * (1/b), so all such bases take one multiply.  A
+  digit that a shorter index lacks adds +0.0, which is exact, so every
+  value has the bits of the plain digit loop.  Bases are folded
+  link-major, 16 at a time or, where bases above the rows take two runs,
+  up to a tile's values of them, and copied transposed into the
+  C-contiguous block;
 * ``sobol``: the classic 32-bit Gray-code construction driven by the shipped
   Joe-Kuo direction-number table (dimensions 2..1111; dimension 1 is the van
   der Corput sequence).  Generation starts at index 1, so the first point is
@@ -90,8 +99,9 @@ A ``sqrt`` trace needs each point's sum of squares.  The sample walk cuts
 every block at checkpoints, block ends and tile edges, so it hands each
 consumer at most one tile of 2**16 values (512 KiB).  The trace scales a
 cut and evaluates its Jacobian in place, and writes its row sums into one
-vector of a tile's rows allocated once, so it holds one block plus that
-vector, and each cut's passes stay in cache.
+vector of a tile's rows allocated once, so it holds one block, the walk's
+one array, plus that vector, and each cut's passes stay in cache.  On
+5,002 links a Halton sqrt trace holds about 17 MiB: one 16 MiB block.
 
 A trace that walks random or Sobol sample blocks (a random ``max``
 trace, and a random or Sobol ``sqrt`` trace) splits points 1..n into
@@ -124,14 +134,13 @@ CPUs.
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import hashlib
 import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Callable, Iterator
 
@@ -161,8 +170,8 @@ _SOBOL_RUN = 1 << _SOBOL_RUN_BITS
 # stay in a core's cache.  A random or Sobol block is one tile, and the
 # sample walk cuts any block into cuts of at most one tile.
 _TILE_VALUES = 2 ** 16
-# Halton folds this many bases link-major, then copies them into the block
-# transposed, so the block is written C-contiguous
+# Halton folds at least this many bases link-major, then copies them into
+# the block transposed, so the block is written C-contiguous
 _HALTON_CHUNK = 16
 
 
@@ -239,7 +248,8 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
     return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
 
 
-def _sobol_blocks(dim: int, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
+def _sobol_blocks(dim: int, first: int, count: int, rows: int,
+                  reuse: bool) -> Iterator[np.ndarray]:
     v = _sobol_matrix(dim)
     # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
     table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
@@ -249,18 +259,19 @@ def _sobol_blocks(dim: int, first: int, count: int, rows: int) -> Iterator[np.nd
     # from the first state of run r to that of run r+1, r+1 with k trailing zeros
     steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
     states = np.empty((min(rows, count), dim), dtype=np.uint32)
-    for done in range(0, count, rows):
-        yield _sobol_block(v, table, steps, states, first + done, min(rows, count - done))
+    fill = partial(_sobol_block, v, table, steps, states)
+    yield from _filled_blocks(fill, dim, first, count, rows, reuse)
 
 
 def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
-                 states: np.ndarray, first: int, size: int) -> np.ndarray:
-    """Sobol points first..first+size-1, C-contiguous.
+                 states: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """Sobol points first..first+len(out)-1, written into out and returned.
 
     The states of a run are table XOR the state of the run's first index
     (see the module docstring).  Each run is XORed into states, which has
     room for the block, and the block is scaled from it once.
     """
+    size = len(out)
     run, lead = divmod(first, _SOBOL_RUN)
     base = _sobol_state(v, first - lead)
     written = 0
@@ -269,47 +280,60 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
         np.bitwise_xor(table[lead:lead + take], base, out=states[written:written + take])
         written += take
         if written == size:
-            return states[:size] * 0.5 ** _SOBOL_BITS
+            return np.multiply(states[:size], 0.5 ** _SOBOL_BITS, out=out)
         run += 1
         lead = 0
         base ^= steps[(run & -run).bit_length() - 1]
 
 
-def _halton_blocks(dim: int, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
-    bases = _first_primes(dim)
-    chunk = np.empty((_HALTON_CHUNK, min(rows, count)))
-    for done in range(0, count, rows):
-        yield _halton_block(bases, first + done, min(rows, count - done), chunk)
+def _halton_blocks(dim: int, first: int, count: int, rows: int,
+                   reuse: bool) -> Iterator[np.ndarray]:
+    bases = np.array(_first_primes(dim))
+    size = min(rows, count)
+    # room for _HALTON_CHUNK bases, or for up to a tile's values of the
+    # bases that some block folds by two runs: above its rows, within the
+    # walk's last index
+    two_runs = np.count_nonzero((bases > size) & (bases < first + count))
+    chunk = np.empty((max(_HALTON_CHUNK, min(two_runs, _TILE_VALUES // max(1, size))), size))
+    fill = partial(_halton_block, bases, chunk=chunk)
+    yield from _filled_blocks(fill, dim, first, count, rows, reuse)
 
 
-def _halton_block(bases: list[int], first: int, size: int, chunk: np.ndarray) -> np.ndarray:
-    """Halton points first..first+size-1, C-contiguous; chunk is scratch for
-    _HALTON_CHUNK rows of size values."""
+def _halton_block(bases: np.ndarray, first: int, out: np.ndarray,
+                  chunk: np.ndarray) -> np.ndarray:
+    """Halton points first..first+len(out)-1, written into out (C-contiguous)
+    and returned; chunk is scratch for len(chunk) bases of len(out) values.
+
+    Bases above the block's last index leave every index j one digit,
+    j * (1/base), and take one multiply.  The others are folded link-major
+    in chunk, len(chunk) at a time, and copied transposed: a base up to the
+    block's rows from its table, one at a time (_halton_runs), and the
+    bases above the rows together (_halton_two_runs).
+    """
+    size = len(out)
     last = first + size - 1
-    out = np.empty((size, len(bases)))
-    # a base above the last index leaves every index j one digit: j * (1/base)
-    folded = bisect.bisect_right(bases, last)
-    np.multiply(np.arange(first, last + 1, dtype=float)[:, None],
-                1.0 / np.array(bases[folded:], dtype=float), out=out[:, folded:])
-    for start in range(0, folded, _HALTON_CHUNK):
-        part = bases[start:start + _HALTON_CHUNK]
-        for row, base in zip(chunk, part):
-            if base > size:
-                # at most two runs: the low digit is built per run
-                _halton_runs(row[:size], first, base, base, None, 1.0 / base)
-                continue
+    tabled, folded = np.searchsorted(bases, [size, last], side="right").tolist()
+    np.multiply(np.arange(first, last + 1, dtype=float)[:, None], 1.0 / bases[folded:],
+                out=out[:, folded:])
+    for start in range(0, folded, len(chunk)):
+        stop = min(folded, start + len(chunk))
+        part = chunk[:stop - start, :size]
+        split = max(0, min(tabled, stop) - start)
+        for row, base in zip(part[:split], bases[start:start + split].tolist()):
             span = base
             while span * base <= size:
                 span *= base
             table, weight = _fold_digits(base, span)
-            _halton_runs(row[:size], first, base, span, table, weight)
-        out[:, start:start + len(part)] = chunk[:len(part), :size].T
+            _halton_runs(row, first, base, span, table, weight)
+        if split < len(part):
+            _halton_two_runs(part[split:], first, bases[start + split:stop])
+        out[:, start:stop] = part.T
     return out
 
 
 # Cached across sequences and calls, and read-only, since every caller
 # shares it.  A table holds span values, span at most a block's rows, for a
-# base up to those rows (obcl's 289 bases at 8192 rows: about 2.6 MiB).
+# base up to those rows (obcl's 289 bases at 7,256 rows: about 2.5 MiB).
 @lru_cache(maxsize=None)
 def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
     """Radical inverses of 0..span-1 in base, and the weight of the last
@@ -334,16 +358,16 @@ def _fold(idx: np.ndarray, base: int | np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
-                 table: np.ndarray | None, weight: float) -> None:
+                 table: np.ndarray, weight: float) -> None:
     """Radical inverses of first, first+1, ... in base, written into row.
 
-    span is base**k and table the fold of the low k digits of 0..span-1,
-    with weight the weight of digit k.  The indices fall into runs of equal
-    high part j // span; each run is a slice of the table plus the fold of
-    its high digits, added digit by digit as _fold_digits adds them.  A
-    missing high digit adds +0.0, which leaves r >= 0 unchanged, so every
-    value has the bits of the digit loop run on j itself.  table None means
-    k = 1 and span > len(row): the run's low digit times weight.
+    span is base**k, at most len(row), and table the fold of the low k
+    digits of 0..span-1, with weight the weight of digit k.  The indices
+    fall into runs of equal high part j // span; each run is a slice of the
+    table plus the fold of its high digits, added digit by digit as
+    _fold_digits adds them.  A missing high digit adds +0.0, which leaves
+    r >= 0 unchanged, so every value has the bits of the digit loop run on
+    j itself.
     """
     size = len(row)
     lead = first % span
@@ -351,14 +375,12 @@ def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
     whole = (size - head) // span
     tail = head + whole * span
     if head:
-        row[:head] = (table[lead:lead + head] if table is not None
-                      else np.arange(lead, lead + head) * weight)
+        row[:head] = table[lead:lead + head]
     body = row[head:tail].reshape(whole, span)
     if whole:
         body[...] = table
     if tail < size:
-        row[tail:] = (table[:size - tail] if table is not None
-                      else np.arange(size - tail) * weight)
+        row[tail:] = table[:size - tail]
     high = np.arange(first // span, (first + size - 1) // span + 1)
     skip = 1 if head else 0
     while high.any():
@@ -371,6 +393,36 @@ def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
         if tail < size:
             row[tail:] += digit[-1]
         high //= base
+
+
+def _halton_two_runs(out: np.ndarray, first: int, bases: np.ndarray) -> None:
+    """Radical inverses of first, first+1, ... in each of the bases, one
+    row of out per base, written in place.
+
+    Every base is above the row length, so a row meets at most two runs of
+    equal high part j // base, and the second, if any, is the row's tail,
+    from where the low digit wraps: the low digit of entry r is
+    (first mod base) + r, less base after the wrap.  Each entry gets the
+    digit loop's ops in its order: the low digit times fl(1/base), then,
+    one level at a time, its run's high digit times the weight, divided by
+    base at each level.  A digit that an index lacks adds +0.0, which is
+    exact.
+    """
+    bases = bases[:, None]
+    weight = 1.0 / bases
+    np.add(np.arange(out.shape[1], dtype=float), first % bases, out=out)
+    wrapped = out >= bases
+    kept = ~wrapped
+    np.subtract(out, bases, out=out, where=wrapped)
+    out *= weight
+    # the high parts of the two runs, one column each
+    high = first // bases + np.arange(2)
+    while high.any():
+        weight = weight / bases
+        digit = (high % bases) * weight
+        np.add(out, digit[:, :1], out=out, where=kept)
+        np.add(out, digit[:, 1:], out=out, where=wrapped)
+        high //= bases
 
 
 def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -426,23 +478,38 @@ def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]
         yield mark, _fold(np.stack([low, high]), bases)[0]
 
 
-def _random_blocks(dim: int, first: int, count: int, rows: int,
-                   seed: int) -> Iterator[np.ndarray]:
+def _random_blocks(dim: int, first: int, count: int, rows: int, seed: int,
+                   reuse: bool) -> Iterator[np.ndarray]:
     # one draw per value, so point first starts (first - 1) * dim draws into
     # the stream (see the module docstring)
     rng = np.random.Generator(np.random.PCG64(seed).advance((first - 1) * dim))
+    yield from _filled_blocks(lambda _, out: rng.random(out=out), dim, first, count, rows,
+                              reuse)
+
+
+def _filled_blocks(fill: Callable[[int, np.ndarray], np.ndarray], dim: int, first: int,
+                   count: int, rows: int, reuse: bool) -> Iterator[np.ndarray]:
+    """Points first..first+count-1 in blocks of at most rows points, each
+    fill(index, out): out filled with the points from index on.  out is a
+    new array per block, or with reuse a view of one array allocated once,
+    so that each block overwrites the last.  No block is held here across
+    a yield, so a new block is made only once the caller dropped the last."""
+    shared = np.empty((min(rows, count), dim)) if reuse else None
     for done in range(0, count, rows):
-        yield rng.random((min(rows, count - done), dim))
+        size = min(rows, count - done)
+        yield fill(first + done, np.empty((size, dim)) if shared is None else shared[:size])
 
 
 def _block_rows(kind: str, dim: int) -> int:
     """Points per sample block of this kind in dim dimensions (see the
     module docstring): one tile for random and Sobol, whose cost is per
-    value; for Halton, whose cost is a few numpy calls per base, at most
-    8192 points and 2**23 values (at tile size a 289-link block would make
-    289 base passes for 226 points).  Memory stays flat in the links."""
+    value; for Halton at most 8192 points and 2**21 values (16 MiB).  A
+    Halton block costs a few numpy calls per base up to its rows (at tile
+    size a 289-link block would make 289 base passes for 226 points), and
+    a few per tile of the bases above them.  Memory stays flat in the
+    links."""
     if kind == KIND_HALTON:
-        return max(1, min(8192, 2 ** 23 // dim))
+        return max(1, min(8192, 2 ** 21 // dim))
     return _tile_rows(dim)
 
 
@@ -478,14 +545,17 @@ class SampleSequence:
         check_sample_count(self.kind, count)
         return self._blocks(1, count, _block_rows(self.kind, self.dimension))
 
-    def _blocks(self, first: int, count: int, rows: int) -> Iterator[np.ndarray]:
+    def _blocks(self, first: int, count: int, rows: int,
+                reuse: bool = False) -> Iterator[np.ndarray]:
         """Points first..first+count-1 in blocks of at most rows points;
-        the caller has checked that the sequence indexes them."""
+        the caller has checked that the sequence indexes them.  Blocks are
+        new arrays, or with reuse views of one array that each block
+        overwrites, for a caller that drops each block before the next."""
         if self.kind == KIND_SOBOL:
-            return _sobol_blocks(self.dimension, first, count, rows)
+            return _sobol_blocks(self.dimension, first, count, rows, reuse)
         if self.kind == KIND_HALTON:
-            return _halton_blocks(self.dimension, first, count, rows)
-        return _random_blocks(self.dimension, first, count, rows, self.seed)
+            return _halton_blocks(self.dimension, first, count, rows, reuse)
+        return _random_blocks(self.dimension, first, count, rows, self.seed, reuse)
 
 
 def check_sample_count(kind: str, count: int) -> None:
@@ -606,7 +676,7 @@ def _segment_walk(sequence: SampleSequence, marks: list[int],
         lo, hi = edges[s], edges[s + 1]
         try:
             cuts = [m - lo for m in inside[s]] + ([hi - lo] if hi < n else [])
-            got[s] = list(walk(sequence._blocks(lo + 1, hi - lo, rows), cuts))
+            got[s] = list(walk(sequence._blocks(lo + 1, hi - lo, rows, reuse=True), cuts))
         except BaseException as error:
             got[s] = error
 
@@ -639,8 +709,8 @@ def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
     cut at the nondecreasing marks, at block ends and at tile edges, so
     that each cut is at most one tile, and yield each mark once take has
     had the points up to it.  No cut outlives its call to take, and each
-    block is freed before the next is generated, so one block is held at a
-    time."""
+    block is dropped before the next is generated, so one block is held at
+    a time, and the blocks may be views of one array."""
     seen = 0
     at = 0
     for block in blocks:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -79,9 +81,9 @@ def segment_spy():
     walked = []
     blocks = SampleSequence._blocks
 
-    def spy(self, first, count, rows):
+    def spy(self, first, count, rows, **kwargs):
         walked.append((first, threading.current_thread(), np.geterr()))
-        return blocks(self, first, count, rows)
+        return blocks(self, first, count, rows, **kwargs)
 
     with patch.object(SampleSequence, "_blocks", spy):
         yield walked
@@ -132,30 +134,32 @@ class TestHalton:
         assert h < r
 
 
-def _reference_halton(dim: int, count: int, block: int):
-    """The radical-inverse digit loop, one base and one block at a time."""
-    bases = []
+@functools.lru_cache(maxsize=None)
+def _reference_primes() -> tuple[int, ...]:
+    """The first 5,002 primes, by trial division."""
+    primes = []
     candidate = 2
-    while len(bases) < dim:
-        if all(candidate % p for p in bases if p * p <= candidate):
-            bases.append(candidate)
+    while len(primes) < 5002:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
         candidate += 1
-    done = 0
-    while done < count:
-        size = min(block, count - done)
-        idx0 = np.arange(done + 1, done + size + 1, dtype=np.int64)
-        out = np.empty((size, dim))
-        for k, base in enumerate(bases):
-            idx = idx0.copy()
-            r = np.zeros(size)
-            f = 1.0
-            while idx.any():
-                f /= base
-                r += (idx % base) * f
-                idx //= base
-            out[:, k] = r
-        yield out
-        done += size
+    return tuple(primes)
+
+
+def _reference_halton(dim: int, count: int, block: int, first: int = 1):
+    """The radical-inverse digit loop, one base at a time, over points
+    first..first+count-1, cut into blocks of block points."""
+    out = np.empty((count, dim))
+    for k, base in enumerate(_reference_primes()[:dim]):
+        idx = np.arange(first, first + count, dtype=np.int64)
+        r = np.zeros(count)
+        f = 1.0
+        while idx.any():
+            f /= base
+            r += (idx % base) * f
+            idx //= base
+        out[:, k] = r
+    return [out[done:done + block] for done in range(0, count, block)]
 
 
 # at most eight blocks, so that the reference loop stays quick; dimension
@@ -173,15 +177,39 @@ def _reference_halton(dim: int, count: int, block: int):
 @example(dim=5002, block=None, whole=1, extra=0.01)
 def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
     # block None is the default block (test_default_block_is_capped_by_bytes)
-    rows = block or {289: 8192, 5002: 1677}[dim]
+    rows = block or {289: 7256, 5002: 419}[dim]
     count = whole * rows + int(extra * rows)
     with block_rows(block):
         got = list(SampleSequence("halton", dim).blocks(count))
-    want = list(_reference_halton(dim, count, rows))
+    want = _reference_halton(dim, count, rows)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.flags.c_contiguous
         assert np.array_equal(a, b)
+
+
+# Blocks of at most 40 rows, so that nearly every base is above the rows
+# and meets at most two runs (sampling._halton_two_runs), from first
+# indices up to 2**62, where a run's high part has two or more digits in
+# every base of 5,002 dimensions (the largest is 48,623).  The examples
+# start on a multiple of four bases above the rows (no head run), and
+# wrap the low digit of base 48,623 inside the first block.
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=5002),
+       rows=st.integers(min_value=1, max_value=40),
+       first=st.one_of(st.integers(min_value=1, max_value=60_000),
+                       st.integers(min_value=1, max_value=2 ** 62)),
+       count=st.integers(min_value=1, max_value=120))
+@example(dim=200, rows=16, first=1009 * 1013 * 1019 * 1021, count=37)
+@example(dim=5002, rows=40, first=48623 * 2 ** 40 - 3, count=85)
+def test_halton_two_run_fold_matches_digit_loop(dim, rows, first, count):
+    count = min(count, 3 * rows)
+    got = list(SampleSequence("halton", dim)._blocks(first, count, rows))
+    want = _reference_halton(dim, count, rows, first)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSobol:
@@ -344,10 +372,22 @@ class TestSequences:
         assert next(SampleSequence("sobol", 289).blocks(10_000)).shape == (226, 289)
         assert next(SampleSequence("sobol", 1111).blocks(10_000)).shape == (58, 1111)
         assert next(SampleSequence("random", 2 ** 17).blocks(3)).shape == (1, 2 ** 17)
-        # a Halton block: 8192 points up to dimension 1024, then at most
-        # 2**23 values
-        assert next(SampleSequence("halton", 289).blocks(10_000)).shape == (8192, 289)
-        assert next(SampleSequence("halton", 5002).blocks(10_000)).shape == (1677, 5002)
+        # a Halton block: 8192 points up to dimension 256, then at most
+        # 2**21 values
+        assert next(SampleSequence("halton", 256).blocks(10_000)).shape == (8192, 256)
+        assert next(SampleSequence("halton", 289).blocks(10_000)).shape == (7256, 289)
+        assert next(SampleSequence("halton", 5002).blocks(10_000)).shape == (419, 5002)
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_blocks_are_new_arrays_and_a_walk_reuses_one(self, kind):
+        # a caller may keep what blocks() yields; a trace's walk drops each
+        # block before the next, so its blocks are written into one array
+        sequence = SampleSequence(kind, 289, seed=1)
+        rows = sampling._block_rows(kind, 289)
+        first, second = itertools.islice(sequence.blocks(3 * rows), 2)
+        assert not np.shares_memory(first, second)
+        first, second = itertools.islice(sequence._blocks(1, 3 * rows, rows, reuse=True), 2)
+        assert np.shares_memory(first, second)
 
     @pytest.mark.parametrize("kind", ["random", "halton", "sobol"])
     def test_negative_seed_rejected_at_construction(self, kind):
@@ -504,8 +544,8 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # numpy reports its buffers to tracemalloc, from every thread.  The
-    # block bound is in Halton's 8192-point blocks, per segment, times the
-    # segments the trace walks; a Halton trace walks one.  Random and Sobol
+    # block bound is in Halton blocks (7,256 points on obcl), per segment,
+    # times the segments the trace walks; a Halton trace walks one.  Random and Sobol
     # blocks are one tile, and test_random_trace_memory_is_flat_in_links
     # bounds them by tiles.  A random max trace holds one sample block and
     # the two hull rows per segment.  A Halton or Sobol max trace takes its
@@ -527,12 +567,13 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
             peak = traced_peak(k_lower_trace, net, box, kind, 20_000, mode=mode)
         segments = len(walked)
         assert segments == (0 if closed_form else 1 if kind == "halton" else cpus)
-        per_segment = 48 * row_bytes if closed_form else 1.5 * 8192 * row_bytes
+        halton_block = sampling._block_rows("halton", net.n_links) * row_bytes
+        per_segment = 48 * row_bytes if closed_form else 1.5 * halton_block
         assert peak <= max(1, segments) * per_segment
 
 
 # obcl's 289 links give random and Sobol blocks of 226 points; Halton
-# blocks are 8192 points at any dimension up to 1024, so Halton runs on
+# blocks are 8192 points at any dimension up to 256, so Halton runs on
 # three_node's 2 links, where 8,200 one-point blocks stay quick
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
@@ -588,6 +629,18 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
         assert peak <= len(walked) * per_segment
 
 
+def test_halton_sqrt_trace_memory_in_blocks(scale_network):
+    # A Halton block on 5,002 links is 419 points, at most 2**21 values
+    # (16 MiB).  A sqrt trace writes every block of its walk into one
+    # array and evaluates it in place; the rest is the tables of the 81
+    # bases up to 419, a chunk of link-major scratch of about a tile and
+    # the row sums: 1.06 x 2**21 values measured.  One more block-sized
+    # buffer fails the bound.
+    net, box = scale_network
+    peak = traced_peak(k_lower_trace, net, box, "halton", 10_000, mode="sqrt")
+    assert peak <= 1.25 * 2 ** 21 * 8
+
+
 # obcl's 289 links: a random max trace segment keeps one float per cut,
 # so any checkpoint count walks three segments on three CPUs.  A segment
 # holds its block (one tile), its two hull rows and one corner pass at a
@@ -632,7 +685,7 @@ def test_sobol_sqrt_trace_memory_in_tiles(fixtures):
 
 
 # obcl's 289 links: a tile is 226 points, a random or Sobol block is one
-# tile and a Halton block 8,192 points.  Marks fall inside blocks, on and
+# tile and a Halton block 7,256 points.  Marks fall inside blocks, on and
 # next to a block edge, and far apart, so that one cut between two marks
 # would span many tiles and a block edge.
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
@@ -778,8 +831,8 @@ class TestSegmentThreads:
         blocks = SampleSequence._blocks
         finished = set()
 
-        def some_fail(self, first, count, rows):
-            for i, block in enumerate(blocks(self, first, count, rows)):
+        def some_fail(self, first, count, rows, **kwargs):
+            for i, block in enumerate(blocks(self, first, count, rows, **kwargs)):
                 if i == 1 and firsts.index(first) in failing:
                     raise ValueError(f"segment {firsts.index(first)} failed")
                 yield block
@@ -815,10 +868,10 @@ class TestSegmentThreads:
         _, net, box = fixtures["obcl"]
         blocks = SampleSequence._blocks
 
-        def slow(self, first, count, rows):
+        def slow(self, first, count, rows, **kwargs):
             if first > 1:
                 time.sleep(0.2)
-            return blocks(self, first, count, rows)
+            return blocks(self, first, count, rows, **kwargs)
 
         before = threading.active_count()
         with cpu_count(3), patch.object(SampleSequence, "_blocks", slow), \
