@@ -104,7 +104,10 @@ class Bracket:
 
     upper: float
     lower: float
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
 
 
 def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[float]]:
@@ -148,7 +151,7 @@ def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
         raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(upper):
         raise BoundsError(f"{mode}-mode interval enclosure overflows a float: the box is too wide")
-    return Bracket(upper=upper, lower=lower, gap=upper - lower)
+    return Bracket(upper=upper, lower=lower)
 
 
 def _estimate(net: Network, box: FlowBox, gap_tol: float, max_boxes: int,

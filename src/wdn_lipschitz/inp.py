@@ -82,7 +82,6 @@ class PipeDesc:
     from_node: str
     to_node: str
     resistance: float
-    exponent: float
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ def parse_inp(text: str) -> NetworkDescription:
             resistance = resistance_fn(length, diameter, roughness)
         except OverflowError:
             raise ParameterOutOfRange(f"pipe {pipe_id!r}: resistance is not finite") from None
-        pipes.append(PipeDesc(pipe_id, r.tokens[1], r.tokens[2], resistance, mu))
+        pipes.append(PipeDesc(pipe_id, r.tokens[1], r.tokens[2], resistance))
 
     curves: dict[str, list[tuple[float, float]]] = {}
     for r in rows("CURVES", 3, 3):
@@ -454,8 +453,6 @@ def _validate(desc: NetworkDescription) -> None:
             raise ParameterOutOfRange(f"pipe {p.id!r}: resistance must be > 0")
         if not math.isfinite(p.resistance):
             raise ParameterOutOfRange(f"pipe {p.id!r}: resistance is not finite")
-        if p.exponent != mu:
-            raise ParameterOutOfRange(f"pipe {p.id!r}: exponent differs from network value")
     for m in desc.pumps:
         if not m.shutoff_head > 0:
             raise ParameterOutOfRange(f"pump {m.id!r}: shutoff head must be > 0")

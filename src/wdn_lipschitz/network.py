@@ -18,7 +18,8 @@ The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
 negative value).  Each component depends on its own flow only, so the
 Jacobian is diagonal.  Network holds f and its derivative as one per-link
-table, whose columns Network.__init__ builds per link class:
+table, which Network.__init__ builds as one row per link, from one row
+expression per link class:
 
     f     = f_offset + f_coef * q * |q|**deriv_expo * deriv_post
     df/dq = deriv_coef * |q|**deriv_expo * deriv_post
@@ -75,28 +76,22 @@ class Network:
         self.to_pos = np.array([self.node_pos[l.to_node] for l in stacked], dtype=np.int64)
         self.tank_area = np.array([t.cross_section_area for t in desc.tanks], dtype=float)
 
-        # the table of the module docstring, in stacked flow order; the pump
-        # post is libm's, for the numpy evaluators too
+        # the table of the module docstring, one row per link in stacked
+        # flow order and one row expression per link class; the pump post is
+        # libm's, for the numpy evaluators too.  Held transposed, so each
+        # column is contiguous; (-1, 5) gives a linkless network five empty
+        # columns.
         mu = self.mu
-        pipes, pumps, valves = desc.pipes, desc.pumps, desc.valves
-        self.f_offset = np.array([0.0] * self.n_pipes
-                                 + [-m.speed * m.speed * m.shutoff_head for m in pumps]
-                                 + [0.0] * self.n_valves, dtype=float)
-        self.f_coef = np.array([p.resistance for p in pipes] + [m.curve_coeff for m in pumps]
-                               + [v.openness * v.resistance for v in valves], dtype=float)
-        self.deriv_coef = np.array([mu * p.resistance for p in pipes]
-                                   + [m.curve_exponent * m.curve_coeff for m in pumps]
-                                   + [mu * v.openness * v.resistance for v in valves],
-                                   dtype=float)
-        self.deriv_expo = np.array([mu - 1.0] * self.n_pipes
-                                   + [m.curve_exponent - 1.0 for m in pumps]
-                                   + [mu - 1.0] * self.n_valves)
-        self.deriv_post = np.array([1.0] * self.n_pipes
-                                   + [math.pow(m.speed, 2.0 - m.curve_exponent) for m in pumps]
-                                   + [1.0] * self.n_valves)
-        for column in (self.from_pos, self.to_pos, self.tank_area, self.f_offset,
-                       self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post):
+        table = np.array(
+            [(0.0, p.resistance, mu * p.resistance, mu - 1.0, 1.0) for p in desc.pipes]
+            + [(-m.speed * m.speed * m.shutoff_head, m.curve_coeff,
+                m.curve_exponent * m.curve_coeff, m.curve_exponent - 1.0,
+                math.pow(m.speed, 2.0 - m.curve_exponent)) for m in desc.pumps]
+            + [(0.0, v.openness * v.resistance, mu * v.openness * v.resistance, mu - 1.0, 1.0)
+               for v in desc.valves], dtype=float).reshape(-1, 5).T.copy()
+        for column in (table, self.from_pos, self.to_pos, self.tank_area):
             column.flags.writeable = False
+        self.f_offset, self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post = table
         self._built = True
 
     def __setattr__(self, name, value):

@@ -197,16 +197,11 @@ def _direction_rows() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         raise RuntimeError(
             f"direction-number table checksum mismatch: {digest} != {_DIRECTIONS_SHA256}"
         )
+    # the pinned table has no blank line and s direction numbers per row
     rows = []
     for line in data.decode("ascii").splitlines()[1:]:
-        fields = line.split()
-        if not fields:
-            continue
-        s, a = int(fields[1]), int(fields[2])
-        m = tuple(int(tok) for tok in fields[3:])
-        if len(m) != s:
-            raise RuntimeError("corrupt direction-number row")
-        rows.append((s, a, m))
+        _, s, a, *m = (int(tok) for tok in line.split())
+        rows.append((s, a, tuple(m)))
     return tuple(rows)
 
 
@@ -217,10 +212,9 @@ def sobol_max_dimension() -> int:
 # Cached per dimension and read-only, since every trace shares it
 @lru_cache(maxsize=None)
 def _sobol_matrix(dim: int) -> np.ndarray:
-    """Direction numbers as a (bits, dim) uint32 matrix."""
+    """Direction numbers as a (bits, dim) uint32 matrix; SampleSequence has
+    checked dim against the table."""
     rows = _direction_rows()
-    if dim > len(rows) + 1:
-        raise DimensionTooLarge(dim, len(rows) + 1)
     v = np.zeros((_SOBOL_BITS, dim), dtype=np.uint32)
     # dimension 1: van der Corput in base 2
     for k in range(_SOBOL_BITS):

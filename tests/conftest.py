@@ -97,7 +97,7 @@ def make_single_pipe(resistance: float = 1.0, mu: float = 2.0) -> NetworkDescrip
         junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
         reservoirs=[],
         tanks=[],
-        pipes=[PipeDesc("P1", "J1", "J2", resistance, mu)],
+        pipes=[PipeDesc("P1", "J1", "J2", resistance)],
         pumps=[],
         valves=[],
     )
@@ -128,8 +128,8 @@ def make_valve_network() -> NetworkDescription:
                    JunctionDesc("J3", 9.0, 10.0)],
         reservoirs=[ReservoirDesc("R1", 120.0)],
         tanks=[TankDesc("T1", 80.0, 12.0, 450.0)],
-        pipes=[PipeDesc("P1", "J1", "T1", 3.2e-5, mu),
-               PipeDesc("P2", "J2", "J1", 7.5e-6, mu)],
+        pipes=[PipeDesc("P1", "J1", "T1", 3.2e-5),
+               PipeDesc("P2", "J2", "J1", 7.5e-6)],
         pumps=[PumpDesc("PU1", "R1", "J1", 260.0, 1.1e-4, 1.7, 1.0),
                PumpDesc("PU2", "R1", "J2", 310.0, 6.0e-5, 2.3, 0.8)],
         valves=[ValveDesc("V1", "J1", "J2", 4.0e-5, 0.6),
@@ -166,7 +166,7 @@ def make_random_network(rng: np.random.Generator):
     pipes = []
     for i in range(n_p):
         a, b = pair()
-        pipes.append(PipeDesc(f"P{i}", a, b, float(rng.lognormal(-8, 2)), mu))
+        pipes.append(PipeDesc(f"P{i}", a, b, float(rng.lognormal(-8, 2))))
     pumps = []
     for i in range(n_m):
         a, b = pair()
@@ -223,7 +223,7 @@ def make_tank_network(rng: np.random.Generator):
         return (a, b) if rng.random() < 0.5 else (b, a)
 
     tank_ids = [t.id for t in tanks]
-    pipes = [PipeDesc(f"P{i}", *ends(nodes), float(rng.lognormal(-8, 2)), mu)
+    pipes = [PipeDesc(f"P{i}", *ends(nodes), float(rng.lognormal(-8, 2)))
              for i in range(int(rng.integers(1, 6)))]
     pumps = [PumpDesc(f"PU{i}", *ends(tank_ids),
                       shutoff_head=float(rng.uniform(50, 500)),

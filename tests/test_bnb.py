@@ -117,7 +117,7 @@ class TestDirectedRounding:
             flow_units="GPM", headloss_exponent=mu,
             junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
             reservoirs=[], tanks=[],
-            pipes=[PipeDesc("P1", "J1", "J2", coeff, mu)],
+            pipes=[PipeDesc("P1", "J1", "J2", coeff)],
             pumps=[PumpDesc("M1", "J1", "J2", 100.0, coeff, nu, speed)],
             valves=[ValveDesc("V1", "J2", "J1", coeff, openness)],
         )
@@ -332,8 +332,8 @@ class TestUpperEstimates:
             flow_units="GPM", headloss_exponent=2.0,
             junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
             reservoirs=[], tanks=[],
-            pipes=[PipeDesc("A", "J1", "J2", 1.5, 2.0),
-                   PipeDesc("B", "J2", "J1", 2.0, 2.0)],
+            pipes=[PipeDesc("A", "J1", "J2", 1.5),
+                   PipeDesc("B", "J2", "J1", 2.0)],
             pumps=[], valves=[],
         )
         net = build_network(desc)

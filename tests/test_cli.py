@@ -63,6 +63,29 @@ def test_analyze_report_validates_against_schema(capsys):
     assert list(report["config"]) == ["samples", "sampler", "seed", "mode", "bounds"]
 
 
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(dict(value=-1.0, method="analytical"),
+                 "estimate value must be nonnegative", id="negative-value"),
+    pytest.param(dict(value=1.0, method="analytical", gap=0.0),
+                 "gap must be present exactly for interval_upper estimates", id="stray-gap"),
+    pytest.param(dict(value=1.0, method="interval_upper"),
+                 "gap must be present exactly for interval_upper estimates", id="missing-gap"),
+    pytest.param(dict(value=1.0, method="interval_upper", gap=-1e-12),
+                 "gap must be nonnegative", id="negative-gap"),
+])
+def test_estimate_invariants(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        wdn_lipschitz.LipschitzEstimate(mode="max", **fields)
+
+
+def test_report_rejects_an_unknown_estimate_key():
+    report = wdn_lipschitz.AnalysisReport("net", (1, 0, 0, 0, 0, 0), {})
+    estimate = wdn_lipschitz.LipschitzEstimate(value=1.0, method="analytical", mode="max")
+    with pytest.raises(ValueError, match=r"^unknown estimate key 'interval'$"):
+        report.add("interval", estimate, 0.0)
+    assert report.estimates == {}
+
+
 def test_analyze_table_format(capsys):
     code, out = run(capsys, "analyze", str(FIXTURE_DIR / "three_node.inp"),
                     "--bounds", str(FIXTURE_DIR / "three_node_bounds.csv"),
@@ -546,14 +569,17 @@ def test_benchmark_selection_mistake_is_usage_error(capsys, argv, message):
     assert one_error_line(capsys, argv, 2, "usage error: ") == message
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    pytest.param(ANALYZE, "--samples", "0", id="--samples-0"),
-    pytest.param(CONVERGENCE, "--n-grid", "10,abc", id="--n-grid-10,abc"),
-    pytest.param(CONVERGENCE, "--n-grid", "0,10", id="--n-grid-0,10"),
+@pytest.mark.parametrize("command, flag, value, reason", [
+    pytest.param(ANALYZE, "--samples", "0", "'0' is not a positive integer", id="--samples-0"),
+    pytest.param(CONVERGENCE, "--n-grid", "10,abc", "'abc' is not an integer",
+                 id="--n-grid-10,abc"),
+    pytest.param(CONVERGENCE, "--n-grid", "0,10", "'0' is not a positive integer",
+                 id="--n-grid-0,10"),
+    pytest.param(CONVERGENCE, "--n-grid", ",", "no sample counts given", id="--n-grid-,"),
 ])
-def test_bad_numeric_option_is_usage_error(capsys, command, flag, value):
+def test_bad_numeric_option_is_usage_error(capsys, command, flag, value, reason):
     err = usage_error(capsys, *command, flag, value)
-    assert f"argument {flag}: " in err
+    assert err.endswith(f"error: argument {flag}: {reason}\n")
 
 
 # the closed-form max trace makes a huge count cheap, yet Sobol's 32-bit

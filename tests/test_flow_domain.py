@@ -51,6 +51,13 @@ def test_three_node_bounds_file(three_node):
     assert box.kinds == ("pipe", "pump")
 
 
+def test_blank_rows_are_skipped(three_node):
+    _, net, box = three_node
+    blank = loads_bounds(bounds_text(["P1,0,922.5", "", "  ", "PU1,1,922.5"]), net)
+    assert blank.lo.tolist() == box.lo.tolist()
+    assert blank.hi.tolist() == box.hi.tolist()
+
+
 def test_pump_nonpositive_lower_rejected(three_node):
     _, net, _ = three_node
     with pytest.raises(PumpNonpositiveLower):

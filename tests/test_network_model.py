@@ -72,7 +72,7 @@ def reference_f(desc: NetworkDescription, q: np.ndarray) -> tuple[np.ndarray, np
     mu = desc.headloss_exponent
     n_p, n_m = len(desc.pipes), len(desc.pumps)
     pipes, pumps, valves = q[:n_p], q[n_p:n_p + n_m], q[n_p + n_m:]
-    terms = [(0.0, p.resistance * x * math.pow(abs(x), p.exponent - 1.0))
+    terms = [(0.0, p.resistance * x * math.pow(abs(x), mu - 1.0))
              for p, x in zip(desc.pipes, pipes)]
     terms += [(-m.speed * m.speed * m.shutoff_head,
                m.curve_coeff * math.pow(x, m.curve_exponent)
@@ -147,7 +147,7 @@ def make_benchmark_pair() -> NetworkDescription:
         junctions=[JunctionDesc("J1", 0.0, 500.0)],
         reservoirs=[ReservoirDesc("R1", 700.0)],
         tanks=[TankDesc("T1", 850.0, 15.0, 1963.4954084936207)],
-        pipes=[PipeDesc("P1", "J1", "T1", 2.346e-6, 1.852)],
+        pipes=[PipeDesc("P1", "J1", "T1", 2.346e-6)],
         pumps=[PumpDesc("PU1", "R1", "J1", 393.7008, 3.746e-6, 2.59, 1.0)],
         valves=[],
     )
@@ -203,14 +203,14 @@ class TestBuildNetworkValidation:
     """A description built directly gets parse_inp's checks where it is made."""
 
     def test_undeclared_endpoint_is_typed(self):
-        pipe = PipeDesc("P1", "J1", "NOWHERE", 1.0, 2.0)
+        pipe = PipeDesc("P1", "J1", "NOWHERE", 1.0)
         with pytest.raises(UnknownNodeRef) as err:
             dataclasses.replace(make_single_pipe(), pipes=[pipe])
         assert (err.value.node_id, err.value.link_id) == ("NOWHERE", "P1")
 
     def test_duplicate_link_id_rejected(self):
         # two links under one id would share one bounds row
-        pipe = PipeDesc("P1", "J1", "J2", 1.0, 2.0)
+        pipe = PipeDesc("P1", "J1", "J2", 1.0)
         with pytest.raises(DuplicateId):
             build_network(dataclasses.replace(make_single_pipe(), pipes=[pipe, pipe]))
 
@@ -379,8 +379,8 @@ def make_tank_chain(area: float) -> NetworkDescription:
         junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
         reservoirs=[],
         tanks=[TankDesc("T1", 100.0, 5.0, area)],
-        pipes=[PipeDesc("P1", "J1", "T1", 1e-6, 2.0),
-               PipeDesc("P2", "T1", "J2", 1e-6, 2.0)],
+        pipes=[PipeDesc("P1", "J1", "T1", 1e-6),
+               PipeDesc("P2", "T1", "J2", 1e-6)],
         pumps=[],
         valves=[],
     )
@@ -407,6 +407,11 @@ class TestTankStep:
         one = tank_step(net, h0, q, dt=60.0)
         assert two[0] == pytest.approx(one[0], rel=1e-14)
 
+    def test_wrong_length_heads_rejected(self):
+        net = build_network(make_tank_chain(area=100.0))
+        with pytest.raises(ValueError, match=r"^tank head vector length mismatch$"):
+            tank_step(net, np.array([50.0, 1.0]), np.array([5.0, 2.0]), dt=10.0)
+
 
 class TestJunctionResidual:
     def test_balanced_junction(self):
@@ -416,6 +421,11 @@ class TestJunctionResidual:
         q = np.array([4.0, 7.0])
         res = junction_residual(net, q, np.array([3.0]))
         assert res[0] == 0.0
+
+    def test_wrong_length_demand_rejected(self):
+        net = build_network(make_tank_chain(area=50.0))
+        with pytest.raises(ValueError, match=r"^demand vector length mismatch$"):
+            junction_residual(net, np.zeros(2), np.zeros(3))
 
     def test_zero_flows_zero_demand(self):
         net = build_network(make_tank_chain(area=50.0))

@@ -398,6 +398,10 @@ class TestSequences:
         with pytest.raises(ValueError):
             SampleSequence("sobolev", 2)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^count must be >= 0$"):
+            SampleSequence("halton", 2).blocks(-1)
+
 
 class TestKLower:
     def test_pipe_toy_hand_value(self):
@@ -469,6 +473,11 @@ class TestKLower:
         values = {k_lower_trace(net, box, "random", 1000, seed=s)[0].value for s in (1, 2)}
         assert len(values) == 2
         assert all(v <= k for v in values)
+
+    def test_rejects_unknown_mode(self, three_node):
+        _, net, box = three_node
+        with pytest.raises(ValueError, match=r"^unknown mode 'frobenius'$"):
+            k_lower_trace(net, box, "halton", 10, mode="frobenius")
 
     def test_rejects_nonpositive_n(self, three_node):
         _, net, box = three_node
@@ -1063,7 +1072,7 @@ def test_point_stays_below_interval_on_degenerate_boxes(mu, nu, r_pipe, r_pump, 
         flow_units="GPM", headloss_exponent=mu,
         junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
         reservoirs=[], tanks=[],
-        pipes=[PipeDesc("P1", "J1", "J2", r_pipe, mu)],
+        pipes=[PipeDesc("P1", "J1", "J2", r_pipe)],
         pumps=[PumpDesc("M1", "J1", "J2", 100.0, r_pump, nu, speed)],
         valves=[ValveDesc("V1", "J2", "J1", r_valve, openness)],
     )
