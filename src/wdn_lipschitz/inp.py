@@ -169,7 +169,8 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
     and none was rejected; with lower flows, the exact curves rejected each
     had a head within about 1e-11 of h_s, relative, whose log(h_s - h) is
     mostly rounding.  A curve off any power law, such as (0, 200),
-    (300, 180), (600, 120), (900, 30), is rejected.
+    (300, 180), (600, 120), (900, 30), is rejected, and so is one whose
+    positive flows all share a logarithm, such as 3.9999999999999996 and 4.
     """
     pts = sorted(points)
     if len(pts) != len({q for q, _ in pts}):
@@ -204,6 +205,9 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
 
     # least squares for log(h_s - h) = log r + nu log q
     xs = [math.log(q) for q, _ in rest]
+    if xs[0] == xs[-1]:   # sorted, so every x is equal and sxx below is 0
+        raise ValueError(f"curve flows {rest[0][0]!r} and {rest[-1][0]!r} have the same "
+                         "logarithm, so the power-law fit cannot tell them apart")
     ys = [math.log(h_s - h) for _, h in rest]
     n = len(xs)
     mx = math.fsum(xs) / n

@@ -6,8 +6,8 @@ A random or Sobol block is one tile of at most 2**16 values (512 KiB):
 its cost is per value, so a trace generates, reduces or scales, and
 evaluates each block while it is still in a core's cache.  A Halton
 block costs a few numpy calls per base up to its rows and a few per tile
-of the bases above them, so it is larger than a tile: at most 8192
-points and 2**21 values (16 MiB; 419 points at 5,002 dimensions).
+of the bases above them, so it is larger than a tile: at most 4096
+points and 2**20 values (8 MiB; 209 points at 5,002 dimensions).
 One generator makes every block (``SampleSequence._blocks``): it writes
 each block of a walk into one array, allocated once per walk, and a
 trace's walk drops each block before the next; ``blocks(n)`` yields a
@@ -103,16 +103,18 @@ consumer at most one tile of 2**16 values (512 KiB).  The trace scales a
 cut and evaluates its Jacobian in place, and writes its row sums into one
 vector of a tile's rows allocated once, so it holds one block, the walk's
 one array, plus that vector, and each cut's passes stay in cache.  On
-5,002 links a Halton sqrt trace holds about 17 MiB: one 16 MiB block.
+5,002 links a Halton sqrt trace holds about 8.5 MiB per segment: one
+8 MiB block.
 
-A trace that walks random or Sobol sample blocks (a random ``max``
-trace, and a random or Sobol ``sqrt`` trace) splits points 1..n into
+A trace that walks sample blocks (a random ``max`` trace, and a random,
+Halton or Sobol ``sqrt`` trace) splits points 1..n into
 contiguous segments, one per CPU the process may run on
 (os.sched_getaffinity, or os.cpu_count where that is missing); there is
 no option for it.  Each segment holds at least four tiles of points, so
 a shorter trace is one segment, and starts no thread.  The first segment
 is walked on the calling thread and each other one on a thread of its
-own (numpy releases the GIL in its generators and array passes).  A
+own (numpy releases the GIL in its generators and array passes, such as
+a sqrt trace's ``power``; a Halton block's per-base calls hold it).  A
 segment builds its blocks from its first index, walks them with the
 marks inside it and its own end as cuts, and keeps one float per cut:
 its largest row sum for ``sqrt``, the corner pass at its own hull for
@@ -128,10 +130,8 @@ starts; once every segment thread is joined, the first error in index
 order is raised unchanged, and no thread outlives the trace (a ``max``
 trace names the link and flow where its first failing segment
 overflowed).  Memory is per segment: one block and a row-sum vector, or
-two hull rows and a corner pass, plus a float per cut.  A Halton trace
-walks one segment: its blocks cost a few numpy calls per base, which
-hold the GIL, and two segments were not reliably faster than one on two
-CPUs.
+two hull rows and a corner pass, plus a float per cut, so a trace's
+memory grows with the CPUs, one block per segment, for every kind.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def _halton_block(bases: np.ndarray, first: int, out: np.ndarray,
 
 # Cached across sequences and calls, and read-only, since every caller
 # shares it.  A table holds span values, span at most a block's rows, for a
-# base up to those rows (obcl's 289 bases at 7,256 rows: about 2.5 MiB).
+# base up to those rows (obcl's 289 bases at 3,628 rows: about 2.1 MiB).
 @lru_cache(maxsize=None)
 def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
     """Radical inverses of 0..span-1 in base, and the weight of the last
@@ -474,13 +474,16 @@ def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]
 def _block_rows(kind: str, dim: int) -> int:
     """Points per sample block of this kind in dim dimensions (see the
     module docstring): one tile for random and Sobol, whose cost is per
-    value; for Halton at most 8192 points and 2**21 values (16 MiB).  A
+    value; for Halton at most 4096 points and 2**20 values (8 MiB).  A
     Halton block costs a few numpy calls per base up to its rows (at tile
     size a 289-link block would make 289 base passes for 226 points), and
-    a few per tile of the bases above them.  Memory stays flat in the
-    links."""
+    a few per tile of the bases above them, and those calls hold the GIL.
+    Each segment holds one block, so a trace on two CPUs holds 16 MiB.
+    Half this cap makes twice the calls per value and was slower on obcl;
+    twice it was faster there, but doubles the memory.  Memory stays flat
+    in the links."""
     if kind == KIND_HALTON:
-        return max(1, min(8192, 2 ** 21 // dim))
+        return max(1, min(4096, 2 ** 20 // dim))
     return _tile_rows(dim)
 
 
@@ -624,12 +627,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _segment_count(kind: str, n: int, dim: int) -> int:
-    """Segments for a walk over points 1..n of this kind in dim dimensions:
-    one per CPU, each of at least four tiles' points, and one for Halton
-    (see the module docstring)."""
-    if kind == KIND_HALTON:
-        return 1
+def _segment_count(n: int, dim: int) -> int:
+    """Segments for a walk over points 1..n in dim dimensions, of any kind:
+    one per CPU, each of at least four tiles' points (see the module
+    docstring)."""
     return max(1, min(_cpu_count(), n // (4 * _tile_rows(dim))))
 
 
@@ -648,7 +649,7 @@ def _segment_walk(sequence: SampleSequence, marks: list[int],
     the values join in index order by max.
     """
     n = marks[-1]
-    count = _segment_count(sequence.kind, n, sequence.dimension)
+    count = _segment_count(n, sequence.dimension)
     edges = [n * s // count for s in range(count + 1)]
     inside = [[m for m in marks if lo < m <= hi] for lo, hi in zip(edges, edges[1:])]
     got: list = [None] * count

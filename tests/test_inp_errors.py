@@ -184,6 +184,12 @@ CASES = [
      "C1 0 200\nC1 300 180\nC1 600 120\nC1 900 30\n", MalformedSection,
      "PUMPS line 10: curve is not consistent with a power-law head model: "
      "'PU1 R1 J1 HEAD C1'"),
+    # two distinct flows whose logarithms round to one value: the fit's
+    # sum of squared log deviations is 0
+    ("curve-flows-share-a-logarithm", CURVE,
+     "C1 0 200\nC1 3.9999999999999996 150\nC1 4 100\n", MalformedSection,
+     "PUMPS line 10: curve flows 3.9999999999999996 and 4.0 have the same logarithm, "
+     "so the power-law fit cannot tell them apart: 'PU1 R1 J1 HEAD C1'"),
     ("range-pump-speed", PUMP, "PU1 R1 J1 HEAD C1 SPEED 1.5", ParameterOutOfRange,
      "pump 'PU1': speed 1.5 outside (0, 1]"),
     ("range-valve-resistance", VALVE, "V1 J1 T1 12 GPV 0 0.5", ParameterOutOfRange,

@@ -177,7 +177,7 @@ def _reference_halton(dim: int, count: int, block: int, first: int = 1):
 @example(dim=5002, block=None, whole=1, extra=0.01)
 def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
     # block None is the default block (test_default_block_is_capped_by_bytes)
-    rows = block or {289: 7256, 5002: 419}[dim]
+    rows = block or sampling._block_rows("halton", dim)
     count = whole * rows + int(extra * rows)
     with block_rows(block):
         got = list(SampleSequence("halton", dim).blocks(count))
@@ -373,11 +373,11 @@ class TestSequences:
         assert next(SampleSequence("sobol", 289).blocks(10_000)).shape == (226, 289)
         assert next(SampleSequence("sobol", 1111).blocks(10_000)).shape == (58, 1111)
         assert next(SampleSequence("random", 2 ** 17).blocks(3)).shape == (1, 2 ** 17)
-        # a Halton block: 8192 points up to dimension 256, then at most
-        # 2**21 values
-        assert next(SampleSequence("halton", 256).blocks(10_000)).shape == (8192, 256)
-        assert next(SampleSequence("halton", 289).blocks(10_000)).shape == (7256, 289)
-        assert next(SampleSequence("halton", 5002).blocks(10_000)).shape == (419, 5002)
+        # a Halton block: 4096 points up to dimension 256, then at most
+        # 2**20 values
+        assert next(SampleSequence("halton", 256).blocks(10_000)).shape == (4096, 256)
+        assert next(SampleSequence("halton", 289).blocks(10_000)).shape == (3628, 289)
+        assert next(SampleSequence("halton", 5002).blocks(10_000)).shape == (209, 5002)
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_blocks_are_new_arrays_and_a_walk_reuses_one(self, kind):
@@ -555,20 +555,21 @@ def test_traces_match_frozen_values(fixtures, name, kind, mode):
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # numpy reports its buffers to tracemalloc, from every thread.  The
-    # block bound is in Halton blocks (7,256 points on obcl), per segment,
-    # times the segments the trace walks; a Halton trace walks one.  Random and Sobol
-    # blocks are one tile, and test_random_trace_memory_is_flat_in_links
-    # bounds them by tiles.  A random max trace holds one sample block and
+    # block bound is in Halton blocks (3,628 points on obcl), per segment,
+    # times the segments the trace walks.  Random and Sobol blocks are one
+    # tile, and test_random_trace_memory_is_flat_in_links bounds them by
+    # tiles.  A random max trace holds one sample block and
     # the two hull rows per segment.  A Halton or Sobol max trace takes its
     # hull in closed form on one thread and holds a few rows of n_links
     # values (22 to 28 float64 rows; Sobol's largest buffers are its 32
     # uint32 rows of direction numbers and one gathered copy of them), so a
     # single block-sized buffer fails its bound.  A sqrt trace holds one
     # sample block and one row-sum vector per segment, and evaluates in
-    # place (a Halton trace 1.06 blocks, 1.21 while it also builds its
-    # digit tables; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0
-    # before the in-place pass).  One more block-sized buffer per segment
-    # fails the bound.  The trace runs as on one, two and three CPUs.
+    # place (a Halton trace 1.07 to 1.08 blocks per segment, 1.36 on one
+    # segment while it also builds its digit tables; 2.0 to 2.2 with a
+    # block-sized Jacobian buffer, 6.0 before the in-place pass).  One
+    # more block-sized buffer per segment fails the bound.  The trace runs
+    # as on one, two and three CPUs.
     _, net, box = fixtures["obcl"]
     row_bytes = net.n_links * 8
     closed_form = mode == "max" and kind != "random"
@@ -577,15 +578,15 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
         with cpu_count(cpus), segment_spy() as walked:
             peak = traced_peak(k_lower_trace, net, box, kind, 20_000, mode=mode)
         segments = len(walked)
-        assert segments == (0 if closed_form else 1 if kind == "halton" else cpus)
+        assert segments == (0 if closed_form else cpus)
         halton_block = sampling._block_rows("halton", net.n_links) * row_bytes
         per_segment = 48 * row_bytes if closed_form else 1.5 * halton_block
         assert peak <= max(1, segments) * per_segment
 
 
 # obcl's 289 links give random and Sobol blocks of 226 points; Halton
-# blocks are 8192 points at any dimension up to 256, so Halton runs on
-# three_node's 2 links, where 8,200 one-point blocks stay quick
+# blocks are 4096 points at any dimension up to 256, so Halton runs on
+# three_node's 2 links, where 4,104 one-point blocks stay quick
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 @pytest.mark.parametrize("mode", ["max", "sqrt"])
 def test_traces_do_not_depend_on_block_size(fixtures, kind, mode):
@@ -641,15 +642,22 @@ def test_random_trace_memory_is_flat_in_links(scale_network, mode):
 
 
 def test_halton_sqrt_trace_memory_in_blocks(scale_network):
-    # A Halton block on 5,002 links is 419 points, at most 2**21 values
-    # (16 MiB).  A sqrt trace writes every block of its walk into one
-    # array and evaluates it in place; the rest is the tables of the 81
-    # bases up to 419, a chunk of link-major scratch of about a tile and
-    # the row sums: 1.06 x 2**21 values measured.  One more block-sized
-    # buffer fails the bound.
+    # A Halton block on 5,002 links is 209 points, at most 2**20 values
+    # (8 MiB).  Each segment of a sqrt trace writes every block of its
+    # walk into one array and evaluates it in place; the rest is the
+    # tables of the 46 bases up to 209, shared by the segments, and per
+    # segment a chunk of link-major scratch of about a tile and the row
+    # sums: 1.09 to 1.11 x 2**20 values per segment measured.  The bound
+    # is per segment, times the segments the trace walks, so on two CPUs
+    # it is what scale-5k's Halton trace may hold; one more block-sized
+    # buffer per segment fails it.  The trace runs as on one, two and
+    # three CPUs.
     net, box = scale_network
-    peak = traced_peak(k_lower_trace, net, box, "halton", 10_000, mode="sqrt")
-    assert peak <= 1.25 * 2 ** 21 * 8
+    for cpus in (1, 2, 3):
+        with cpu_count(cpus), segment_spy() as walked:
+            peak = traced_peak(k_lower_trace, net, box, "halton", 10_000, mode="sqrt")
+        assert len(walked) == cpus
+        assert peak <= cpus * 1.25 * 2 ** 20 * 8
 
 
 # obcl's 289 links: a random max trace segment keeps one float per cut,
@@ -739,21 +747,17 @@ def test_blocks_from_any_first_index_match_the_stream(kind, dim, first, count, r
                           stream[first - 1:].view(np.uint64))
 
 
-# obcl's 289 links: a tile is 226 points, so 4,523 points (a multiple of
-# none of 2, 3 and 5) make up to five segments of at least four tiles.
-# Marks fall on and next to every segment edge of every count, and the
-# middle edge and n are marked twice.  Halton traces walk one segment.
-@pytest.mark.parametrize("kind", SAMPLER_KINDS)
-@pytest.mark.parametrize("mode", ["max", "sqrt"])
-def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
-    _, net, box = fixtures["obcl"]
-    n = 4523
-    edges = {n * s // k for k in (2, 3, 5) for s in range(1, k)}
+def assert_segment_count_changes_no_bit(net, box, kind, mode, n, counts):
+    """Run the trace of n points as on each CPU count of counts, with marks
+    on and next to every segment edge of every count, n // 2 and n marked
+    twice, and check the segments each walks and that every trace has the
+    same bits."""
+    edges = {n * s // k for k in counts for s in range(1, k)}
     marks = tuple(sorted([*{m for e in edges for m in (e - 1, e, e + 1)}, 1, n // 2, n]))
     closed_form = mode == "max" and kind != "random"
     traces = []
     interval = sys.getswitchinterval()
-    for cpus in (1, 2, 3, 5):
+    for cpus in counts:
         # more segments than this machine may have cores, switching threads
         # often, and the shared per-process tables built while they run
         sampling._fold_digits.cache_clear()
@@ -765,7 +769,7 @@ def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
                                            checkpoints=marks)
         finally:
             sys.setswitchinterval(interval)
-        segments = 0 if closed_form else 1 if kind == "halton" else cpus
+        segments = 0 if closed_form else cpus
         assert sorted(first for first, _, _ in walked) == [n * s // segments + 1
                                                            for s in range(segments)]
         assert len({thread for _, thread, _ in walked}) == segments
@@ -776,23 +780,43 @@ def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
     assert all(trace == traces[0] for trace in traces)
 
 
+# obcl's 289 links: a tile is 226 points, so 4,523 points (a multiple of
+# none of 2, 3 and 5) make up to five segments of at least four tiles.
+# On two or more CPUs each Halton segment is one block of at most 3,628
+# points; test_halton_sqrt_trace_on_scale_network_walks_segments walks
+# several blocks per segment.
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+@pytest.mark.parametrize("mode", ["max", "sqrt"])
+def test_traces_do_not_depend_on_segment_count(fixtures, kind, mode):
+    _, net, box = fixtures["obcl"]
+    assert_segment_count_changes_no_bit(net, box, kind, mode, 4523, (1, 2, 3, 5))
+
+
+# The scale network's 5,002 links: a Halton block is 209 points and a tile
+# 13, so 1,301 points make up to three segments of three to seven blocks
+# each, and in every block the bases from 210 up to its last index are
+# folded by two runs (sampling._halton_two_runs).
+def test_halton_sqrt_trace_on_scale_network_walks_segments(scale_network):
+    net, box = scale_network
+    assert sampling._block_rows("halton", net.n_links) == 209
+    assert_segment_count_changes_no_bit(net, box, "halton", "sqrt", 1301, (1, 2, 3))
+
+
 def test_segment_count_rule():
-    # one segment per CPU, each of at least four tiles' points; Halton
-    # walks one
+    # one segment per CPU, each of at least four tiles' points, whatever
+    # the kind: Halton, random and Sobol traces walk alike
     count = sampling._segment_count
     with cpu_count(2):
-        for kind in ("random", "sobol"):
-            assert count(kind, 1000, 289) == 1      # a certify-sized trace
-            assert count(kind, 1807, 289) == 1
-            assert count(kind, 1808, 289) == 2
-            assert count(kind, 10 ** 9, 289) == 2
-            assert count(kind, 7, 2 ** 20) == 1      # a tile is one point
-            assert count(kind, 8, 2 ** 20) == 2
-        assert count("halton", 10 ** 9, 289) == 1
+        assert count(1000, 289) == 1      # a certify-sized trace
+        assert count(1807, 289) == 1
+        assert count(1808, 289) == 2
+        assert count(10 ** 9, 289) == 2
+        assert count(7, 2 ** 20) == 1      # a tile is one point
+        assert count(8, 2 ** 20) == 2
     with cpu_count(1):
-        assert count("random", 10 ** 9, 289) == 1
+        assert count(10 ** 9, 289) == 1
     with cpu_count(5):
-        assert count("sobol", 10 ** 9, 289) == 5
+        assert count(10 ** 9, 289) == 5
 
 
 # a segment keeps one float per cut, so a trace with more checkpoints than
