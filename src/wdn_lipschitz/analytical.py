@@ -3,23 +3,24 @@
 Each component of the hydraulic nonlinearity depends on one flow only, so
 its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
-corner c, where c_i is the endpoint of larger magnitude.  One pass,
-corner_derivatives, serves all three max-mode routes: K and the interval
-brackets below at c, and the max point trace at its sample hull's corner.
-It reads the network's derivative table (network.py) and evaluates each
-link's coef_i * pow(c_i, expo_i) * post_i with libm, with no branch on class.
+corner c, where c_i is the endpoint of larger magnitude.  One libm pass,
+corner_derivatives, gives them: it reads the network's derivative table
+(network.py) and evaluates each link's coef_i * pow(c_i, expo_i) * post_i,
+with no branch on class.  The max point trace makes it at its sample hull.
 
-The sharp constant K is the largest of these, overall and per class (an
-empty class contributes 0); k_network returns both.  The one-sided constant
-equals K, because the log norm of a nonnegative diagonal matrix is its
-largest entry, so k_network's estimate is also the one-sided constant.
+corner(net, box) makes that pass once per box and returns a Corner record,
+the per-link values as a read-only array, which every max-mode result reads
+in whole arrays.  The sharp constant K is the largest value, overall and per
+class (an empty class contributes 0).  The one-sided constant equals K,
+because the log norm of a nonnegative diagonal matrix is its largest entry.
 
 The interval route brackets the suprema of max_i |J_ii| (max mode, the
 spectral norm) and sqrt(sum_i J_ii**2) (sqrt mode, the Frobenius norm, an
 upper bound on it).  It widens each corner value by 4 ulps to absorb libm
-error and combines them with outward rounding: one ulp after each square
-and each math.fsum (correctly rounded), and square roots checked exactly in
-rationals.  The bracket is a few ulps wide.
+error, in whole-array nextafter steps, and combines them with outward
+rounding: one ulp after each square and each math.fsum (correctly rounded),
+and square roots checked exactly in rationals.  The bracket is a few ulps
+wide.  k_network, interval_bracket and k_upper_* each build one record.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .bounds import FlowBox, check_box
 from .errors import BoundsError
@@ -52,49 +55,18 @@ def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
     return values
 
 
-def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
-    """Exact Lipschitz (and one-sided Lipschitz) constant over the box, with
-    the constant of each link class in ``per_class``."""
-    check_box(net, box)
-    values = corner_derivatives(net, box.corner_magnitudes())
-    pumps_end = net.n_pipes + net.n_pumps
-    per_class = {
-        "pipes": max(values[:net.n_pipes], default=0.0),
-        "pumps": max(values[net.n_pipes:pumps_end], default=0.0),
-        "valves": max(values[pumps_end:], default=0.0),
-    }
-    return LipschitzEstimate(
-        value=max(per_class.values()),
-        method=METHOD_ANALYTICAL,
-        mode=MODE_MAX,
-        per_class=per_class,
-    )
-
-
-def ulp_up(x: float, steps: int = 1) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-def ulp_down(x: float, steps: int = 1) -> float:
-    for _ in range(steps):
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
 def sqrt_down(x: float) -> float:
     # r <= sqrt(x) iff r*r <= x, checked exactly in rationals
     r = math.sqrt(x)
     if Fraction(r) * Fraction(r) > Fraction(x):
-        return max(0.0, ulp_down(r))
+        return max(0.0, math.nextafter(r, -math.inf))
     return r
 
 
 def sqrt_up(x: float) -> float:
     r = math.sqrt(x)
     if Fraction(r) * Fraction(r) < Fraction(x):
-        return ulp_up(r)
+        return math.nextafter(r, math.inf)
     return r
 
 
@@ -110,48 +82,91 @@ class Bracket:
         return self.upper - self.lower
 
 
-def corner_enclosures(net: Network, box: FlowBox) -> tuple[list[float], list[float]]:
-    """Certified (lowers, uppers) of each |J_ii| at the box corner.
+@dataclass(frozen=True, eq=False)
+class Corner:
+    """Each link's |J_ii| at a box's corner magnitudes, its supremum over the
+    box, read-only; class_ends are the stacked ends of the pipes and pumps."""
 
-    Each upper bounds its entry over the whole box; each lower is below the
-    entry's value at the corner, so it is attained inside the box.  A box
-    made for another network raises BoundsError (bounds.check_box).
-    """
-    # Where the 4-ulp widening comes from: the longest chain is the pump's
-    # (nu * r) * pow(m, nu-1) * pow(s, 2-nu), the table's coef, pow and post.
-    # Its exponents are exact (Sterbenz: mu, nu in [1, 3]), each libm pow is
-    # within 1 ulp and each of the 3 multiplies within half an ulp, so the
-    # errors add to at most 2 + 1.5 = 3.5 ulps.  Pipes and valves have fewer
-    # inexact operations.  This adds ulps of different intermediates, a first-order
-    # count; the 200-bit mpmath property test in tests/test_bnb.py
-    # (test_corner_enclosures_contain_exact_derivative) checks it, and
-    # random draws stayed within 2.7 ulps.
+    magnitudes: np.ndarray
+    values: np.ndarray
+    class_ends: tuple[int, int]
+
+    def k(self) -> LipschitzEstimate:
+        """K over the box, one-sided too, with each class's in ``per_class``."""
+        parts = np.split(self.values, self.class_ends)
+        per_class = {name: float(part.max(initial=0.0))
+                     for name, part in zip(("pipes", "pumps", "valves"), parts)}
+        return LipschitzEstimate(value=max(per_class.values()), method=METHOD_ANALYTICAL,
+                                 mode=MODE_MAX, per_class=per_class)
+
+    def enclosures(self) -> tuple[np.ndarray, np.ndarray]:
+        """Certified (lowers, uppers) of each |J_ii|: an upper bounds it over the
+        box, and a lower is below its corner value, so is attained in the box."""
+        # Where the 4-ulp widening comes from: the longest chain is the pump's
+        # (nu * r) * pow(m, nu-1) * pow(s, 2-nu), the table's coef, pow and post.
+        # Its exponents are exact (Sterbenz: mu, nu in [1, 3]), each libm pow is
+        # within 1 ulp and each of the 3 multiplies within half an ulp, so the
+        # errors add to at most 2 + 1.5 = 3.5 ulps.  Pipes and valves have fewer
+        # inexact operations.  This adds ulps of different intermediates, a first-order
+        # count; the 200-bit mpmath property test in tests/test_bnb.py
+        # (test_corner_enclosures_contain_exact_derivative) checks it, and
+        # random draws stayed within 2.7 ulps.
+        lowers = uppers = self.values
+        with np.errstate(over="ignore"):   # a step past the float range is inf
+            for _ in range(4):
+                lowers, uppers = np.nextafter(lowers, -np.inf), np.nextafter(uppers, np.inf)
+        return np.maximum(0.0, lowers), uppers
+
+    def bracket(self, mode: str) -> Bracket:
+        """Bracket lower <= sup_box F <= upper for the max or sqrt objective."""
+        lowers, uppers = self.enclosures()
+        if mode == MODE_MAX:
+            # a network with no links has an empty max, 0, as in k
+            lower, upper = float(lowers.max(initial=0.0)), float(uppers.max(initial=0.0))
+        elif mode == MODE_SQRT:
+            with np.errstate(over="ignore"):   # a square past the float range is inf
+                squares_lo = np.maximum(0.0, np.nextafter(lowers * lowers, -np.inf))
+                squares_hi = np.nextafter(uppers * uppers, np.inf)
+            try:
+                sum_lo, sum_hi = math.fsum(squares_lo.tolist()), math.fsum(squares_hi.tolist())
+                lower = sqrt_down(max(0.0, math.nextafter(sum_lo, -math.inf)))
+                # fsum rounds correctly, so a sum of exactly 0 (no links, as in
+                # max mode) needs no outward step
+                upper = sqrt_up(math.nextafter(sum_hi, math.inf)) if sum_hi else 0.0
+            except OverflowError:   # fsum's partial sums, or Fraction(inf) in sqrt_up
+                upper = math.inf
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        if not math.isfinite(upper):
+            raise BoundsError(f"{mode}-mode interval enclosure overflows a float: "
+                              "the box is too wide")
+        return Bracket(upper=upper, lower=lower)
+
+    def interval(self, mode: str) -> LipschitzEstimate:
+        """The certified upper bound of the mode's bracket."""
+        result = self.bracket(mode)
+        return LipschitzEstimate(value=result.upper, method=METHOD_INTERVAL_UPPER, mode=mode,
+                                 gap=result.gap, effort=1)
+
+
+def corner(net: Network, box: FlowBox) -> Corner:
+    """The box's Corner, from one check_box and one corner_derivatives pass."""
     check_box(net, box)
-    values = corner_derivatives(net, box.corner_magnitudes())
-    return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
+    magnitudes = box.corner_magnitudes()
+    at, values = np.array(magnitudes), np.array(corner_derivatives(net, magnitudes))
+    at.flags.writeable = values.flags.writeable = False
+    return Corner(at, values, (net.n_pipes, net.n_pipes + net.n_pumps))
+
+
+def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:
+    """Exact Lipschitz (and one-sided Lipschitz) constant over the box, with
+    the constant of each link class in ``per_class``."""
+    return corner(net, box).k()
 
 
 def interval_bracket(net: Network, box: FlowBox, mode: str) -> Bracket:
     """Bracket lower <= sup_box F <= upper for the max or sqrt objective."""
-    lowers, uppers = corner_enclosures(net, box)
-    if mode == MODE_MAX:
-        # a network with no links has an empty max, 0, as in k_network
-        lower, upper = max(lowers, default=0.0), max(uppers, default=0.0)
-    elif mode == MODE_SQRT:
-        try:
-            squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
-            squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
-            lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
-            # fsum rounds correctly, so a sum of exactly 0 (no links, as in
-            # max mode) needs no outward step
-            upper = sqrt_up(ulp_up(squares_hi)) if squares_hi else 0.0
-        except OverflowError:   # fsum's partial sums, or Fraction(inf) in sqrt_up
-            upper = math.inf
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not math.isfinite(upper):
-        raise BoundsError(f"{mode}-mode interval enclosure overflows a float: the box is too wide")
-    return Bracket(upper=upper, lower=lower)
+    return corner(net, box).bracket(mode)
 
 
 def _estimate(net: Network, box: FlowBox, gap_tol: float, max_boxes: int,
@@ -162,14 +177,7 @@ def _estimate(net: Network, box: FlowBox, gap_tol: float, max_boxes: int,
         raise ValueError("gap_tol must be > 0")
     if max_boxes < 1:
         raise ValueError("max_boxes must be >= 1")
-    result = interval_bracket(net, box, mode)
-    return LipschitzEstimate(
-        value=result.upper,
-        method=METHOD_INTERVAL_UPPER,
-        mode=mode,
-        gap=result.gap,
-        effort=1,
-    )
+    return corner(net, box).interval(mode)
 
 
 def k_upper_max(net: Network, box: FlowBox, gap_tol: float = 1e-3,

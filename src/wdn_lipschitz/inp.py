@@ -166,11 +166,15 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
     on a spurious shutoff-head root and had an exponent outside [1, 3].  A
     zero-flow point and two to five more, at flows from 1e-3 of the largest,
     on 20,000 exact power-law curves, missed by at most 1e-7 of the spread
-    and none was rejected; with lower flows, the exact curves rejected each
-    had a head within about 1e-11 of h_s, relative, whose log(h_s - h) is
-    mostly rounding.  A curve off any power law, such as (0, 200),
-    (300, 180), (600, 120), (900, 30), is rejected, and so is one whose
-    positive flows all share a logarithm, such as 3.9999999999999996 and 4.
+    and none was rejected.  With lower flows, a head within about 1e-11 of
+    h_s, relative, has a log(h_s - h) that is mostly rounding, and the
+    unweighted fit misses; the fit weighted by (h_s - h)**2 that then runs
+    rejected none of 2,000 such curves with flows down to 1e-5 of the
+    largest, where the unweighted one rejected 724.  It runs only after a
+    miss, so every curve the unweighted fit accepts keeps its bits.  A curve
+    off any power law, such as (0, 200), (300, 180), (600, 120), (900, 30),
+    is rejected, and so is one whose positive flows all share a logarithm,
+    such as 3.9999999999999996 and 4.
     """
     pts = sorted(points)
     if len(pts) != len({q for q, _ in pts}):
@@ -209,20 +213,29 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
         raise ValueError(f"curve flows {rest[0][0]!r} and {rest[-1][0]!r} have the same "
                          "logarithm, so the power-law fit cannot tell them apart")
     ys = [math.log(h_s - h) for _, h in rest]
-    n = len(xs)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    # a head close to h_s has a log(h_s - h) that is mostly rounding, which
+    # the unweighted fit follows; only if that fit misses, one weighted by
+    # (h_s - h)**2 tries again
+    for ws in ([1.0] * len(rest), [(h_s - h) ** 2 for _, h in rest]):
+        try:
+            r, nu = _log_linear_fit(xs, ys, ws)
+            miss = max(abs(h_s - r * math.pow(q, nu) - h) for q, h in pts)
+        except (OverflowError, ZeroDivisionError):   # past the float range; weights all 0
+            miss = math.inf
+        if miss <= 1e-6 * (heads[0] - heads[-1]):
+            return h_s, r, nu
+    raise ValueError("curve is not consistent with a power-law head model")
+
+
+def _log_linear_fit(xs: list[float], ys: list[float], ws: list[float]) -> tuple[float, float]:
+    """(r, nu) of the weighted least-squares line y = log r + nu x."""
+    total = math.fsum(ws)
+    mx = math.fsum(w * x for w, x in zip(ws, xs)) / total
+    my = math.fsum(w * y for w, y in zip(ws, ys)) / total
+    sxx = math.fsum(w * (x - mx) ** 2 for w, x in zip(ws, xs))
+    sxy = math.fsum(w * (x - mx) * (y - my) for w, x, y in zip(ws, xs, ys))
     nu = sxy / sxx
-    r = math.exp(my - nu * mx)
-    try:
-        miss = max(abs(h_s - r * math.pow(q, nu) - h) for q, h in pts)
-    except OverflowError:
-        miss = math.inf
-    if not miss <= 1e-6 * (heads[0] - heads[-1]):
-        raise ValueError("curve is not consistent with a power-law head model")
-    return h_s, r, nu
+    return math.exp(my - nu * mx), nu
 
 
 def _solve_shutoff_head(pts: list[tuple[float, float]]) -> float:

@@ -90,6 +90,20 @@ def reference_link_derivative(net, pos: int, magnitude: float) -> float:
     return net.mu * v.openness * v.resistance * math.pow(magnitude, net.mu - 1.0)
 
 
+def ulp_up(x: float, steps: int = 1) -> float:
+    """x moved up by steps ulps, one math.nextafter at a time."""
+    for _ in range(steps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def ulp_down(x: float, steps: int = 1) -> float:
+    """x moved down by steps ulps, one math.nextafter at a time."""
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
 def make_single_pipe(resistance: float = 1.0, mu: float = 2.0) -> NetworkDescription:
     return NetworkDescription(
         headloss_exponent=mu,

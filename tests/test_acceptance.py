@@ -27,7 +27,6 @@ from wdn_lipschitz import (
     k_upper_max,
     k_upper_sqrt,
 )
-from wdn_lipschitz.analytical import ulp_down, ulp_up
 from wdn_lipschitz.cli import main
 
 from conftest import (
@@ -35,6 +34,8 @@ from conftest import (
     FIXTURE_DIR,
     FIXTURE_NAMES,
     sample_interior,
+    ulp_down,
+    ulp_up,
 )
 
 BENCH_NU = 2.59

@@ -19,16 +19,24 @@ from wdn_lipschitz import (
     k_upper_sqrt,
 )
 from wdn_lipschitz.analytical import (
-    corner_enclosures,
+    Bracket,
+    corner,
+    corner_derivatives,
     sqrt_down,
     sqrt_up,
+)
+from wdn_lipschitz.bounds import FlowBox
+from wdn_lipschitz.errors import BoundsError
+from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
+
+from conftest import (
+    FIXTURE_NAMES,
+    make_box,
+    make_random_network,
+    make_single_pipe,
     ulp_down,
     ulp_up,
 )
-from wdn_lipschitz.bounds import FlowBox
-from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
-
-from conftest import FIXTURE_NAMES, make_box, make_random_network, make_single_pipe
 
 # frozen oracle for the pump entry bound on [100, 922.5]
 PUMP_JAC_HI_AT_9225 = 0.50253240652737913   # 2.59 * 3.746e-6 * 922.5**1.59
@@ -66,6 +74,12 @@ class TestDirectedRounding:
         assert ulp_down(1.0) < 1.0
         assert ulp_up(0.0) > 0.0
         assert ulp_down(ulp_up(1.0)) == 1.0
+        # the corner record steps whole arrays with numpy's nextafter, which
+        # must be math.nextafter value for value, past the float range too
+        xs = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, sys.float_info.max]
+        with np.errstate(over="ignore"):
+            assert np.nextafter(xs, np.inf).tolist() == [ulp_up(x) for x in xs]
+        assert np.nextafter(xs, -np.inf).tolist() == [ulp_down(x) for x in xs]
 
     def test_sqrt_exact_on_squares(self):
         for x, root in ((9.0, 3.0), (16.0, 4.0)):
@@ -97,7 +111,7 @@ class TestDirectedRounding:
     def test_corner_enclosure_on_negative_box(self):
         # |df/dq| = 1.852 |q|**0.852 peaks at the corner q = -2
         net, box = single_pipe(1.0, 1.852, -2.0, -1.0)
-        [lo], [hi] = corner_enclosures(net, box)
+        [lo], [hi] = corner(net, box).enclosures()
         with mpmath.workprec(200):
             exact = mpmath.mpf(1.852) * mpmath.mpf(2) ** (mpmath.mpf(1.852) - 1)
             assert mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
@@ -124,7 +138,7 @@ class TestDirectedRounding:
         net = build_network(desc)
         box = make_box(net, {"P1": (-q_pipe, q_pipe / 2), "M1": (q_pump, q_pump),
                              "V1": (-q_valve / 2, q_valve)})
-        lowers, uppers = corner_enclosures(net, box)
+        lowers, uppers = corner(net, box).enclosures()
         with mpmath.workprec(200):
             mu_, nu_, r = mpmath.mpf(mu), mpmath.mpf(nu), mpmath.mpf(coeff)
             exact = (
@@ -144,14 +158,14 @@ class TestDirectedRounding:
         # included) lies in its libm enclosure and within 4 ulps of the
         # 200-bit value
         net, box = make_random_network(np.random.default_rng(seed))
-        corner = np.where(np.abs(box.lo) > np.abs(box.hi), box.lo, box.hi)
-        entries = jacobian_diag_batch(net, corner[None, :])[0].tolist()
-        lowers, uppers = corner_enclosures(net, box)
+        at = np.where(np.abs(box.lo) > np.abs(box.hi), box.lo, box.hi)
+        entries = jacobian_diag_batch(net, at[None, :])[0].tolist()
+        lowers, uppers = corner(net, box).enclosures()
         with mpmath.workprec(200):
             mu, desc, n_p, n_m = mpmath.mpf(net.mu), net.desc, net.n_pipes, net.n_pumps
             for pos, (entry, lo, hi) in enumerate(zip(entries, lowers, uppers)):
                 assert lo <= entry <= hi
-                q = abs(mpmath.mpf(corner[pos]))
+                q = abs(mpmath.mpf(at[pos]))
                 if pos < n_p:
                     exact = mu * mpmath.mpf(desc.pipes[pos].resistance) * q ** (mu - 1)
                 elif pos < n_p + n_m:
@@ -189,8 +203,8 @@ class TestDirectedRounding:
         inner = FlowBox(outer.link_ids, outer.kinds,
                         np.clip(ends.min(axis=0), outer.lo, outer.hi),
                         np.clip(ends.max(axis=0), outer.lo, outer.hi))
-        _, outer_uppers = corner_enclosures(net, outer)
-        _, inner_uppers = corner_enclosures(net, inner)
+        _, outer_uppers = corner(net, outer).enclosures()
+        _, inner_uppers = corner(net, inner).enclosures()
         assert all(a <= b for a, b in zip(inner_uppers, outer_uppers))
 
 
@@ -237,7 +251,7 @@ class TestIntervalBracket:
 class TestCornerEnclosures:
     def test_monotone_pipe_entry(self):
         net, box = single_pipe(1.0, 2.0, 1.0, 2.0)
-        [lo], [hi] = corner_enclosures(net, box)
+        [lo], [hi] = corner(net, box).enclosures()
         assert lo <= 4.0 <= hi
         assert lo == pytest.approx(4.0, rel=1e-13)
         assert hi == pytest.approx(4.0, rel=1e-13)
@@ -245,14 +259,14 @@ class TestCornerEnclosures:
     def test_zero_crossing_pipe_entry(self):
         # the corner is the endpoint of larger magnitude, not the upper end
         net, box = single_pipe(1.0, 2.0, -3.0, 2.0)
-        [lo], [hi] = corner_enclosures(net, box)
+        [lo], [hi] = corner(net, box).enclosures()
         assert lo <= 6.0 <= hi
         assert hi == pytest.approx(6.0, rel=1e-13)
 
     def test_pump_entry_bounds_oracle(self, three_node):
         _, net, _ = three_node
         box = make_box(net, {"P1": (0.0, 0.0), "PU1": (100.0, 922.5)})
-        lo, hi = corner_enclosures(net, box)
+        lo, hi = corner(net, box).enclosures()
         assert hi[1] == pytest.approx(PUMP_JAC_HI_AT_9225, rel=1e-12)
         assert lo[1] <= PUMP_JAC_HI_AT_9225 <= hi[1]
 
@@ -261,7 +275,7 @@ class TestCornerEnclosures:
         rng = np.random.default_rng(67)
         qs = box.lo + rng.uniform(0, 1, (10_000, net.n_links)) * (box.hi - box.lo)
         gs = np.abs(jacobian_diag_batch(net, np.clip(qs, box.lo, box.hi)))
-        _, uppers = corner_enclosures(net, box)
+        _, uppers = corner(net, box).enclosures()
         assert np.all(gs <= np.array(uppers))
 
 
@@ -412,3 +426,82 @@ def test_bracket_properties_on_random_networks(seed):
     g = np.abs(jacobian_diag_batch(net, np.clip(q, box.lo, box.hi)))
     assert g.max() <= brackets["max"].upper
     assert np.linalg.norm(g, axis=1).max() <= brackets["sqrt"].upper
+
+
+def reference_enclosures(net, box) -> tuple[list[float], list[float]]:
+    """Each corner value widened by four math.nextafter steps each way."""
+    values = corner_derivatives(net, box.corner_magnitudes())
+    return [max(0.0, ulp_down(v, 4)) for v in values], [ulp_up(v, 4) for v in values]
+
+
+def reference_bracket(net, box, mode: str) -> Bracket:
+    """The corner bracket one link at a time: the reference enclosures, then
+    scalar squares and math.fsum.  Corner.bracket does the same in whole
+    arrays and must give its bits."""
+    lowers, uppers = reference_enclosures(net, box)
+    if mode == "max":
+        lower, upper = max(lowers, default=0.0), max(uppers, default=0.0)
+    else:
+        try:
+            squares_lo = math.fsum(max(0.0, ulp_down(x * x)) for x in lowers)
+            squares_hi = math.fsum(ulp_up(x * x) for x in uppers)
+            lower = sqrt_down(max(0.0, ulp_down(squares_lo)))
+            upper = sqrt_up(ulp_up(squares_hi)) if squares_hi else 0.0
+        except OverflowError:
+            upper = math.inf
+    if not math.isfinite(upper):
+        raise BoundsError(f"{mode}-mode interval enclosure overflows a float: the box is too wide")
+    return Bracket(upper=upper, lower=lower)
+
+
+def two_pipe_case(rng, lo_exp: float, hi_exp: float):
+    """Two quadratic pipes (no pumps or valves) whose corner flows are drawn
+    log-uniformly between 10**lo_exp and 10**hi_exp."""
+    desc = NetworkDescription(
+        headloss_exponent=2.0,
+        junctions=[JunctionDesc("J1", 0.0), JunctionDesc("J2", 0.0)],
+        reservoirs=[], tanks=[],
+        pipes=[PipeDesc("A", "J1", "J2", 1.0), PipeDesc("B", "J2", "J1", 1.0)],
+        pumps=[], valves=[],
+    )
+    net = build_network(desc)
+    qa, qb = 10.0 ** rng.uniform(lo_exp, hi_exp, 2)
+    return net, make_box(net, {"A": (-qa, qa / 2), "B": (0.0, qb)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       case=st.sampled_from(("drawn", "zero-width box", "pipes only", "sqrt squares overflow")))
+def test_bracket_matches_per_link_reference(seed, case):
+    rng = np.random.default_rng(seed)
+    if case == "pipes only":
+        net, box = two_pipe_case(rng, -3.0, 3.0)
+    elif case == "sqrt squares overflow":
+        # corner values 2q from 1e154 to 2e154: each finite, while their
+        # squares pass the float range singly or only in fsum's sum
+        net, box = two_pipe_case(rng, 153.7, 154.0)
+    else:
+        net, box = make_random_network(rng)
+        if case == "zero-width box":
+            # at zero flow a corner value can be 0, and its lower is clamped
+            at = np.where(rng.uniform(0, 1, net.n_links) < 0.5, box.hi, 0.0)
+            pumps = slice(net.n_pipes, net.n_pipes + net.n_pumps)   # pump flows stay > 0
+            at[pumps] = box.hi[pumps]
+            box = FlowBox(box.link_ids, box.kinds, at, at)
+    record = corner(net, box)
+    assert record.magnitudes.tolist() == box.corner_magnitudes()
+    assert not (record.magnitudes.flags.writeable or record.values.flags.writeable)
+    hexes = [[v.hex() for v in bounds] for bounds in reference_enclosures(net, box)]
+    assert [[v.hex() for v in bounds.tolist()] for bounds in record.enclosures()] == hexes
+    for mode in ("max", "sqrt"):
+        try:
+            want = reference_bracket(net, box, mode)
+        except BoundsError as exc:
+            assert (case, mode) == ("sqrt squares overflow", "sqrt")
+            with pytest.raises(BoundsError) as got:
+                record.bracket(mode)
+            assert str(got.value) == str(exc)
+            continue
+        assert case != "sqrt squares overflow" or mode == "max"
+        got = record.bracket(mode)
+        assert (got.upper.hex(), got.lower.hex()) == (want.upper.hex(), want.lower.hex()), mode

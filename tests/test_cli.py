@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import io
+import itertools
 import json
 import random
 import re
@@ -14,7 +15,8 @@ import jsonschema
 import pytest
 
 import wdn_lipschitz
-from wdn_lipschitz import cli, errors, load_report_schema
+from wdn_lipschitz import (analytical, build_network, cli, errors, load_bounds,
+                           load_report_schema, parse_inp)
 from wdn_lipschitz.cli import build_parser, main
 
 from conftest import FIXTURE_DIR
@@ -368,6 +370,46 @@ def test_benchmark_runs_methods_once_per_network(capsys, monkeypatch):
                   "--samples", "10")
     assert code == 0
     assert len(seen) == 2
+
+
+def spy_corner_passes(monkeypatch) -> list[list[float]]:
+    """The magnitudes of each corner pass made through analytical's name (the
+    max point trace's hull passes go through sampling's own import)."""
+    calls = []
+    corner_derivatives = analytical.corner_derivatives
+
+    def spy(net, magnitudes):
+        calls.append(list(magnitudes))
+        return corner_derivatives(net, magnitudes)
+
+    monkeypatch.setattr(analytical, "corner_derivatives", spy)
+    return calls
+
+
+def fixture_corner(name: str) -> list[float]:
+    net = build_network(parse_inp((FIXTURE_DIR / f"{name}.inp").read_text()))
+    return load_bounds(FIXTURE_DIR / f"{name}_bounds.csv", net).corner_magnitudes()
+
+
+@pytest.mark.parametrize("mode", ["max", "sqrt", "both"])
+@pytest.mark.parametrize("methods", [
+    ",".join(combo) for size in (1, 2, 3)
+    for combo in itertools.combinations(("analytical", "osl", "interval"), size)
+] + ["analytical,osl,interval,point"])
+def test_analyze_makes_one_corner_pass(capsys, monkeypatch, methods, mode):
+    calls = spy_corner_passes(monkeypatch)
+    code, _ = run(capsys, "analyze", str(FIXTURE_DIR / "obcl.inp"),
+                  "--bounds", str(FIXTURE_DIR / "obcl_bounds.csv"),
+                  "--methods", methods, "--mode", mode, "--samples", "100")
+    assert code == 0
+    assert calls == [fixture_corner("obcl")]
+
+
+def test_benchmark_makes_one_corner_pass_per_network(capsys, monkeypatch):
+    calls = spy_corner_passes(monkeypatch)
+    code, _ = run(capsys, "benchmark", str(FIXTURE_DIR), "--samples", "10")
+    assert code == 0
+    assert calls == [fixture_corner(name) for name in cli.BENCHMARK_ORDER]
 
 
 def test_committed_fixture_results_are_the_benchmark_output(tmp_path, capsys):
