@@ -447,8 +447,9 @@ def parse_inp(text: str) -> NetworkDescription:
 def _validate(desc: NetworkDescription) -> None:
     """Reject a duplicate id, a link to an undeclared node, and a parameter
     out of range.  The closed form and the point route's hull rest on
-    positive coefficients and exponents in [1, 3]; each check is written so
-    that a NaN fails it."""
+    positive, finite coefficients and exponents in [1, 3]; each check is
+    written so that a NaN or an infinity fails it.  A product of finite
+    parameters that overflows is Network's check (network.py)."""
     nodes: set[str] = set()
     for section, items in (("[JUNCTIONS]", desc.junctions),
                            ("[RESERVOIRS]", desc.reservoirs), ("[TANKS]", desc.tanks)):
@@ -477,8 +478,12 @@ def _validate(desc: NetworkDescription) -> None:
     for m in desc.pumps:
         if not m.shutoff_head > 0:
             raise ParameterOutOfRange(f"pump {m.id!r}: shutoff head must be > 0")
+        if not math.isfinite(m.shutoff_head):
+            raise ParameterOutOfRange(f"pump {m.id!r}: shutoff head is not finite")
         if not m.curve_coeff > 0:
             raise ParameterOutOfRange(f"pump {m.id!r}: curve coefficient must be > 0")
+        if not math.isfinite(m.curve_coeff):
+            raise ParameterOutOfRange(f"pump {m.id!r}: curve coefficient is not finite")
         if not 1.0 <= m.curve_exponent <= 3.0:
             raise ParameterOutOfRange(
                 f"pump {m.id!r}: curve exponent {m.curve_exponent} outside [1, 3]"

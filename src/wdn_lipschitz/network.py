@@ -10,9 +10,11 @@ is held as columns in stacked flow order: link_ids, kinds, and the
 read-only from_pos and to_pos, the head positions of each link's two ends.
 The mass balances (tank_step, junction_residual) and the DAE rows (dae.py)
 read those two position columns.  The description checked itself when it
-was made and is frozen, so Network runs no check of its own; every array
-and mapping it holds is read-only and no attribute can be rebound once it
-is built, so the table stays the description's.
+was made and is frozen; Network's one check is that every table entry, a
+product of the description's finite parameters, is finite, else
+ParameterOutOfRange names the link.  Every array and mapping it holds is
+read-only and no attribute can be rebound once it is built, so the table
+stays the description's.
 
 The nonlinearity f maps the stacked flows to per-link head losses (head
 gains for pumps, with the sign convention that a working pump produces a
@@ -42,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NonPositiveFlow
+from .errors import NonPositiveFlow, ParameterOutOfRange
 from .inp import NetworkDescription
 
 PIPE = "pipe"
@@ -82,13 +84,25 @@ class Network:
         # column is contiguous; (-1, 5) gives a linkless network five empty
         # columns.
         mu = self.mu
+        posts = []
+        for m in desc.pumps:
+            try:
+                posts.append(math.pow(m.speed, 2.0 - m.curve_exponent))
+            except OverflowError:   # checked below, with every other entry
+                posts.append(math.inf)
         table = np.array(
             [(0.0, p.resistance, mu * p.resistance, mu - 1.0, 1.0) for p in desc.pipes]
             + [(-m.speed * m.speed * m.shutoff_head, m.curve_coeff,
-                m.curve_exponent * m.curve_coeff, m.curve_exponent - 1.0,
-                math.pow(m.speed, 2.0 - m.curve_exponent)) for m in desc.pumps]
+                m.curve_exponent * m.curve_coeff, m.curve_exponent - 1.0, post)
+               for m, post in zip(desc.pumps, posts)]
             + [(0.0, v.openness * v.resistance, mu * v.openness * v.resistance, mu - 1.0, 1.0)
                for v in desc.valves], dtype=float).reshape(-1, 5).T.copy()
+        # the description's parameters are finite, but a product of them may
+        # overflow
+        wide = np.flatnonzero(~np.isfinite(table).all(axis=0))
+        if wide.size:
+            raise ParameterOutOfRange(f"{self.kinds[wide[0]]} {self.link_ids[wide[0]]!r}: "
+                                      "a derivative-table entry overflows a float")
         for column in (table, self.from_pos, self.to_pos, self.tank_area):
             column.flags.writeable = False
         self.f_offset, self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post = table

@@ -97,41 +97,40 @@ no points, and their cost does not depend on n.
   n = 1e11.  Past that it is the fold of the index with the largest exact
   radical inverse, still a sampled point.
 
-A ``sqrt`` trace needs each point's sum of squares.  The sample walk cuts
-every block at checkpoints, block ends and tile edges, so it hands each
-consumer at most one tile of 2**16 values (512 KiB).  The trace scales a
-cut and evaluates its Jacobian in place, and writes its row sums into one
-vector of a tile's rows allocated once, so it holds one block, the walk's
-one array, plus that vector, and each cut's passes stay in cache.  On
-5,002 links a Halton sqrt trace holds about 8.5 MiB per segment: one
-8 MiB block.
-
 A trace that walks sample blocks (a random ``max`` trace, and a random,
-Halton or Sobol ``sqrt`` trace) splits points 1..n into
-contiguous segments, one per CPU the process may run on
-(os.sched_getaffinity, or os.cpu_count where that is missing); there is
-no option for it.  Each segment holds at least four tiles of points, so
-a shorter trace is one segment, and starts no thread.  The first segment
-is walked on the calling thread and each other one on a thread of its
-own (numpy releases the GIL in its generators and array passes, such as
-a sqrt trace's ``power``; a Halton block's per-base calls hold it).  A
-segment builds its blocks from its first index, walks them with the
-marks inside it and its own end as cuts, and keeps one float per cut:
-its largest row sum for ``sqrt``, the corner pass at its own hull for
-``max``.  Once every thread is joined, the segments join in index order
-by max.  For ``max`` that is the value of the joined hull: scaling is
-monotone and max(|min X|, |max X|) = max |X|, so the joined hull's
-corner magnitude is, per link, the larger of the segments', and each
-entry, nondecreasing in ``|q_i|`` (libm's ``pow`` monotone, the premise
-of ``point_max <= K``), has g_i(max(a, b)) = max(g_i(a), g_i(b)).  So
-every trace has the same bits for any segment count, and hence on any
-machine.  The sample count is checked once for all n before any thread
-starts; once every segment thread is joined, the first error in index
-order is raised unchanged, and no thread outlives the trace (a ``max``
-trace names the link and flow where its first failing segment
-overflowed).  Memory is per segment: one block and a row-sum vector, or
-two hull rows and a corner pass, plus a float per cut, so a trace's
-memory grows with the CPUs, one block per segment, for every kind.
+Halton or Sobol ``sqrt`` trace) splits points 1..n into contiguous
+segments, one per CPU the process may run on (os.sched_getaffinity, or
+os.cpu_count where that is missing); there is no option for it.  Each
+segment holds at least four tiles of points, so a shorter trace is one
+segment, and starts no thread.  The first segment is walked on the
+calling thread and each other one on a thread of its own (numpy releases
+the GIL in its generators and array passes, such as a sqrt trace's
+``power``; a Halton block's per-base calls hold it).  One loop walks a
+segment (``_segment_walk``): it builds the segment's blocks from its
+first index, cuts them at the marks inside it, at its own end, at block
+ends and at tile edges, so each cut is at most one tile of 2**16 values
+(512 KiB), and hands each cut to the trace's fold.  A fold, ``fold() ->
+(take, read)``, starts one segment's state; ``take`` folds a cut in, and
+``read`` gives one float at each cut that ends at a mark or the
+segment's end.  The ``max`` fold holds two hull rows, and reads the
+corner pass at that hull.  The ``sqrt`` fold, which needs each point's
+sum of squares, scales a cut and evaluates its Jacobian in place, writes
+its row sums into one vector of a tile's rows, so each cut's passes stay
+in cache, and reads its largest sum.  Once every thread is joined, the
+segments join in index order by max.  For ``max`` that is the value of
+the joined hull: scaling is monotone and max(|min X|, |max X|) = max |X|,
+so the joined hull's corner magnitude is, per link, the larger of the
+segments', and each entry, nondecreasing in ``|q_i|`` (libm's ``pow``
+monotone, the premise of ``point_max <= K``), has g_i(max(a, b)) =
+max(g_i(a), g_i(b)).  So every trace has the same bits for any segment
+count, and hence on any machine.  The sample count is checked once for
+all n before any thread starts; once every segment thread is joined, the
+first error in index order is raised unchanged, and no thread outlives
+the trace (a ``max`` trace names the link and flow where its first
+failing segment overflowed).  Memory is per segment: one block and a
+row-sum vector, or two hull rows and a corner pass, plus a float per
+cut, so a trace's memory grows with the CPUs, one block per segment
+(8 MiB for Halton on 5,002 links), for every kind.
 """
 
 from __future__ import annotations
@@ -139,6 +138,7 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -564,7 +564,8 @@ def k_lower_trace(
     and the running estimate at each requested prefix length.
 
     sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
-    link; seed seeds the random kind.  A checkpoint m, in 1..n, equals an
+    link; seed seeds the random kind.  n and each checkpoint are integers,
+    not bool (else TypeError).  A checkpoint m, in 1..n, equals an
     independent run with n=m because the estimate is a prefix maximum of a
     deterministic sequence.  A flow range hi - lo or an estimate past the
     float range raises BoundsError: the box is too wide.  Numpy's overflow
@@ -578,6 +579,11 @@ def k_lower_trace(
     (bounds.check_box).
     """
     check_box(net, box)
+    for what, values in (("n", [n]), ("a checkpoint", checkpoints)):
+        bad = [v for v in values if isinstance(v, bool) or not hasattr(type(v), "__index__")]
+        if bad:
+            raise TypeError(f"{what} must be an integer, not {bad[0]!r}")
+    n, checkpoints = operator.index(n), [operator.index(c) for c in checkpoints]
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
@@ -591,14 +597,13 @@ def k_lower_trace(
     # segment threads run in a copy of this context, so they inherit the
     # error state
     with np.errstate(over="ignore"):
-        wide = np.flatnonzero(~np.isfinite(box.hi - box.lo))
+        width = box.hi - box.lo
+        wide = np.flatnonzero(~np.isfinite(width))
         if wide.size:
             raise BoundsError(f"link {box.link_ids[wide[0]]!r}: q_max - q_min overflows "
                               "a float: the box is too wide")
-        if mode == MODE_MAX:
-            trace = _max_trace(net, box, sequence, marks)
-        else:
-            trace = _sqrt_trace(net, box, sequence, marks)
+        route = _max_trace if mode == MODE_MAX else _sqrt_trace
+        trace = route(net, box, width, sequence, marks)
     # the last mark is n: its value is the estimate, the rest are checkpoints
     value = trace.pop()[1]
     # the trace is nondecreasing, so a finite last value makes all finite
@@ -635,21 +640,24 @@ def _segment_count(n: int, dim: int) -> int:
 
 
 def _segment_walk(sequence: SampleSequence, marks: list[int],
-                  walk: Callable[[Iterator[np.ndarray], list[int]], Iterator[float]]
+                  fold: Callable[[], tuple[Callable[[np.ndarray], None], Callable[[], float]]]
                   ) -> list[tuple[int, float]]:
     """(mark, value) for each mark of the nondecreasing marks, the value of
     points 1..mark.
 
-    walk(blocks, cuts) yields one float per cut, the value of the blocks'
-    points up to it.  Points 1..marks[-1] split into _segment_count
-    contiguous segments, each walked over its own blocks with the marks
-    inside it, and its end unless it is the last, as cuts.  The first is
-    walked on this thread and each other one on a thread of its own.  Once
-    every thread is joined, the first error in index order is raised, or
-    the values join in index order by max.
+    fold() starts one segment's state and returns (take, read): take gets
+    the segment's points in order, one cut at a time, and read gives the
+    value of the points taken so far.  Points 1..marks[-1] split into
+    _segment_count contiguous segments.  Each builds its own blocks and
+    cuts them at the marks inside it and its end unless it is the last,
+    where read runs once each, and at block ends and tile edges, so each
+    cut is at most one tile; no cut outlives its call to take.  The first
+    is walked on this thread and each other one on a thread of its own.  Once every thread is joined, the first error
+    in index order is raised, or the values join in index order by max.
     """
     n = marks[-1]
     count = _segment_count(n, sequence.dimension)
+    rows = _tile_rows(sequence.dimension)
     edges = [n * s // count for s in range(count + 1)]
     inside = [[m for m in marks if lo < m <= hi] for lo, hi in zip(edges, edges[1:])]
     got: list = [None] * count
@@ -657,8 +665,20 @@ def _segment_walk(sequence: SampleSequence, marks: list[int],
     def keep(s: int) -> None:
         lo, hi = edges[s], edges[s + 1]
         try:
-            cuts = [m - lo for m in inside[s]] + ([hi - lo] if hi < n else [])
-            got[s] = list(walk(sequence._blocks(lo + 1, hi - lo), cuts))
+            cuts = inside[s] + ([hi] if hi < n else [])
+            take, read = fold()
+            values = []
+            seen = lo
+            for block in sequence._blocks(lo + 1, hi - lo):
+                start = 0
+                while start < len(block):
+                    stop = min(len(block), start + rows, cuts[len(values)] - seen)
+                    take(block[start:stop])
+                    start = stop
+                    while len(values) < len(cuts) and cuts[len(values)] == seen + start:
+                        values.append(read())
+                seen += len(block)
+            got[s] = values
         except BaseException as error:
             got[s] = error
 
@@ -685,38 +705,13 @@ def _segment_walk(sequence: SampleSequence, marks: list[int],
     return trace
 
 
-def _prefix_walk(blocks: Iterator[np.ndarray], marks: list[int],
-                 take: Callable[[np.ndarray], None]) -> Iterator[int]:
-    """Feed the blocks' points, numbered from 1 up to marks[-1], to take,
-    cut at the nondecreasing marks, at block ends and at tile edges, so
-    that each cut is at most one tile, and yield each mark once take has
-    had the points up to it.  No cut outlives its call to take, and each
-    block is dropped before the next is generated, so one block is held at
-    a time, and the blocks may be views of one array."""
-    seen = 0
-    at = 0
-    for block in blocks:
-        rows = _tile_rows(block.shape[1])
-        start = 0
-        while start < len(block):
-            stop = min(len(block), start + rows, marks[at] - seen)
-            take(block[start:stop])
-            start = stop
-            while at < len(marks) and marks[at] == seen + start:
-                yield marks[at]
-                at += 1
-        seen += len(block)
-        del block
-
-
-def _max_trace(net: Network, box: FlowBox, sequence: SampleSequence,
+def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSequence,
                marks: list[int]) -> list[tuple[int, float]]:
     """Largest sampled Jacobian entry at each mark: the corner pass that
     gives K, at the corner of the hull of points 1..mark, a new array of two
     rows scaled into the box in place.  Halton and Sobol hulls are in closed
     form; random ones are reduced by segment, each evaluated at its own
     cuts (see the module docstring)."""
-    width = box.hi - box.lo
 
     def corner(hull: np.ndarray) -> float:
         q = _scale_into_box(hull, box, width)
@@ -726,7 +721,7 @@ def _max_trace(net: Network, box: FlowBox, sequence: SampleSequence,
         hulls = _sobol_hulls if sequence.kind == KIND_SOBOL else _halton_hulls
         return [(mark, corner(hull)) for mark, hull in hulls(sequence.dimension, marks)]
 
-    def walk(blocks: Iterator[np.ndarray], cuts: list[int]) -> Iterator[float]:
+    def fold():
         p_min = np.full(sequence.dimension, np.inf)
         p_max = np.full(sequence.dimension, -np.inf)
 
@@ -734,21 +729,19 @@ def _max_trace(net: Network, box: FlowBox, sequence: SampleSequence,
             np.minimum(p_min, p.min(axis=0), out=p_min)
             np.maximum(p_max, p.max(axis=0), out=p_max)
 
-        for _ in _prefix_walk(blocks, cuts, take):
-            yield corner(np.stack([p_min, p_max]))
+        return take, lambda: corner(np.stack([p_min, p_max]))
 
-    return _segment_walk(sequence, marks, walk)
+    return _segment_walk(sequence, marks, fold)
 
 
-def _sqrt_trace(net: Network, box: FlowBox, sequence: SampleSequence,
+def _sqrt_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSequence,
                 marks: list[int]) -> list[tuple[int, float]]:
     """Largest Frobenius norm of a sampled Jacobian at each mark; it needs
     every point, so each cut of the walk, at most one tile, is scaled and
     evaluated in place, and its row sums go to one buffer per segment (see
     the module docstring).  Segments join by max, before the root."""
-    width = box.hi - box.lo
 
-    def walk(blocks: Iterator[np.ndarray], cuts: list[int]) -> Iterator[float]:
+    def fold():
         sums = np.empty(_tile_rows(net.n_links))
         best = 0.0
 
@@ -757,7 +750,6 @@ def _sqrt_trace(net: Network, box: FlowBox, sequence: SampleSequence,
             g = _jacobian_diag_into(net, _scale_into_box(q, box, width), q)
             best = max(best, float(np.einsum("ij,ij->i", g, g, out=sums[:len(q)]).max()))
 
-        for _ in _prefix_walk(blocks, cuts, take):
-            yield best
+        return take, lambda: best
 
-    return [(mark, math.sqrt(best)) for mark, best in _segment_walk(sequence, marks, walk)]
+    return [(mark, math.sqrt(best)) for mark, best in _segment_walk(sequence, marks, fold)]

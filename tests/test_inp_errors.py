@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from wdn_lipschitz import parse_inp
+from wdn_lipschitz.cli import main
 from wdn_lipschitz.errors import (
     DuplicateId,
     MalformedSection,
@@ -233,3 +234,42 @@ def test_replaced_pump_fails_as_parse_inp_does(old, new, exc_type, message):
         dataclasses.replace(desc, pumps=(pump,))
     assert type(err.value) is exc_type
     assert str(err.value) == message
+
+
+# A model value past the float range, from parameters that parse as finite
+# numbers, on one junction, one reservoir, one pipe and one pump: the pump
+# post s**(2 - nu) at nu = 3, a single-point curve's shutoff head 4h/3 and
+# coefficient h/(3q**2), and a pipe's mu * R under H-W.  Each stops analyze
+# with exit 4 before the bounds are read.
+OVERFLOW_BASE = """[JUNCTIONS]
+J 0 1
+[RESERVOIRS]
+R 100
+[PIPES]
+P J R 1000 12 100
+[PUMPS]
+PU R J HEAD C
+[CURVES]
+C 0 100
+C 1 99
+C 2 92
+"""
+OVERFLOW_CURVE = "C 0 100\nC 1 99\nC 2 92\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("PU R J HEAD C", "PU R J HEAD C SPEED 5e-324",
+                 "pump 'PU': a derivative-table entry overflows a float", id="pump-post"),
+    pytest.param(OVERFLOW_CURVE, "C 100 1.5e308\n",
+                 "pump 'PU': shutoff head is not finite", id="pump-shutoff-head"),
+    pytest.param(OVERFLOW_CURVE, "C 1e-160 50\n",
+                 "pump 'PU': curve coefficient is not finite", id="pump-coefficient"),
+    pytest.param("P J R 1000 12 100", "P J R 1.5e15 1e-60 1",
+                 "pipe 'P': a derivative-table entry overflows a float", id="pipe-mu-r"),
+])
+def test_overflowing_model_value_exits_4(tmp_path, capsys, old, new, message):
+    assert OVERFLOW_BASE.count(old) == 1
+    inp = tmp_path / "net.inp"
+    inp.write_text(OVERFLOW_BASE.replace(old, new))
+    assert main(["analyze", str(inp), "--default-bounds"]) == 4
+    assert capsys.readouterr().err == f"assumption violation: {message}\n"

@@ -223,6 +223,27 @@ class TestBuildNetworkValidation:
         with pytest.raises(ParameterOutOfRange):
             build_network(make_single_pipe(mu=5.0))
 
+    # finite parameters whose table product overflows: mu * R, the pump's
+    # s**(2 - nu) (libm's pow raises for it), nu * r and mu * o * R; a pump
+    # parameter that is itself infinite is the description's check
+    @pytest.mark.parametrize("kind, link", [
+        ("pipe", PipeDesc("P1", "J1", "T1", 1.29e308)),
+        ("pump", PumpDesc("PU1", "R1", "J1", 393.7008, 3.746e-6, 3.0, 5e-324)),
+        ("pump", PumpDesc("PU1", "R1", "J1", 393.7008, 1e308, 2.59, 1.0)),
+        ("valve", ValveDesc("V1", "J1", "T1", 1.2e308, 1.0)),
+    ])
+    def test_overflowing_table_entry_rejected(self, kind, link):
+        desc = dataclasses.replace(make_benchmark_pair(), **{f"{kind}s": [link]})
+        with pytest.raises(ParameterOutOfRange, match=f"^{kind} '{link.id}': a derivative-"
+                                                      "table entry overflows a float$"):
+            build_network(desc)
+
+    @pytest.mark.parametrize("field", ["shutoff_head", "curve_coeff"])
+    def test_infinite_pump_parameter_rejected(self, field):
+        pump = dataclasses.replace(make_benchmark_pair().pumps[0], **{field: math.inf})
+        with pytest.raises(ParameterOutOfRange, match="^pump 'PU1': .* is not finite$"):
+            dataclasses.replace(make_benchmark_pair(), pumps=[pump])
+
     def test_infinite_tank_area_rejected(self):
         # an infinite area drops every flow coupling from the tank's DAE row
         # and leaves its head unchanged by tank_step

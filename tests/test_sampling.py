@@ -704,23 +704,46 @@ def test_sobol_sqrt_trace_memory_in_tiles(fixtures):
 
 
 # obcl's 289 links: a tile is 226 points, a random or Sobol block is one
-# tile and a Halton block 7,256 points.  Marks fall inside blocks, on and
-# next to a block edge, and far apart, so that one cut between two marks
-# would span many tiles and a block edge.
+# tile and a Halton block 3,628 points.  n makes up to three segments of
+# at least four tiles, and marks fall inside blocks, on and next to a
+# block edge, and far apart, so that one cut between two marks would span
+# many tiles and a block edge.  A recording fold keeps each segment's cuts
+# and the points it had taken at each read.
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_walk_cuts_are_at_most_one_tile(kind):
     dim = 289
     rows = sampling._tile_rows(dim)
     assert rows == 226
     block = sampling._block_rows(kind, dim)
-    n = block + 3 * rows + 17
+    n = block + 12 * rows + 17
     marks = sorted({1, 100, block - 1, block, block + 1, block + rows + 50, n})
     sequence = SampleSequence(kind, dim, seed=2)
-    cuts = []
-    walk = sampling._prefix_walk(sequence.blocks(n), marks, lambda p: cuts.append(p.copy()))
-    assert [(mark, sum(map(len, cuts))) for mark in walk] == [(m, m) for m in marks]
-    assert all(1 <= len(cut) <= rows for cut in cuts)
-    assert np.array_equal(np.concatenate(cuts), all_points(sequence, n))
+    points = all_points(sequence, n)
+    for cpus in (1, 2, 3):
+        segments = []
+
+        def fold():
+            cuts, reads = [], []
+            segments.append((cuts, reads))
+
+            def read():
+                reads.append(sum(map(len, cuts)))
+                return 0.0
+
+            return lambda p: cuts.append(p.copy()), read
+
+        with cpu_count(cpus):
+            trace = sampling._segment_walk(sequence, marks, fold)
+        assert [mark for mark, _ in trace] == marks
+        assert len(segments) == cpus
+        edges = [n * s // cpus for s in range(cpus + 1)]
+        firsts = [cuts[0][0].tobytes() for cuts, _ in segments]
+        for lo, hi in zip(edges, edges[1:]):
+            cuts, reads = segments[firsts.index(points[lo].tobytes())]
+            assert all(1 <= len(cut) <= rows for cut in cuts)
+            assert np.array_equal(np.concatenate(cuts), points[lo:hi])
+            assert reads == ([m - lo for m in marks if lo < m <= hi]
+                             + ([hi - lo] if hi < n else []))
 
 
 # Each segment builds its blocks from its first index, so block i of a
@@ -880,6 +903,33 @@ class TestSegmentThreads:
                 k_lower_trace(net, box, "random", n, mode="sqrt")
         assert threading.active_count() == before
         assert finished == {0, 1, 2} - failing
+
+    # 10,000 points on three CPUs would walk three segments
+    @pytest.mark.parametrize("n, checkpoints, what", [
+        (1e4, (), "n"), (np.float64(1e4), (), "n"), (True, (), "n"), ("10000", (), "n"),
+        (10_000, (10.5,), "a checkpoint"), (10_000, (10, False), "a checkpoint"),
+        (10_000, (np.bool_(True),), "a checkpoint"), (10_000, (None,), "a checkpoint")])
+    def test_counts_are_integers_checked_before_any_thread(self, fixtures, n, checkpoints,
+                                                           what):
+        _, net, box = fixtures["obcl"]
+        with cpu_count(3), patch.object(threading, "Thread", no_thread), \
+                patch.object(sampling, "SampleSequence",
+                             side_effect=AssertionError("a sequence was built")):
+            for kind in SAMPLER_KINDS:
+                for mode in ("max", "sqrt"):
+                    with pytest.raises(TypeError, match=f"^{what} must be an integer, not "):
+                        k_lower_trace(net, box, kind, n, mode=mode, checkpoints=checkpoints)
+
+    def test_numpy_integer_counts_are_taken(self, fixtures):
+        _, net, box = fixtures["obcl"]
+        for kind in SAMPLER_KINDS:
+            for mode in ("max", "sqrt"):
+                est, trace = k_lower_trace(net, box, kind, np.int64(300), mode=mode,
+                                           checkpoints=(np.uint16(10), np.int32(200)))
+                assert type(est.effort) is int and est.effort == 300
+                assert [type(at) for at, _ in trace] == [int, int]
+                assert (est, trace) == k_lower_trace(net, box, kind, 300, mode=mode,
+                                                     checkpoints=(10, 200))
 
     def test_success_leaves_no_thread(self, fixtures):
         _, net, box = fixtures["obcl"]
