@@ -3,16 +3,16 @@
 Each component of the hydraulic nonlinearity depends on one flow only, so
 its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
-corner c, where c_i is the endpoint of larger magnitude.  One libm pass,
-corner_derivatives, gives them: it reads the network's derivative table
-(network.py) and evaluates each link's coef_i * pow(c_i, expo_i) * post_i,
-with no branch on class.  The max point trace makes it at its sample hull.
-
-corner(net, box) makes that pass once per box and returns a Corner record,
-the per-link values as a read-only array, which every max-mode result reads
-in whole arrays.  The sharp constant K is the largest value, overall and per
-class (an empty class contributes 0).  The one-sided constant equals K,
-because the log norm of a nonnegative diagonal matrix is its largest entry.
+corner c, where c_i is the endpoint of larger magnitude.  corner_of(net,
+lo, hi) makes every Corner record: from two flow rows, a box's ends or a
+sample hull's, it takes each link's larger magnitude and makes one libm
+pass over the network's derivative table (network.py), coef_i * pow(c_i,
+expo_i) * post_i with no branch on class, keeping the values read-only.
+corner(net, box) checks the box and makes its record; the max point trace
+makes one at each checkpoint's sample hull.  Every max-mode result reads a
+record in whole arrays.  The sharp constant K is the largest value, overall
+and per class (an empty class contributes 0).  The one-sided constant equals
+K, because the log norm of a nonnegative diagonal matrix is its largest entry.
 
 The interval route brackets the suprema of max_i |J_ii| (max mode, the
 spectral norm) and sqrt(sum_i J_ii**2) (sqrt mode, the Frobenius norm, an
@@ -36,23 +36,6 @@ from .errors import BoundsError
 from .estimates import (METHOD_ANALYTICAL, METHOD_INTERVAL_UPPER, MODE_MAX, MODE_SQRT,
                         LipschitzEstimate)
 from .network import Network
-
-
-def corner_derivatives(net: Network, magnitudes: list[float]) -> list[float]:
-    """Each link's |J_ii| at its flow magnitude; at FlowBox.corner_magnitudes,
-    its supremum over the box.  A value past the float range raises
-    BoundsError: the box is too wide."""
-    values = []
-    for link_id, m, coef, expo, post in zip(net.link_ids, magnitudes, net.deriv_coef.tolist(),
-                                            net.deriv_expo.tolist(), net.deriv_post.tolist()):
-        try:
-            value = coef * math.pow(m, expo) * post
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise BoundsError(f"link {link_id!r}: |df/dq| at flow {m!r} overflows a float")
-        values.append(value)
-    return values
 
 
 def sqrt_down(x: float) -> float:
@@ -84,10 +67,9 @@ class Bracket:
 
 @dataclass(frozen=True, eq=False)
 class Corner:
-    """Each link's |J_ii| at a box's corner magnitudes, its supremum over the
-    box, read-only; class_ends are the stacked ends of the pipes and pumps."""
+    """Each link's |J_ii| at the corner of a box or sample hull, its supremum
+    there, read-only; class_ends are the stacked ends of the pipes and pumps."""
 
-    magnitudes: np.ndarray
     values: np.ndarray
     class_ends: tuple[int, int]
 
@@ -149,13 +131,30 @@ class Corner:
                                  gap=result.gap, effort=1)
 
 
+def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner:
+    """The Corner of the flow rows lo and hi, a box's ends or a sample hull:
+    each link's |J_ii| at its larger magnitude, its supremum over [lo, hi].
+    A value past the float range raises BoundsError: the box is too wide."""
+    magnitudes = np.maximum(np.abs(lo), np.abs(hi)).tolist()
+    values = []
+    for link_id, m, coef, expo, post in zip(net.link_ids, magnitudes, net.deriv_coef.tolist(),
+                                            net.deriv_expo.tolist(), net.deriv_post.tolist()):
+        try:
+            value = coef * math.pow(m, expo) * post
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise BoundsError(f"link {link_id!r}: |df/dq| at flow {m!r} overflows a float")
+        values.append(value)
+    record = np.array(values)
+    record.flags.writeable = False
+    return Corner(record, (net.n_pipes, net.n_pipes + net.n_pumps))
+
+
 def corner(net: Network, box: FlowBox) -> Corner:
-    """The box's Corner, from one check_box and one corner_derivatives pass."""
+    """The box's Corner, from one check_box and one corner_of pass."""
     check_box(net, box)
-    magnitudes = box.corner_magnitudes()
-    at, values = np.array(magnitudes), np.array(corner_derivatives(net, magnitudes))
-    at.flags.writeable = values.flags.writeable = False
-    return Corner(at, values, (net.n_pipes, net.n_pipes + net.n_pumps))
+    return corner_of(net, box.lo, box.hi)
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:

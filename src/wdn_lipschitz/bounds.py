@@ -70,10 +70,6 @@ class FlowBox:
     def __len__(self) -> int:
         return len(self.link_ids)
 
-    def corner_magnitudes(self) -> list[float]:
-        """Per-link max(|q_min|, |q_max|): the endpoint of largest magnitude."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi)).tolist()
-
 
 def check_box(net: Network, box: FlowBox) -> None:
     """Raise BoundsError, naming the first link that differs, unless box has

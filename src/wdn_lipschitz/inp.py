@@ -215,9 +215,11 @@ def fit_pump_curve(points: list[tuple[float, float]]) -> tuple[float, float, flo
     ys = [math.log(h_s - h) for _, h in rest]
     # a head close to h_s has a log(h_s - h) that is mostly rounding, which
     # the unweighted fit follows; only if that fit misses, one weighted by
-    # (h_s - h)**2 tries again
-    for ws in ([1.0] * len(rest), [(h_s - h) ** 2 for _, h in rest]):
+    # (h_s - h)**2 tries again, its weights made inside the guard, so that
+    # weights past the float range are a miss too
+    for weighted in (False, True):
         try:
+            ws = [(h_s - h) ** 2 if weighted else 1.0 for _, h in rest]
             r, nu = _log_linear_fit(xs, ys, ws)
             miss = max(abs(h_s - r * math.pow(q, nu) - h) for q, h in pts)
         except (OverflowError, ZeroDivisionError):   # past the float range; weights all 0

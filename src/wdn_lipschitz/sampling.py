@@ -68,9 +68,10 @@ A sample p maps into the flow box as ``p*w + lo``, then a clip at hi, with
 A ``max`` trace evaluates no Jacobian on sample points.  At each
 checkpoint n it reads the hull of points 1..n, the per-coordinate minimum
 and maximum of the unit samples, maps those two rows into the box and
-evaluates the closed form at each link's larger magnitude, by the corner
-pass that gives K (analytical.corner_derivatives).  Each step of the map
-is nondecreasing in p, so a coordinate's smallest and largest flow are the
+reads K from their Corner record, made by the function that makes the
+box's (analytical.corner_of), so point_max(n) is k_network over the box
+that the scaled points 1..n span, bit for bit.  Each step of the map is
+nondecreasing in p, so a coordinate's smallest and largest flow are the
 images of its hull entries, and every entry is nondecreasing in ``|q_i|``.
 So, with libm's ``pow`` monotone, the hull gives the largest derivative
 over all sampled points, and never more than K, since each hull flow is a
@@ -112,8 +113,8 @@ ends and at tile edges, so each cut is at most one tile of 2**16 values
 (512 KiB), and hands each cut to the trace's fold.  A fold, ``fold() ->
 (take, read)``, starts one segment's state; ``take`` folds a cut in, and
 ``read`` gives one float at each cut that ends at a mark or the
-segment's end.  The ``max`` fold holds two hull rows, and reads the
-corner pass at that hull.  The ``sqrt`` fold, which needs each point's
+segment's end.  The ``max`` fold holds two hull rows, and reads K from
+that hull's Corner record.  The ``sqrt`` fold, which needs each point's
 sum of squares, scales a cut and evaluates its Jacobian in place, writes
 its row sums into one vector of a tile's rows, so each cut's passes stay
 in cache, and reads its largest sum.  Once every thread is joined, the
@@ -128,7 +129,7 @@ all n before any thread starts; once every segment thread is joined, the
 first error in index order is raised unchanged, and no thread outlives
 the trace (a ``max`` trace names the link and flow where its first
 failing segment overflowed).  Memory is per segment: one block and a
-row-sum vector, or two hull rows and a corner pass, plus a float per
+row-sum vector, or two hull rows and a Corner record, plus a float per
 cut, so a trace's memory grows with the CPUs, one block per segment
 (8 MiB for Halton on 5,002 links), for every kind.
 """
@@ -148,7 +149,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .analytical import corner_derivatives
+from .analytical import corner_of
 from .bounds import FlowBox, check_box
 from .estimates import METHOD_POINT_LOWER, MODE_MAX, MODE_SQRT, LipschitzEstimate
 from .errors import BoundsError, DimensionTooLarge, SampleCountTooLarge, UsageError
@@ -495,7 +496,9 @@ def _tile_rows(dim: int) -> int:
 
 @dataclass(frozen=True)
 class SampleSequence:
-    """Deterministic point source in [0,1)^dimension."""
+    """Deterministic point source in [0,1)^dimension.  dimension, seed and
+    the count given to blocks are integers, numpy's too, but not bool: any
+    other value raises TypeError where it is given."""
 
     kind: str
     dimension: int
@@ -504,6 +507,8 @@ class SampleSequence:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        for name in ("dimension", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.dimension < 1:
             raise UsageError(f"sequence dimension {self.dimension} is below 1: "
                              "a network with no links has no flow to sample")
@@ -515,6 +520,7 @@ class SampleSequence:
     def blocks(self, count: int) -> Iterator[np.ndarray]:
         """Points 1..count as (rows, dimension) arrays, in index order; each
         is a new array, which the caller may keep."""
+        count = _integer("count", count)
         if count < 0:
             raise ValueError("count must be >= 0")
         check_sample_count(self.kind, count)
@@ -543,6 +549,14 @@ class SampleSequence:
             yield fill(first + done, shared[:min(rows, count - done)])
 
 
+def _integer(what: str, value) -> int:
+    """value as an int by operator.index, so numpy integers are taken; a
+    bool or a value with no __index__ raises TypeError naming what."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 def check_sample_count(kind: str, count: int) -> None:
     """Raise SampleCountTooLarge if a sequence of this kind cannot index
     count points."""
@@ -564,26 +578,22 @@ def k_lower_trace(
     and the running estimate at each requested prefix length.
 
     sampler is a kind name (SAMPLER_KINDS), sampled in one coordinate per
-    link; seed seeds the random kind.  n and each checkpoint are integers,
-    not bool (else TypeError).  A checkpoint m, in 1..n, equals an
-    independent run with n=m because the estimate is a prefix maximum of a
-    deterministic sequence.  A flow range hi - lo or an estimate past the
-    float range raises BoundsError: the box is too wide.  Numpy's overflow
-    warnings are off while the trace runs, so only that error reports it.
-    More points than the sequence can index raise SampleCountTooLarge.  A
-    max trace over Halton or Sobol points takes its hull in closed form, so
-    its cost does not depend on n.  Any other trace walks its points in
-    segments, one per CPU, on threads that are joined before it returns or
-    raises; its values do not depend on the segment count (see the module
-    docstring).  A box made for another network raises BoundsError
-    (bounds.check_box).
+    link; seed seeds the random kind.  n, each checkpoint and seed are
+    integers, not bool (else TypeError, before any point is generated).  A
+    checkpoint m, in 1..n, equals an independent run with n=m because the
+    estimate is a prefix maximum of a deterministic sequence.  A flow range
+    hi - lo or an estimate past the float range raises BoundsError: the box
+    is too wide.  Numpy's overflow warnings are off while the trace runs, so
+    only that error reports it.  More points than the sequence can index
+    raise SampleCountTooLarge.  A max trace over Halton or Sobol points
+    takes its hull in closed form, so its cost does not depend on n.  Any
+    other trace walks its points in segments, one per CPU, on threads that
+    are joined before it returns or raises; its values do not depend on the
+    segment count (see the module docstring).  A box made for another
+    network raises BoundsError (bounds.check_box).
     """
     check_box(net, box)
-    for what, values in (("n", [n]), ("a checkpoint", checkpoints)):
-        bad = [v for v in values if isinstance(v, bool) or not hasattr(type(v), "__index__")]
-        if bad:
-            raise TypeError(f"{what} must be an integer, not {bad[0]!r}")
-    n, checkpoints = operator.index(n), [operator.index(c) for c in checkpoints]
+    n, checkpoints = _integer("n", n), [_integer("a checkpoint", c) for c in checkpoints]
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in (MODE_MAX, MODE_SQRT):
@@ -707,15 +717,14 @@ def _segment_walk(sequence: SampleSequence, marks: list[int],
 
 def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSequence,
                marks: list[int]) -> list[tuple[int, float]]:
-    """Largest sampled Jacobian entry at each mark: the corner pass that
-    gives K, at the corner of the hull of points 1..mark, a new array of two
-    rows scaled into the box in place.  Halton and Sobol hulls are in closed
-    form; random ones are reduced by segment, each evaluated at its own
-    cuts (see the module docstring)."""
+    """Largest sampled Jacobian entry at each mark: K over the hull of points
+    1..mark, from the Corner record (analytical.corner_of) of the hull's two
+    rows, a new array scaled into the box in place.  Halton and Sobol hulls
+    are in closed form; random ones are reduced by segment, each read at its
+    own cuts (see the module docstring)."""
 
     def corner(hull: np.ndarray) -> float:
-        q = _scale_into_box(hull, box, width)
-        return max(corner_derivatives(net, np.abs(q).max(axis=0).tolist()))
+        return corner_of(net, *_scale_into_box(hull, box, width)).k().value
 
     if sequence.kind != KIND_RANDOM:
         hulls = _sobol_hulls if sequence.kind == KIND_SOBOL else _halton_hulls

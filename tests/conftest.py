@@ -90,6 +90,13 @@ def reference_link_derivative(net, pos: int, magnitude: float) -> float:
     return net.mu * v.openness * v.resistance * math.pow(magnitude, net.mu - 1.0)
 
 
+def corner_magnitudes(lo, hi) -> list[float]:
+    """Per-link max(|lo|, |hi|): the flow magnitude at which each |J_ii| over
+    [lo, hi] is largest."""
+    return [max(abs(a), abs(b)) for a, b in zip(np.asarray(lo).tolist(),
+                                                np.asarray(hi).tolist())]
+
+
 def ulp_up(x: float, steps: int = 1) -> float:
     """x moved up by steps ulps, one math.nextafter at a time."""
     for _ in range(steps):

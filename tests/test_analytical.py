@@ -17,7 +17,7 @@ from wdn_lipschitz import (
     k_network,
     k_upper_sqrt,
 )
-from wdn_lipschitz.analytical import corner_derivatives
+from wdn_lipschitz.analytical import corner_of
 from wdn_lipschitz.inp import (
     JunctionDesc,
     NetworkDescription,
@@ -26,6 +26,7 @@ from wdn_lipschitz.inp import (
 )
 
 from conftest import (
+    corner_magnitudes,
     make_box,
     make_random_network,
     make_single_pipe,
@@ -215,26 +216,26 @@ class TestKNetwork:
 
 
 class TestDerivativeTable:
-    """corner_derivatives reads one per-link table with no branch on link
-    class; the per-class formula is the reference, and every value keeps
-    its bits."""
+    """corner_of reads one per-link table with no branch on link class; the
+    per-class formula is the reference, and every value keeps its bits."""
 
     @staticmethod
-    def assert_matches_reference(net, magnitudes):
+    def assert_matches_reference(net, lo, hi):
         expected = [reference_link_derivative(net, pos, m).hex()
-                    for pos, m in enumerate(magnitudes)]
-        assert [v.hex() for v in corner_derivatives(net, magnitudes)] == expected
+                    for pos, m in enumerate(corner_magnitudes(lo, hi))]
+        assert [v.hex() for v in corner_of(net, lo, hi).values.tolist()] == expected
 
     def test_fixtures(self, fixtures):
         for _, net, box in fixtures.values():
-            self.assert_matches_reference(net, box.corner_magnitudes())
+            self.assert_matches_reference(net, box.lo, box.hi)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 1.0))
     def test_random_networks(self, seed, t):
         net, box = make_random_network(np.random.default_rng(seed))
-        self.assert_matches_reference(net, box.corner_magnitudes())
-        self.assert_matches_reference(net, np.abs(box.lo + t * (box.hi - box.lo)).tolist())
+        self.assert_matches_reference(net, box.lo, box.hi)
+        point = box.lo + t * (box.hi - box.lo)
+        self.assert_matches_reference(net, point, point)
 
 
 class TestOsl:

@@ -19,7 +19,7 @@ from wdn_lipschitz import (analytical, build_network, cli, errors, load_bounds,
                            load_report_schema, parse_inp)
 from wdn_lipschitz.cli import build_parser, main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, corner_magnitudes
 from test_sampling import cpu_count
 
 
@@ -376,19 +376,20 @@ def spy_corner_passes(monkeypatch) -> list[list[float]]:
     """The magnitudes of each corner pass made through analytical's name (the
     max point trace's hull passes go through sampling's own import)."""
     calls = []
-    corner_derivatives = analytical.corner_derivatives
+    corner_of = analytical.corner_of
 
-    def spy(net, magnitudes):
-        calls.append(list(magnitudes))
-        return corner_derivatives(net, magnitudes)
+    def spy(net, lo, hi):
+        calls.append(corner_magnitudes(lo, hi))
+        return corner_of(net, lo, hi)
 
-    monkeypatch.setattr(analytical, "corner_derivatives", spy)
+    monkeypatch.setattr(analytical, "corner_of", spy)
     return calls
 
 
 def fixture_corner(name: str) -> list[float]:
     net = build_network(parse_inp((FIXTURE_DIR / f"{name}.inp").read_text()))
-    return load_bounds(FIXTURE_DIR / f"{name}_bounds.csv", net).corner_magnitudes()
+    box = load_bounds(FIXTURE_DIR / f"{name}_bounds.csv", net)
+    return corner_magnitudes(box.lo, box.hi)
 
 
 @pytest.mark.parametrize("mode", ["max", "sqrt", "both"])

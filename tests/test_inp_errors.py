@@ -4,6 +4,7 @@ raise site: a reworked parser must reject each input the same way."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -16,7 +17,7 @@ from wdn_lipschitz.errors import (
     ParameterOutOfRange,
     UnknownNodeRef,
 )
-from wdn_lipschitz.inp import PumpDesc, fit_pump_curve
+from wdn_lipschitz.inp import PumpDesc, _log_linear_fit, fit_pump_curve
 
 BASE = """[JUNCTIONS]
 J1 100 50
@@ -273,3 +274,28 @@ def test_overflowing_model_value_exits_4(tmp_path, capsys, old, new, message):
     inp.write_text(OVERFLOW_BASE.replace(old, new))
     assert main(["analyze", str(inp), "--default-bounds"]) == 4
     assert capsys.readouterr().err == f"assumption violation: {message}\n"
+
+
+# Heads whose drops pass about 1.3e154 make the weighted refit's weights
+# (h_s - h)**2 overflow, and heads near 1e-300 make them round to 0.  The
+# refit makes them only after the unweighted fit misses, so an exact power
+# law keeps the unweighted fit, and a curve off any power law is rejected
+# as such.
+def test_exact_curve_with_huge_heads_keeps_the_unweighted_fit(tmp_path, capsys):
+    points = [(0.0, 4e200), (1.0, 3e200), (1.5, 1.75e200)]
+    r, nu = _log_linear_fit([math.log(q) for q, _ in points[1:]],
+                            [math.log(4e200 - h) for _, h in points[1:]], [1.0, 1.0])
+    assert fit_pump_curve(points) == (4e200, r, nu)
+    inp = tmp_path / "net.inp"
+    inp.write_text(OVERFLOW_BASE.replace(OVERFLOW_CURVE, "C 0 4e200\nC 1 3e200\nC 1.5 1.75e200\n"))
+    assert main(["analyze", str(inp), "--default-bounds"]) == 0
+
+
+@pytest.mark.parametrize("exp", ["200", "-300"], ids=["4e200", "4e-300"])
+def test_off_law_curve_with_extreme_heads_exits_2(tmp_path, capsys, exp):
+    curve = f"C 0 4e{exp}\nC 1 3e{exp}\nC 2 1e{exp}\nC 3 0.5e{exp}\n"
+    inp = tmp_path / "net.inp"
+    inp.write_text(OVERFLOW_BASE.replace(OVERFLOW_CURVE, curve))
+    assert main(["analyze", str(inp), "--default-bounds"]) == 2
+    assert capsys.readouterr().err == ("input error: PUMPS line 8: curve is not consistent "
+                                       "with a power-law head model: 'PU R J HEAD C'\n")

@@ -33,7 +33,6 @@ from wdn_lipschitz.bounds import FlowBox, default_box
 from wdn_lipschitz.errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
 from wdn_lipschitz import sampling
-from wdn_lipschitz.analytical import corner_derivatives
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
@@ -52,6 +51,7 @@ from conftest import (
     make_box,
     make_random_network,
     make_single_pipe,
+    reference_link_derivative,
     synthetic_network,
 )
 
@@ -403,6 +403,27 @@ class TestSequences:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match=r"^count must be >= 0$"):
             SampleSequence("halton", 2).blocks(-1)
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0), True, np.bool_(True), "3", None],
+                             ids=["float", "float64", "bool", "bool_", "str", "None"])
+    def test_integer_arguments_checked_where_given(self, kind, bad):
+        # a dimension or seed when the sequence is built, a count when
+        # blocks is called, not at its first block
+        for name, call in (("dimension", lambda: SampleSequence(kind, bad)),
+                           ("seed", lambda: SampleSequence(kind, 3, seed=bad)),
+                           ("count", lambda: SampleSequence(kind, 3).blocks(bad))):
+            with patch.object(SampleSequence, "_blocks",
+                              side_effect=AssertionError("a block was made")):
+                with pytest.raises(TypeError, match=f"^{name} must be an integer, not "):
+                    call()
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_numpy_integer_arguments_are_taken(self, kind):
+        sequence = SampleSequence(kind, np.int64(3), seed=np.uint8(2))
+        assert sequence == SampleSequence(kind, 3, seed=2)
+        assert type(sequence.dimension) is int and type(sequence.seed) is int
+        assert np.array_equal(all_points(sequence, np.int32(300)), all_points(sequence, 300))
 
 
 class TestKLower:
@@ -920,6 +941,18 @@ class TestSegmentThreads:
                     with pytest.raises(TypeError, match=f"^{what} must be an integer, not "):
                         k_lower_trace(net, box, kind, n, mode=mode, checkpoints=checkpoints)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, np.bool_(True), "1", None],
+                             ids=["float", "float64", "bool", "bool_", "str", "None"])
+    def test_seed_is_an_integer_checked_before_any_thread(self, fixtures, seed):
+        _, net, box = fixtures["obcl"]
+        with cpu_count(3), patch.object(threading, "Thread", no_thread), \
+                patch.object(SampleSequence, "_blocks",
+                             side_effect=AssertionError("a block was made")):
+            for kind in SAMPLER_KINDS:
+                for mode in ("max", "sqrt"):
+                    with pytest.raises(TypeError, match="^seed must be an integer, not "):
+                        k_lower_trace(net, box, kind, 10_000, mode=mode, seed=seed)
+
     def test_numpy_integer_counts_are_taken(self, fixtures):
         _, net, box = fixtures["obcl"]
         for kind in SAMPLER_KINDS:
@@ -962,7 +995,7 @@ class TestSegmentThreads:
         before = threading.active_count()
         with cpu_count(3), patch.object(SampleSequence, "_blocks", slow), \
                 segment_spy() as walked, \
-                patch.object(sampling, "corner_derivatives", side_effect=ValueError("stop")):
+                patch.object(sampling, "corner_of", side_effect=ValueError("stop")):
             with pytest.raises(ValueError, match="^stop$"):
                 k_lower_trace(net, box, "random", 20_000, checkpoints=(1,))
             assert threading.active_count() == before
@@ -1043,16 +1076,23 @@ def _brute_force_trace(net, box, kind, seed, n, marks, mode):
     # every sampled point mapped into the box, then per point the largest
     # closed-form derivative over its links (or the root of the sum of
     # squares of its numpy Jacobian row) and a prefix max: the definition
-    # the hull and the tile walk must reproduce
+    # the hull and the tile walk must reproduce.  In max mode each mark's
+    # value is also k_network over the box that points 1..mark span.
     q = all_points(SampleSequence(kind, net.n_links, seed), n)
     q = np.clip(box.lo + q * (box.hi - box.lo), box.lo, box.hi)
     if mode == "max":
-        rows = [max(corner_derivatives(net, [abs(x) for x in point])) for point in q.tolist()]
+        rows = [max(reference_link_derivative(net, pos, abs(x)) for pos, x in enumerate(point))
+                for point in q.tolist()]
     else:
         g = jacobian_diag_batch(net, q)
         rows = np.sqrt(np.einsum("ij,ij->i", g, g))
     running = np.maximum.accumulate(rows)
-    return [float(running[m - 1]) for m in marks]
+    expected = [float(running[m - 1]) for m in marks]
+    if mode == "max":
+        spanned = [k_network(net, FlowBox(box.link_ids, box.kinds, q[:m].min(axis=0),
+                                          q[:m].max(axis=0))).value for m in marks]
+        assert [v.hex() for v in spanned] == [v.hex() for v in expected]
+    return expected
 
 
 def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data, mode):
