@@ -5,11 +5,14 @@ its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
 corner c, where c_i is the endpoint of larger magnitude.  corner_of(net,
 lo, hi) makes every Corner record: from two flow rows, a box's ends or a
-sample hull's, it takes each link's larger magnitude and makes one libm
-pass over the network's derivative table (network.py), coef_i * pow(c_i,
-expo_i) * post_i with no branch on class, keeping the values read-only.
+sample hull's, or from stacked rows of them, one record per row, it takes
+each link's larger magnitude and makes one pass over the network's
+derivative table (network.py), coef_i * pow(c_i, expo_i) * post_i with no
+branch on class: libm's pow on each link, by map(math.pow, ...), then two
+whole-array multiplies in that order, keeping the values read-only.
 corner(net, box) checks the box and makes its record; the max point trace
-makes one at each checkpoint's sample hull.  Every max-mode result reads a
+makes one pass per chunk of checkpoints' sample hulls (Halton, Sobol) or
+per checkpoint of a segment (random).  Every max-mode result reads a
 record in whole arrays.  The sharp constant K is the largest value, overall
 and per class (an empty class contributes 0).  The one-sided constant equals
 K, because the log norm of a nonnegative diagonal matrix is its largest entry.
@@ -75,7 +78,8 @@ class Corner:
 
     def k(self) -> LipschitzEstimate:
         """K over the box, one-sided too, with each class's in ``per_class``."""
-        parts = np.split(self.values, self.class_ends)
+        pumps, valves = self.class_ends
+        parts = (self.values[:pumps], self.values[pumps:valves], self.values[valves:])
         per_class = {name: float(part.max(initial=0.0))
                      for name, part in zip(("pipes", "pumps", "valves"), parts)}
         return LipschitzEstimate(value=max(per_class.values()), method=METHOD_ANALYTICAL,
@@ -131,24 +135,44 @@ class Corner:
                                  gap=result.gap, effort=1)
 
 
-def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner:
+def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner | list[Corner]:
     """The Corner of the flow rows lo and hi, a box's ends or a sample hull:
     each link's |J_ii| at its larger magnitude, its supremum over [lo, hi].
-    A value past the float range raises BoundsError: the box is too wide."""
-    magnitudes = np.maximum(np.abs(lo), np.abs(hi)).tolist()
-    values = []
-    for link_id, m, coef, expo, post in zip(net.link_ids, magnitudes, net.deriv_coef.tolist(),
-                                            net.deriv_expo.tolist(), net.deriv_post.tolist()):
-        try:
-            value = coef * math.pow(m, expo) * post
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise BoundsError(f"link {link_id!r}: |df/dq| at flow {m!r} overflows a float")
-        values.append(value)
-    record = np.array(values)
-    record.flags.writeable = False
-    return Corner(record, (net.n_pipes, net.n_pipes + net.n_pumps))
+    Stacked rows, shape (m, n_links), give a list of m records from one pass,
+    each with the bits of its own call.  A value past the float range raises
+    BoundsError for the first such link in stacked order: the box is too wide.
+
+    libm's pow makes every power (map(math.pow, ...)), and the products are
+    whole-array multiplies in the per-link order, (coef * pow) * post, each
+    correctly rounded as Python's own float multiply is.
+    """
+    magnitudes = np.abs(lo)
+    np.maximum(magnitudes, np.abs(hi), out=magnitudes)
+    flat = magnitudes.ravel().tolist()
+    expos = net._expo_floats * (1 if magnitudes.ndim == 1 else len(magnitudes))
+    try:
+        powers = np.fromiter(map(math.pow, flat, expos), float, len(flat))
+    except OverflowError:   # past the float range: named below
+        powers = np.fromiter(map(_pow_or_inf, flat, expos), float, len(flat))
+    with np.errstate(over="ignore", invalid="ignore"):   # a product past the range, below
+        values = net.deriv_coef * powers.reshape(magnitudes.shape)
+        values *= net.deriv_post
+    wide = np.flatnonzero(~np.isfinite(values))
+    if wide.size:
+        raise BoundsError(f"link {net.link_ids[wide[0] % net.n_links]!r}: |df/dq| at flow "
+                          f"{flat[wide[0]]!r} overflows a float")
+    values.flags.writeable = False
+    class_ends = (net.n_pipes, net.n_pipes + net.n_pumps)
+    if values.ndim == 1:
+        return Corner(values, class_ends)
+    return [Corner(row, class_ends) for row in values]
+
+
+def _pow_or_inf(m: float, expo: float) -> float:
+    try:
+        return math.pow(m, expo)
+    except OverflowError:
+        return math.inf
 
 
 def corner(net: Network, box: FlowBox) -> Corner:

@@ -106,6 +106,8 @@ class Network:
         for column in (table, self.from_pos, self.to_pos, self.tank_area):
             column.flags.writeable = False
         self.f_offset, self.f_coef, self.deriv_coef, self.deriv_expo, self.deriv_post = table
+        # the exponents as Python floats too, for the corner pass's libm pow
+        self._expo_floats = tuple(self.deriv_expo.tolist())
         self._built = True
 
     def __setattr__(self, name, value):

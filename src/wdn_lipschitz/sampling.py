@@ -25,7 +25,8 @@ and a block can start at any index (see segments, below):
   then ``r += digit * f``.  A block is built from runs of consecutive
   indices, not one digit loop per index.  For a base b up to the block's
   rows, the fold of the low k digits (b**k the largest power within the
-  rows) is a table built once per process, and each run of equal high
+  rows) is a table built once per process (a segment that misses it
+  builds it under a lock, and a hit takes none), and each run of equal high
   part is a slice of that table plus the fold of the run's few high
   digits, added in the same order.  A base above the rows meets at most
   two runs, the second from where its low digit wraps, so all such bases
@@ -79,21 +80,34 @@ sampled flow inside the box.  A random hull is reduced from the sample
 blocks, one tile-sized block at a time, by segment (below).  Halton and
 Sobol hulls are taken in closed form in O(d log n), with the bits of the
 generated points (for Halton up to a bound on n, below): they generate
-no points, and their cost does not depend on n.
+no points, and their cost does not depend on n.  They are taken for a
+chunk of marks at a time, in whole arrays, the chunk's hull rows at most
+a tile, and each chunk is read by one corner pass over its stacked rows,
+so a trace makes one pass per chunk, and its memory does not grow with
+the checkpoint count.
 
 * Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
-  [a*2**k, (a+1)*2**k).  A block's states are the state of a*2**k XOR the
-  span of v[0..k-1].  Each v[k] is m_k << (31-k) with m_k odd, so that span
-  is every value whose low 32-k bits are zero, and the block's least and
-  greatest states are the first state with its top k bits cleared and set.
+  [a*2**k, (a+1)*2**k), cut at every mark.  A block's states are the
+  state of a*2**k XOR the span of v[0..k-1].  Each v[k] is m_k << (31-k)
+  with m_k odd, so that span is every value whose low 32-k bits are zero,
+  and the block's least and greatest states are the first state with its
+  top k bits cleared and set.  The first states of a few blocks at a time
+  (8, or up to 2**11 states) are taken together, one direction number at
+  a time, and running minima and maxima across the blocks give each
+  mark's hull.
 * Halton: the radical inverse orders indices by their reversed digits.  The
-  minimum over [1, n] is at the largest power of b within n; the maximum
-  takes the digits greedily, lowest first, each as large as keeps the index
-  within n.  Both indices are folded in the digit loop's own order.  Every
-  other index's fold adds a term at least the minimum's, so the minimum
-  has the generated bits at any n.  The exact radical inverses of distinct
-  indices differ by at least b**-(K+1), K = floor(log_b n), and a fold errs
-  by under (2K+3) * 2**-53, so the maximum has the generated bits wherever
+  minimum over [1, n] is at the largest power of b within n.  The maximum
+  is at q*B + B - 1, with B the largest power of b within n + 1 and
+  q = (n - (B - 1)) // B: its digits are b - 1 below B's position and
+  (n + 1) // B - 1 at it, the digits the greedy choice, lowest first,
+  each as large as keeps the index within n, would take
+  (_halton_extremes has the proof).  Both indices of every mark of a chunk
+  and every base are taken in whole arrays and folded in one fold, in the
+  digit loop's own order.  Every other index's fold adds a term at least
+  the minimum's, so the minimum has the generated bits at any n.  The
+  exact radical inverses of distinct indices differ by at least
+  b**-(K+1), K = floor(log_b n), and a fold errs by under
+  (2K+3) * 2**-53, so the maximum has the generated bits wherever
   b**(K+1) * (2K+3) < 2**52: at every base of 5,002 dimensions up to
   n = 1e11.  Past that it is the fold of the index with the largest exact
   radical inverse, still a sampled point.
@@ -114,10 +128,10 @@ ends and at tile edges, so each cut is at most one tile of 2**16 values
 (take, read)``, starts one segment's state; ``take`` folds a cut in, and
 ``read`` gives one float at each cut that ends at a mark or the
 segment's end.  The ``max`` fold holds two hull rows, and reads K from
-that hull's Corner record.  The ``sqrt`` fold, which needs each point's
-sum of squares, scales a cut and evaluates its Jacobian in place, writes
-its row sums into one vector of a tile's rows, so each cut's passes stay
-in cache, and reads its largest sum.  Once every thread is joined, the
+that hull's Corner record, one corner pass per read.  The ``sqrt`` fold,
+which needs each point's sum of squares, scales a cut and evaluates its
+Jacobian in place, writes its row sums into one vector of a tile's rows,
+so each cut's passes stay in cache, and reads its largest sum.  Once every thread is joined, the
 segments join in index order by max.  For ``max`` that is the value of
 the joined hull: scaling is monotone and max(|min X|, |max X|) = max |X|,
 so the joined hull's corner magnitude is, per link, the larger of the
@@ -178,7 +192,10 @@ _TILE_VALUES = 2 ** 16
 _HALTON_CHUNK = 16
 
 
-def _first_primes(count: int) -> list[int]:
+# Cached per count and read-only, since every Halton fill and hull shares it
+@lru_cache(maxsize=None)
+def _first_primes(count: int) -> np.ndarray:
+    """The first count primes, an int64 array."""
     # the count-th prime is below count * (ln count + ln ln count) for count >= 6
     limit = 13
     if count >= 6:
@@ -188,7 +205,9 @@ def _first_primes(count: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return np.flatnonzero(sieve)[:count].tolist()
+    primes = np.flatnonzero(sieve)[:count].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 @lru_cache(maxsize=None)
@@ -245,6 +264,19 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
     return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
 
 
+def _sobol_states(v: np.ndarray, indices: list[int], out: np.ndarray) -> np.ndarray:
+    """_sobol_state of each of the indices, one row each, written into out
+    and returned: v[k] is XORed into every row whose gray(i) has bit k set,
+    one bit at a time."""
+    gray = np.array([i ^ (i >> 1) for i in indices], dtype="<u4")
+    bits = np.unpackbits(gray.view(np.uint8).reshape(-1, 4), axis=1,
+                         bitorder="little").astype(bool)
+    out[...] = 0
+    for k in np.flatnonzero(bits.any(axis=0)).tolist():
+        np.bitwise_xor(out, v[k], out=out, where=bits[:, k, None])
+    return out
+
+
 def _sobol_fill(dim: int, size: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """fill(first, out) for Sobol blocks of at most size points."""
     v = _sobol_matrix(dim)
@@ -285,7 +317,7 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
 def _halton_fill(dim: int, size: int, last: int) -> Callable[[int, np.ndarray], np.ndarray]:
     """fill(first, out) for Halton blocks of at most size points, none past
     index last."""
-    bases = np.array(_first_primes(dim))
+    bases = _first_primes(dim)
     # room for _HALTON_CHUNK bases, or for up to a tile's values of the
     # bases that some block folds by two runs: above its rows, within last
     two_runs = np.count_nonzero((bases > size) & (bases <= last))
@@ -325,16 +357,27 @@ def _halton_block(bases: np.ndarray, first: int, out: np.ndarray,
     return out
 
 
-# Cached across sequences and calls, and read-only, since every caller
-# shares it.  A table holds span values, span at most a block's rows, for a
-# base up to those rows (obcl's 289 bases at 3,628 rows: about 2.1 MiB).
-@lru_cache(maxsize=None)
+# (base, span) -> _fold_digits' table, cached across sequences and calls,
+# and read-only, since every caller shares it.  A table holds span values,
+# span at most a block's rows, for a base up to those rows (obcl's 289 bases
+# at 3,628 rows: about 2.1 MiB).  A miss builds under the lock, so segments
+# that start together build each table once; a hit takes no lock.
+_digit_tables: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+_digit_tables_lock = threading.Lock()
+
+
 def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
     """Radical inverses of 0..span-1 in base, and the weight of the last
-    digit folded (see _fold)."""
-    r, f = _fold(np.arange(span), base)
-    r.flags.writeable = False
-    return r, float(f)
+    digit folded (see _fold), built once per process."""
+    table = _digit_tables.get((base, span))
+    if table is None:
+        with _digit_tables_lock:
+            table = _digit_tables.get((base, span))
+            if table is None:
+                r, f = _fold(np.arange(span), base)
+                r.flags.writeable = False
+                table = _digit_tables[base, span] = r, float(f)
+    return table
 
 
 def _fold(idx: np.ndarray, base: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,10 +387,11 @@ def _fold(idx: np.ndarray, base: int | np.ndarray) -> tuple[np.ndarray, np.ndarr
     consumed (divided down to zero in place)."""
     r = np.zeros(idx.shape)
     f = np.ones(np.shape(base))
+    digit = np.empty_like(idx)
     while idx.any():
         f /= base
-        r += (idx % base) * f
-        idx //= base
+        np.divmod(idx, base, out=(idx, digit))
+        r += digit * f
     return r, f
 
 
@@ -419,57 +463,113 @@ def _halton_two_runs(out: np.ndarray, first: int, bases: np.ndarray) -> None:
         high //= bases
 
 
-def _sobol_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(mark, hull) for each mark of the nondecreasing marks: the
-    per-coordinate minimum and maximum of Sobol points 1..mark, a new array
-    of two rows, from one state per aligned dyadic block of indices (see
-    the module docstring)."""
+def _sobol_hulls(dim: int, marks: list[int], rows: int) -> Iterator[np.ndarray]:
+    """The hulls of Sobol points 1..mark for each mark of the nondecreasing
+    marks, in chunks of at most rows marks: a new (2, chunk, dim) array,
+    the per-coordinate minima, then the maxima.  Points 1..marks[-1] split
+    into aligned dyadic blocks, cut at every mark, and each block's least
+    and greatest states come from its first state (see the module
+    docstring), a few blocks at a time (_sobol_runs)."""
     v = _sobol_matrix(dim)
-    low = np.full(dim, 2 ** _SOBOL_BITS - 1, dtype=np.uint32)
-    high = np.zeros(dim, dtype=np.uint32)
+    # the least and greatest states of the blocks so far
+    carry = np.array([[2 ** _SOBOL_BITS - 1], [0]], dtype=np.uint32).repeat(dim, axis=1)
     first = 1
-    for mark in marks:
-        while first <= mark:
-            # the largest block [first, first + 2**k) aligned at first and
-            # within mark; its states are the state of first XOR the span of
-            # v[0..k-1], every value with the low 32-k bits clear
-            k = (first & -first).bit_length() - 1
-            while first + (1 << k) > mark + 1:
-                k -= 1
-            state = _sobol_state(v, first)
-            kept = np.uint32((1 << (_SOBOL_BITS - k)) - 1)
-            np.minimum(low, state & kept, out=low)
-            np.maximum(high, state | ~kept, out=high)
-            first += 1 << k
-        yield mark, np.stack([low, high]) * 0.5 ** _SOBOL_BITS
+    for start in range(0, len(marks), rows):
+        # the blocks [first, first + 2**k) from first up to the chunk's last
+        # mark, each the largest aligned at first and within the next mark,
+        # and at each mark the count of the chunk's blocks within it
+        firsts, spans, ends = [], [], []
+        for mark in marks[start:start + rows]:
+            while first <= mark:
+                k = (first & -first).bit_length() - 1
+                while first + (1 << k) > mark + 1:
+                    k -= 1
+                firsts.append(first)
+                spans.append(k)
+                first += 1 << k
+            ends.append(len(firsts))
+        yield _sobol_runs(v, carry, firsts, spans, ends) * 0.5 ** _SOBOL_BITS
 
 
-def _halton_hulls(dim: int, marks: list[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(mark, hull) for each mark of the nondecreasing marks: the
-    per-coordinate minimum and maximum of Halton points 1..mark, a new
-    array of two rows, from the two indices that attain them in each base
-    (see the module docstring)."""
-    bases = np.array(_first_primes(dim))
-    for mark in marks:
-        # the smallest radical inverse is at the largest power of the base
-        low = np.ones(dim, dtype=np.int64)
-        grow = low <= mark // bases
-        while grow.any():
-            np.multiply(low, bases, out=low, where=grow)
-            grow &= low <= mark // bases
-        # the largest takes each digit, lowest first, as large as keeps the
-        # index within mark; live while the next digit can be nonzero
-        high = np.zeros(dim, dtype=np.int64)
-        rest = np.full(dim, mark, dtype=np.int64)
-        power = np.ones(dim, dtype=np.int64)
-        live = np.ones(dim, dtype=bool)
-        while live.any():
-            step = np.where(live, np.minimum(bases - 1, rest // power) * power, 0)
-            high += step
-            rest -= step
-            live &= power <= rest // bases
-            np.multiply(power, bases, out=power, where=live)
-        yield mark, _fold(np.stack([low, high]), bases)[0]
+def _sobol_runs(v: np.ndarray, carry: np.ndarray, firsts: list[int], spans: list[int],
+                ends: list[int]) -> np.ndarray:
+    """The least and greatest states, a new (2, len(ends), dim) uint32
+    array, at each of a chunk's marks, ends[i] of its blocks within mark i:
+    the running minima and maxima, from carry, of the blocks' least and
+    greatest states, a part of the blocks at a time in whole arrays.  carry
+    is updated in place to those of every block."""
+    ends = np.array(ends)
+    hull = np.empty((2, len(ends), v.shape[1]), dtype=np.uint32)
+    hull[...] = carry[:, None]   # a mark with none of the chunk's blocks
+    # a part is 8 blocks, or up to 2**11 states where rows are short: its
+    # two runs and their ufunc buffers then hold about as much as a few
+    # rows of n_links values, as one block at a time did
+    part = max(8, 2 ** 11 // v.shape[1])
+    runs = np.empty((2, 1 + min(part, len(firsts)), v.shape[1]), dtype=np.uint32)
+    for lead in range(0, len(firsts), part):
+        # row 0 carries the blocks before; a block's least and greatest
+        # states are its first state with the top k bits cleared and set
+        run = runs[:, :1 + min(part, len(firsts) - lead)]
+        run[:, 0] = carry
+        states = _sobol_states(v, firsts[lead:lead + part], run[1, 1:])
+        kept = np.array([(1 << (_SOBOL_BITS - k)) - 1 for k in spans[lead:lead + part]],
+                        dtype=np.uint32)[:, None]
+        np.bitwise_and(states, kept, out=run[0, 1:])
+        np.bitwise_or(states, ~kept, out=states)
+        np.minimum.accumulate(run[0], axis=0, out=run[0])
+        np.maximum.accumulate(run[1], axis=0, out=run[1])
+        carry[...] = run[:, -1]
+        inside = (ends > lead) & (ends < lead + len(run[0]))
+        hull[:, inside] = run[:, ends[inside] - lead]
+    return hull
+
+
+def _halton_hulls(dim: int, marks: list[int], rows: int) -> Iterator[np.ndarray]:
+    """The hulls of Halton points 1..mark for each mark of the nondecreasing
+    marks, in chunks of at most rows marks: a new (2, chunk, dim) array,
+    the per-coordinate minima, then the maxima, each folded from the index
+    that attains it (_halton_extremes), all of a chunk's in one fold."""
+    bases = _first_primes(dim)
+    for start in range(0, len(marks), rows):
+        chunk = marks[start:start + rows]
+        yield _fold(_halton_extremes(bases, chunk).reshape(-1, dim), bases)[0].reshape(
+            2, len(chunk), dim)
+
+
+def _halton_extremes(bases: np.ndarray, marks: list[int]) -> np.ndarray:
+    """The indices in 1..mark of the least and the greatest radical inverse
+    in each base, for each mark: a new (2, len(marks), len(bases)) int64
+    array, taken in closed form in whole arrays.
+
+    The radical inverse orders indices by their digits read lowest first.
+    With low = b**K the largest power of b within mark, every index in
+    1..mark has a nonzero digit at a position up to K, so its radical
+    inverse is at least b**-(K+1), which is low's: the least.  The greatest
+    takes digit b - 1 at each position below P while it can: the least index
+    with those digits is B - 1, B = b**P, so P is largest with B <= mark + 1.
+    Position P then takes the largest digit q that keeps q*B + B - 1 within
+    mark, q = (mark - (B - 1)) // B = (mark + 1) // B - 1, which is below
+    b - 1 since b*B > mark + 1, and every digit above P is 0, as b*B > mark.
+    So high = q*B + B - 1.  The powers are uint64, since B reaches 2**63 at
+    mark = 2**63 - 1, and grow while p <= floor(x / b), that is p*b <= x;
+    floor((mark + 1) / b) is taken as floor(mark / b), plus one where
+    mark's low digit is b - 1, so no value passes 2**63.
+    """
+    wide = bases.astype(np.uint64)
+    mark = np.array(marks, dtype=np.uint64)[:, None]
+    quotient, digit = np.divmod(mark, wide)
+    caps = np.stack([quotient, quotient + (digit == wide - 1)])
+    power = np.ones(caps.shape, dtype=np.uint64)
+    grow = power <= caps
+    while grow.any():
+        np.multiply(power, wide, out=power, where=grow)
+        grow &= power <= caps
+    # high = q*B + B - 1 = (q + 1)*B - 1, written over B; every index is
+    # within mark, so int64 holds it
+    top = power[1]
+    top *= (mark - (top - 1)) // top + 1
+    top -= 1
+    return power.view(np.int64)
 
 
 def _block_rows(kind: str, dim: int) -> int:
@@ -719,16 +819,20 @@ def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSe
                marks: list[int]) -> list[tuple[int, float]]:
     """Largest sampled Jacobian entry at each mark: K over the hull of points
     1..mark, from the Corner record (analytical.corner_of) of the hull's two
-    rows, a new array scaled into the box in place.  Halton and Sobol hulls
-    are in closed form; random ones are reduced by segment, each read at its
-    own cuts (see the module docstring)."""
+    rows.  Halton and Sobol hulls are in closed form, a chunk of marks at a
+    time, each chunk read by one corner pass; random ones are reduced by
+    segment, each read at its own cuts (see the module docstring)."""
 
-    def corner(hull: np.ndarray) -> float:
-        return corner_of(net, *_scale_into_box(hull, box, width)).k().value
+    def k_values(hull: np.ndarray) -> list[float]:
+        # hull is (2, marks, dim), new, and scaled into the box in place
+        return [record.k().value for record in corner_of(net, *_scale_into_box(hull, box, width))]
 
     if sequence.kind != KIND_RANDOM:
         hulls = _sobol_hulls if sequence.kind == KIND_SOBOL else _halton_hulls
-        return [(mark, corner(hull)) for mark, hull in hulls(sequence.dimension, marks)]
+        # a chunk's hull, both rows of each of its marks, is at most a tile
+        rows = max(1, _TILE_VALUES // (2 * sequence.dimension))
+        return list(zip(marks, [value for hull in hulls(sequence.dimension, marks, rows)
+                                for value in k_values(hull)]))
 
     def fold():
         p_min = np.full(sequence.dimension, np.inf)
@@ -738,7 +842,7 @@ def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSe
             np.minimum(p_min, p.min(axis=0), out=p_min)
             np.maximum(p_max, p.max(axis=0), out=p_max)
 
-        return take, lambda: corner(np.stack([p_min, p_max]))
+        return take, lambda: k_values(np.stack([p_min, p_max])[:, None])[0]
 
     return _segment_walk(sequence, marks, fold)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +230,47 @@ class TestDerivativeTable:
     def test_fixtures(self, fixtures):
         for _, net, box in fixtures.values():
             self.assert_matches_reference(net, box.lo, box.hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 6))
+    def test_stacked_rows_match_row_by_row(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        net, box = make_random_network(rng)
+        width = box.hi - box.lo
+        lo, hi = box.lo + rng.random((2, rows, net.n_links)) * width
+        records = corner_of(net, lo, hi)
+        assert len(records) == rows
+        for row, record in enumerate(records):
+            alone = corner_of(net, lo[row], hi[row])
+            assert record.values.tobytes() == alone.values.tobytes()
+            assert record.class_ends == alone.class_ends
+            assert not record.values.flags.writeable
+            assert record.k().value == alone.k().value
+            assert dict(record.k().per_class) == dict(alone.k().per_class)
+
+    # two pumps whose corner derivative 3 q**2 passes the float range above
+    # edge = sqrt(max / 3): by the product up to sqrt(max), past it in pow
+    @pytest.mark.parametrize("past", [1.5, 1e46], ids=["product", "pow"])
+    def test_stacked_overflow_names_the_first_failing_row(self, past):
+        pump = dict(from_node="R1", to_node="J1", shutoff_head=1.0, curve_coeff=1.0,
+                    curve_exponent=3.0)
+        net = build_network(NetworkDescription(
+            headloss_exponent=2.0, junctions=[JunctionDesc("J1", 0.0)],
+            reservoirs=[ReservoirDesc("R1", 0.0)], tanks=[], pipes=[],
+            pumps=[PumpDesc("PU1", **pump), PumpDesc("PU2", **pump)], valves=[]))
+        edge = math.sqrt(sys.float_info.max / 3)
+        ok, past = edge / 2, edge * past
+        # row 1 fails at its second link, row 2 at both
+        lo = np.ones((3, 2))
+        hi = np.array([[ok, ok], [ok, past], [past, past]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundsError) as stacked:
+                corner_of(net, lo, hi)
+            with pytest.raises(BoundsError) as alone:
+                corner_of(net, lo[1], hi[1])
+        assert str(stacked.value) == str(alone.value) == (
+            f"link 'PU2': |df/dq| at flow {past!r} overflows a float")
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 1.0))

@@ -31,7 +31,8 @@ from wdn_lipschitz import (
 )
 from wdn_lipschitz.bounds import FlowBox, default_box
 from wdn_lipschitz.errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
-from wdn_lipschitz.inp import JunctionDesc, NetworkDescription, PipeDesc, PumpDesc, ValveDesc
+from wdn_lipschitz.inp import (JunctionDesc, NetworkDescription, PipeDesc, PumpDesc,
+                               ReservoirDesc, ValveDesc)
 from wdn_lipschitz import sampling
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
@@ -39,6 +40,7 @@ from wdn_lipschitz.sampling import (
     SAMPLER_KINDS,
     _first_primes,
     _fold_digits,
+    _halton_extremes,
     _halton_hulls,
     _scale_into_box,
     _sobol_hulls,
@@ -132,6 +134,57 @@ class TestHalton:
         h = star_discrepancy_on_grid(all_points(SampleSequence("halton", 2), 1024))
         r = star_discrepancy_on_grid(all_points(SampleSequence("random", 2, 12345), 1024))
         assert h < r
+
+    def test_bases_are_cached_read_only(self):
+        primes = _first_primes(289)
+        assert _first_primes(289) is primes
+        assert not primes.flags.writeable
+        assert len(primes) == 289 and primes[:6].tolist() == [2, 3, 5, 7, 11, 13]
+        assert primes[-1] == 1879
+
+
+def _greedy_extremes(mark: int, base: int) -> tuple[int, int]:
+    """The indices in 1..mark of the least and the greatest radical inverse
+    in base, by the digit loop: the largest power of base within mark, and
+    each digit, lowest first, as large as keeps the index within mark."""
+    low = 1
+    while low * base <= mark:
+        low *= base
+    high, power = 0, 1
+    while True:
+        high += min(base - 1, (mark - high) // power) * power
+        if power > (mark - high) // base:   # no next digit can be nonzero
+            return low, high
+        power *= base
+
+
+_LARGEST_INDEX = 2 ** 63 - 1
+
+
+@st.composite
+def _marks(draw, bases):
+    """A mark from 1 to 2**63 - 1: any, or b**k - 1, b**k or b**k + 1 for a
+    base b drawn from bases."""
+    base = draw(st.sampled_from(bases))
+    k = draw(st.integers(0, math.floor(math.log(_LARGEST_INDEX, base))))
+    near = min(_LARGEST_INDEX, max(1, base ** k + draw(st.integers(-1, 1))))
+    return draw(st.one_of(st.just(near), st.integers(1, _LARGEST_INDEX)))
+
+
+# the largest index is always a mark: there B = 2**63 in base 2, one past int64
+@settings(max_examples=60, deadline=None)
+@given(dim=st.one_of(st.integers(1, 5002), st.sampled_from((1, 2, 5002))), data=st.data())
+def test_closed_form_halton_indices_match_the_digit_loop(dim, data):
+    bases = _first_primes(dim)
+    few = bases[:8].tolist() + bases[-8:].tolist()
+    marks = sorted([*data.draw(st.lists(_marks(few), max_size=4), label="marks"),
+                    _LARGEST_INDEX])
+    got = _halton_extremes(bases, marks)
+    assert got.dtype == np.int64 and got.shape == (2, len(marks), dim)
+    for row, mark in enumerate(marks):
+        want = [_greedy_extremes(mark, base) for base in bases.tolist()]
+        assert got[0, row].tolist() == [low for low, _ in want]
+        assert got[1, row].tolist() == [high for _, high in want]
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,15 +373,50 @@ def test_sobol_blocks_match_gray_code_loop(dim, block, count):
         assert np.array_equal(a, b)
 
 
+@contextlib.contextmanager
+def table_builds():
+    """The (base, span) of each digit table built while active: a Halton
+    sqrt trace folds digits only to build them."""
+    built = []
+    fold = sampling._fold
+
+    def spy(idx, base):
+        built.append((base, len(idx)))
+        return fold(idx, base)
+
+    with patch.object(sampling, "_fold", spy):
+        yield built
+
+
 class TestHaltonTables:
     def test_second_trace_builds_no_table(self, fixtures):
         _, net, box = fixtures["obcl"]
-        _fold_digits.cache_clear()
-        k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
-        built = _fold_digits.cache_info().misses
-        assert built > 0
-        k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
-        assert _fold_digits.cache_info().misses == built
+        sampling._digit_tables.clear()
+        with table_builds() as built:
+            k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
+        assert len(built) == len(sampling._digit_tables) > 0
+        with table_builds() as built:
+            k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
+        assert built == []
+
+    # obcl's 289 links: 100,000 points walk two or three segments that start
+    # on a cold cache together, switching threads often; each table is built
+    # once, and a second trace, all hits, takes no lock
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_segments_build_each_table_once(self, fixtures, cpus):
+        _, net, box = fixtures["obcl"]
+        sampling._digit_tables.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with cpu_count(cpus), segment_spy() as walked, table_builds() as built:
+                k_lower_trace(net, box, "halton", 100_000, mode="sqrt")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(walked) == cpus
+        assert sorted(built) == sorted(set(built)) == sorted(sampling._digit_tables)
+        with cpu_count(cpus), patch.object(sampling, "_digit_tables_lock", None):
+            k_lower_trace(net, box, "halton", 100_000, mode="sqrt")
 
     def test_shared_tables_are_read_only(self):
         table, _ = _fold_digits(3, 27)
@@ -582,9 +670,10 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # tiles.  A random max trace holds one sample block and
     # the two hull rows per segment.  A Halton or Sobol max trace takes its
     # hull in closed form on one thread and holds a few rows of n_links
-    # values (22 to 28 float64 rows; Sobol's largest buffers are its 32
-    # uint32 rows of direction numbers and one gathered copy of them), so a
-    # single block-sized buffer fails its bound.  A sqrt trace holds one
+    # values (Halton 15.6 to 17.4 float64 rows; Sobol 19.8, or 36.3 where it
+    # builds its 32 uint32 rows of direction numbers, with its block states
+    # taken eight blocks at a time), so a single block-sized buffer fails
+    # its bound.  A sqrt trace holds one
     # sample block and one row-sum vector per segment, and evaluates in
     # place (a Halton trace 1.07 to 1.08 blocks per segment, 1.36 on one
     # segment while it also builds its digit tables; 2.0 to 2.2 with a
@@ -703,6 +792,57 @@ def test_random_max_trace_memory_does_not_grow_with_checkpoints(fixtures, checkp
     assert peak <= segments * (tile_bytes + 16 * row_bytes) + tile_bytes
 
 
+# A closed-form max trace reads its marks in chunks whose hull, both rows
+# of each mark, is at most a tile, with one corner pass per chunk, so its
+# memory does not grow with the checkpoints: one chunk's hull, its indices
+# or states and its corner pass.  Measured: Halton 0.12 tiles with one
+# checkpoint and 5.4 with 1,000 on obcl (113 marks a chunk), 1.6 and 5.0 on
+# the scale network (6 marks a chunk); Sobol 0.11 and 5.3 on obcl.  Bound:
+# eight tiles, for one checkpoint and for 1,000; one pass over all 1,000
+# marks fails it.
+@pytest.mark.parametrize("name, kind", [("obcl", "halton"), ("obcl", "sobol"),
+                                        ("scale", "halton")])
+def test_closed_form_max_trace_memory_does_not_grow_with_checkpoints(fixtures, scale_network,
+                                                                     name, kind):
+    net, box = scale_network if name == "scale" else fixtures[name][1:]
+    n = 10 ** 6
+    k_lower_trace(net, box, kind, 1)  # the cached bases or direction numbers
+    for checkpoints in (1, 1000):
+        marks = tuple(range(1, n, n // checkpoints))[:checkpoints]
+        with segment_spy() as walked:
+            peak = traced_peak(k_lower_trace, net, box, kind, n, checkpoints=marks)
+        assert walked == []
+        assert peak <= 8 * sampling._TILE_VALUES * 8
+
+
+# Two pumps whose corner derivative 3 q**2 passes the float range above
+# q = sqrt(max / 3): PU1 (the first coordinate) from 0.8 of its range up,
+# PU2 from half of it.  Halton's first point is (1/2, 1/3) and Sobol's
+# (1/2, 1/2); the hull first passes PU2's edge at mark 2 (Halton, 2/3) or
+# 3 (Sobol, 3/4), and PU1's at mark 7.  Every mark is read in one corner
+# pass, or one pass per mark, and the error is that of the first failing
+# mark's first failing link, as when each mark had its own pass.
+@pytest.mark.parametrize("tile", [None, 4])
+@pytest.mark.parametrize("kind, message", [
+    ("halton", "link 'PU2': |df/dq| at flow 9.805268588953863e+153 overflows a float"),
+    ("sobol", "link 'PU2': |df/dq| at flow 1.1030927162573097e+154 overflows a float")])
+def test_overflow_at_a_later_checkpoint_names_its_first_link(kind, message, tile):
+    pump = functools.partial(PumpDesc, from_node="R1", to_node="J1", shutoff_head=1.0,
+                             curve_coeff=1.0, curve_exponent=3.0, speed=1.0)
+    net = build_network(NetworkDescription(
+        headloss_exponent=2.0, junctions=[JunctionDesc("J1", 0.0)],
+        reservoirs=[ReservoirDesc("R1", 0.0)], tanks=[], pipes=[],
+        pumps=[pump(id="PU1"), pump(id="PU2")], valves=[]))
+    edge = math.sqrt(sys.float_info.max / 3)
+    box = make_box(net, {"PU1": (1.0, edge / 0.8), "PU2": (1.0, 1.9 * edge)})
+    assert math.isfinite(k_lower_trace(net, box, kind, 1)[0].value)
+    tiles = contextlib.nullcontext() if tile is None else patch.object(sampling, "_TILE_VALUES",
+                                                                       tile)
+    with tiles, pytest.raises(BoundsError) as got:
+        k_lower_trace(net, box, kind, 10, checkpoints=(1, 2, 3, 7))
+    assert str(got.value) == message
+
+
 def test_sobol_sqrt_trace_memory_in_tiles(fixtures):
     # A segment of a Sobol sqrt trace on obcl's 289 links holds one block
     # of 226 points (one tile), evaluated in place, and its uint32 states
@@ -804,7 +944,7 @@ def assert_segment_count_changes_no_bit(net, box, kind, mode, n, counts):
     for cpus in counts:
         # more segments than this machine may have cores, switching threads
         # often, and the shared per-process tables built while they run
-        sampling._fold_digits.cache_clear()
+        sampling._digit_tables.clear()
         sampling._sobol_matrix.cache_clear()
         sys.setswitchinterval(1e-5)
         try:
@@ -1220,12 +1360,16 @@ def _hulls_of_points(kind, dim, marks):
 
 
 def _assert_hulls_match_points(kind, dim, marks):
+    # chunks of one mark, of two and of every mark
     hulls = _sobol_hulls if kind == "sobol" else _halton_hulls
-    got = list(hulls(dim, marks))
-    assert [mark for mark, _ in got] == marks
-    for (_, (p_min, p_max)), (q_min, q_max) in zip(got, _hulls_of_points(kind, dim, marks),
-                                                 strict=True):
-        assert np.array_equal(p_min, q_min) and np.array_equal(p_max, q_max)
+    want = _hulls_of_points(kind, dim, marks)
+    for rows in (1, 2, len(marks)):
+        chunks = list(hulls(dim, marks, rows))
+        assert [len(hull[0]) for hull in chunks] == [
+            min(rows, len(marks) - start) for start in range(0, len(marks), rows)]
+        got = [(p_min, p_max) for hull in chunks for p_min, p_max in zip(*hull)]
+        for (p_min, p_max), (q_min, q_max) in zip(got, want, strict=True):
+            assert np.array_equal(p_min, q_min) and np.array_equal(p_max, q_max)
 
 
 # n on and next to a power of two or of one of the sequence's first bases;
