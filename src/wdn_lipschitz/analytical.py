@@ -4,9 +4,9 @@ Each component of the hydraulic nonlinearity depends on one flow only, so
 its Jacobian is diagonal, and each entry is nondecreasing in |q_i| (every
 exponent is >= 1).  Hence each entry's supremum over the flow box sits at the
 corner c, where c_i is the endpoint of larger magnitude.  corner_of(net,
-lo, hi) makes every Corner record: from two flow rows, a box's ends or a
-sample hull's, or from stacked rows of them, one record per row, it takes
-each link's larger magnitude and makes one pass over the network's
+lo, hi) makes every Corner record: from stacked pairs of flow rows, a box's
+ends or sample hulls', one record per pair, it takes each link's larger
+magnitude and makes one pass over the network's
 derivative table (network.py), coef_i * pow(c_i, expo_i) * post_i with no
 branch on class: libm's pow on each link, by map(math.pow, ...), then two
 whole-array multiplies in that order, keeping the values read-only.
@@ -135,12 +135,13 @@ class Corner:
                                  gap=result.gap, effort=1)
 
 
-def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner | list[Corner]:
-    """The Corner of the flow rows lo and hi, a box's ends or a sample hull:
-    each link's |J_ii| at its larger magnitude, its supremum over [lo, hi].
-    Stacked rows, shape (m, n_links), give a list of m records from one pass,
-    each with the bits of its own call.  A value past the float range raises
-    BoundsError for the first such link in stacked order: the box is too wide.
+def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> list[Corner]:
+    """The Corners of the stacked flow rows lo and hi, shape (m, n_links),
+    each pair a box's ends or a sample hull: one record per row, from one
+    pass, of each link's |J_ii| at its larger magnitude, its supremum over
+    [lo[r], hi[r]].  A row's record has the same bits in any stack.  A value
+    past the float range raises BoundsError for the first such link in
+    stacked order: the box is too wide.
 
     libm's pow makes every power (map(math.pow, ...)), and the products are
     whole-array multiplies in the per-link order, (coef * pow) * post, each
@@ -149,7 +150,7 @@ def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner | list[Cor
     magnitudes = np.abs(lo)
     np.maximum(magnitudes, np.abs(hi), out=magnitudes)
     flat = magnitudes.ravel().tolist()
-    expos = net._expo_floats * (1 if magnitudes.ndim == 1 else len(magnitudes))
+    expos = net._expo_floats * len(magnitudes)
     try:
         powers = np.fromiter(map(math.pow, flat, expos), float, len(flat))
     except OverflowError:   # past the float range: named below
@@ -163,8 +164,6 @@ def corner_of(net: Network, lo: np.ndarray, hi: np.ndarray) -> Corner | list[Cor
                           f"{flat[wide[0]]!r} overflows a float")
     values.flags.writeable = False
     class_ends = (net.n_pipes, net.n_pipes + net.n_pumps)
-    if values.ndim == 1:
-        return Corner(values, class_ends)
     return [Corner(row, class_ends) for row in values]
 
 
@@ -178,7 +177,7 @@ def _pow_or_inf(m: float, expo: float) -> float:
 def corner(net: Network, box: FlowBox) -> Corner:
     """The box's Corner, from one check_box and one corner_of pass."""
     check_box(net, box)
-    return corner_of(net, box.lo, box.hi)
+    return corner_of(net, box.lo[None], box.hi[None])[0]
 
 
 def k_network(net: Network, box: FlowBox) -> LipschitzEstimate:

@@ -257,17 +257,11 @@ def _sobol_matrix(dim: int) -> np.ndarray:
     return v
 
 
-def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
-    """Gray-code state of index: the XOR of v[k] over the set bits k of
-    gray(index) = index ^ (index >> 1)."""
-    gray = index ^ (index >> 1)
-    return np.bitwise_xor.reduce(v[[k for k in range(_SOBOL_BITS) if gray >> k & 1]], axis=0)
-
-
 def _sobol_states(v: np.ndarray, indices: list[int], out: np.ndarray) -> np.ndarray:
-    """_sobol_state of each of the indices, one row each, written into out
-    and returned: v[k] is XORed into every row whose gray(i) has bit k set,
-    one bit at a time."""
+    """The Gray-code state of each of the indices, one row each, written into
+    out and returned: the XOR of v[k] over the set bits k of gray(i) =
+    i ^ (i >> 1), XORed into every row whose gray(i) has bit k set, one bit
+    at a time."""
     gray = np.array([i ^ (i >> 1) for i in indices], dtype="<u4")
     bits = np.unpackbits(gray.view(np.uint8).reshape(-1, 4), axis=1,
                          bitorder="little").astype(bool)
@@ -301,7 +295,7 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
     """
     size = len(out)
     run, lead = divmod(first, _SOBOL_RUN)
-    base = _sobol_state(v, first - lead)
+    base = _sobol_states(v, [first - lead], np.empty((1, v.shape[1]), dtype=np.uint32))[0]
     written = 0
     while True:
         take = min(_SOBOL_RUN - lead, size - written)

@@ -225,7 +225,8 @@ class TestDerivativeTable:
     def assert_matches_reference(net, lo, hi):
         expected = [reference_link_derivative(net, pos, m).hex()
                     for pos, m in enumerate(corner_magnitudes(lo, hi))]
-        assert [v.hex() for v in corner_of(net, lo, hi).values.tolist()] == expected
+        [record] = corner_of(net, lo[None], hi[None])
+        assert [v.hex() for v in record.values.tolist()] == expected
 
     def test_fixtures(self, fixtures):
         for _, net, box in fixtures.values():
@@ -241,7 +242,7 @@ class TestDerivativeTable:
         records = corner_of(net, lo, hi)
         assert len(records) == rows
         for row, record in enumerate(records):
-            alone = corner_of(net, lo[row], hi[row])
+            [alone] = corner_of(net, lo[row:row + 1], hi[row:row + 1])
             assert record.values.tobytes() == alone.values.tobytes()
             assert record.class_ends == alone.class_ends
             assert not record.values.flags.writeable
@@ -268,7 +269,7 @@ class TestDerivativeTable:
             with pytest.raises(BoundsError) as stacked:
                 corner_of(net, lo, hi)
             with pytest.raises(BoundsError) as alone:
-                corner_of(net, lo[1], hi[1])
+                corner_of(net, lo[1:2], hi[1:2])
         assert str(stacked.value) == str(alone.value) == (
             f"link 'PU2': |df/dq| at flow {past!r} overflows a float")
 

@@ -372,14 +372,15 @@ def test_benchmark_runs_methods_once_per_network(capsys, monkeypatch):
     assert len(seen) == 2
 
 
-def spy_corner_passes(monkeypatch) -> list[list[float]]:
-    """The magnitudes of each corner pass made through analytical's name (the
-    max point trace's hull passes go through sampling's own import)."""
+def spy_corner_passes(monkeypatch) -> list[list[list[float]]]:
+    """The magnitudes of each row of each corner pass made through
+    analytical's name (the max point trace's hull passes go through
+    sampling's own import)."""
     calls = []
     corner_of = analytical.corner_of
 
     def spy(net, lo, hi):
-        calls.append(corner_magnitudes(lo, hi))
+        calls.append([corner_magnitudes(*row) for row in zip(lo, hi)])
         return corner_of(net, lo, hi)
 
     monkeypatch.setattr(analytical, "corner_of", spy)
@@ -403,14 +404,14 @@ def test_analyze_makes_one_corner_pass(capsys, monkeypatch, methods, mode):
                   "--bounds", str(FIXTURE_DIR / "obcl_bounds.csv"),
                   "--methods", methods, "--mode", mode, "--samples", "100")
     assert code == 0
-    assert calls == [fixture_corner("obcl")]
+    assert calls == [[fixture_corner("obcl")]]
 
 
 def test_benchmark_makes_one_corner_pass_per_network(capsys, monkeypatch):
     calls = spy_corner_passes(monkeypatch)
     code, _ = run(capsys, "benchmark", str(FIXTURE_DIR), "--samples", "10")
     assert code == 0
-    assert calls == [fixture_corner(name) for name in cli.BENCHMARK_ORDER]
+    assert calls == [[fixture_corner(name)] for name in cli.BENCHMARK_ORDER]
 
 
 def test_committed_fixture_results_are_the_benchmark_output(tmp_path, capsys):
