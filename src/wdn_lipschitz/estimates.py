@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -24,10 +25,14 @@ class LipschitzEstimate:
     per_class: Mapping[str, float] | None = None   # pipes/pumps/valves (analytical), read-only
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("estimate value must be finite")
         if self.value < 0:
             raise ValueError("estimate value must be nonnegative")
         if (self.gap is not None) != (self.method == METHOD_INTERVAL_UPPER):
             raise ValueError("gap must be present exactly for interval_upper estimates")
+        if self.gap is not None and not math.isfinite(self.gap):
+            raise ValueError("gap must be finite")
         if self.gap is not None and self.gap < 0:
             raise ValueError("gap must be nonnegative")
         if self.per_class is not None:

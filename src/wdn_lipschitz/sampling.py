@@ -86,15 +86,22 @@ a tile, and each chunk is read by one corner pass over its stacked rows,
 so a trace makes one pass per chunk, and its memory does not grow with
 the checkpoint count.
 
-* Sobol: [1, n] splits into at most 2 log2(n) aligned dyadic blocks
-  [a*2**k, (a+1)*2**k), cut at every mark.  A block's states are the
-  state of a*2**k XOR the span of v[0..k-1].  Each v[k] is m_k << (31-k)
-  with m_k odd, so that span is every value whose low 32-k bits are zero,
-  and the block's least and greatest states are the first state with its
-  top k bits cleared and set.  The first states of a few blocks at a time
-  (8, or up to 2**11 states) are taken together, one direction number at
-  a time, and running minima and maxima across the blocks give each
-  mark's hull.
+* Sobol: let K be the top bit of N = n + 1.  Then [0, n] is [0, 2**K)
+  and, for each set bit k < K of N, the block [F_k, F_k + 2**k), F_k
+  being N with bits 0..k cleared.  Each v[k] is m_k << (31-k) with m_k
+  odd, so v[0..k-1] span every value whose low 32-k bits are zero, and
+  gray is a bijection on [0, 2**K), so [1, 2**K) gives every nonzero
+  multiple of 2**(32-K): its hull is 2**(32-K) and 2**32 - 2**(32-K).
+  Since gray(F_k + t) = gray(F_k) ^ gray(t) for t < 2**k, a block's
+  states are its first state XOR that span: they keep its low 32-k bits,
+  and clearing or setting its top k bits gives the least and greatest
+  state.  gray(F_k) agrees with gray(N) above bit k, has N's bit
+  k+1 at bit k and is 0 below, so state(F_k) = A_{k+1} ^ (bit k+1 of N) *
+  v[k], with A_j the XOR of v[p] over the set bits p >= j of gray(N);
+  since bit k of N is set, that is A_k ^ v[k].  So one pass over k, from
+  the chunk's top bit down, accumulates A and updates the minima and
+  maxima of the marks with a block at k, in O(marks * d) memory, and no
+  state passes from one mark to the next.
 * Halton: the radical inverse orders indices by their reversed digits.  The
   minimum over [1, n] is at the largest power of b within n.  The maximum
   is at q*B + B - 1, with B the largest power of b within n + 1 and
@@ -257,18 +264,11 @@ def _sobol_matrix(dim: int) -> np.ndarray:
     return v
 
 
-def _sobol_states(v: np.ndarray, indices: list[int], out: np.ndarray) -> np.ndarray:
-    """The Gray-code state of each of the indices, one row each, written into
-    out and returned: the XOR of v[k] over the set bits k of gray(i) =
-    i ^ (i >> 1), XORed into every row whose gray(i) has bit k set, one bit
-    at a time."""
-    gray = np.array([i ^ (i >> 1) for i in indices], dtype="<u4")
-    bits = np.unpackbits(gray.view(np.uint8).reshape(-1, 4), axis=1,
-                         bitorder="little").astype(bool)
-    out[...] = 0
-    for k in np.flatnonzero(bits.any(axis=0)).tolist():
-        np.bitwise_xor(out, v[k], out=out, where=bits[:, k, None])
-    return out
+def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
+    """The Gray-code state of index, a new uint32 row: the XOR of v[k] over
+    the set bits k of gray(index) = index ^ (index >> 1)."""
+    gray = index ^ (index >> 1)
+    return np.bitwise_xor.reduce(v[[k for k in range(gray.bit_length()) if gray >> k & 1]])
 
 
 def _sobol_fill(dim: int, size: int) -> Callable[[int, np.ndarray], np.ndarray]:
@@ -295,7 +295,7 @@ def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
     """
     size = len(out)
     run, lead = divmod(first, _SOBOL_RUN)
-    base = _sobol_states(v, [first - lead], np.empty((1, v.shape[1]), dtype=np.uint32))[0]
+    base = _sobol_state(v, first - lead)
     written = 0
     while True:
         take = min(_SOBOL_RUN - lead, size - written)
@@ -457,77 +457,50 @@ def _halton_two_runs(out: np.ndarray, first: int, bases: np.ndarray) -> None:
         high //= bases
 
 
-def _sobol_hulls(dim: int, marks: list[int], rows: int) -> Iterator[np.ndarray]:
-    """The hulls of Sobol points 1..mark for each mark of the nondecreasing
-    marks, in chunks of at most rows marks: a new (2, chunk, dim) array,
-    the per-coordinate minima, then the maxima.  Points 1..marks[-1] split
-    into aligned dyadic blocks, cut at every mark, and each block's least
-    and greatest states come from its first state (see the module
-    docstring), a few blocks at a time (_sobol_runs)."""
+def _sobol_hull(dim: int, marks: list[int]) -> np.ndarray:
+    """The hulls of Sobol points 1..mark for each of the marks: a new
+    (2, len(marks), dim) array, the per-coordinate minima, then the maxima,
+    each from the binary digits of N = mark + 1: [1, 2**K), K the top bit
+    of N, then one block [F_k, F_k + 2**k) per set bit k < K, whose first
+    state is A_k ^ v[k] (the module docstring has the proof)."""
     v = _sobol_matrix(dim)
-    # the least and greatest states of the blocks so far
-    carry = np.array([[2 ** _SOBOL_BITS - 1], [0]], dtype=np.uint32).repeat(dim, axis=1)
-    first = 1
-    for start in range(0, len(marks), rows):
-        # the blocks [first, first + 2**k) from first up to the chunk's last
-        # mark, each the largest aligned at first and within the next mark,
-        # and at each mark the count of the chunk's blocks within it
-        firsts, spans, ends = [], [], []
-        for mark in marks[start:start + rows]:
-            while first <= mark:
-                k = (first & -first).bit_length() - 1
-                while first + (1 << k) > mark + 1:
-                    k -= 1
-                firsts.append(first)
-                spans.append(k)
-                first += 1 << k
-            ends.append(len(firsts))
-        yield _sobol_runs(v, carry, firsts, spans, ends) * 0.5 ** _SOBOL_BITS
+    ends = np.array(marks, dtype=np.uint64)[:, None] + 1
+    # bits[i, k] is bit k of N; gray bit k of N is bit k ^ bit k+1
+    bits = (ends >> np.arange(_SOBOL_BITS + 1, dtype=np.uint64) & 1).astype(bool)
+    gray = bits[:, :-1] ^ bits[:, 1:]
+    # K, the top bit of N
+    top = _SOBOL_BITS - np.argmax(bits[:, ::-1], axis=1)
+    step = (1 << (_SOBOL_BITS - top))[:, None]
+    hull = np.empty((2, len(marks), dim), dtype=np.uint32)
+    lo, hi = hull
+    lo[...] = step
+    hi[...] = 2 ** _SOBOL_BITS - step
+    # the blocks below [0, 2**K): bit K itself is that block
+    bits[np.arange(len(marks)), top] = False
+    # acc is A_k, from the top K down (K = 32, N = 2**32, has no block and
+    # needs no v[32]); a level that no mark has is skipped
+    xored, blocked = gray.any(axis=0).tolist(), bits.any(axis=0).tolist()
+    acc = np.zeros((len(marks), dim), dtype=np.uint32)
+    state = np.empty_like(acc)
+    for k in range(min(int(top.max()), _SOBOL_BITS - 1), -1, -1):
+        if xored[k]:
+            np.bitwise_xor(acc, v[k], out=acc, where=gray[:, k, None])
+        if blocked[k]:
+            kept = np.uint32((1 << (_SOBOL_BITS - k)) - 1)
+            np.bitwise_xor(acc, v[k], out=state)
+            np.minimum(lo, state & kept, out=lo, where=bits[:, k, None])
+            np.maximum(hi, state | ~kept, out=hi, where=bits[:, k, None])
+    return hull * 0.5 ** _SOBOL_BITS
 
 
-def _sobol_runs(v: np.ndarray, carry: np.ndarray, firsts: list[int], spans: list[int],
-                ends: list[int]) -> np.ndarray:
-    """The least and greatest states, a new (2, len(ends), dim) uint32
-    array, at each of a chunk's marks, ends[i] of its blocks within mark i:
-    the running minima and maxima, from carry, of the blocks' least and
-    greatest states, a part of the blocks at a time in whole arrays.  carry
-    is updated in place to those of every block."""
-    ends = np.array(ends)
-    hull = np.empty((2, len(ends), v.shape[1]), dtype=np.uint32)
-    hull[...] = carry[:, None]   # a mark with none of the chunk's blocks
-    # a part is 8 blocks, or up to 2**11 states where rows are short: its
-    # two runs and their ufunc buffers then hold about as much as a few
-    # rows of n_links values, as one block at a time did
-    part = max(8, 2 ** 11 // v.shape[1])
-    runs = np.empty((2, 1 + min(part, len(firsts)), v.shape[1]), dtype=np.uint32)
-    for lead in range(0, len(firsts), part):
-        # row 0 carries the blocks before; a block's least and greatest
-        # states are its first state with the top k bits cleared and set
-        run = runs[:, :1 + min(part, len(firsts) - lead)]
-        run[:, 0] = carry
-        states = _sobol_states(v, firsts[lead:lead + part], run[1, 1:])
-        kept = np.array([(1 << (_SOBOL_BITS - k)) - 1 for k in spans[lead:lead + part]],
-                        dtype=np.uint32)[:, None]
-        np.bitwise_and(states, kept, out=run[0, 1:])
-        np.bitwise_or(states, ~kept, out=states)
-        np.minimum.accumulate(run[0], axis=0, out=run[0])
-        np.maximum.accumulate(run[1], axis=0, out=run[1])
-        carry[...] = run[:, -1]
-        inside = (ends > lead) & (ends < lead + len(run[0]))
-        hull[:, inside] = run[:, ends[inside] - lead]
-    return hull
-
-
-def _halton_hulls(dim: int, marks: list[int], rows: int) -> Iterator[np.ndarray]:
-    """The hulls of Halton points 1..mark for each mark of the nondecreasing
-    marks, in chunks of at most rows marks: a new (2, chunk, dim) array,
-    the per-coordinate minima, then the maxima, each folded from the index
-    that attains it (_halton_extremes), all of a chunk's in one fold."""
+def _halton_hull(dim: int, marks: list[int]) -> np.ndarray:
+    """The hulls of Halton points 1..mark for each of the marks: a new
+    (2, len(marks), dim) array, the per-coordinate minima, then the maxima,
+    each folded from the index that attains it (_halton_extremes), all in
+    one fold."""
     bases = _first_primes(dim)
-    for start in range(0, len(marks), rows):
-        chunk = marks[start:start + rows]
-        yield _fold(_halton_extremes(bases, chunk).reshape(-1, dim), bases)[0].reshape(
-            2, len(chunk), dim)
+    return _fold(_halton_extremes(bases, marks).reshape(-1, dim), bases)[0].reshape(
+        2, len(marks), dim)
 
 
 def _halton_extremes(bases: np.ndarray, marks: list[int]) -> np.ndarray:
@@ -822,11 +795,12 @@ def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSe
         return [record.k().value for record in corner_of(net, *_scale_into_box(hull, box, width))]
 
     if sequence.kind != KIND_RANDOM:
-        hulls = _sobol_hulls if sequence.kind == KIND_SOBOL else _halton_hulls
+        hull = _sobol_hull if sequence.kind == KIND_SOBOL else _halton_hull
         # a chunk's hull, both rows of each of its marks, is at most a tile
         rows = max(1, _TILE_VALUES // (2 * sequence.dimension))
-        return list(zip(marks, [value for hull in hulls(sequence.dimension, marks, rows)
-                                for value in k_values(hull)]))
+        return list(zip(marks, [value for start in range(0, len(marks), rows)
+                                for value in k_values(hull(sequence.dimension,
+                                                           marks[start:start + rows]))]))
 
     def fold():
         p_min = np.full(sequence.dimension, np.inf)

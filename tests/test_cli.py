@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import re
 import shlex
@@ -74,6 +75,16 @@ def test_analyze_report_validates_against_schema(capsys):
                  "gap must be present exactly for interval_upper estimates", id="missing-gap"),
     pytest.param(dict(value=1.0, method="interval_upper", gap=-1e-12),
                  "gap must be nonnegative", id="negative-gap"),
+    pytest.param(dict(value=math.nan, method="point_lower"),
+                 "estimate value must be finite", id="nan-value"),
+    pytest.param(dict(value=math.inf, method="analytical"),
+                 "estimate value must be finite", id="infinite-value"),
+    pytest.param(dict(value=-math.inf, method="analytical"),
+                 "estimate value must be finite", id="negative-infinite-value"),
+    pytest.param(dict(value=1.0, method="interval_upper", gap=math.nan),
+                 "gap must be finite", id="nan-gap"),
+    pytest.param(dict(value=1.0, method="interval_upper", gap=math.inf),
+                 "gap must be finite", id="infinite-gap"),
 ])
 def test_estimate_invariants(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

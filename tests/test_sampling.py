@@ -33,7 +33,7 @@ from wdn_lipschitz.bounds import FlowBox, default_box
 from wdn_lipschitz.errors import BoundsError, DimensionTooLarge, SampleCountTooLarge
 from wdn_lipschitz.inp import (JunctionDesc, NetworkDescription, PipeDesc, PumpDesc,
                                ReservoirDesc, ValveDesc)
-from wdn_lipschitz import sampling
+from wdn_lipschitz import cli, sampling
 from wdn_lipschitz.sampling import (
     _DIRECTIONS_FILE,
     _DIRECTIONS_SHA256,
@@ -41,9 +41,9 @@ from wdn_lipschitz.sampling import (
     _first_primes,
     _fold_digits,
     _halton_extremes,
-    _halton_hulls,
+    _halton_hull,
     _scale_into_box,
-    _sobol_hulls,
+    _sobol_hull,
     _sobol_matrix,
     sobol_max_dimension,
 )
@@ -650,6 +650,40 @@ FROZEN_TRACES = {
 }
 
 
+# SHA-256 of the max-mode `convergence` CSV of each fixture, for the two
+# closed-form hulls, at marks on, below and above powers of two and up to
+# each sequence's range; it pins the bits that FROZEN_TRACES, which stops
+# at 1e4, does not reach
+CLOSED_FORM_GRID = "1,2,3,7,8,9,10,1000,4523,65535,65536,1000000,1000000000,4294967295"
+FROZEN_CLOSED_FORM_CSVS = {
+    ("anytown", "halton"): "d2d620527d4478667a809e31aa07e511f00d15ec4b6c32d5fa7ecc33c182d51a",
+    ("anytown", "sobol"): "043908bbba4b1a41fcf9cf6c75ec618c8842d0797d8a1adc9d1d29c9b12d62ee",
+    ("eight_node", "halton"): "b00e631a07b5d5ff1e7f8160a8a18a43d283c659f4db353323709442cea9a2c4",
+    ("eight_node", "sobol"): "295befaea28e5351f3b20b32d12e32b315de9a8373e5ff133d0d8c8895df2a8a",
+    ("net2", "halton"): "74021aa0e8290f8a14d9a9ba1ae0c4a35ba28c74c16e834d7c449a1e43f66b23",
+    ("net2", "sobol"): "f31c0eb9dae85c9cd5a7f520212bfbbed8509d01a7e5d8381f0a8430b275e1ab",
+    ("net3", "halton"): "41bddfde472a2f5a545317d471996b2ae896dd3b673100692c160a00f9f4bd2f",
+    ("net3", "sobol"): "d9bd80fc59a8f0506a242996dac09778f4682519686a370530aabbbaf7054934",
+    ("obcl", "halton"): "7ab4e078ca623c72ab369eaacf728be3867621094406027096a10eaa9e66c21e",
+    ("obcl", "sobol"): "8d234c2594da666a9647839f026683de12f6c771b8f8e46679a612d04f3dc881",
+    ("three_node", "halton"): "d3bc6d93a8d1931d3f01f730337a8c7149aa8c835518adf36e56019a4848a34d",
+    ("three_node", "sobol"): "e862ba7752752ad428c6a3dc82e95df9534787874ed896089f643d12bb2cde1f",
+}
+
+
+def test_closed_form_max_csvs_match_frozen_digests(fixture_dir, tmp_path):
+    got = {}
+    for name, kind in FROZEN_CLOSED_FORM_CSVS:
+        grid = CLOSED_FORM_GRID + (",1000000000000" if kind == "halton" else "")
+        out = tmp_path / f"{name}-{kind}.csv"
+        assert cli.main(["convergence", str(fixture_dir / f"{name}.inp"),
+                         "--bounds", str(fixture_dir / f"{name}_bounds.csv"),
+                         "--samplers", kind, "--mode", "max", "--n-grid", grid,
+                         "--out", str(out)]) == 0
+        got[name, kind] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == FROZEN_CLOSED_FORM_CSVS
+
+
 @pytest.mark.parametrize("name, kind, mode", list(FROZEN_TRACES))
 def test_traces_match_frozen_values(fixtures, name, kind, mode):
     _, net, box = fixtures[name]
@@ -670,10 +704,10 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # tiles.  A random max trace holds one sample block and
     # the two hull rows per segment.  A Halton or Sobol max trace takes its
     # hull in closed form on one thread and holds a few rows of n_links
-    # values (Halton 15.6 to 17.4 float64 rows; Sobol 19.8, or 36.3 where it
-    # builds its 32 uint32 rows of direction numbers, with its block states
-    # taken eight blocks at a time), so a single block-sized buffer fails
-    # its bound.  A sqrt trace holds one
+    # values (Halton 15.5 to 17.4 float64 rows; Sobol 10.8, or 27.8 where it
+    # builds its 32 uint32 rows of direction numbers, with each mark's
+    # states taken from the bits of mark + 1), so a single block-sized
+    # buffer fails its bound.  A sqrt trace holds one
     # sample block and one row-sum vector per segment, and evaluates in
     # place (a Halton trace 1.07 to 1.08 blocks per segment, 1.36 on one
     # segment while it also builds its digit tables; 2.0 to 2.2 with a
@@ -796,8 +830,8 @@ def test_random_max_trace_memory_does_not_grow_with_checkpoints(fixtures, checkp
 # of each mark, is at most a tile, with one corner pass per chunk, so its
 # memory does not grow with the checkpoints: one chunk's hull, its indices
 # or states and its corner pass.  Measured: Halton 0.12 tiles with one
-# checkpoint and 5.4 with 1,000 on obcl (113 marks a chunk), 1.6 and 5.0 on
-# the scale network (6 marks a chunk); Sobol 0.11 and 5.3 on obcl.  Bound:
+# checkpoint and 5.2 with 1,000 on obcl (113 marks a chunk), 1.6 and 5.0 on
+# the scale network (6 marks a chunk); Sobol 0.11 and 5.2 on obcl.  Bound:
 # eight tiles, for one checkpoint and for 1,000; one pass over all 1,000
 # marks fails it.
 @pytest.mark.parametrize("name, kind", [("obcl", "halton"), ("obcl", "sobol"),
@@ -1361,10 +1395,11 @@ def _hulls_of_points(kind, dim, marks):
 
 def _assert_hulls_match_points(kind, dim, marks):
     # chunks of one mark, of two and of every mark
-    hulls = _sobol_hulls if kind == "sobol" else _halton_hulls
+    hull_of = _sobol_hull if kind == "sobol" else _halton_hull
     want = _hulls_of_points(kind, dim, marks)
     for rows in (1, 2, len(marks)):
-        chunks = list(hulls(dim, marks, rows))
+        chunks = [hull_of(dim, marks[start:start + rows])
+                  for start in range(0, len(marks), rows)]
         assert [len(hull[0]) for hull in chunks] == [
             min(rows, len(marks) - start) for start in range(0, len(marks), rows)]
         got = [(p_min, p_max) for hull in chunks for p_min, p_max in zip(*hull)]
@@ -1396,6 +1431,49 @@ def test_closed_form_hull_matches_points(kind, data):
     ("halton", 97, 3 ** 10), ("halton", 289, 2 ** 15), ("halton", 5002, 1999)])
 def test_closed_form_hull_matches_points_at_the_edges(kind, dim, n):
     _assert_hulls_match_points(kind, dim, [1, 2, 3, n // 2, n - 1, n])
+
+
+def _sobol_hulls_by_blocks(dim, marks):
+    """The Sobol hull at each of the nondecreasing marks, walked the long
+    way: points 1..marks[-1] in aligned dyadic blocks [a*2**k, (a+1)*2**k),
+    cut at every mark, with running minima and maxima carried across the
+    marks.  A block's states are its first state, the XOR of v[p] over the
+    set bits p of its gray code, with the top k bits cleared or set."""
+    v = _sobol_matrix(dim)
+    p_min = np.full(dim, 2 ** 32 - 1, dtype=np.uint32)
+    p_max = np.zeros(dim, dtype=np.uint32)
+    hulls, first = [], 1
+    for mark in marks:
+        while first <= mark:
+            k = (first & -first).bit_length() - 1
+            while first + (1 << k) > mark + 1:
+                k -= 1
+            gray = first ^ (first >> 1)
+            state = np.zeros(dim, dtype=np.uint32)
+            for p in range(gray.bit_length()):
+                if gray >> p & 1:
+                    state ^= v[p]
+            kept = np.uint32((1 << (32 - k)) - 1)
+            p_min = np.minimum(p_min, state & kept)
+            p_max = np.maximum(p_max, state | ~kept)
+            first += 1 << k
+        hulls.append(np.stack([p_min, p_max]) * 0.5 ** 32)
+    return np.stack(hulls, axis=1)
+
+
+# marks anywhere up to Sobol's last index, always with that index and a
+# power of two, one below it and one above it
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 1111), power=st.integers(1, 31),
+       others=st.lists(st.integers(1, 2 ** 32 - 1), max_size=6))
+def test_sobol_hull_matches_the_dyadic_block_walk(dim, power, others):
+    marks = sorted({*others, 2 ** power - 1, 2 ** power, 2 ** power + 1, 2 ** 32 - 1})
+    want = _sobol_hulls_by_blocks(dim, marks)
+    for rows in (1, 2, len(marks)):
+        got = np.concatenate([_sobol_hull(dim, marks[start:start + rows])
+                              for start in range(0, len(marks), rows)], axis=1)
+        assert got.shape == (2, len(marks), dim)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind, n", [("sobol", 2 ** 32 - 1), ("halton", 10 ** 12)])
