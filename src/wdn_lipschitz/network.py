@@ -34,7 +34,9 @@ expression per link class:
 A pump flow must be > 0, so its q * |q|**(nu-1) is q**nu.  eval_f and
 eval_jacobian_diag check every flow of every row in one vectorised pass;
 jacobian_diag_batch checks none.  They and the closed forms (analytical.py)
-read the table with no branch on link class.
+read the table with no branch on link class, except that the Jacobian
+evaluators multiply by deriv_post over the pump columns only: the pipe and
+valve posts are 1.0, and x * 1.0 is x.
 """
 
 from __future__ import annotations
@@ -179,14 +181,16 @@ def _jacobian_diag_into(net: Network, q: np.ndarray, out: np.ndarray) -> np.ndar
 
     Every entry is (coef * |q|**expo) * post from the derivative table; a
     product commutes exactly, so multiplying the power in place gives it the
-    bits of that expression.  Rows are unchecked and |q| is read for every
-    link, so a pump flow <= 0 gets the value at |q| (eval_jacobian_diag
-    raises NonPositiveFlow for it).
+    bits of that expression.  Only the pump columns are multiplied by their
+    post: a pipe's or a valve's is 1.0, and x * 1.0 is x.  Rows are
+    unchecked and |q| is read for every link, so a pump flow <= 0 gets the
+    value at |q| (eval_jacobian_diag raises NonPositiveFlow for it).
     """
+    pumps = slice(net.n_pipes, net.n_pipes + net.n_pumps)
     np.abs(q, out=out)
     np.power(out, net.deriv_expo, out=out)
     out *= net.deriv_coef
-    out *= net.deriv_post
+    out[..., pumps] *= net.deriv_post[pumps]
     return out
 
 

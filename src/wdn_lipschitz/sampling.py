@@ -5,9 +5,10 @@ half-open unit cube [0,1)^d, in blocks (``blocks(n)``).
 A random or Sobol block is one tile of at most 2**16 values (512 KiB):
 its cost is per value, so a trace generates, reduces or scales, and
 evaluates each block while it is still in a core's cache.  A Halton
-block costs a few numpy calls per base up to its rows and a few per tile
-of the bases above them, so it is larger than a tile: at most 4096
-points and 2**20 values (8 MiB; 209 points at 5,002 dimensions).
+block costs a few numpy calls per block, one per base up to its rows and
+per level of that base's high digits (one level for most bases), and a
+few per tile of the bases above them, so it is larger than a tile: at
+most 4096 points and 2**20 values (8 MiB; 209 points at 5,002 dimensions).
 One generator makes every block (``SampleSequence._blocks``): it writes
 each block of a walk into one array, allocated once per walk, and a
 trace's walk drops each block before the next; ``blocks(n)`` yields a
@@ -27,19 +28,22 @@ and a block can start at any index (see segments, below):
   rows, the fold of the low k digits (b**k the largest power within the
   rows) is a table built once per process (a segment that misses it
   builds it under a lock, and a hit takes none), and each run of equal high
-  part is a slice of that table plus the fold of the run's few high
-  digits, added in the same order.  A base above the rows meets at most
-  two runs, the second from where its low digit wraps, so all such bases
-  are folded together by whole-array steps: the low digit of row r,
-  (first mod b) + r less b after the wrap, times fl(1/b), then, one level
-  at a time, each high digit of the row's run times the weight, divided
-  by b at each level.  A base above the block's last index leaves every
-  index j one digit, j * (1/b), so all such bases take one multiply.  A
-  digit that a shorter index lacks adds +0.0, which is exact, so every
-  value has the bits of the plain digit loop.  Bases are folded
-  link-major, 16 at a time or, where bases above the rows take two runs,
-  up to a tile's values of them, and copied transposed into the
-  C-contiguous block;
+  part is that table plus the fold of the run's few high digits, added in
+  the same order.  A base's runs are one grid, written over its row and
+  past its ends, with one add per level of high digits, the first fused
+  with the table copy; the high digits of every run of every such base
+  are taken one level at a time in one array.  A base above the rows
+  meets at most two runs, the second from where its low digit wraps, so
+  all such bases are folded together by whole-array steps: the low
+  digit of row r, (first mod b) + r less b after the wrap, times
+  fl(1/b), then, one level at a time, each high digit of the row's run
+  times the weight, divided by b at each level.  A base above the block's
+  last index leaves every index j one digit, j * (1/b), so all such bases
+  take one multiply.  A digit that a shorter index lacks adds +0.0, which
+  is exact, so every value has the bits of the plain digit loop.  Bases
+  are folded link-major, at least 16 at a time or, where bases above the
+  rows take two runs, up to a tile's values of them, and copied
+  transposed into the C-contiguous block;
 * ``sobol``: the classic 32-bit Gray-code construction driven by the shipped
   Joe-Kuo direction-number table (dimensions 2..1111; dimension 1 is the van
   der Corput sequence).  Generation starts at index 1, so the first point is
@@ -312,41 +316,102 @@ def _halton_fill(dim: int, size: int, last: int) -> Callable[[int, np.ndarray], 
     """fill(first, out) for Halton blocks of at most size points, none past
     index last."""
     bases = _first_primes(dim)
-    # room for _HALTON_CHUNK bases, or for up to a tile's values of the
+    # room for _HALTON_CHUNK tabled bases, each in an odd row between two
+    # slack rows (see _halton_block), or for up to a tile's values of the
     # bases that some block folds by two runs: above its rows, within last
     two_runs = np.count_nonzero((bases > size) & (bases <= last))
-    chunk = np.empty((max(_HALTON_CHUNK, min(two_runs, _TILE_VALUES // max(1, size))), size))
-    return partial(_halton_block, bases, chunk=chunk)
+    chunk = np.empty((max(2 * _HALTON_CHUNK + 1, min(two_runs, _TILE_VALUES // max(1, size))),
+                      size))
+    return partial(_halton_block, bases, chunk=chunk, plan=_halton_plan(bases, size))
 
 
-def _halton_block(bases: np.ndarray, first: int, out: np.ndarray,
-                  chunk: np.ndarray) -> np.ndarray:
+def _halton_plan(bases: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """(spans, tables, weights) of the bases up to size rows: span the largest
+    power of the base within size, and the table and weight _fold_digits
+    gives for it."""
+    spans, tables, weights = [], [], []
+    for base in bases[:np.searchsorted(bases, size, side="right")].tolist():
+        span = base
+        while span * base <= size:
+            span *= base
+        table, weight = _fold_digits(base, span)
+        spans.append(span)
+        tables.append(table)
+        weights.append(weight)
+    return np.array(spans, dtype=np.int64), tables, np.array(weights)
+
+
+def _halton_block(bases: np.ndarray, first: int, out: np.ndarray, chunk: np.ndarray,
+                  plan: tuple[np.ndarray, list[np.ndarray], np.ndarray]) -> np.ndarray:
     """Halton points first..first+len(out)-1, written into out (C-contiguous)
-    and returned; chunk is scratch for len(chunk) bases of len(out) values.
+    and returned.  chunk is scratch rows of at least len(out) values, and
+    plan is the walk's _halton_plan at chunk's row length, its largest
+    block.  Every later block ends past that length, so the plan's bases
+    are at most its last index; a shorter block, the walk's last, folds the
+    same bases from the same tables.
 
     Bases above the block's last index leave every index j one digit,
     j * (1/base), and take one multiply.  The others are folded link-major
-    in chunk, len(chunk) at a time, and copied transposed: a base up to the
-    block's rows from its table, one at a time (_halton_runs), and the
-    bases above the rows together (_halton_two_runs).
+    in chunk and copied transposed: the plan's bases from their tables, in
+    odd rows, (len(chunk) - 1) // 2 at a time, then the rest, which are
+    above the rows, together, len(chunk) at a time (_halton_two_runs).
+
+    A tabled base's indices fall into runs of equal high part j // span,
+    the first run entered at lead = first mod span.  Each run is the table
+    plus the run's weighted high digits, added level by level as _fold adds
+    them, so a base's runs are one (runs, span) grid, written in place from
+    lead values before its row: the even rows around it are slack for the
+    outer runs' ends (lead < span <= the row length).  The first level is
+    added as the table is copied, and each further level is one add.  The
+    high digits of every run of every tabled base are taken together, one
+    level at a time, in one flat array of the runs, base after base.  Each
+    base takes as many levels as the high part of its last run has digits,
+    and at least one: a missing high digit adds +0.0, which leaves r >= 0
+    unchanged, so every value has the bits of the digit loop run on j
+    itself.
     """
     size = len(out)
     last = first + size - 1
-    tabled, folded = np.searchsorted(bases, [size, last], side="right").tolist()
+    spans, tables, weights = plan
+    tabled, folded = len(spans), int(np.searchsorted(bases, last, side="right"))
     np.multiply(np.arange(first, last + 1, dtype=float)[:, None], 1.0 / bases[folded:],
                 out=out[:, folded:])
-    for start in range(0, folded, len(chunk)):
+    if tabled:
+        base = bases[:tabled]
+        low, top = first // spans, last // spans
+        counts = top - low + 1
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # run k of a base is its high part low + k, at flat position start + k
+        run_base = np.repeat(base, counts)
+        high = np.arange(ends[-1]) + np.repeat(low - starts, counts)
+        weight = np.repeat(weights / base, counts)
+        digits = [high % run_base * weight]
+        levels = np.ones(tabled, dtype=np.int64)
+        top //= base
+        while top.any():
+            levels += top > 0
+            high //= run_base
+            weight /= run_base
+            digits.append(high % run_base * weight)
+            top //= base
+        digits = np.stack(digits)[..., None]
+        runs = list(zip(tables, (first % spans).tolist(), levels.tolist(),
+                        starts.tolist(), ends.tolist()))
+        scratch, width, step = chunk.reshape(-1), chunk.shape[1], (len(chunk) - 1) // 2
+        for start in range(0, tabled, step):
+            stop = min(tabled, start + step)
+            for row, (table, lead, level, begin, end) in enumerate(runs[start:stop]):
+                at = (2 * row + 1) * width - lead
+                grid = scratch[at:at + (end - begin) * len(table)].reshape(end - begin, -1)
+                np.add(table, digits[0, begin:end], out=grid)
+                for k in range(1, level):
+                    grid += digits[k, begin:end]
+            out[:, start:stop] = chunk[1:2 * (stop - start):2, :size].T
+    for start in range(tabled, folded, len(chunk)):
         stop = min(folded, start + len(chunk))
         part = chunk[:stop - start, :size]
-        split = max(0, min(tabled, stop) - start)
-        for row, base in zip(part[:split], bases[start:start + split].tolist()):
-            span = base
-            while span * base <= size:
-                span *= base
-            table, weight = _fold_digits(base, span)
-            _halton_runs(row, first, base, span, table, weight)
-        if split < len(part):
-            _halton_two_runs(part[split:], first, bases[start + split:stop])
+        _halton_two_runs(part, first, bases[start:stop])
         out[:, start:stop] = part.T
     return out
 
@@ -377,54 +442,25 @@ def _fold_digits(base: int, span: int) -> tuple[np.ndarray, float]:
 def _fold(idx: np.ndarray, base: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radical inverses of the indices idx, digits folded low first:
     f /= base, then r += digit * f.  base is one base, or one per column of
-    idx.  Also returns the weight f of the last digit folded.  idx is
-    consumed (divided down to zero in place)."""
-    r = np.zeros(idx.shape)
-    f = np.ones(np.shape(base))
-    digit = np.empty_like(idx)
-    while idx.any():
-        f /= base
-        np.divmod(idx, base, out=(idx, digit))
-        r += digit * f
-    return r, f
-
-
-def _halton_runs(row: np.ndarray, first: int, base: int, span: int,
-                 table: np.ndarray, weight: float) -> None:
-    """Radical inverses of first, first+1, ... in base, written into row.
-
-    span is base**k, at most len(row), and table the fold of the low k
-    digits of 0..span-1, with weight the weight of digit k.  The indices
-    fall into runs of equal high part j // span; each run is a slice of the
-    table plus the fold of its high digits, added digit by digit as
-    _fold_digits adds them.  A missing high digit adds +0.0, which leaves
-    r >= 0 unchanged, so every value has the bits of the digit loop run on
-    j itself.
-    """
-    size = len(row)
-    lead = first % span
-    head = min(span - lead, size) if lead else 0
-    whole = (size - head) // span
-    tail = head + whole * span
-    if head:
-        row[:head] = table[lead:lead + head]
-    body = row[head:tail].reshape(whole, span)
-    if whole:
-        body[...] = table
-    if tail < size:
-        row[tail:] = table[:size - tail]
-    high = np.arange(first // span, (first + size - 1) // span + 1)
-    skip = 1 if head else 0
-    while high.any():
-        weight /= base
-        digit = (high % base) * weight
-        if head:
-            row[:head] += digit[0]
-        if whole:
-            body += digit[skip:skip + whole, None]
-        if tail < size:
-            row[tail:] += digit[-1]
-        high //= base
+    idx, ascending.  Also returns the weight f of each column's last digit
+    folded.  idx is consumed (divided down to zero in place).  A step
+    touches only the leading columns up to the last one with a digit left:
+    a larger base runs out of digits sooner, and a column with none left
+    would only add +0.0."""
+    bases = np.reshape(base, -1)
+    cols = idx.reshape(-1, bases.size)
+    r = np.zeros(cols.shape)
+    f = np.ones(bases.size)
+    digit = np.empty_like(cols)
+    live = bases.size
+    while live:
+        part, low = cols[:, :live], digit[:, :live]
+        f[:live] /= bases[:live]
+        np.divmod(part, bases[:live], out=(part, low))
+        r[:, :live] += low * f[:live]
+        left = np.flatnonzero(part.any(axis=0))
+        live = int(left[-1]) + 1 if left.size else 0
+    return r.reshape(idx.shape), f.reshape(np.shape(base))
 
 
 def _halton_two_runs(out: np.ndarray, first: int, bases: np.ndarray) -> None:
@@ -543,9 +579,10 @@ def _block_rows(kind: str, dim: int) -> int:
     """Points per sample block of this kind in dim dimensions (see the
     module docstring): one tile for random and Sobol, whose cost is per
     value; for Halton at most 4096 points and 2**20 values (8 MiB).  A
-    Halton block costs a few numpy calls per base up to its rows (at tile
-    size a 289-link block would make 289 base passes for 226 points), and
-    a few per tile of the bases above them, and those calls hold the GIL.
+    Halton block costs a numpy call per base up to its rows and per level
+    of its high digits, one level for most bases (at tile size a 289-link
+    block would make 289 base passes for 226 points), a few per tile of
+    the bases above them and a few per block, and those calls hold the GIL.
     Each segment holds one block, so a trace on two CPUs holds 16 MiB.
     Half this cap makes twice the calls per value and was slower on obcl;
     twice it was faster there, but doubles the memory.  Memory stays flat

@@ -307,6 +307,14 @@ class TestEvalF:
                 assert np.array_equal(rows[i], evaluate(net, q[i]))
         assert np.array_equal(eval_jacobian_diag(net, q), jacobian_diag_batch(net, q))
 
+    def test_batch_has_the_bits_of_the_whole_table_expression(self, valve_net):
+        # only the pump columns are multiplied by their post (PU2's speed is
+        # 0.8); a pipe's and a valve's post is 1.0
+        _, net, box = valve_net
+        q = sample_interior(box, 20, np.random.default_rng(5))
+        want = np.abs(q) ** net.deriv_expo * net.deriv_coef * net.deriv_post
+        assert np.array_equal(jacobian_diag_batch(net, q).view(np.uint64), want.view(np.uint64))
+
     def test_rows_name_the_first_bad_pump_in_row_major_order(self, valve_net):
         # PU1 (column 2) fails in a later row than PU2 (column 3)
         _, net, _ = valve_net

@@ -238,7 +238,35 @@ def test_halton_blocks_match_digit_loop(dim, block, whole, extra):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.flags.c_contiguous
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Blocks of up to 4,096 rows from first indices up to 2**62, where the runs
+# of a base up to the rows (sampling._halton_block's tables) have high parts
+# of several digits, and each base takes its own number of levels.  The
+# examples are obcl's 3,628-row blocks far out, and a walk whose last
+# block is shorter than the rest, which folds with the spans and tables of
+# the full blocks.
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=320),
+       rows=st.integers(min_value=1, max_value=4096),
+       first=st.one_of(st.integers(min_value=1, max_value=60_000),
+                       st.integers(min_value=1, max_value=2 ** 62)),
+       whole=st.integers(min_value=0, max_value=2),
+       extra=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example(dim=289, rows=None, first=2 ** 62 - 12_345, whole=1, extra=0.0)
+@example(dim=289, rows=3628, first=1, whole=1, extra=0.5)
+@example(dim=61, rows=4096, first=3 ** 38 - 7, whole=2, extra=0.25)
+def test_halton_tabled_runs_match_digit_loop(dim, rows, first, whole, extra):
+    rows = rows or sampling._block_rows("halton", dim)
+    count = max(1, whole * rows + int(extra * rows))
+    with block_rows(rows):
+        got = [block.copy() for block in SampleSequence("halton", dim)._blocks(first, count)]
+    want = _reference_halton(dim, count, rows, first)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # Blocks of at most 40 rows, so that nearly every base is above the rows
@@ -704,14 +732,15 @@ def test_trace_memory_stays_within_a_few_blocks(fixtures, kind, mode):
     # tiles.  A random max trace holds one sample block and
     # the two hull rows per segment.  A Halton or Sobol max trace takes its
     # hull in closed form on one thread and holds a few rows of n_links
-    # values (Halton 15.5 to 17.4 float64 rows; Sobol 10.8, or 27.8 where it
+    # values (Halton 17.1 to 17.4 float64 rows; Sobol 10.8, or 27.8 where it
     # builds its 32 uint32 rows of direction numbers, with each mark's
     # states taken from the bits of mark + 1), so a single block-sized
     # buffer fails its bound.  A sqrt trace holds one
     # sample block and one row-sum vector per segment, and evaluates in
-    # place (a Halton trace 1.07 to 1.08 blocks per segment, 1.36 on one
-    # segment while it also builds its digit tables; 2.0 to 2.2 with a
-    # block-sized Jacobian buffer, 6.0 before the in-place pass).  One
+    # place (a Halton trace 1.15 blocks per segment, with its fold's
+    # scratch rows, 1.43 on one segment while it also builds its digit
+    # tables; 2.0 to 2.2 with a block-sized Jacobian buffer, 6.0 before
+    # the in-place pass).  One
     # more block-sized buffer per segment fails the bound.  The trace runs
     # as on one, two and three CPUs.
     _, net, box = fixtures["obcl"]
