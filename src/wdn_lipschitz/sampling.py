@@ -27,7 +27,8 @@ and a block can start at any index (see segments, below):
   indices, not one digit loop per index.  For a base b up to the block's
   rows, the fold of the low k digits (b**k the largest power within the
   rows) is a table built once per process (a segment that misses it
-  builds it under a lock, and a hit takes none), and each run of equal high
+  builds it under a lock, and a hit takes none; a walk's spans and tables
+  are cached per dimension and block rows), and each run of equal high
   part is that table plus the fold of the run's few high digits, added in
   the same order.  A base's runs are one grid, written over its row and
   past its ends, with one add per level of high digits, the first fused
@@ -53,7 +54,8 @@ and a block can start at any index (see segments, below):
   aligned run i = 128r + t, t < 128, gray(i) >> 7 = gray(r) and
   gray(i) & 127 = gray(t) ^ ((r & 1) << 6), so the state of i is the state
   of 128r XOR the state of t.  A block is built run by run: a table of the
-  states of 0..127 (the XOR span of v[0..6]), XORed with the run's first
+  states of 0..127 (the XOR span of v[0..6]; built once per dimension, with
+  the run steps), XORed with the run's first
   state, which steps to the next run by one XOR,
   v[6] ^ v[7 + trailing zeros of r+1].  States are uint32 and
   float(uint32) * 2**-32 is exact, so every value has the bits of the
@@ -139,10 +141,18 @@ ends and at tile edges, so each cut is at most one tile of 2**16 values
 (take, read)``, starts one segment's state; ``take`` folds a cut in, and
 ``read`` gives one float at each cut that ends at a mark or the
 segment's end.  The ``max`` fold holds two hull rows, and reads K from
-that hull's Corner record, one corner pass per read.  The ``sqrt`` fold,
-which needs each point's sum of squares, scales a cut and evaluates its
-Jacobian in place, writes its row sums into one vector of a tile's rows,
-so each cut's passes stay in cache, and reads its largest sum.  Once every thread is joined, the
+that hull's Corner record, one corner pass per read.  The ``sqrt`` fold
+scales a cut and evaluates its Jacobian in place, writes its row sums into
+one vector of a tile's rows, so each cut's passes stay in cache, and reads
+its largest sum.  Once that sum is above 0, it first takes a linear upper
+bound of each row's sum, one matvec of the unit samples with a slope row
+built once per trace (``_sqrt_bound``, which has the proof), in the same
+vector, drops every row whose bound is below the best sum less a derived
+slack, a row whose sum could not raise it, moves the rest to the front of
+the cut and evaluates only those.  A bounded cut that drops nothing skips
+bounding for the next 1, 2, 4, ... cuts, so where the bound rules out
+nothing (the V-shaped boxes of a large generated network) it costs a
+matvec on about log2 of the cuts.  Once every thread is joined, the
 segments join in index order by max.  For ``max`` that is the value of
 the joined hull: scaling is monotone and max(|min X|, |max X|) = max |X|,
 so the joined hull's corner magnitude is, per link, the larger of the
@@ -154,7 +164,8 @@ all n before any thread starts; once every segment thread is joined, the
 first error in index order is raised unchanged, and no thread outlives
 the trace (a ``max`` trace names the link and flow where its first
 failing segment overflowed).  Memory is per segment: one block and a
-row-sum vector, or two hull rows and a Corner record, plus a float per
+row-sum vector (with a sqrt fold's kept rows moved at most 1/32 of a tile
+at a time), or two hull rows and a Corner record, plus a float per
 cut, so a trace's memory grows with the CPUs, one block per segment
 (8 MiB for Halton on 5,002 links), for every kind.
 """
@@ -275,8 +286,11 @@ def _sobol_state(v: np.ndarray, index: int) -> np.ndarray:
     return np.bitwise_xor.reduce(v[[k for k in range(gray.bit_length()) if gray >> k & 1]])
 
 
-def _sobol_fill(dim: int, size: int) -> Callable[[int, np.ndarray], np.ndarray]:
-    """fill(first, out) for Sobol blocks of at most size points."""
+# Cached per dimension and read-only, as _sobol_matrix is
+@lru_cache(maxsize=None)
+def _sobol_run_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, steps) of the Sobol run walk in dim dimensions: the states of
+    indices 0..127, and the step from a run's first state to the next's."""
     v = _sobol_matrix(dim)
     # the states of indices 0..127, by reflection: gray(h + j) = h ^ gray(h-1-j)
     table = np.zeros((_SOBOL_RUN, dim), dtype=np.uint32)
@@ -285,8 +299,14 @@ def _sobol_fill(dim: int, size: int) -> Callable[[int, np.ndarray], np.ndarray]:
         np.bitwise_xor(table[h - 1::-1], v[k], out=table[h:2 * h])
     # from the first state of run r to that of run r+1, r+1 with k trailing zeros
     steps = v[_SOBOL_RUN_BITS - 1] ^ v[_SOBOL_RUN_BITS:]
+    table.flags.writeable = steps.flags.writeable = False
+    return table, steps
+
+
+def _sobol_fill(dim: int, size: int) -> Callable[[int, np.ndarray], np.ndarray]:
+    """fill(first, out) for Sobol blocks of at most size points."""
     states = np.empty((size, dim), dtype=np.uint32)
-    return partial(_sobol_block, v, table, steps, states)
+    return partial(_sobol_block, _sobol_matrix(dim), *_sobol_run_table(dim), states)
 
 
 def _sobol_block(v: np.ndarray, table: np.ndarray, steps: np.ndarray,
@@ -322,13 +342,16 @@ def _halton_fill(dim: int, size: int, last: int) -> Callable[[int, np.ndarray], 
     two_runs = np.count_nonzero((bases > size) & (bases <= last))
     chunk = np.empty((max(2 * _HALTON_CHUNK + 1, min(two_runs, _TILE_VALUES // max(1, size))),
                       size))
-    return partial(_halton_block, bases, chunk=chunk, plan=_halton_plan(bases, size))
+    return partial(_halton_block, bases, chunk=chunk, plan=_halton_plan(dim, size))
 
 
-def _halton_plan(bases: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """(spans, tables, weights) of the bases up to size rows: span the largest
-    power of the base within size, and the table and weight _fold_digits
-    gives for it."""
+# Cached per (dimension, rows) and read-only, as the digit tables it holds are
+@lru_cache(maxsize=None)
+def _halton_plan(dim: int, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """(spans, tables, weights) of the first dim bases that are up to size
+    rows: span the largest power of the base within size, and the table and
+    weight _fold_digits gives for it."""
+    bases = _first_primes(dim)
     spans, tables, weights = [], [], []
     for base in bases[:np.searchsorted(bases, size, side="right")].tolist():
         span = base
@@ -338,11 +361,13 @@ def _halton_plan(bases: np.ndarray, size: int) -> tuple[np.ndarray, list[np.ndar
         spans.append(span)
         tables.append(table)
         weights.append(weight)
-    return np.array(spans, dtype=np.int64), tables, np.array(weights)
+    spans, weights = np.array(spans, dtype=np.int64), np.array(weights)
+    spans.flags.writeable = weights.flags.writeable = False
+    return spans, tuple(tables), weights
 
 
 def _halton_block(bases: np.ndarray, first: int, out: np.ndarray, chunk: np.ndarray,
-                  plan: tuple[np.ndarray, list[np.ndarray], np.ndarray]) -> np.ndarray:
+                  plan: tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]) -> np.ndarray:
     """Halton points first..first+len(out)-1, written into out (C-contiguous)
     and returned.  chunk is scratch rows of at least len(out) values, and
     plan is the walk's _halton_plan at chunk's row length, its largest
@@ -854,20 +879,141 @@ def _max_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSe
 
 def _sqrt_trace(net: Network, box: FlowBox, width: np.ndarray, sequence: SampleSequence,
                 marks: list[int]) -> list[tuple[int, float]]:
-    """Largest Frobenius norm of a sampled Jacobian at each mark; it needs
-    every point, so each cut of the walk, at most one tile, is scaled and
-    evaluated in place, and its row sums go to one buffer per segment (see
-    the module docstring).  Segments join by max, before the root."""
+    """Largest Frobenius norm of a sampled Jacobian at each mark.  Each cut
+    of the walk, at most one tile, is scaled and evaluated in place, and its
+    row sums go to one buffer per segment (see the module docstring).  Once
+    a segment's best sum is above 0, a cut first drops every row whose
+    linear bound (_sqrt_bound) lies below best - slack, which could not
+    raise best, and evaluates the rest, so every value has the bits of
+    evaluating every point.  A bounded cut that drops no row skips bounding
+    for the next 1, 2, 4, ... cuts, and one that drops a row starts that
+    count again.  Segments join by max, before the root."""
+    bound = _sqrt_bound(net, box, width)
 
     def fold():
         sums = np.empty(_tile_rows(net.n_links))
         best = 0.0
+        skip, wait = 0, 1
 
         def take(q: np.ndarray) -> None:
-            nonlocal best
+            nonlocal best, skip, wait
+            if skip:
+                skip -= 1
+            elif best > 0 and bound is not None:
+                base, slope, slack = bound
+                kept = _drop_rows(q, base, slope, best - slack, sums)
+                if kept == len(q):
+                    skip, wait = wait, 2 * wait
+                else:
+                    wait = 1
+                if not kept:
+                    return
+                q = q[:kept]
             g = _jacobian_diag_into(net, _scale_into_box(q, box, width), q)
             best = max(best, float(np.einsum("ij,ij->i", g, g, out=sums[:len(q)]).max()))
 
         return take, lambda: best
 
     return [(mark, math.sqrt(best)) for mark, best in _segment_walk(sequence, marks, fold)]
+
+
+def _drop_rows(q: np.ndarray, base: float, slope: np.ndarray, floor: float,
+               scratch: np.ndarray) -> int:
+    """Move the rows p of q whose bound base + p @ slope is at least floor
+    to the front of q, in order, and return their count.  scratch has room
+    for a value per row.  A kept row only moves up, so they are copied
+    forward, at most _TILE_VALUES // 32 values at a time: a gather of every
+    kept row would hold a second copy of most of the cut."""
+    bound = np.matmul(q, slope, out=scratch[:len(q)])
+    bound += base
+    keep = bound >= floor
+    kept = np.flatnonzero(keep)
+    if len(kept) < len(q):
+        step = max(1, _TILE_VALUES // 32 // q.shape[1])
+        # the rows above the first dropped one stay where they are
+        for at in range(int(np.argmin(keep)), len(kept), step):
+            rows = kept[at:at + step]
+            q[at:at + len(rows)] = q[rows]
+    return len(kept)
+
+
+# the bound is taken only where T, the sum over links of the larger end
+# square, and every table factor c * post are this far inside the float
+# range, where steps that underflow cost _sqrt_bound's proof under 2**-200 u T
+_BOUND_RANGE = 2.0 ** 500
+
+
+def _sqrt_bound(net: Network, box: FlowBox, width: np.ndarray
+                ) -> tuple[float, np.ndarray, float] | None:
+    """(base, slope, slack) with which a sqrt trace drops a unit sample p
+    whose bound fl(fl(p @ slope) + base) is below fl(best - slack): then the
+    computed row sum of p is below best.  None where an end value is not
+    finite, or T or a table factor c post is outside _BOUND_RANGE; the trace
+    then evaluates every point.
+
+    Write h_i(x) for the computed square of Jacobian entry i at flow x, one
+    _jacobian_diag_into pass over the box's two rows lo and hi, m_i =
+    max(h_i(lo), h_i(hi)) and T = sum m_i.  Link i takes, in the unit
+    sample p_i, base_i + p_i * slope_i:
+    * convex (2e >= 1, e = deriv_expo): the chord, h(lo) + (h(hi) - h(lo)) p;
+    * concave with lo > 0: the tangent at hi, h(hi) - s (1 - p), its slope
+      s = 2e h(hi) (w/hi) (1 - 2**-30), w = fl(hi - lo), scaled down so
+      that it is at most the exact tangent's;
+    * any other: the constant m_i.
+    base is fl(sum base_i) and slack = (n + 16) 2**-51 fl(T), n the links.
+
+    Proof.  Premises: numpy's pow is within 1 ulp (the premise of
+    point_sqrt <= interval_sqrt), every other step rounds to nearest, a sum
+    in any order (einsum, matmul, sum), 2e in [0, 4] (inp keeps mu and nu
+    in [1, 3]) and n < 2**32.  With u = 2**-53 and gamma_k = k u / (1 - k u),
+    let phi_i(x) = (c_i post_i)**2 |x|**(2e) be the exact square.
+    (1) _scale_into_box gives q_i in [lo, hi] within 3.01 u M of the exact
+        x = lo + p w, M = max(|lo|, |hi|), and |lo + w - hi| <= 2 u M.
+    (2) An entry takes pow and one or two multiplies, then a square, so a
+        computed square is within a factor 1 +- gamma_9 of phi: the exact
+        end values are at most (1 + gamma_9) m_i, and a row sum of n
+        squares is at most (1 + gamma_(n+8)) sum phi_i(q_i).  Within
+        _BOUND_RANGE, steps that underflow add in all under 2**-200 u T
+        to a row sum or an end value, which the constants below absorb.
+    (3) Per link, phi_i(q_i) <= base_i + p_i slope_i + 31 u m_i:
+        convex: |x|**(2e) is convex for 2e >= 1, so phi(x) is below the
+        exact chord from lo to lo + w; moving x and lo + w by (1) costs at
+        most 5.01 u M phi'(1.0001 M) <= 20.1 u phi(M), as 2e <= 4, then
+        gamma_9 m for the rounded end values and u m for the rounded slope;
+        concave, lo > 0: phi is concave on (0, inf), so below its tangent at
+        hi, phi(hi) - phi'(hi)(hi - q), with phi'(hi) = 2e phi(hi) / hi and
+        hi - q >= w (1 - p) - 4.02 u hi by (1); s <= phi'(hi) w, since the
+        computed 2e h(hi) (w/hi) is at most (1 + gamma_13) times it and
+        (1 + gamma_13)(1 - 2**-30) < 1; 2e < 1, so this costs 4.02 u
+        phi(hi), then gamma_9 m and u m for fl(h(hi) - s);
+        other: phi is nondecreasing in |x| and |q| <= M, so phi(q) <=
+        phi(M) <= (1 + gamma_9) m.
+    (4) Summed, with L the exact sum of base_i + p_i slope_i, at most
+        (1 + u) T: the computed row sum S <= L + (n + 40) u T.
+    (5) Each |base_i| and |slope_i| is at most (1 + u) m_i and each p_i is
+        in [0, 1), so the computed bound is at least L - (2n + 1) u T; best
+        is a computed row sum, at most 1.01 T by (4), so fl(best - slack)
+        <= best - slack + 1.01 u T.
+    So a dropped row has S < best - slack + (3n + 43) u T <= best, as
+    slack >= (n + 16) 2**-51 (1 - gamma_n) T >= (3n + 43) u T.
+    """
+    ends = np.stack([box.lo, box.hi])
+    h = _jacobian_diag_into(net, ends, ends)
+    h *= h
+    low, high = h
+    top = np.maximum(low, high)
+    total = float(top.sum())
+    if not (1 / _BOUND_RANGE <= total <= _BOUND_RANGE
+            and float((net.deriv_coef * net.deriv_post).max()) <= _BOUND_RANGE):
+        return None
+    twice = 2 * net.deriv_expo
+    convex = twice >= 1
+    tangent = ~convex & (box.lo > 0)
+    slope = np.zeros(net.n_links)
+    np.subtract(high, low, out=slope, where=convex)
+    # w / hi <= 1 where lo > 0, so the tangent slope cannot overflow
+    np.divide(width, box.hi, out=slope, where=tangent)
+    np.multiply(slope, twice * high * (1 - 2.0 ** -30), out=slope, where=tangent)
+    base = np.where(convex, low, np.where(tangent, high - slope, top))
+    slope.flags.writeable = False
+    return float(base.sum()), slope, (net.n_links + 16) * 2.0 ** -51 * total

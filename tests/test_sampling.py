@@ -346,6 +346,15 @@ class TestSobol:
         with pytest.raises(ValueError):
             v[0, 0] = 1
 
+    def test_run_table_is_cached_read_only(self):
+        # and one table of the states of 0..127 and one list of run steps
+        table, steps = sampling._sobol_run_table(5)
+        assert sampling._sobol_run_table(5)[0] is table
+        assert table.shape == (128, 5) and steps.shape == (25, 5)
+        for array in (table, steps):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
     def test_corrupt_table_detected(self, monkeypatch):
         from wdn_lipschitz import sampling
         monkeypatch.setattr(sampling, "_DIRECTIONS_SHA256", "0" * 64)
@@ -401,6 +410,13 @@ def test_sobol_blocks_match_gray_code_loop(dim, block, count):
         assert np.array_equal(a, b)
 
 
+def clear_halton_tables():
+    """Drop every cached Halton digit table and walk plan, so that the next
+    trace builds the ones it needs."""
+    sampling._digit_tables.clear()
+    sampling._halton_plan.cache_clear()
+
+
 @contextlib.contextmanager
 def table_builds():
     """The (base, span) of each digit table built while active: a Halton
@@ -419,13 +435,16 @@ def table_builds():
 class TestHaltonTables:
     def test_second_trace_builds_no_table(self, fixtures):
         _, net, box = fixtures["obcl"]
-        sampling._digit_tables.clear()
+        clear_halton_tables()
         with table_builds() as built:
             k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
         assert len(built) == len(sampling._digit_tables) > 0
+        plans = sampling._halton_plan.cache_info().currsize
+        assert plans > 0
         with table_builds() as built:
             k_lower_trace(net, box, "halton", 10_000, mode="sqrt")
         assert built == []
+        assert sampling._halton_plan.cache_info().currsize == plans
 
     # obcl's 289 links: 100,000 points walk two or three segments that start
     # on a cold cache together, switching threads often; each table is built
@@ -433,7 +452,7 @@ class TestHaltonTables:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_segments_build_each_table_once(self, fixtures, cpus):
         _, net, box = fixtures["obcl"]
-        sampling._digit_tables.clear()
+        clear_halton_tables()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -450,6 +469,16 @@ class TestHaltonTables:
         table, _ = _fold_digits(3, 27)
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+    def test_walk_plan_is_cached_read_only(self):
+        # every walk of obcl's 289 links in blocks of 3,628 points shares
+        # one, and each of its bases, all below 3,628, has a table
+        spans, tables, weights = sampling._halton_plan(289, 3628)
+        assert sampling._halton_plan(289, 3628)[0] is spans
+        assert len(spans) == len(tables) == len(weights) == 289
+        for array in (spans, weights, *tables):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestRandom:
@@ -1007,8 +1036,9 @@ def assert_segment_count_changes_no_bit(net, box, kind, mode, n, counts):
     for cpus in counts:
         # more segments than this machine may have cores, switching threads
         # often, and the shared per-process tables built while they run
-        sampling._digit_tables.clear()
+        clear_halton_tables()
         sampling._sobol_matrix.cache_clear()
+        sampling._sobol_run_table.cache_clear()
         sys.setswitchinterval(1e-5)
         try:
             with cpu_count(cpus), segment_spy() as walked:
@@ -1299,10 +1329,11 @@ def _brute_force_trace(net, box, kind, seed, n, marks, mode):
 
 
 def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data, mode):
-    # marks on every block edge, at 1 and n, and a few drawn between
+    # marks on every block edge, at 1 and n, and a few drawn between (none
+    # in an explicit example, whose data is None)
     n = block * whole + extra
     edges = {block * k for k in range(1, whole + 1)}
-    others = data.draw(st.lists(st.integers(1, n), max_size=4))
+    others = [] if data is None else data.draw(st.lists(st.integers(1, n), max_size=4))
     marks = sorted(edges | set(others) | {1, n})
     with block_rows(block):
         est, trace = k_lower_trace(net, box, kind, n, mode=mode, seed=seed,
@@ -1313,11 +1344,22 @@ def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra,
     assert est.value.hex() == expected[-1].hex()
 
 
+def collapsed(box: FlowBox, collapse: str) -> FlowBox:
+    """box with no link ("none"), every other link ("some") or every link
+    ("all") collapsed to its upper bound, where every sample is the same
+    flow."""
+    if collapse == "none":
+        return box
+    step = 2 if collapse == "some" else 1
+    lo = box.lo.copy()
+    lo[::step] = box.hi[::step]
+    return dataclasses.replace(box, lo=lo)
+
+
 # Networks from make_random_network have pipe and valve boxes that cross
 # zero and pump boxes near zero flow; "some" and "all" collapse links to
-# their upper bound, where every sample is the same flow.  Tiles of a few
-# values put tile edges inside the cuts, and make a random trace walk up
-# to three segments.
+# their upper bound.  Tiles of a few values put tile edges inside the
+# cuts, and make a random trace walk up to three segments.
 @settings(max_examples=80, deadline=None)
 @given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
        seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
@@ -1326,27 +1368,135 @@ def _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra,
 def test_max_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra,
                                        collapse, tile, data):
     net, box = make_random_network(np.random.default_rng(net_seed))
-    if collapse != "none":
-        step = 2 if collapse == "some" else 1
-        lo = box.lo.copy()
-        lo[::step] = box.hi[::step]
-        box = dataclasses.replace(box, lo=lo)
     with cpu_count(3), patch.object(sampling, "_TILE_VALUES", tile):
-        _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data,
-                                          "max")
+        _assert_trace_matches_brute_force(net, collapsed(box, collapse), kind, seed, block,
+                                          whole, extra, data, "max")
 
 
 # the same walk over blocks cut at the marks and at tile edges, on up to
-# three segments
+# three segments, where each cut drops the rows its linear bound rules out
+# (_sqrt_bound).  Network 9 has 10 links, two of them pumps with nu 1.18
+# and 1.13, whose bound is a tangent; its Sobol trace drops most rows.
 @settings(max_examples=40, deadline=None)
 @given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
        seed=st.integers(0, 5), block=st.integers(1, 300), whole=st.integers(1, 5),
-       extra=st.integers(0, 299), tile=st.integers(1, 200), data=st.data())
-def test_sqrt_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra, tile, data):
+       extra=st.integers(0, 299), collapse=st.sampled_from(("none", "some", "all")),
+       tile=st.integers(1, 200), data=st.data())
+@example(net_seed=9, kind="sobol", seed=0, block=300, whole=5, extra=299, collapse="none",
+         tile=200, data=None)
+@example(net_seed=9, kind="random", seed=1, block=300, whole=5, extra=299, collapse="all",
+         tile=200, data=None)
+def test_sqrt_trace_matches_brute_force(net_seed, kind, seed, block, whole, extra, collapse,
+                                        tile, data):
     net, box = make_random_network(np.random.default_rng(net_seed))
     with cpu_count(3), patch.object(sampling, "_TILE_VALUES", tile):
-        _assert_trace_matches_brute_force(net, box, kind, seed, block, whole, extra, data,
-                                          "sqrt")
+        _assert_trace_matches_brute_force(net, collapsed(box, collapse), kind, seed, block,
+                                          whole, extra, data, "sqrt")
+
+
+def _assert_bound_holds(net, box, kind, corners):
+    """At 1,000 sampled points, the unit cube's two corners and 20 points
+    mixing the two, drawn by the seed corners, the computed row sum is at
+    most base + p @ slope + slack."""
+    width = box.hi - box.lo
+    base, slope, slack = sampling._sqrt_bound(net, box, width)
+    top = 1 - 2.0 ** -53
+    mixed = np.random.default_rng(corners).integers(0, 2, (20, net.n_links)) * top
+    p = np.concatenate([all_points(SampleSequence(kind, net.n_links, 2), 1000),
+                        np.zeros((1, net.n_links)), np.full((1, net.n_links), top), mixed])
+    q = _scale_into_box(p.copy(), box, width)
+    g = sampling._jacobian_diag_into(net, q, q)
+    assert np.all(np.einsum("ij,ij->i", g, g) <= p @ slope + base + slack)
+
+
+# The linear bound a sqrt trace drops rows by (_sqrt_bound), checked
+# directly.  A quarter of make_random_network's pumps have nu below 1.5,
+# where the bound is the tangent at hi (network 9 has two, and network 21
+# one at nu 1.443); the collapsed links have w = 0.
+@settings(max_examples=150, deadline=None)
+@given(net_seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(SAMPLER_KINDS),
+       collapse=st.sampled_from(("none", "some", "all")), corners=st.integers(0, 2 ** 32 - 1))
+@example(net_seed=9, kind="sobol", collapse="none", corners=0)
+@example(net_seed=21, kind="halton", collapse="some", corners=1)
+def test_sqrt_bound_holds_at_every_point(net_seed, kind, collapse, corners):
+    net, box = make_random_network(np.random.default_rng(net_seed))
+    _assert_bound_holds(net, collapsed(box, collapse), kind, corners)
+
+
+# A head-loss exponent below 1.5 makes a pipe's or a valve's square
+# concave in |q| (2e = 0.4 here), so a box across or down to zero takes
+# the larger end, and only a box above zero the tangent at hi, which is
+# closest to the square on a narrow box.
+@pytest.mark.parametrize("lo, hi", [(-10.0, 5.0), (-5.0, 10.0), (-3.0, 3.0), (0.0, 10.0),
+                                    (2.0, 10.0), (1e-9, 10.0), (9.99, 10.0), (3.0, 3.0)])
+def test_sqrt_bound_holds_on_concave_pipes(lo, hi):
+    desc = dataclasses.replace(make_single_pipe(0.01, 1.2),
+                               valves=[ValveDesc("V1", "J2", "J1", 0.02, 0.5)])
+    net = build_network(desc)
+    box = make_box(net, {"P1": (lo, hi), "V1": (-hi, -lo)})
+    for kind in SAMPLER_KINDS:
+        _assert_bound_holds(net, box, kind, 3)
+
+
+@contextlib.contextmanager
+def evaluated_rows():
+    """While active, records the thread and the row count of each Jacobian
+    pass a trace makes, the bound's pass over the box's ends first."""
+    rows = []
+    evaluate = sampling._jacobian_diag_into
+
+    def spy(net, q, out):
+        rows.append((threading.current_thread(), len(q)))
+        return evaluate(net, q, out)
+
+    with patch.object(sampling, "_jacobian_diag_into", spy):
+        yield rows
+
+
+# On obcl the bound rules out most points once a segment's best is set:
+# about 11 % of a 20,000-point Sobol trace's rows are evaluated, on one,
+# two or three segments.  Every value keeps its bits.
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sqrt_trace_evaluates_few_rows_on_obcl(fixtures, cpus):
+    _, net, box = fixtures["obcl"]
+    with cpu_count(cpus), evaluated_rows() as rows:
+        est, trace = k_lower_trace(net, box, "sobol", 20_000, mode="sqrt",
+                                   checkpoints=(1, 226, 227, 10_000))
+    assert rows[0] == (threading.current_thread(), 2)
+    assert len({thread for thread, _ in rows}) == cpus
+    assert sum(count for _, count in rows[1:]) < 0.25 * 20_000
+    with patch.object(sampling, "_sqrt_bound", lambda *args: None):
+        assert k_lower_trace(net, box, "sobol", 20_000, mode="sqrt",
+                             checkpoints=(1, 226, 227, 10_000)) == (est, trace)
+
+
+# On the scale network's V-shaped boxes the bound stays above the best
+# sum, so no row is dropped, and a segment bounds its cuts 2, 4, 7, 12,
+# 21, ..., 2**k + k + 1: each bounded cut that drops nothing skips the
+# next 1, 2, 4, ... cuts, so a segment of c cuts bounds about log2(c).
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sqrt_bound_backs_off_where_it_drops_nothing(scale_network, cpus):
+    net, box = scale_network
+    bounded = []
+    drop = sampling._drop_rows
+
+    def spy(q, *args):
+        kept = drop(q, *args)
+        bounded.append((threading.current_thread(), len(q), kept))
+        return kept
+
+    with cpu_count(cpus), evaluated_rows() as rows, patch.object(sampling, "_drop_rows", spy):
+        k_lower_trace(net, box, "random", 3000, mode="sqrt")
+    assert all(kept == count for _, count, kept in bounded)
+    cuts = rows[1:]
+    assert sum(count for _, count in cuts) == 3000
+    threads = {thread for thread, _ in cuts}
+    assert len(threads) == cpus
+    for thread in threads:
+        walked = sum(1 for t, _ in cuts if t is thread)
+        assert walked > 100
+        assert (sum(1 for t, _, _ in bounded if t is thread)
+                == sum(1 for k in range(walked) if 2 ** k + k + 1 <= walked))
 
 
 # Every hull flow lies in the box, and the max trace evaluates it with the
